@@ -10,6 +10,10 @@ of step sizes in [0, 1]. The same raw matrices are reused at every layer, so
 depth does not add parameters. Baseline cells (gcn, graff, adgn) share the
 encoder/decoder plumbing but use their own update rules; gcn keeps one weight
 matrix per layer and no residual.
+
+Every forward pass reads its graph through one Operators bundle, and every
+fixed-depth stack runs through propagate; only the adaptive exit loops in
+exits step layer by layer themselves.
 """
 
 from __future__ import annotations
@@ -20,9 +24,13 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ACTIVATION_KINDS, DiffValue
+from .graphs import ArcMatrix, Graph, NormAdj, incidence_aggregate, mean_adj, norm_adj
 
 __all__ = [
     "CellParams",
+    "Operators",
+    "build_operators",
+    "propagate",
     "antisymmetrize",
     "symmetrize",
     "sas_step",
@@ -104,6 +112,36 @@ class CellParams:
         return out
 
 
+@dataclass(frozen=True)
+class Operators:
+    """The fixed per-graph operators one forward pass reads.
+
+    a is the normalized adjacency of every cell step; ma the mean adjacency,
+    present only for mean_gnn exit heads; be the incidence aggregate of the
+    edge features, present only when the cell has an edge term.
+    """
+
+    a: NormAdj
+    ma: ArcMatrix | None = None
+    be: DiffValue | None = None
+
+
+def build_operators(g: Graph, params: CellParams, heads=None) -> Operators:
+    """The operator bundle of graph g for a cell and its optional exit heads.
+
+    Build it once per graph and pass it down: nothing here depends on the
+    trainable values, only on g and on the cell's edge mode and head kind.
+    """
+    a = norm_adj(g)
+    ma = mean_adj(g) if heads is not None and heads.kind == "mean_gnn" else None
+    be = None
+    if params.edge_mode != "zero":
+        if g.E_feat is None:
+            raise ValueError(f"edge_mode {params.edge_mode!r} needs edge features")
+        be = ad.constant(incidence_aggregate(g, g.E_feat))
+    return Operators(a=a, ma=ma, be=be)
+
+
 def antisymmetrize(omega_raw: DiffValue) -> DiffValue:
     """Omega - Omega^T; exactly antisymmetric by construction."""
     if omega_raw.shape[0] != omega_raw.shape[1]:
@@ -118,14 +156,15 @@ def symmetrize(w_raw: DiffValue) -> DiffValue:
     return ad.smul(ad.add(w_raw, ad.transpose(w_raw)), 0.5)
 
 
-def edge_term(be: DiffValue, p: CellParams) -> DiffValue | None:
+def edge_term(be: DiffValue | None, p: CellParams) -> DiffValue | None:
     """Per-node edge contribution from the precomputed incidence aggregate BE.
 
     zero mode has no term; linear is BE @ We; neg_relu is -relu(BE @ We),
     which only ever subtracts and so cannot push the update's energy argument
-    upward.
+    upward. Without BE there is no term either, which sas_step rejects for
+    every mode but zero.
     """
-    if p.edge_mode == "zero":
+    if p.edge_mode == "zero" or be is None:
         return None
     lin = ad.matmul_add(be, p.w_e)
     if p.edge_mode == "linear":
@@ -207,6 +246,25 @@ def baseline_step(H: DiffValue, a, p: CellParams, kind: str,
         inner = ad.add(inner, ad.dspmm(a, ad.matmul_add(H, p.w_raw)))
         return ad.add(H, ad.smul(ad.activation_apply(inner, "tanh"), p.tau))
     raise ValueError(f"unknown baseline kind {kind!r}")
+
+
+def propagate(H: DiffValue, ops: Operators, params: CellParams, kind: str,
+              depth: int, tau=None) -> list[DiffValue]:
+    """The fixed-depth stack: depth steps of one cell kind from state H.
+
+    Returns the depth + 1 states H_0 = H, ..., H_depth, all on the tape.
+    Kinds sas and eegnn take the sas step with step size tau (the cell's own
+    when None); the baseline kinds take their own step and ignore tau.
+    """
+    states = [H]
+    if kind in ("sas", "eegnn"):
+        et = edge_term(ops.be, params)
+        for _ in range(depth):
+            states.append(sas_step(states[-1], ops.a, params, tau=tau, edge_term=et))
+    else:
+        for l in range(depth):
+            states.append(baseline_step(states[-1], ops.a, params, kind, layer=l))
+    return states
 
 
 def encode(X: DiffValue, p: CellParams) -> DiffValue:

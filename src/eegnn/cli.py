@@ -9,10 +9,6 @@ file: the file is the run's authoritative record, so its values win over
 flags. Every output is byte-reproducible for a fixed config and seed: JSON
 is written with sorted keys, floats keep their shortest round-trip form, and
 nothing timestamps itself.
-
-EEGNN_THREADS, when set, caps worker threads. Execution is sequential
-either way; the variable is validated, clamped to [1, 64], and echoed into
-the resolved config so runs record the setting they saw.
 """
 
 from __future__ import annotations
@@ -20,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -85,17 +80,6 @@ def _read_config(path) -> dict:
     if not isinstance(doc, dict):
         raise ConfigError(["config file must hold a JSON object"])
     return doc
-
-
-def _threads() -> int:
-    raw = os.environ.get("EEGNN_THREADS")
-    if raw is None:
-        return 1
-    try:
-        val = int(raw)
-    except ValueError:
-        raise ConfigError([f"EEGNN_THREADS must be an integer, got {raw!r}"])
-    return min(max(val, 1), 64)
 
 
 def _out_dir(args) -> Path:
@@ -169,7 +153,6 @@ def cmd_generate(args) -> None:
         "edge_homophily": edge_homophily(g),
     }
     _write_json(stats, out / "stats.json")
-    cfg["threads"] = _threads()
     _write_json(cfg, out / "resolved_config.json")
     print(f"wrote graph.json ({g.n} nodes, {g.n_arcs // 2} edges) and stats.json to {out}")
 
@@ -205,12 +188,10 @@ def cmd_train(args) -> None:
     data_path = file_cfg.pop("data", None) or args.data
     cfg = _run_config(args, file_cfg)
     data = _load_data(data_path)
-    threads = _threads()
     model, history = train_run(cfg, data)
     out = _out_dir(args)
     resolved = cfg.to_dict()
     resolved["data"] = str(data_path)
-    resolved["threads"] = threads
     _write_json(resolved, out / "resolved_config.json")
     (out / "history.csv").write_text(history_csv(history))
     save_checkpoint(model, out / "checkpoint.json")
@@ -240,7 +221,7 @@ def cmd_evaluate(args) -> None:
     out = _out_dir(args)
     resolved = model.cfg.to_dict()
     resolved.update({"data": str(data_path), "checkpoint": str(ckpt_path),
-                     "mode": mode, "threads": _threads()})
+                     "mode": mode})
     _write_json(resolved, out / "resolved_config.json")
     _write_json(rec, out / "metrics.json")
     print(f"test {rec['metric']} = {rec['value']}")
@@ -278,7 +259,6 @@ def cmd_diagnose(args) -> None:
     resolved = cfg.to_dict()
     resolved.update(diag)
     resolved["diagnostic"] = args.name
-    resolved["threads"] = _threads()
     _write_json(resolved, out / "resolved_config.json")
 
     report = {"diagnostic": args.name, "seed": cfg.seed}
@@ -373,12 +353,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", metavar="PATH", help="JSON config; overrides flags")
         p.add_argument("--seed", type=int, help="run seed")
         p.add_argument("--out", metavar="DIR", default=".", help="output directory")
-        p.add_argument("--mode", choices=("train", "eval"), default="eval",
-                       help="forward mode for evaluation (sampled vs argmax exits)")
         if name in ("train", "evaluate", "diagnose"):
             p.add_argument("--data", metavar="PATH", help="dataset JSON")
         if name == "evaluate":
             p.add_argument("--checkpoint", metavar="PATH", help="checkpoint JSON")
+            p.add_argument("--mode", choices=("train", "eval"), default="eval",
+                           help="forward mode (sampled vs argmax exits)")
         if name == "diagnose":
             p.add_argument("name", nargs="?",
                            help="one of: " + ", ".join(DIAG_NAMES))

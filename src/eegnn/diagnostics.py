@@ -17,11 +17,10 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import _act_derivative, _act_forward
-from .cells import CellParams, baseline_step, decode, edge_term, encode, \
-    make_cell_params, sas_step
+from .cells import CellParams, build_operators, decode, encode, make_cell_params, \
+    propagate
 from .eig import eigvals
-from .graphs import Graph, arc_rows, degrees, gen_sbm, incidence_aggregate, \
-    norm_adj, pair_index
+from .graphs import Graph, arc_rows, degrees, gen_sbm, pair_index
 from .training import Model, evaluate, forward_node, metric_eval, train_run
 
 __all__ = [
@@ -128,8 +127,7 @@ def _premises_hold(params: CellParams, tau: float) -> bool:
             and tau <= 0.05 and params.edge_mode != "linear")
 
 
-def descent_trace(g: Graph, params: CellParams, H0, steps: int, tau: float,
-                  be=None) -> Trace:
+def descent_trace(g: Graph, params: CellParams, H0, steps: int, tau: float) -> Trace:
     """Energy series along the step map, with every increase logged.
 
     metadata["violations"] lists [step, increase] pairs past the 1e-8 slack;
@@ -139,23 +137,14 @@ def descent_trace(g: Graph, params: CellParams, H0, steps: int, tau: float,
     run; their violations are data, not errors.
     """
     H0 = _finite_matrix(H0, g.n)
-    a = norm_adj(g)
-    et = None
-    if params.edge_mode != "zero":
-        if be is None:
-            if g.E_feat is None:
-                raise ValueError("edge_mode needs edge features or a be matrix")
-            be = ad.constant(incidence_aggregate(g, g.E_feat))
-        et = edge_term(be, params)
+    states = propagate(ad.constant(H0), build_operators(g, params), params, "sas",
+                       steps, tau)
     w = params.w_raw.value
     ws = 0.5 * (w + w.T)
-    values = [energy_functional(H0, ws, g)]
+    values = [energy_functional(h.value, ws, g) for h in states]
     violations = []
-    H = H0
     for t in range(1, steps + 1):
-        H = sas_step(ad.constant(H), a, params, tau=tau, edge_term=et).value
-        values.append(energy_functional(H, ws, g))
-        rise = values[-1] - values[-2]
+        rise = values[t] - values[t - 1]
         if rise > DESCENT_SLACK:
             violations.append([t, float(rise)])
     return Trace(
@@ -223,20 +212,9 @@ def sensitivity(model: Model, g: Graph, layer: int) -> float:
     n, width = g.n, cfg.hidden
     if n * width > 2000:
         raise ValueError(f"instance too large: n * width = {n * width} > 2000")
-    a = norm_adj(g)
-    et = None
-    if cfg.edge_mode != "zero":
-        if g.E_feat is None:
-            raise ValueError("edge_mode needs edge features on the graph")
-        et = edge_term(ad.constant(incidence_aggregate(g, g.E_feat)), model.params)
-    H = encode(ad.constant(g.X), model.params)
-    taped = [H]
-    for l in range(cfg.depth):
-        if cfg.model == "sas":
-            H = sas_step(H, a, model.params, tau=model.params.tau, edge_term=et)
-        else:
-            H = baseline_step(H, a, model.params, cfg.model, layer=l)
-        taped.append(H)
+    taped = propagate(encode(ad.constant(g.X), model.params),
+                      build_operators(g, model.params), model.params, cfg.model,
+                      cfg.depth)
     root, probe = taped[-1], taped[layer]
     total = 0.0
     seed = np.zeros((n, width))

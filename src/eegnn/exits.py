@@ -20,8 +20,9 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import DiffValue
-from .cells import CellParams, edge_term, encode, sas_step
-from .graphs import Graph, mean_adj, norm_adj
+from .cells import CellParams, Operators, _glorot, build_operators, edge_term, \
+    encode, sas_step
+from .graphs import Graph
 
 __all__ = [
     "GumbelSample",
@@ -122,10 +123,6 @@ def sample_gumbel(shape, rng: np.random.Generator) -> GumbelSample:
     return GumbelSample(g=-np.log(-np.log(u)), rng_state=state)
 
 
-def _glorot(rng, fan_in, fan_out):
-    return rng.normal(0.0, np.sqrt(2.0 / (fan_in + fan_out)), size=(fan_in, fan_out))
-
-
 def make_exit_heads(rng: np.random.Generator, kind: str, in_dim: int,
                     hidden: int, depth: int, nu0: float = 0.05) -> ExitHeads:
     def backbone(tag, out_dim):
@@ -209,34 +206,17 @@ def gumbel_softmax_st(logits: DiffValue, inv_nu: DiffValue,
     return c_soft, ad.straight_through(c_soft, hard)
 
 
-def _prep_operators(g: Graph, params: CellParams, a, ma, be, need_ma):
-    if a is None:
-        a = norm_adj(g)
-    if need_ma and ma is None:
-        ma = mean_adj(g)
-    et = None
-    if params.edge_mode != "zero":
-        if be is None:
-            raise ValueError(f"edge_mode {params.edge_mode!r} needs the aggregated "
-                             "edge features (be); pass incidence_aggregate output")
-        et = edge_term(be, params)
-    return a, ma, et
-
-
-def eegnn_forward_node(g: Graph, params: CellParams, heads: ExitHeads | None,
+def eegnn_forward_node(g: Graph, params: CellParams, heads: ExitHeads,
                        L: int, rng: np.random.Generator | None = None,
-                       mode: str = "train_sample", *, a=None, ma=None, be=None,
+                       mode: str = "train_sample", *, ops: Operators | None = None,
                        noise: list[GumbelSample] | None = None,
-                       override_tau: float | None = None,
                        capture: list | None = None):
     """Per-node early-exit forward pass.
 
     Returns (Z, ExitState, per-layer records). Z row i is the node's state at
     its exit layer (before that layer's update), or the final state if it
     never exits; gradients flow into each frozen row from the layer where it
-    froze. With override_tau set, the heads are bypassed entirely: no node
-    exits and every layer uses the constant step, which reproduces the plain
-    fixed-depth cell bit for bit.
+    froze. ops is g's operator bundle, built here when not given.
 
     A node exiting at layer l has spent exit_time = sum of its tau over
     layers 0..l-1; the deciding layer's tau is not counted.
@@ -245,11 +225,11 @@ def eegnn_forward_node(g: Graph, params: CellParams, heads: ExitHeads | None,
         raise ValueError(f"depth must be >= 1, got {L}")
     if mode not in EXIT_MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    ablated = override_tau is not None
-    if not ablated and heads is None:
-        raise ValueError("heads are required unless override_tau is given")
-    need_ma = not ablated and heads.kind == "mean_gnn"
-    a, ma, et = _prep_operators(g, params, a, ma, be, need_ma)
+    if heads is None:
+        raise ValueError("the early-exit forward needs exit heads")
+    if ops is None:
+        ops = build_operators(g, params, heads)
+    et = edge_term(ops.be, params)
     n = g.n
     H = encode(ad.constant(g.X), params)
     if capture is not None:
@@ -260,16 +240,8 @@ def eegnn_forward_node(g: Graph, params: CellParams, heads: ExitHeads | None,
     exit_time = np.zeros(n)
     records = []
     for l in range(L):
-        if ablated:
-            exit_time += float(override_tau)
-            records.append({"layer": l, "mean_tau": float(override_tau),
-                            "new_exits": 0, "mean_inv_nu": float("nan")})
-            H = sas_step(H, a, params, tau=override_tau, edge_term=et)
-            if capture is not None:
-                capture.append(H.value.copy())
-            continue
-        logits = confidence_logits(H, heads, ma)
-        inv_nu = inv_temperature(H, heads, ma)
+        logits = confidence_logits(H, heads, ops.ma)
+        inv_nu = inv_temperature(H, heads, ops.ma)
         smp = None
         if mode == "train_sample":
             smp = noise[l] if noise is not None else sample_gumbel((n, 2), rng)
@@ -285,7 +257,7 @@ def eegnn_forward_node(g: Graph, params: CellParams, heads: ExitHeads | None,
         records.append({"layer": l, "mean_tau": float(tau_col.value.mean()),
                         "new_exits": int(new_exit.sum()),
                         "mean_inv_nu": float(inv_nu.value.mean())})
-        H = sas_step(H, a, params, tau=tau_col, edge_term=et)
+        H = sas_step(H, ops.a, params, tau=tau_col, edge_term=et)
         if capture is not None:
             capture.append(H.value.copy())
     Z = ad.where_rows(exited, Z_cur, H) if exited.any() else H
@@ -294,28 +266,28 @@ def eegnn_forward_node(g: Graph, params: CellParams, heads: ExitHeads | None,
     return Z, state, records
 
 
-def eegnn_forward_graph(g: Graph, params: CellParams, heads: ExitHeads | None,
+def eegnn_forward_graph(g: Graph, params: CellParams, heads: ExitHeads,
                         L: int, rng: np.random.Generator | None = None,
-                        mode: str = "train_sample", *, a=None, be=None,
-                        noise: list[GumbelSample] | None = None,
-                        override_tau: float | None = None):
+                        mode: str = "train_sample", *, ops: Operators | None = None,
+                        noise: list[GumbelSample] | None = None):
     """Whole-graph early-exit forward pass.
 
     Pools node states each layer, reads one continue/exit decision and one
     scalar tau for the whole graph, and returns the pooled state of the exit
     layer immediately (integration stops there). Never exiting returns the
-    pooled final state.
+    pooled final state. ops is g's operator bundle, built here when not given.
     """
     if L < 1:
         raise ValueError(f"depth must be >= 1, got {L}")
     if mode not in EXIT_MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    ablated = override_tau is not None
-    if not ablated and heads is None:
-        raise ValueError("heads are required unless override_tau is given")
-    if not ablated and heads.kind != "mlp":
+    if heads is None:
+        raise ValueError("the early-exit forward needs exit heads")
+    if heads.kind != "mlp":
         raise ValueError("graph-level exits use mlp heads on pooled features")
-    a, _, et = _prep_operators(g, params, a, None, be, need_ma=False)
+    if ops is None:
+        ops = build_operators(g, params, heads)
+    et = edge_term(ops.be, params)
     H = encode(ad.constant(g.X), params)
     exit_time = 0.0
     records = []
@@ -323,12 +295,6 @@ def eegnn_forward_graph(g: Graph, params: CellParams, heads: ExitHeads | None,
     exited_at = None
     for l in range(L):
         pooled = ad.masked_mean_pool(H)
-        if ablated:
-            tau_val = float(override_tau)
-            records.append({"layer": l, "tau": tau_val, "exited": False})
-            exit_time += tau_val
-            H = sas_step(H, a, params, tau=tau_val, edge_term=et)
-            continue
         logits = confidence_logits(pooled, heads)
         inv_nu = inv_temperature(pooled, heads)
         smp = None
@@ -344,7 +310,7 @@ def eegnn_forward_graph(g: Graph, params: CellParams, heads: ExitHeads | None,
         exit_time += float(tau_scalar.value[0, 0])
         records.append({"layer": l, "tau": float(tau_scalar.value[0, 0]),
                         "exited": False})
-        H = sas_step(H, a, params, tau=ad.tile_rows(tau_scalar, g.n),
+        H = sas_step(H, ops.a, params, tau=ad.tile_rows(tau_scalar, g.n),
                      edge_term=et)
     if exited_at is None:
         pooled = ad.masked_mean_pool(H)

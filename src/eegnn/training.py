@@ -16,11 +16,11 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ACTIVATION_KINDS, DiffValue
-from .cells import (CellParams, EDGE_MODES, MODEL_KINDS, TASKS, baseline_step,
-                    decode, edge_term, encode, make_cell_params, sas_step)
+from .cells import (CellParams, EDGE_MODES, MODEL_KINDS, TASKS, build_operators,
+                    decode, encode, make_cell_params, propagate)
 from .exits import (ExitHeads, ExitState, eegnn_forward_graph,
                     eegnn_forward_node, exit_distribution, make_exit_heads)
-from .graphs import Graph, incidence_aggregate, load_graph_fields, mean_adj, norm_adj
+from .graphs import Graph, load_graph_fields
 
 __all__ = [
     "ConfigError",
@@ -89,7 +89,6 @@ class RunConfig:
     lr: float = 3e-3
     weight_decay: float = 0.0
     decoupled_wd: bool = False
-    eval_sample: bool = False
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
@@ -388,74 +387,56 @@ def build_model(cfg: RunConfig, feat_dim: int, out_dim: int,
                  out_dim=out_dim, edge_dim=edge_dim)
 
 
-def _node_operators(model: Model, g: Graph):
-    a = norm_adj(g)
-    ma = mean_adj(g) if (model.heads is not None
-                         and model.heads.kind == "mean_gnn") else None
-    be = None
-    if model.cfg.edge_mode != "zero":
-        if g.E_feat is None:
-            raise ValueError(f"edge_mode {model.cfg.edge_mode!r} needs edge features")
-        be = ad.constant(incidence_aggregate(g, g.E_feat))
-    return a, ma, be
+def _operators(model: Model, data):
+    """One operator bundle for a Graph; one per member graph for a GraphSet."""
+    if isinstance(data, GraphSet):
+        return [build_operators(g, model.params, model.heads) for g in data.graphs]
+    return build_operators(data, model.params, model.heads)
 
 
 def forward_node(model: Model, g: Graph, mode: str = "eval_argmax",
                  rng: np.random.Generator | None = None, *, ops=None,
                  noise=None, override_tau: float | None = None,
                  capture: list | None = None):
-    """Logits for a node task; returns (logits, ExitState | None, records)."""
-    a, ma, be = ops if ops is not None else _node_operators(model, g)
+    """Logits for a node task; returns (logits, ExitState | None, records).
+
+    ops is g's operator bundle, built here when not given. override_tau runs
+    the plain fixed-depth sas stack with that constant step in place of the
+    exits (the ablation), so eegnn with a fixed tau is sas by construction.
+    capture, when given, receives a copy of every layer's state.
+    """
+    if ops is None:
+        ops = _operators(model, g)
     cfg = model.cfg
     if cfg.model == "eegnn" and override_tau is None:
         Z, state, recs = eegnn_forward_node(
             g, model.params, model.heads, cfg.depth, rng, mode,
-            a=a, ma=ma, be=be, noise=noise, capture=capture)
+            ops=ops, noise=noise, capture=capture)
     else:
-        tau = override_tau if override_tau is not None else model.params.tau
-        H = encode(ad.constant(g.X), model.params)
-        et = edge_term(be, model.params) if be is not None else None
+        states = propagate(encode(ad.constant(g.X), model.params), ops,
+                           model.params, cfg.model, cfg.depth, override_tau)
         if capture is not None:
-            capture.append(H.value.copy())
-        for l in range(cfg.depth):
-            if cfg.model in ("sas", "eegnn"):
-                H = sas_step(H, a, model.params, tau=tau, edge_term=et)
-            else:
-                H = baseline_step(H, a, model.params, cfg.model, layer=l)
-            if capture is not None:
-                capture.append(H.value.copy())
-        Z, state, recs = H, None, []
+            capture.extend(h.value.copy() for h in states)
+        Z, state, recs = states[-1], None, []
     return decode(Z, cfg.task, model.params), state, recs
 
 
-def _forward_one_graph(model: Model, g: Graph, mode, rng, noise=None):
+def _forward_one_graph(model: Model, g: Graph, ops, mode, rng):
     cfg = model.cfg
-    a = norm_adj(g)
-    be = None
-    if cfg.edge_mode != "zero":
-        if g.E_feat is None:
-            raise ValueError(f"edge_mode {cfg.edge_mode!r} needs edge features")
-        be = ad.constant(incidence_aggregate(g, g.E_feat))
     if cfg.model == "eegnn":
         pooled, state, _ = eegnn_forward_graph(
-            g, model.params, model.heads, cfg.depth, rng, mode, a=a, be=be,
-            noise=noise)
+            g, model.params, model.heads, cfg.depth, rng, mode, ops=ops)
         # decode pools again, but pooling one row is the exact identity
         return decode(pooled, cfg.task, model.params), state
-    H = encode(ad.constant(g.X), model.params)
-    et = edge_term(be, model.params) if be is not None else None
-    for l in range(cfg.depth):
-        if cfg.model == "sas":
-            H = sas_step(H, a, model.params, tau=model.params.tau, edge_term=et)
-        else:
-            H = baseline_step(H, a, model.params, cfg.model, layer=l)
+    H = propagate(encode(ad.constant(g.X), model.params), ops, model.params,
+                  cfg.model, cfg.depth)[-1]
     return decode(H, cfg.task, model.params), None
 
 
-def _forward_graph_set(model: Model, ds: GraphSet, mode, rng):
+def _forward_graph_set(model: Model, ds: GraphSet, ops, mode, rng):
     preds, states = [], []
-    for g in ds.graphs:
-        out, state = _forward_one_graph(model, g, mode, rng)
+    for g, g_ops in zip(ds.graphs, ops):
+        out, state = _forward_one_graph(model, g, g_ops, mode, rng)
         preds.append(out)
         states.append(state)
     return preds, states
@@ -492,9 +473,9 @@ def _eval_node(model: Model, g: Graph, ops, split: str, mode="eval_argmax",
     return value, loss, state
 
 
-def _eval_graph_set(model: Model, ds: GraphSet, split: str, mode="eval_argmax",
-                    rng=None):
-    preds, states = _forward_graph_set(model, ds, mode, rng)
+def _eval_graph_set(model: Model, ds: GraphSet, ops, split: str,
+                    mode="eval_argmax", rng=None):
+    preds, states = _forward_graph_set(model, ds, ops, mode, rng)
     mask = np.asarray(ds.masks[split], dtype=bool)
     stack = np.vstack([p.value for p in preds])
     value = metric_eval(_metric_predictions(stack[mask], model.cfg.metric),
@@ -558,7 +539,7 @@ def train_run(cfg: RunConfig, data):
     values = [p for _, p in named]
     opt = OptimState(lr=cfg.lr, weight_decay=cfg.weight_decay,
                      decoupled=cfg.decoupled_wd)
-    ops = _node_operators(model, data) if node_task else None
+    ops = _operators(model, data)
     higher = _HIGHER_BETTER[cfg.metric]
     best_val = None
     best_snapshot = None
@@ -568,7 +549,7 @@ def train_run(cfg: RunConfig, data):
             logits, _, _ = forward_node(model, data, "train_sample", rng, ops=ops)
             loss = loss_eval(logits, data.y, cfg.loss, mask=data.masks["train"])
         else:
-            preds, _ = _forward_graph_set(model, data, "train_sample", rng)
+            preds, _ = _forward_graph_set(model, data, ops, "train_sample", rng)
             loss = _graph_set_loss(preds, data, cfg.loss, data.masks["train"])
         lv = float(loss.value[0, 0])
         if not np.isfinite(lv):
@@ -581,8 +562,8 @@ def train_run(cfg: RunConfig, data):
             test, _, _ = _eval_node(model, data, ops, "test")
             mel = _mean_exit_layer(model, vstate)
         else:
-            val, _, vstates = _eval_graph_set(model, data, "val")
-            test, _, _ = _eval_graph_set(model, data, "test")
+            val, _, vstates = _eval_graph_set(model, data, ops, "val")
+            test, _, _ = _eval_graph_set(model, data, ops, "test")
             mel = _mean_exit_layer(model, vstates)
         history.append((epoch, lv, val, test, mel))
         if best_val is None or (val > best_val if higher else val < best_val):
@@ -599,12 +580,12 @@ def evaluate(model: Model, data, split: str = "test", mode: str = "eval_argmax",
     """Metrics record for one split; exit summaries included for eegnn."""
     if mode == "train_sample" and rng is None:
         rng = np.random.Generator(np.random.PCG64(model.cfg.seed))
+    ops = _operators(model, data)
     if model.cfg.task == "node_class":
-        ops = _node_operators(model, data)
         value, loss, state = _eval_node(model, data, ops, split, mode, rng)
         states = state
     else:
-        value, loss, states = _eval_graph_set(model, data, split, mode, rng)
+        value, loss, states = _eval_graph_set(model, data, ops, split, mode, rng)
         state = states
     record = {
         "split": split,
@@ -665,7 +646,10 @@ def save_checkpoint(model: Model, path) -> None:
 def load_checkpoint(path) -> Model:
     with open(path) as fh:
         payload = json.load(fh)
-    cfg = RunConfig.from_dict(payload["config"])
+    config = dict(payload["config"])
+    # eval_sample was a config key that nothing read; older checkpoints carry it
+    config.pop("eval_sample", None)
+    cfg = RunConfig.from_dict(config)
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     model = build_model(cfg, int(payload["feat_dim"]), int(payload["out_dim"]),
                         rng, edge_dim=int(payload["edge_dim"]))

@@ -44,7 +44,6 @@ def test_generate_minesweeper_artifacts(tmp_path):
     assert set(stats["class_balance"]) <= {"0", "1"}
     resolved = json.loads((out / "resolved_config.json").read_text())
     assert resolved["rows"] == 6 and resolved["seed"] == 1
-    assert resolved["threads"] == 1
     assert (out / "graph.json").exists()
 
 
@@ -191,6 +190,15 @@ def test_evaluate_sampled_mode(tmp_path):
     assert rec["mode"] == "train_sample"
 
 
+def test_mode_flag_only_on_evaluate(tmp_path, capsys):
+    data = gen_sbm_data(tmp_path, seed=9)
+    cfg = write_cfg(tmp_path, TRAIN_CFG, name="t.json")
+    assert run(["train", "--config", cfg, "--data", str(data), "--mode", "eval",
+                "--out", str(tmp_path / "run")]) == 1
+    assert "--mode" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_evaluate_without_checkpoint_is_validation_error(tmp_path, capsys):
     assert run(["evaluate", "--data", "x.json", "--out", str(tmp_path)]) == 1
     assert "checkpoint" in capsys.readouterr().err
@@ -305,25 +313,6 @@ def test_param_count_dimension_overrides(tmp_path):
 
 
 # ------------------------------------------------------------------ plumbing
-
-def test_threads_env_echoed_and_clamped(tmp_path, monkeypatch):
-    cfg = write_cfg(tmp_path, {"rows": 4, "cols": 4})
-    monkeypatch.setenv("EEGNN_THREADS", "7")
-    out = tmp_path / "a"
-    assert run(["generate", "--config", cfg, "--out", str(out)]) == 0
-    assert json.loads((out / "resolved_config.json").read_text())["threads"] == 7
-    monkeypatch.setenv("EEGNN_THREADS", "999")
-    out = tmp_path / "b"
-    assert run(["generate", "--config", cfg, "--out", str(out)]) == 0
-    assert json.loads((out / "resolved_config.json").read_text())["threads"] == 64
-
-
-def test_threads_env_invalid_is_validation_error(tmp_path, monkeypatch, capsys):
-    cfg = write_cfg(tmp_path, {"rows": 4, "cols": 4})
-    monkeypatch.setenv("EEGNN_THREADS", "many")
-    assert run(["generate", "--config", cfg, "--out", str(tmp_path)]) == 1
-    assert "EEGNN_THREADS" in capsys.readouterr().err
-
 
 def test_missing_command_and_bad_flag_are_validation_errors(capsys):
     assert run([]) == 1

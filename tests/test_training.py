@@ -379,6 +379,21 @@ def test_checkpoint_round_trip(tmp_path):
     assert evaluate(loaded, g) == evaluate(model, g)
 
 
+def test_checkpoint_with_retired_eval_sample_key_loads(tmp_path):
+    g = sbm(seed=17)
+    model, _ = train_run(quick_cfg(epochs=2), g)
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(model, path)
+    payload = json.loads(path.read_text())
+    payload["config"]["eval_sample"] = False
+    path.write_text(json.dumps(payload))
+    loaded = load_checkpoint(path)
+    assert loaded.cfg == model.cfg
+    assert evaluate(loaded, g) == evaluate(model, g)
+    with pytest.raises(ConfigError):
+        RunConfig.from_dict({"eval_sample": False})
+
+
 def test_checkpoint_rejects_tampered_params(tmp_path):
     g = sbm(seed=18)
     model, _ = train_run(quick_cfg(epochs=2), g)
