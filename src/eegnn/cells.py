@@ -42,11 +42,13 @@ __all__ = [
     "param_count",
     "MODEL_KINDS",
     "EDGE_MODES",
+    "EDGE_KINDS",
     "TASKS",
 ]
 
 MODEL_KINDS = ("sas", "eegnn", "gcn", "graff", "adgn")
 EDGE_MODES = ("zero", "linear", "neg_relu")
+EDGE_KINDS = ("sas", "eegnn")   # the kinds whose step has an edge term
 TASKS = ("node_class", "graph_class", "graph_reg")
 
 
@@ -298,6 +300,12 @@ def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     return rng.normal(0.0, std, size=(fan_in, fan_out))
 
 
+def _require_edge_term(kind: str) -> None:
+    if kind not in EDGE_KINDS:
+        raise ValueError(f"a non-zero edge_mode needs a kind in {EDGE_KINDS}; "
+                         f"{kind} has no edge term")
+
+
 def make_cell_params(rng: np.random.Generator, kind: str, feat_dim: int,
                      hidden: int, out_dim: int, *, depth: int = 1,
                      tau: float = 1.0, sigma1: str = "relu_tanh",
@@ -319,6 +327,7 @@ def make_cell_params(rng: np.random.Generator, kind: str, feat_dim: int,
                   for i in range(depth)]
     w_e = None
     if edge_mode != "zero":
+        _require_edge_term(kind)
         if edge_dim <= 0:
             raise ValueError(f"edge_mode {edge_mode!r} requires edge_dim > 0")
         w_e = ad.leaf(_glorot(rng, edge_dim, hidden), "w_e")
@@ -383,7 +392,8 @@ def param_count(kind: str, task: str, depth: int, feat_dim: int, hidden: int,
         core = 2 * hidden * hidden + hidden
     else:
         core = 2 * hidden * hidden
-    if edge_mode != "zero" and kind in ("sas", "eegnn"):
+    if edge_mode != "zero":
+        _require_edge_term(kind)
         core += edge_dim * hidden
     decoder = _affine_chain((hidden, *dec_hidden, out_dim))
     heads = 0

@@ -27,7 +27,8 @@ from .diagnostics import ToleranceError
 from .graphs import edge_homophily, gen_minesweeper_grid, gen_sbm, save_graph
 from .training import ConfigError, GraphSet, RunConfig, build_model, \
     evaluate, exit_csv, forward_node, history_csv, load_checkpoint, \
-    load_dataset, metric_eval, save_checkpoint, scores_from_logits, train_run
+    load_dataset, metric_eval, node_record, save_checkpoint, \
+    scores_from_logits, train_run
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -157,24 +158,25 @@ def cmd_generate(args) -> None:
     print(f"wrote graph.json ({g.n} nodes, {g.n_arcs // 2} edges) and stats.json to {out}")
 
 
-def _metric_bundle(model, data, split: str = "test") -> dict:
-    """Headline metric plus whatever companion metrics the task admits."""
-    rec = evaluate(model, data, split)
-    bundle = dict(rec)
-    if model.cfg.task == "node_class":
-        logits, _, _ = forward_node(model, data, "eval_argmax")
-        sel = data.masks[split]
-        lv, y = logits.value[sel], np.asarray(data.y)[sel]
-        for name in ("accuracy", "macro_f1"):
-            bundle[name] = metric_eval(lv, y, name)
-        try:
-            scores = scores_from_logits(lv)
-            bundle["auroc"] = metric_eval(scores, y, "auroc")
-            bundle["ap"] = metric_eval(scores, y, "ap")
-        except ValueError:
-            bundle["auroc"] = None
-            bundle["ap"] = None
-    return bundle
+def _metric_bundle(model, data, split: str = "test"):
+    """Headline metric plus whatever companion metrics the task admits, and
+    the exit state of a node task, all from one eval forward."""
+    if model.cfg.task != "node_class":
+        return evaluate(model, data, split), None
+    logits, state, _ = forward_node(model, data, "eval_argmax")
+    bundle = node_record(model, data, logits, state, split)
+    sel = data.masks[split]
+    lv, y = logits.value[sel], np.asarray(data.y)[sel]
+    for name in ("accuracy", "macro_f1"):
+        bundle[name] = metric_eval(lv, y, name)
+    try:
+        scores = scores_from_logits(lv)
+        bundle["auroc"] = metric_eval(scores, y, "auroc")
+        bundle["ap"] = metric_eval(scores, y, "ap")
+    except ValueError:
+        bundle["auroc"] = None
+        bundle["ap"] = None
+    return bundle, state
 
 
 def _load_data(path):
@@ -195,10 +197,9 @@ def cmd_train(args) -> None:
     _write_json(resolved, out / "resolved_config.json")
     (out / "history.csv").write_text(history_csv(history))
     save_checkpoint(model, out / "checkpoint.json")
-    bundle = _metric_bundle(model, data)
+    bundle, state = _metric_bundle(model, data)
     _write_json(bundle, out / "metrics.json")
-    if cfg.model == "eegnn" and cfg.task == "node_class":
-        _, state, _ = forward_node(model, data, "eval_argmax")
+    if state is not None:
         test_ids = np.flatnonzero(data.masks["test"])
         (out / "exits.csv").write_text(exit_csv(state, agent_ids=test_ids))
     print(f"trained {cfg.model} for {len(history)} epochs; "

@@ -16,8 +16,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ACTIVATION_KINDS, DiffValue
-from .cells import (CellParams, EDGE_MODES, MODEL_KINDS, TASKS, build_operators,
-                    decode, encode, make_cell_params, propagate)
+from .cells import (CellParams, EDGE_KINDS, EDGE_MODES, MODEL_KINDS, TASKS,
+                    build_operators, decode, encode, make_cell_params, propagate)
 from .exits import (ExitHeads, ExitState, eegnn_forward_graph,
                     eegnn_forward_node, exit_distribution, make_exit_heads)
 from .graphs import Graph, load_graph_fields
@@ -39,6 +39,7 @@ __all__ = [
     "forward_node",
     "train_run",
     "evaluate",
+    "node_record",
     "history_csv",
     "exit_csv",
     "save_checkpoint",
@@ -119,6 +120,9 @@ class RunConfig:
              f"model must be one of {MODEL_KINDS}, got {self.model!r}"),
             (self.edge_mode in EDGE_MODES,
              f"edge_mode must be one of {EDGE_MODES}, got {self.edge_mode!r}"),
+            (self.edge_mode == "zero" or self.model in EDGE_KINDS,
+             f"edge_mode {self.edge_mode!r} needs a model in {EDGE_KINDS}; "
+             f"{self.model!r} has no edge term"),
             (self.metric in METRIC_KINDS,
              f"metric must be one of {METRIC_KINDS}, got {self.metric!r}"),
             (self.loss in LOSS_KINDS,
@@ -463,16 +467,6 @@ def _metric_predictions(pred_value: np.ndarray, metric: str):
     return pred_value
 
 
-def _eval_node(model: Model, g: Graph, ops, split: str, mode="eval_argmax",
-               rng=None):
-    logits, state, _ = forward_node(model, g, mode, rng, ops=ops)
-    mask = g.masks[split]
-    value = metric_eval(_metric_predictions(logits.value[mask], model.cfg.metric),
-                        g.y[mask], model.cfg.metric)
-    loss = float(loss_eval(logits, g.y, model.cfg.loss, mask=mask).value[0, 0])
-    return value, loss, state
-
-
 def _eval_graph_set(model: Model, ds: GraphSet, ops, split: str,
                     mode="eval_argmax", rng=None):
     preds, states = _forward_graph_set(model, ds, ops, mode, rng)
@@ -493,6 +487,50 @@ def _mean_exit_layer(model: Model, states) -> float:
     if states:
         return float(np.concatenate([s.exit_layer for s in states]).mean())
     return float(model.cfg.depth)
+
+
+def _train_step(model: Model, data, ops, named, opt: OptimState, rng,
+                epoch: int) -> float:
+    """One sampled forward, backward and Adam update; returns the training loss.
+
+    Returns a plain number, so the training tape is freed before the eval
+    forward builds its own.
+    """
+    cfg = model.cfg
+    if isinstance(data, GraphSet):
+        preds, _ = _forward_graph_set(model, data, ops, "train_sample", rng)
+        loss = _graph_set_loss(preds, data, cfg.loss, data.masks["train"])
+    else:
+        logits, _, _ = forward_node(model, data, "train_sample", rng, ops=ops)
+        loss = loss_eval(logits, data.y, cfg.loss, mask=data.masks["train"])
+    lv = float(loss.value[0, 0])
+    if not np.isfinite(lv):
+        raise TrainDivergenceError(epoch, lv)
+    ad.zero_grads([p for _, p in named])
+    ad.backward(loss)
+    adam_step(named, opt)
+    return lv
+
+
+def _eval_splits(model: Model, data, ops):
+    """Validation metric, test metric and the validation split's mean exit
+    layer, from one deterministic forward.
+
+    Returns plain numbers only: holding the eval logits in the caller would
+    keep their whole tape alive through the next training step.
+    """
+    metric = model.cfg.metric
+    if isinstance(data, GraphSet):
+        preds, states = _forward_graph_set(model, data, ops, "eval_argmax", None)
+        out = np.vstack([p.value for p in preds])
+        masks = {k: np.asarray(m, dtype=bool) for k, m in data.masks.items()}
+        vstates = [s for s, m in zip(states, masks["val"]) if m and s is not None]
+    else:
+        logits, vstates, _ = forward_node(model, data, "eval_argmax", ops=ops)
+        out, masks = logits.value, data.masks
+    val, test = (metric_eval(_metric_predictions(out[masks[k]], metric),
+                             data.y[masks[k]], metric) for k in ("val", "test"))
+    return val, test, _mean_exit_layer(model, vstates)
 
 
 def _check_node_data(cfg: RunConfig, g: Graph):
@@ -545,26 +583,8 @@ def train_run(cfg: RunConfig, data):
     best_snapshot = None
     history = []
     for epoch in range(cfg.epochs):
-        if node_task:
-            logits, _, _ = forward_node(model, data, "train_sample", rng, ops=ops)
-            loss = loss_eval(logits, data.y, cfg.loss, mask=data.masks["train"])
-        else:
-            preds, _ = _forward_graph_set(model, data, ops, "train_sample", rng)
-            loss = _graph_set_loss(preds, data, cfg.loss, data.masks["train"])
-        lv = float(loss.value[0, 0])
-        if not np.isfinite(lv):
-            raise TrainDivergenceError(epoch, lv)
-        ad.zero_grads(values)
-        ad.backward(loss)
-        adam_step(named, opt)
-        if node_task:
-            val, _, vstate = _eval_node(model, data, ops, "val")
-            test, _, _ = _eval_node(model, data, ops, "test")
-            mel = _mean_exit_layer(model, vstate)
-        else:
-            val, _, vstates = _eval_graph_set(model, data, ops, "val")
-            test, _, _ = _eval_graph_set(model, data, ops, "test")
-            mel = _mean_exit_layer(model, vstates)
+        lv = _train_step(model, data, ops, named, opt, rng, epoch)
+        val, test, mel = _eval_splits(model, data, ops)
         history.append((epoch, lv, val, test, mel))
         if best_val is None or (val > best_val if higher else val < best_val):
             best_val = val
@@ -582,32 +602,41 @@ def evaluate(model: Model, data, split: str = "test", mode: str = "eval_argmax",
         rng = np.random.Generator(np.random.PCG64(model.cfg.seed))
     ops = _operators(model, data)
     if model.cfg.task == "node_class":
-        value, loss, state = _eval_node(model, data, ops, split, mode, rng)
-        states = state
-    else:
-        value, loss, states = _eval_graph_set(model, data, ops, split, mode, rng)
-        state = states
+        logits, state, _ = forward_node(model, data, mode, rng, ops=ops)
+        return node_record(model, data, logits, state, split, mode)
+    value, loss, states = _eval_graph_set(model, data, ops, split, mode, rng)
+    return _record(model, split, mode, value, loss, states)
+
+
+def node_record(model: Model, g: Graph, logits: DiffValue, state,
+                split: str = "test", mode: str = "eval_argmax") -> dict:
+    """evaluate's record for a node task, from one forward's logits and exit
+    state, so a caller that needs those too runs the forward only once."""
+    mask = g.masks[split]
+    value = metric_eval(_metric_predictions(logits.value[mask], model.cfg.metric),
+                        g.y[mask], model.cfg.metric)
+    loss = float(loss_eval(logits, g.y, model.cfg.loss, mask=mask).value[0, 0])
+    return _record(model, split, mode, value, loss, state)
+
+
+def _record(model: Model, split, mode, value, loss, states) -> dict:
     record = {
         "split": split,
         "mode": mode,
         "metric": model.cfg.metric,
         "value": value,
         "loss": loss,
-        "mean_exit_layer": _mean_exit_layer(model, state),
+        "mean_exit_layer": _mean_exit_layer(model, states),
     }
-    if model.cfg.model == "eegnn":
-        if isinstance(states, ExitState) or states:
-            dist = exit_distribution(states)
-        else:
-            dist = None
-        if dist is not None:
-            record["exit"] = {
-                "min_layer": dist["min_layer"],
-                "median_layer": dist["median_layer"],
-                "max_layer": dist["max_layer"],
-                "mean_time": dist["mean_time"],
-                "histogram": [int(c) for c in dist["histogram"]],
-            }
+    if model.cfg.model == "eegnn" and (isinstance(states, ExitState) or states):
+        dist = exit_distribution(states)
+        record["exit"] = {
+            "min_layer": dist["min_layer"],
+            "median_layer": dist["median_layer"],
+            "max_layer": dist["max_layer"],
+            "mean_time": dist["mean_time"],
+            "histogram": [int(c) for c in dist["histogram"]],
+        }
     return record
 
 

@@ -159,6 +159,17 @@ def test_train_bad_config_value_is_validation_error(tmp_path, capsys):
     assert "tau" in capsys.readouterr().err
 
 
+def test_train_edge_mode_on_baseline_is_validation_error(tmp_path, capsys):
+    data = gen_sbm_data(tmp_path, seed=6)
+    cfg = write_cfg(tmp_path, dict(TRAIN_CFG, model="gcn", edge_mode="linear"),
+                    name="edge.json")
+    assert run(["train", "--config", cfg, "--data", str(data),
+                "--out", str(tmp_path / "run")]) == 1
+    assert "has no edge term" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+    assert run(["param-count", "--config", cfg, "--out", str(tmp_path)]) == 1
+
+
 # ------------------------------------------------------------------ evaluate
 
 def test_evaluate_roundtrip_from_checkpoint(tmp_path):

@@ -1,16 +1,21 @@
-"""End-to-end golden runs: graph-set training and the node-task edge term.
+"""End-to-end golden runs: graph-set training, the node-task edge term, and
+node-task eegnn training with its exits.
 
 The pinned reprs guard the forward paths against any change of output, down
-to the last bit: a refactor of the layer loop or the operator setup must
-leave every history row and evaluation value exactly as it was.
+to the last bit: a refactor of the layer loop, the operator setup, the
+sparse product or the eval passes must leave every history row and
+evaluation record exactly as it was.
 """
+
+import json
 
 import numpy as np
 import pytest
 
 import eegnn
 from eegnn import graphs
-from eegnn.graphs import degrees, gen_sbm, make_graph
+from eegnn import cells, cli
+from eegnn.graphs import degrees, gen_minesweeper_grid, gen_sbm, make_graph
 from eegnn.training import GraphSet, RunConfig, evaluate, train_run
 
 
@@ -139,30 +144,99 @@ def test_node_edge_term_training_is_pinned():
     assert got == GOLDEN[("node_class", "sas_neg_relu")]
 
 
-def _count_norm_adj(monkeypatch) -> list:
-    """Count norm_adj calls under every module binding of the function."""
-    original = graphs.norm_adj
+# repr of every history row, and of the whole evaluate(model, g) record, at
+# the reference revision; the grid has degrees 3, 5 and 8, the block model
+# mixes rows of degree up to 8 with rows of higher degree
+EEGNN_NODE_GOLDEN = {
+    "grid": (
+        [
+            '(0, 0.5839041636615268, 0.7083333333333334, 0.32142857142857145, 1.1875)',
+            '(1, 0.5426220377686737, 0.3645833333333333, 0.35714285714285715, 2.125)',
+            '(2, 0.6025201479982406, 0.4479166666666667, 0.35714285714285715, 2.4375)',
+            '(3, 0.5800344873743111, 0.34375, 0.35714285714285715, 2.125)',
+        ],
+        "{'split': 'test', 'mode': 'eval_argmax', 'metric': 'auroc', "
+        "'value': 0.32142857142857145, 'loss': 0.5622768289911602, "
+        "'mean_exit_layer': 1.1875, 'exit': {'min_layer': 0, 'median_layer': 0.0, "
+        "'max_layer': 4, 'mean_time': 0.7183877188931485, "
+        "'histogram': [45, 0, 0, 0, 19]}}"),
+    "sbm": (
+        [
+            '(0, 1.2408497283256088, 0.5, 0.5, 0.4583333333333333)',
+            '(1, 1.2527687975772324, 0.5, 0.3333333333333333, 0.25)',
+            '(2, 1.1763452731111688, 0.5, 0.3333333333333333, 0.3333333333333333)',
+            '(3, 1.1012248221805327, 0.5, 0.3333333333333333, 0.125)',
+        ],
+        "{'split': 'test', 'mode': 'eval_argmax', 'metric': 'accuracy', "
+        "'value': 0.5, 'loss': 0.9465597592747974, "
+        "'mean_exit_layer': 0.4583333333333333, 'exit': {'min_layer': 0, "
+        "'median_layer': 0.0, 'max_layer': 4, 'mean_time': 0.23904098962086592, "
+        "'histogram': [19, 1, 3, 0, 1]}}"),
+}
+
+
+def eegnn_node_case(name):
+    base = dict(model="eegnn", depth=4, hidden=8, exit_hidden=8, epochs=4,
+                lr=1e-2, seed=3)
+    if name == "grid":
+        return gen_minesweeper_grid(8, 8, 0.2, seed=1), RunConfig.from_dict(base)
+    g = gen_sbm((12, 12), 0.5, 0.1, seed=2, feature_dim=4)
+    return g, RunConfig.from_dict(dict(base, metric="accuracy", tau=0.5))
+
+
+@pytest.mark.parametrize("name", ["grid", "sbm"])
+def test_node_eegnn_training_is_pinned(name):
+    g, cfg = eegnn_node_case(name)
+    trained, history = train_run(cfg, g)
+    got = ([repr(row) for row in history], repr(evaluate(trained, g)))
+    assert got == EEGNN_NODE_GOLDEN[name]
+
+
+def _count_calls(monkeypatch, original) -> list:
+    """Count calls of a function under every module binding of it."""
     calls = []
 
-    def counted(g):
-        calls.append(g)
-        return original(g)
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
 
     for mod in (eegnn.graphs, eegnn.cells, eegnn.exits, eegnn.training,
-                eegnn.diagnostics):
+                eegnn.diagnostics, eegnn.cli):
         for attr, val in list(vars(mod).items()):
             if val is original:
                 monkeypatch.setattr(mod, attr, counted)
     return calls
 
 
+def test_one_eval_forward_per_epoch_and_after_training(monkeypatch, tmp_path):
+    g, cfg = eegnn_node_case("grid")
+    data = tmp_path / "graph.json"
+    graphs.save_graph(g, data)
+    conf = tmp_path / "cfg.json"
+    conf.write_text(json.dumps(cfg.to_dict()))
+    encodes = _count_calls(monkeypatch, cells.encode)
+    assert cli.main(["train", "--config", str(conf), "--data", str(data),
+                     "--out", str(tmp_path / "run")]) == 0
+    # per epoch one sampled training forward and one eval forward for val and
+    # test; then one forward for metrics.json and exits.csv together
+    assert len(encodes) == 2 * cfg.epochs + 1
+
+
+@pytest.mark.parametrize("task", ["graph_class", "graph_reg"])
+def test_graph_set_one_eval_forward_per_epoch(monkeypatch, task):
+    ds = graph_set(task)
+    encodes = _count_calls(monkeypatch, cells.encode)
+    train_run(cfg_for(task, "sas"), ds)
+    assert len(encodes) == 2 * 3 * len(ds.graphs)
+
+
 @pytest.mark.parametrize("model", ["sas", "eegnn"])
 def test_graph_set_operators_built_once_per_member(monkeypatch, model):
     ds = graph_set("graph_class")
-    calls = _count_norm_adj(monkeypatch)
+    calls = _count_calls(monkeypatch, graphs.norm_adj)
     trained, _ = train_run(cfg_for("graph_class", model), ds)
     assert len(calls) == len(ds.graphs)
-    assert [id(g) for g in calls] == [id(g) for g in ds.graphs]
+    assert [id(args[0]) for args in calls] == [id(g) for g in ds.graphs]
     calls.clear()
     evaluate(trained, ds)
     assert len(calls) == len(ds.graphs)

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 import oracles
-from eegnn.graphs import (Graph, arc_list, arc_rows, canonicalize, degrees,
-                          edge_homophily, gen_minesweeper_grid, gen_sbm,
-                          incidence_aggregate, load_graph, make_graph,
-                          mean_adj, norm_adj, save_graph, spmm,
+from eegnn.graphs import (ArcMatrix, Graph, arc_list, arc_rows, canonicalize,
+                          degrees, edge_homophily, gen_minesweeper_grid,
+                          gen_sbm, incidence_aggregate, load_graph,
+                          make_graph, mean_adj, norm_adj, save_graph, spmm,
                           validate_graph)
 
 
@@ -105,6 +105,87 @@ def test_spmm_matches_dense_oracle():
         assert np.abs(spmm(norm_adj(g), H) - dense @ H).max() <= 1e-12
 
 
+def reduceat_spmm(a, H, transpose=False):
+    """The CSR kernel spmm replaced, frozen here as its bit-level reference:
+    one np.add.reduceat over every non-empty row's arcs in CSR order."""
+    H = np.asarray(H)
+    vals = a.values_t if transpose else a.values
+    contrib = vals[:, None] * H[a.col_indices]
+    out = np.zeros((a.n, H.shape[1]))
+    nz = np.flatnonzero(np.diff(a.row_offsets) > 0)
+    if nz.size:
+        out[nz] = np.add.reduceat(contrib, a.row_offsets[nz], axis=0)
+    return out
+
+
+def hard_input(rng, n, width):
+    """Magnitudes from 1e-300 to 1e300, with +0.0 and -0.0 sprinkled in."""
+    H = rng.normal(size=(n, width)) * 10.0 ** rng.integers(-300, 300, size=(n, width))
+    H[rng.random((n, width)) < 0.15] = -0.0
+    H[rng.random((n, width)) < 0.15] = 0.0
+    return H
+
+
+def assert_spmm_bits_match(a, seed=0):
+    rng = np.random.default_rng(seed)
+    for width in (1, 2, 16, 32):
+        for H in (hard_input(rng, a.n, width), rng.normal(size=(a.n, width))):
+            for transpose in (False, True):
+                got = spmm(a, H, transpose=transpose)
+                want = reduceat_spmm(a, H, transpose=transpose)
+                # int64 views compare bits, so -0.0 and +0.0 differ
+                assert np.array_equal(got.view(np.int64), want.view(np.int64)), \
+                    (width, transpose)
+
+
+def test_spmm_bits_match_reduceat_on_grid():
+    a = norm_adj(gen_minesweeper_grid(30, 30, 0.2, seed=0))
+    assert a.high_rows.size == 0          # degrees 3, 5 and 8: all swept
+    assert_spmm_bits_match(a)
+
+
+def test_spmm_bits_match_reduceat_on_dense_sbm():
+    g = gen_sbm((15, 15), 0.75, 0.25, seed=12)
+    d = degrees(g)
+    assert d.min() >= 10 and d.max() <= 19   # every row takes reduceat
+    assert_spmm_bits_match(norm_adj(g), seed=1)
+    assert_spmm_bits_match(mean_adj(g), seed=2)
+
+
+def test_spmm_bits_match_reduceat_at_degrees_8_and_9():
+    # hub 0 has degree 8, hub 9 degree 9; each hub's leaves form a path
+    edges = [(0, v) for v in range(1, 9)] + [(9, v) for v in range(10, 19)]
+    edges += [(v, v + 1) for v in (*range(1, 8), *range(10, 18))]
+    g = canonicalize(edges, 19)
+    d = degrees(g)
+    assert d[0] == 8 and d[9] == 9
+    a = mean_adj(g)
+    assert a.high_rows.tolist() == [9]
+    assert_spmm_bits_match(norm_adj(g), seed=3)
+    assert_spmm_bits_match(a, seed=4)
+
+
+def test_spmm_bits_match_reduceat_with_empty_rows():
+    rng = np.random.default_rng(5)
+    # rows 1, 3 and 6 have no arcs; row 5 has ten
+    row_offsets = np.array([0, 2, 2, 5, 5, 6, 16, 16, 19])
+    cols = np.concatenate([[1, 4], [0, 2, 7], [3], np.arange(10) % 8, [0, 4, 5]])
+    a = ArcMatrix(n=8, row_offsets=row_offsets, col_indices=cols,
+                  values=rng.normal(size=19), values_t=rng.normal(size=19))
+    assert_spmm_bits_match(a, seed=6)
+    assert not spmm(a, np.ones((8, 3)))[[1, 3, 6]].any()
+
+
+def test_mean_adj_transpose_uses_transposed_values():
+    g = canonicalize([(0, 1), (0, 2), (1, 2), (0, 3)], 4)
+    a = mean_adj(g)
+    assert not np.array_equal(a.values, a.values_t)
+    H = np.arange(8.0).reshape(4, 2)
+    dense = np.zeros((4, 4))
+    dense[arc_rows(g), g.col_indices] = a.values
+    assert np.allclose(spmm(a, H, transpose=True), dense.T @ H)
+
+
 def test_mean_adj_rows_average_neighbors():
     g = canonicalize([(0, 1), (0, 2), (1, 2), (0, 3)], 4)
     H = np.arange(8.0).reshape(4, 2)
@@ -112,6 +193,52 @@ def test_mean_adj_rows_average_neighbors():
     for u in range(4):
         nbrs = g.col_indices[g.row_offsets[u]:g.row_offsets[u + 1]]
         assert np.allclose(out[u], H[nbrs].mean(axis=0))
+
+
+def test_validate_graph_names_first_unsorted_row():
+    g = canonicalize([(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (2, 4)], 5)
+    g.X = np.zeros((5, 1))
+    validate_graph(g)
+    # row 2 holds arcs to 0, 1, 3, 4 and row 4 to 2, 3: swap within both
+    ro = g.row_offsets
+    g.col_indices[ro[2] + 1], g.col_indices[ro[2] + 2] = 3, 1
+    g.col_indices[ro[4]], g.col_indices[ro[4] + 1] = 3, 2
+    with pytest.raises(ValueError, match=r"^col_indices not strictly sorted in row 2$"):
+        validate_graph(g)
+
+
+def first_unsorted_row(g):
+    """The per-row loop validate_graph used to run, as the reference."""
+    for u in range(g.n):
+        if np.any(np.diff(g.col_indices[g.row_offsets[u]:g.row_offsets[u + 1]]) <= 0):
+            return u
+    return None
+
+
+def test_validate_graph_sortedness_matches_row_loop():
+    rng = np.random.default_rng(8)
+    for _ in range(40):
+        g = gen_sbm([6, 6], 0.5, 0.3, seed=int(rng.integers(1000)))
+        for _ in range(int(rng.integers(1, 4))):
+            u = int(rng.integers(g.n))
+            lo, hi = g.row_offsets[u], g.row_offsets[u + 1]
+            if hi - lo >= 2:
+                i, j = lo + rng.choice(hi - lo, 2, replace=False)
+                g.col_indices[[i, j]] = g.col_indices[[j, i]]
+        bad = first_unsorted_row(g)
+        if bad is None:
+            validate_graph(g)
+        else:
+            with pytest.raises(ValueError, match=rf"sorted in row {bad}$"):
+                validate_graph(g)
+
+
+def test_validate_graph_rejects_duplicate_arc():
+    g = canonicalize([(0, 1), (1, 2)], 3)
+    g.X = np.zeros((3, 1))
+    g.col_indices[g.row_offsets[1] + 1] = 0     # row 1: arcs to 0, 0
+    with pytest.raises(ValueError, match=r"sorted in row 1$"):
+        validate_graph(g)
 
 
 def test_incidence_single_edge():

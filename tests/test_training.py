@@ -9,6 +9,7 @@ import pytest
 
 import oracles
 from eegnn import autodiff as ad
+from eegnn.cells import EDGE_MODES, MODEL_KINDS, param_count
 from eegnn.exits import ExitState, GumbelSample
 from eegnn.graphs import gen_sbm, save_graph
 from eegnn.training import (ConfigError, GraphSet, Model, OptimState,
@@ -59,6 +60,40 @@ def test_config_round_trips_through_dict():
     cfg = RunConfig.from_dict({"model": "eegnn", "dec_hidden": [7, 5], "tau": 0.25})
     assert RunConfig.from_dict(cfg.to_dict()) == cfg
     assert cfg.dec_hidden == (7, 5)
+
+
+@pytest.mark.parametrize("model", ["gcn", "graff", "adgn"])
+@pytest.mark.parametrize("edge_mode", ["linear", "neg_relu"])
+def test_config_rejects_edge_mode_without_edge_term(model, edge_mode):
+    with pytest.raises(ConfigError) as exc:
+        RunConfig.from_dict({"model": model, "edge_mode": edge_mode})
+    assert exc.value.messages == [
+        f"edge_mode {edge_mode!r} needs a model in ('sas', 'eegnn'); "
+        f"{model!r} has no edge term"]
+
+
+def test_every_accepted_config_allocates_what_param_count_counts():
+    accepted = []
+    for task in ("node_class", "graph_class"):
+        for model in MODEL_KINDS:
+            for edge_mode in EDGE_MODES:
+                try:
+                    cfg = RunConfig.from_dict(
+                        {"task": task, "model": model, "edge_mode": edge_mode,
+                         "depth": 3, "hidden": 6, "exit_hidden": 5,
+                         "exit_depth": 2, "dec_hidden": [4]})
+                except ConfigError:
+                    continue
+                accepted.append((model, edge_mode))
+                built = build_model(cfg, 7, 3, np.random.default_rng(0), edge_dim=2)
+                allocated = sum(p.value.size for _, p in built.parameters())
+                counted = param_count(model, task, 3, 7, 6, 3, edge_mode=edge_mode,
+                                      edge_dim=2, dec_hidden=(4,), exit_hidden=5,
+                                      exit_depth=2)
+                assert allocated == counted["total"], (task, model, edge_mode)
+    assert sorted(set(accepted)) == sorted(
+        [(m, "zero") for m in MODEL_KINDS]
+        + [(m, e) for m in ("sas", "eegnn") for e in ("linear", "neg_relu")])
 
 
 def test_graph_set_validates_shapes():
