@@ -8,6 +8,14 @@ option: cell weights are shared across layers, so one parameter legitimately
 receives one contribution per layer of the forward pass. Callers zero leaf
 gradients explicitly between optimizer steps.
 
+Gradient buffers cost nothing until backward needs them: a node's .grad is
+allocated as zeros of its shape on first read, so a forward that never runs
+backward (every eval pass) allocates none. backward marks the interior
+accumulators of the swept tape unallocated rather than zeroing them, and it
+keeps the root's reverse topological order after the first sweep (parents are
+fixed at construction, so the order cannot go stale); repeated seeded sweeps
+over one tape, as in diagnostics.sensitivity, traverse it once.
+
 No broadcasting beyond the row-vector bias in matmul_add, no higher-order
 derivatives, and float64 only; those limits are deliberate.
 """
@@ -64,16 +72,31 @@ def _as_matrix(x) -> np.ndarray:
 class DiffValue:
     """One node of the computation tape."""
 
-    __slots__ = ("value", "grad", "parents", "backward_rule", "requires_grad", "name")
+    __slots__ = ("value", "_grad", "parents", "backward_rule", "requires_grad", "name",
+                 "_sweep", "__weakref__")
 
     def __init__(self, value, parents=(), backward_rule=None,
                  requires_grad=False, name=""):
         self.value = _as_matrix(value)
-        self.grad = np.zeros_like(self.value)
+        self._grad = None
         self.parents = tuple(parents)
         self.backward_rule = backward_rule
         self.requires_grad = requires_grad or any(p.requires_grad for p in parents)
         self.name = name
+        # the nodes below this one in reverse topological order, set by the
+        # first backward from it; the node itself is left out, so no cycle
+        self._sweep = None
+
+    @property
+    def grad(self) -> np.ndarray:
+        """Gradient accumulator; zeros of the value's shape until written."""
+        if self._grad is None:
+            self._grad = np.zeros(self.value.shape)
+        return self._grad
+
+    @grad.setter
+    def grad(self, g) -> None:
+        self._grad = g
 
     @property
     def shape(self):
@@ -417,9 +440,13 @@ def sum_all(A: DiffValue) -> DiffValue:
     return _node(np.array([[A.value.sum()]]), (A,), rule)
 
 
-def dspmm(a, H: DiffValue) -> DiffValue:
-    """Sparse arc-matrix times DiffValue; the arc values are constants."""
-    val = _spmm_value(a, H.value)
+def dspmm(a, H: DiffValue, product=None) -> DiffValue:
+    """Sparse arc-matrix times DiffValue; the arc values are constants.
+
+    product, when given, is spmm(a, H.value) computed already, so several
+    nodes can carry one product; each still runs its own transposed backward.
+    """
+    val = _spmm_value(a, H.value) if product is None else product
 
     def rule(G):
         H.grad += _spmm_value(a, G, transpose=True)
@@ -463,13 +490,17 @@ def backward(root: DiffValue, seed=None) -> None:
         seed = _as_matrix(seed)
         if seed.shape != root.shape:
             raise ValueError("seed shape must match the root")
-    order = _topo_order(root)
+    below = root._sweep
+    if below is None:
+        below = _topo_order(root)[-2::-1]     # the root is last in post-order
+        root._sweep = below
+    order = (root, *below)
     # interior accumulators start fresh each sweep; leaves keep accumulating
     for node in order:
         if node.backward_rule is not None:
-            node.grad = np.zeros_like(node.value)
+            node._grad = None
     root.grad = root.grad + seed
-    for node in reversed(order):
+    for node in order:
         if node.backward_rule is not None and node.requires_grad:
             node.backward_rule(node.grad)
 

@@ -1,8 +1,9 @@
 """Single command over the whole kit: data generation, training, evaluation,
 diagnostics, and parameter accounting.
 
-Exit codes: 0 success, 1 invalid configuration or arguments, 2 runtime
-failure, 3 a diagnostic ran but landed outside its tolerance.
+Exit codes: 0 success, 1 invalid configuration or arguments or a malformed
+dataset or checkpoint file, 2 runtime failure, 3 a diagnostic ran but landed
+outside its tolerance.
 
 Option precedence is defaults, then command-line flags, then the --config
 file: the file is the run's authoritative record, so its values win over

@@ -6,10 +6,12 @@ Gumbel-Softmax turns them into a hard exit decision and a soft non-exit
 probability; the soft probability doubles as that agent's Euler step size
 tau for the layer, so an agent close to exiting also moves in smaller steps.
 
-Node mode freezes a per-node output row at the first hard exit and keeps
-updating every node's state afterward (frozen rows only pin what the decoder
-sees). Graph mode pools first, decides once per layer for the whole graph,
-and stops integrating at the first exit.
+Node mode freezes a per-node output row at the first hard exit. States of
+exited nodes keep updating while any node is still active (a frozen row only
+pins what the decoder sees), and the loop stops at the layer where the last
+node exits: the remaining layers could not change the output. Graph mode
+pools first, decides once per layer for the whole graph, and stops
+integrating at the first exit.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from . import autodiff as ad
 from .autodiff import DiffValue
 from .cells import CellParams, Operators, _glorot, build_operators, edge_term, \
     encode, sas_step
-from .graphs import Graph
+from .graphs import Graph, spmm
 
 __all__ = [
     "GumbelSample",
@@ -147,13 +149,15 @@ def make_exit_heads(rng: np.random.Generator, kind: str, in_dim: int,
                      fnu_layers=fnu_layers, fnu_out=fnu_out, nu0=nu0)
 
 
-def _backbone_forward(H: DiffValue, layers, out_pair, kind: str, ma) -> DiffValue:
+def _backbone_forward(H: DiffValue, layers, out_pair, kind: str, ma,
+                      agg=None) -> DiffValue:
     cur = H
     for layer in layers:
         if kind == "mean_gnn":
             wa, ws, b = layer
-            mixed = ad.add(ad.matmul_add(ad.dspmm(ma, cur), wa),
+            mixed = ad.add(ad.matmul_add(ad.dspmm(ma, cur, agg), wa),
                            ad.matmul_add(cur, ws, b))
+            agg = None              # agg is H's product; deeper layers make their own
         else:
             w, b = layer
             mixed = ad.matmul_add(cur, w, b)
@@ -161,19 +165,27 @@ def _backbone_forward(H: DiffValue, layers, out_pair, kind: str, ma) -> DiffValu
     return ad.matmul_add(cur, out_pair[0], out_pair[1])
 
 
-def confidence_logits(H: DiffValue, heads: ExitHeads, ma=None) -> DiffValue:
-    """Two-way continue/exit logits per agent row."""
+def confidence_logits(H: DiffValue, heads: ExitHeads, ma=None,
+                      agg=None) -> DiffValue:
+    """Two-way continue/exit logits per agent row.
+
+    agg, when given, is spmm(ma, H.value) computed already; both heads read it
+    in their first mean_gnn layer.
+    """
     if heads.kind == "mean_gnn" and ma is None:
         raise ValueError("mean_gnn heads need the mean-adjacency operator")
-    return _backbone_forward(H, heads.fc_layers, heads.fc_out, heads.kind, ma)
+    return _backbone_forward(H, heads.fc_layers, heads.fc_out, heads.kind, ma, agg)
 
 
 def inv_temperature(H: DiffValue, heads: ExitHeads, ma=None,
-                    nu0: float | None = None) -> DiffValue:
-    """Per-agent inverse temperature softplus(f_nu(H)) + nu0; always >= nu0."""
+                    nu0: float | None = None, agg=None) -> DiffValue:
+    """Per-agent inverse temperature softplus(f_nu(H)) + nu0; always >= nu0.
+
+    agg is as in confidence_logits.
+    """
     if heads.kind == "mean_gnn" and ma is None:
         raise ValueError("mean_gnn heads need the mean-adjacency operator")
-    raw = _backbone_forward(H, heads.fnu_layers, heads.fnu_out, heads.kind, ma)
+    raw = _backbone_forward(H, heads.fnu_layers, heads.fnu_out, heads.kind, ma, agg)
     floor = heads.nu0 if nu0 is None else nu0
     if floor < 0:
         raise ValueError(f"nu0 must be >= 0, got {floor}")
@@ -220,6 +232,13 @@ def eegnn_forward_node(g: Graph, params: CellParams, heads: ExitHeads,
 
     A node exiting at layer l has spent exit_time = sum of its tau over
     layers 0..l-1; the deciding layer's tau is not counted.
+
+    Once every node has exited, at layer l, the loop stops before that
+    layer's update: Z and the ExitState are those of a full-depth run, and
+    the records end at layer l. A train_sample run that draws its own noise
+    from rng still draws the skipped layers' noise, so rng leaves the call in
+    the state a full-depth run leaves it in. With capture given, all L layers
+    run and capture receives all L + 1 states.
     """
     if L < 1:
         raise ValueError(f"depth must be >= 1, got {L}")
@@ -240,8 +259,9 @@ def eegnn_forward_node(g: Graph, params: CellParams, heads: ExitHeads,
     exit_time = np.zeros(n)
     records = []
     for l in range(L):
-        logits = confidence_logits(H, heads, ops.ma)
-        inv_nu = inv_temperature(H, heads, ops.ma)
+        agg = None if ops.ma is None else spmm(ops.ma, H.value)
+        logits = confidence_logits(H, heads, ops.ma, agg)
+        inv_nu = inv_temperature(H, heads, ops.ma, agg=agg)
         smp = None
         if mode == "train_sample":
             smp = noise[l] if noise is not None else sample_gumbel((n, 2), rng)
@@ -257,9 +277,19 @@ def eegnn_forward_node(g: Graph, params: CellParams, heads: ExitHeads,
         records.append({"layer": l, "mean_tau": float(tau_col.value.mean()),
                         "new_exits": int(new_exit.sum()),
                         "mean_inv_nu": float(inv_nu.value.mean())})
+        if capture is None and exited.all():
+            if mode == "train_sample" and noise is None and l + 1 < L:
+                # one draw of the skipped layers' noise consumes the stream of
+                # L - l - 1 separate (n, 2) draws, so later draws from rng (the
+                # next epoch's) are those of a full-depth run
+                rng.random(size=(L - l - 1, n, 2))
+            break
         H = sas_step(H, ops.a, params, tau=tau_col, edge_term=et)
         if capture is not None:
             capture.append(H.value.copy())
+    # after a stop every row comes from Z_cur; the row select stays on the
+    # tape all the same, so backward visits the layers in the order it visits
+    # them after a full-depth run and sums every gradient in the same order
     Z = ad.where_rows(exited, Z_cur, H) if exited.any() else H
     state = ExitState(exited=exited.copy(), exit_layer=exit_layer,
                       exit_time=exit_time, Z=Z.value.copy(), L=L)

@@ -10,6 +10,9 @@ outputs.
 from __future__ import annotations
 
 import json
+import math
+import numbers
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -52,7 +55,8 @@ METRIC_KINDS = ("accuracy", "auroc", "ap", "macro_f1", "mae")
 
 
 class ConfigError(ValueError):
-    """Invalid run configuration; carries every problem found, not just the first."""
+    """Invalid run configuration or malformed input file; carries every
+    problem found, not just the first."""
 
     def __init__(self, messages):
         self.messages = list(messages)
@@ -65,6 +69,24 @@ class TrainDivergenceError(RuntimeError):
     def __init__(self, epoch, value):
         self.epoch = epoch
         super().__init__(f"non-finite loss {value} at epoch {epoch}")
+
+
+def _coerce(v, kind):
+    """v as a value of type kind under from_dict's rules, or None."""
+    if kind is bool:
+        return v if isinstance(v, bool) else None
+    if kind is tuple:
+        return tuple(v) if isinstance(v, (list, tuple)) else None
+    if kind is str:
+        return v if isinstance(v, str) else None
+    if isinstance(v, bool) or not isinstance(v, numbers.Real):
+        return None
+    if kind is int:
+        if not (isinstance(v, numbers.Integral)
+                or (math.isfinite(v) and float(v).is_integer())):
+            return None
+        return int(v)
+    return float(v)
 
 
 @dataclass
@@ -93,20 +115,26 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
+        """Validated config from a JSON-style dict.
+
+        Coercion is strict: an int field takes an int or an integral float,
+        a float field an int or a float, a bool field only a bool; a bool is
+        never taken as a number. Every problem lands in one ConfigError.
+        """
         known = {f.name for f in fields(cls)}
         errors = [f"unknown config key {k!r}" for k in sorted(set(d) - known)]
         cfg = cls()
         for f in fields(cls):
             if f.name not in d:
                 continue
-            v = d[f.name]
-            if f.name == "dec_hidden":
-                v = tuple(v) if isinstance(v, (list, tuple)) else v
-            try:
-                setattr(cfg, f.name, type(getattr(cfg, f.name))(v)
-                        if not isinstance(v, type(getattr(cfg, f.name))) else v)
-            except (TypeError, ValueError):
-                errors.append(f"config key {f.name!r}: cannot coerce {v!r}")
+            kind = type(getattr(cfg, f.name))
+            v = _coerce(d[f.name], kind)
+            if v is None:
+                want = "list" if kind is tuple else kind.__name__
+                errors.append(f"config key {f.name!r}: cannot coerce {d[f.name]!r} "
+                              f"to {want}")
+            else:
+                setattr(cfg, f.name, v)
         errors += cfg._check()
         if errors:
             raise ConfigError(errors)
@@ -144,7 +172,8 @@ class RunConfig:
         ]
         e += [msg for ok, msg in checks if not ok]
         if not (isinstance(self.dec_hidden, tuple)
-                and all(isinstance(h, int) and h >= 1 for h in self.dec_hidden)):
+                and all(isinstance(h, int) and not isinstance(h, bool) and h >= 1
+                        for h in self.dec_hidden)):
             e.append(f"dec_hidden must be a tuple of widths >= 1, got {self.dec_hidden!r}")
         return e
 
@@ -168,6 +197,10 @@ class GraphSet:
         for name in ("train", "val", "test"):
             if name not in self.masks:
                 raise ValueError(f"missing split mask {name!r}")
+            if np.shape(self.masks[name]) != (len(self.graphs),):
+                raise ValueError(f"split mask {name!r} must have one entry per "
+                                 f"graph ({len(self.graphs)}), got shape "
+                                 f"{np.shape(self.masks[name])}")
 
 
 @dataclass
@@ -658,9 +691,12 @@ def exit_csv(state: ExitState, agent_ids=None) -> str:
     return "\n".join(lines) + "\n"
 
 
+CHECKPOINT_FORMAT = 1
+
+
 def save_checkpoint(model: Model, path) -> None:
     payload = {
-        "format": 1,
+        "format": CHECKPOINT_FORMAT,
         "config": model.cfg.to_dict(),
         "feat_dim": model.feat_dim,
         "out_dim": model.out_dim,
@@ -672,39 +708,69 @@ def save_checkpoint(model: Model, path) -> None:
         fh.write("\n")
 
 
+@contextmanager
+def _reading(what: str, path):
+    """Reports anything malformed met while reading a file's content (bad
+    JSON, a missing key, a wrong shape) as a ConfigError naming the file; an
+    unreadable file still raises OSError."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except (ValueError, TypeError) as exc:
+        raise ConfigError([f"{what} {path}: {exc}"]) from exc
+
+
+def _require(payload, keys=()) -> None:
+    if not isinstance(payload, dict):
+        raise ValueError("the file must hold a JSON object")
+    missing = [k for k in keys if k not in payload]
+    if missing:
+        raise ValueError("missing key " + ", ".join(map(repr, missing)))
+
+
 def load_checkpoint(path) -> Model:
-    with open(path) as fh:
+    """The model a checkpoint file holds; a malformed one (missing key,
+    unknown format, parameters that do not fit its config) raises
+    ConfigError naming the problem."""
+    with open(path) as fh, _reading("checkpoint", path):
         payload = json.load(fh)
-    config = dict(payload["config"])
-    # eval_sample was a config key that nothing read; older checkpoints carry it
-    config.pop("eval_sample", None)
-    cfg = RunConfig.from_dict(config)
-    rng = np.random.Generator(np.random.PCG64(cfg.seed))
-    model = build_model(cfg, int(payload["feat_dim"]), int(payload["out_dim"]),
-                        rng, edge_dim=int(payload["edge_dim"]))
-    stored = payload["params"]
-    names = [name for name, _ in model.parameters()]
-    if set(names) != set(stored):
-        missing = sorted(set(names) ^ set(stored))
-        raise ValueError(f"checkpoint parameters do not match config: {missing}")
-    for name, p in model.parameters():
-        arr = np.asarray(stored[name], dtype=np.float64)
-        if arr.shape != p.value.shape:
-            raise ValueError(f"checkpoint {name} has shape {arr.shape}, "
-                             f"expected {p.value.shape}")
-        p.value[...] = arr
-    return model
+        _require(payload, ("format", "config", "feat_dim", "out_dim", "edge_dim",
+                           "params"))
+        if payload["format"] != CHECKPOINT_FORMAT:
+            raise ValueError(f"format {payload['format']!r} is unknown; this "
+                             f"version reads format {CHECKPOINT_FORMAT}")
+        config = dict(payload["config"])
+        # eval_sample was a config key that nothing read; older checkpoints carry it
+        config.pop("eval_sample", None)
+        cfg = RunConfig.from_dict(config)
+        rng = np.random.Generator(np.random.PCG64(cfg.seed))
+        model = build_model(cfg, int(payload["feat_dim"]), int(payload["out_dim"]),
+                            rng, edge_dim=int(payload["edge_dim"]))
+        stored = payload["params"]
+        names = [name for name, _ in model.parameters()]
+        if set(names) != set(stored):
+            missing = sorted(set(names) ^ set(stored))
+            raise ValueError(f"parameters do not match config: {missing}")
+        for name, p in model.parameters():
+            arr = np.asarray(stored[name], dtype=np.float64)
+            if arr.shape != p.value.shape:
+                raise ValueError(f"parameter {name} has shape {arr.shape}, "
+                                 f"expected {p.value.shape}")
+            p.value[...] = arr
+        return model
 
 
 def load_dataset(path):
-    """Graph JSON or graph-set JSON, decided by the top-level keys."""
-    with open(path) as fh:
+    """Graph JSON or graph-set JSON, decided by the top-level keys; a
+    malformed file raises ConfigError naming the problem."""
+    with open(path) as fh, _reading("dataset", path):
         payload = json.load(fh)
-    if not isinstance(payload, dict):
-        raise ValueError("dataset file must hold a JSON object")
-    if "graphs" in payload:
+        _require(payload)
+        if "graphs" not in payload:
+            return load_graph_fields(payload)
+        _require(payload, ("y", "masks"))
         graphs = [load_graph_fields(entry) for entry in payload["graphs"]]
         y = np.asarray(payload["y"], dtype=np.float64)
-        masks = {k: np.asarray(v, dtype=bool) for k, v in payload["masks"].items()}
+        masks = {k: np.asarray(v, dtype=bool) for k, v in dict(payload["masks"]).items()}
         return GraphSet(graphs=graphs, y=y, masks=masks)
-    return load_graph_fields(payload)

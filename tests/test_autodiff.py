@@ -1,6 +1,8 @@
 """Tape engine: forward values, backward rules, and the FD oracle itself."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -336,3 +338,47 @@ def test_interior_grads_valid_after_each_sweep():
     # interior resets per sweep, leaf accumulates
     assert mid.grad[0, 0] == 5.0
     assert W.grad[0, 0] == 30.0
+
+
+def test_fresh_op_output_grad_reads_as_zeros_of_its_shape():
+    out = ad.matmul_add(ad.constant(np.ones((3, 2))), ad.leaf(np.ones((2, 4))))
+    g = out.grad
+    assert isinstance(g, np.ndarray) and g.dtype == np.float64
+    assert g.shape == (3, 4) and not g.any()
+    assert out.grad is g                     # allocated once, then kept
+
+
+def test_backward_orders_the_tape_once_per_root(monkeypatch):
+    calls = []
+    original = ad._topo_order
+
+    def counted(root):
+        calls.append(root)
+        return original(root)
+
+    monkeypatch.setattr(ad, "_topo_order", counted)
+    W = ad.leaf(np.array([[2.0, -1.0]]))
+    mid = ad.activation_apply(ad.smul(W, 3.0), "tanh")
+    root = ad.sum_all(mid)
+    for _ in range(3):
+        ad.backward(root)
+    assert len(calls) == 1
+    expected = 3 * 3.0 * (1.0 - np.tanh(3.0 * W.value) ** 2)
+    assert np.allclose(W.grad, expected, rtol=1e-14, atol=0.0)
+
+
+def test_swept_tape_is_freed_without_the_cycle_collector():
+    gc.disable()
+    try:
+        W = ad.leaf(np.array([[1.5]]))
+        mid = ad.smul(W, 2.0)
+        root = ad.sum_all(ad.mul(mid, mid))
+        ad.backward(root)
+        ad.backward(root)
+        ref = weakref.ref(mid)
+        del mid
+        assert ref() is not None             # the root still holds its tape
+        del root
+        assert ref() is None                 # no reference cycle kept it
+    finally:
+        gc.enable()

@@ -170,6 +170,80 @@ def test_train_edge_mode_on_baseline_is_validation_error(tmp_path, capsys):
     assert run(["param-count", "--config", cfg, "--out", str(tmp_path)]) == 1
 
 
+@pytest.mark.parametrize("key, value, shown", [
+    ("decoupled_wd", "false", "'decoupled_wd'"), ("depth", 2.7, "'depth'"),
+    ("epochs", True, "'epochs'")])
+def test_train_mistyped_config_value_is_validation_error(tmp_path, capsys, key,
+                                                         value, shown):
+    data = gen_sbm_data(tmp_path, seed=6)
+    cfg = write_cfg(tmp_path, dict(TRAIN_CFG, **{key: value}), name="typed.json")
+    assert run(["train", "--config", cfg, "--data", str(data),
+                "--out", str(tmp_path / "run")]) == 1
+    assert shown in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def graph_set_file(tmp_path, drop=None, masks=None):
+    """A two-graph graph-set file, optionally without one top-level key or
+    with other masks."""
+    entry = json.loads(gen_sbm_data(tmp_path, seed=11).read_text())
+    for key in ("y", "masks"):
+        entry.pop(key)
+    doc = {"graphs": [entry, entry], "y": [[0.0], [1.0]],
+           "masks": masks or {"train": [1, 0], "val": [0, 1], "test": [0, 1]}}
+    doc.pop(drop, None)
+    path = tmp_path / "set.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_train_graph_set_without_labels_is_validation_error(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, dict(TRAIN_CFG, task="graph_reg", loss="mse",
+                                   metric="mae"), name="gs.json")
+    data = graph_set_file(tmp_path, drop="y")
+    assert run(["train", "--config", cfg, "--data", data,
+                "--out", str(tmp_path / "run")]) == 1
+    assert "'y'" in capsys.readouterr().err
+
+
+def test_train_graph_set_mask_of_wrong_length_is_validation_error(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, dict(TRAIN_CFG, task="graph_reg", loss="mse",
+                                   metric="mae"), name="gs.json")
+    data = graph_set_file(tmp_path, masks={"train": [1, 0, 0], "val": [0, 1],
+                                           "test": [0, 1]})
+    assert run(["train", "--config", cfg, "--data", data,
+                "--out", str(tmp_path / "run")]) == 1
+    assert "'train'" in capsys.readouterr().err
+
+
+def trained_checkpoint(tmp_path):
+    data = gen_sbm_data(tmp_path, seed=12)
+    cfg = write_cfg(tmp_path, dict(TRAIN_CFG, epochs=1), name="t.json")
+    assert run(["train", "--config", cfg, "--data", str(data),
+                "--out", str(tmp_path / "run")]) == 0
+    path = tmp_path / "run" / "checkpoint.json"
+    return data, path, json.loads(path.read_text())
+
+
+def test_evaluate_checkpoint_without_a_key_is_validation_error(tmp_path, capsys):
+    data, path, payload = trained_checkpoint(tmp_path)
+    del payload["feat_dim"]
+    path.write_text(json.dumps(payload))
+    assert run(["evaluate", "--checkpoint", str(path), "--data", str(data),
+                "--out", str(tmp_path / "eval")]) == 1
+    assert "'feat_dim'" in capsys.readouterr().err
+
+
+def test_evaluate_checkpoint_of_unknown_format_is_validation_error(tmp_path, capsys):
+    data, path, payload = trained_checkpoint(tmp_path)
+    payload["format"] = 99
+    path.write_text(json.dumps(payload))
+    assert run(["evaluate", "--checkpoint", str(path), "--data", str(data),
+                "--out", str(tmp_path / "eval")]) == 1
+    assert "format 99" in capsys.readouterr().err
+    assert not (tmp_path / "eval").exists()
+
+
 # ------------------------------------------------------------------ evaluate
 
 def test_evaluate_roundtrip_from_checkpoint(tmp_path):

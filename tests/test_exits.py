@@ -178,7 +178,7 @@ def test_forced_exit_all_nodes_stop_at_layer_zero():
     assert not state.exit_time.any()
     H0 = encode(ad.constant(g.X), params).value
     assert np.array_equal(state.Z, H0)       # pre-update states
-    assert len(recs) == 6
+    assert len(recs) == 1                    # no layer runs after the last exit
 
 
 def test_never_exit_returns_final_layer_states():
@@ -201,6 +201,74 @@ def test_never_exit_returns_final_layer_states():
         c_soft, _ = gumbel_softmax_st(logits, inv_nu, g=smp)
         H = sas_step(H, a, params, tau=ad.col_slice(c_soft, 0))
     assert np.abs(state.Z - H.value).max() <= 1e-12
+
+
+# (graph seed, forced exit bias or None, shift of the random heads' exit
+# logit, edge mode): every node exits at layer 0; none ever exits; nodes exit
+# at layers 0..5 (both modes stop mid-depth), also with an edge term, which
+# all layers share; some nodes never exit; a sampled forward stops at layer 2.
+STOP_CASES = {"all_at_0": (4, 50.0, 0.0, "zero"), "never": (4, -50.0, 0.0, "zero"),
+              "staggered": (0, None, -0.2, "zero"),
+              "staggered_edge": (0, None, -0.2, "linear"),
+              "partial": (4, None, 0.0, "zero"), "coin": (4, 0.5, 0.0, "zero")}
+
+
+def _forward_pair(case, mode, L=8):
+    """The same forward without and with capture (capture runs all L layers),
+    each on fresh parameters and its own copy of one generator, then one
+    backward of a weighted sum of Z through each; returns (Z, state,
+    records, rng, every leaf gradient) per run."""
+    seed, exit_bias, shift, edge_mode = STOP_CASES[case]
+    out = []
+    for capture in (None, []):
+        g, params, heads, _ = graph_and_params(seed=seed)
+        if edge_mode != "zero":
+            g.E_feat = np.random.default_rng(seed).normal(size=(g.n_arcs, 2))
+            params = make_cell_params(np.random.default_rng(seed), "eegnn", 5, 5, 2,
+                                      edge_mode=edge_mode, edge_dim=2)
+        if exit_bias is not None:
+            force_heads(heads, exit_bias)
+        heads.fc_out[1].value[...] += [[-shift, shift]]
+        rng = np.random.default_rng(40 + seed) if mode == "train_sample" else None
+        Z, state, recs = eegnn_forward_node(g, params, heads, L=L, rng=rng,
+                                            mode=mode, capture=capture)
+        w = np.random.default_rng(41).normal(size=Z.shape)
+        ad.backward(ad.sum_all(ad.mul_const(Z, w)))
+        leaves = params.parameters() + heads.parameters()
+        grads = [p.grad.copy() for _, p in leaves]
+        out.append((Z.value, state, recs, rng, grads))
+    return out
+
+
+@pytest.mark.parametrize("mode", ["eval_argmax", "train_sample"])
+@pytest.mark.parametrize("case", sorted(STOP_CASES))
+def test_stopping_at_last_exit_is_bit_identical_to_full_depth(mode, case):
+    (Z, st, recs, rng, grads), (Zc, stc, recsc, rngc, gradsc) = _forward_pair(
+        case, mode)
+    assert Z.tobytes() == Zc.tobytes()
+    for field in ("exited", "exit_layer", "exit_time", "Z"):
+        assert getattr(st, field).tobytes() == getattr(stc, field).tobytes()
+    assert st.L == stc.L
+    if rng is not None:                      # the skipped layers' noise is drawn
+        assert rng.bit_generator.state == rngc.bit_generator.state
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(grads, gradsc))
+    assert len(recsc) == 8
+    if st.exited.all():
+        assert len(recs) == int(st.exit_layer.max()) + 1
+        assert recs == recsc[:len(recs)]
+    else:
+        assert recs == recsc
+
+
+@pytest.mark.parametrize("case, mode, layers", [
+    ("all_at_0", "eval_argmax", 1), ("staggered", "eval_argmax", 6),
+    ("staggered", "train_sample", 7), ("staggered_edge", "eval_argmax", 7),
+    ("coin", "train_sample", 3),
+    ("partial", "eval_argmax", 8), ("never", "train_sample", 8)])
+def test_forward_stops_after_the_last_exit(case, mode, layers):
+    (_, st, recs, _, _), _ = _forward_pair(case, mode)
+    assert len(recs) == layers
+    assert st.exited.all() == (layers < 8)
 
 
 def test_eval_mode_needs_no_rng_and_is_deterministic():

@@ -16,7 +16,8 @@ import eegnn
 from eegnn import graphs
 from eegnn import cells, cli
 from eegnn.graphs import degrees, gen_minesweeper_grid, gen_sbm, make_graph
-from eegnn.training import GraphSet, RunConfig, evaluate, train_run
+from eegnn.training import GraphSet, RunConfig, build_model, evaluate, \
+    forward_node, train_run
 
 
 def _connected(g) -> bool:
@@ -192,6 +193,60 @@ def test_node_eegnn_training_is_pinned(name):
     assert got == EEGNN_NODE_GOLDEN[name]
 
 
+# Captured before node-mode exits stopped at the last exit; in every training
+# forward of this run all nodes exit before the last layer.
+EARLY_STOP_GOLDEN = (
+    [
+        '(0, 0.5748682147145374, 1.0, 0.625, 0.0)',
+        '(1, 0.5597865338169634, 1.0, 0.625, 0.0)',
+        '(2, 0.5413430711730557, 1.0, 0.75, 0.0)',
+        '(3, 0.5279667207721, 1.0, 0.75, 0.0)',
+    ],
+    "{'split': 'test', 'mode': 'eval_argmax', 'metric': 'auroc', 'value': 0.625, "
+    "'loss': 0.9905783757625186, 'mean_exit_layer': 0.0, 'exit': {'min_layer': 0, "
+    "'median_layer': 0.0, 'max_layer': 0, 'mean_time': 0.0, "
+    "'histogram': [24, 0, 0, 0, 0, 0, 0]}}",
+    "{'split': 'test', 'mode': 'train_sample', 'metric': 'auroc', 'value': 0.625, "
+    "'loss': 0.9862575054118363, 'mean_exit_layer': 0.16666666666666666, "
+    "'exit': {'min_layer': 0, 'median_layer': 0.0, 'max_layer': 1, "
+    "'mean_time': 0.10270339696253648, 'histogram': [20, 4, 0, 0, 0, 0, 0]}}",
+)
+
+
+def test_node_eegnn_training_stopping_early_is_pinned(monkeypatch):
+    g = gen_sbm((12, 12), 0.5, 0.1, seed=2, feature_dim=4)
+    cfg = RunConfig.from_dict(dict(model="eegnn", depth=6, hidden=8, exit_hidden=8,
+                                   epochs=4, lr=1e-2, seed=1))
+    runs = []
+    forward = eegnn.exits.eegnn_forward_node
+
+    def recorded(*args, **kwargs):
+        out = forward(*args, **kwargs)
+        runs.append((args[5], len(out[2])))
+        return out
+
+    monkeypatch.setattr(eegnn.training, "eegnn_forward_node", recorded)
+    trained, history = train_run(cfg, g)
+    train_layers = [n for mode, n in runs if mode == "train_sample"]
+    assert len(train_layers) == cfg.epochs
+    assert max(train_layers) < cfg.depth          # every training forward stopped
+    got = ([repr(row) for row in history], repr(evaluate(trained, g)),
+           repr(evaluate(trained, g, mode="train_sample")))
+    assert got == EARLY_STOP_GOLDEN
+
+
+def test_full_depth_eegnn_forward_makes_two_spmm_per_layer(monkeypatch):
+    g, cfg = eegnn_node_case("sbm")
+    model = build_model(cfg, g.X.shape[1], 2, np.random.default_rng(0))
+    ops = cells.build_operators(g, model.params, model.heads)
+    model.heads.fc_out[1].value[...] = [[50.0, -50.0]]     # never exit
+    calls = _count_calls(monkeypatch, graphs.spmm)
+    _, state, recs = forward_node(model, g, "eval_argmax", ops=ops)
+    assert not state.exited.any() and len(recs) == cfg.depth
+    # one for the cell step, one mean aggregate shared by both exit heads
+    assert len(calls) == 2 * cfg.depth
+
+
 def _count_calls(monkeypatch, original) -> list:
     """Count calls of a function under every module binding of it."""
     calls = []
@@ -200,8 +255,8 @@ def _count_calls(monkeypatch, original) -> list:
         calls.append(args)
         return original(*args, **kwargs)
 
-    for mod in (eegnn.graphs, eegnn.cells, eegnn.exits, eegnn.training,
-                eegnn.diagnostics, eegnn.cli):
+    for mod in (eegnn.graphs, eegnn.autodiff, eegnn.cells, eegnn.exits,
+                eegnn.training, eegnn.diagnostics, eegnn.cli):
         for attr, val in list(vars(mod).items()):
             if val is original:
                 monkeypatch.setattr(mod, attr, counted)

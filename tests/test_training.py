@@ -56,6 +56,31 @@ def test_config_coercion_failure_reported_by_key():
     assert any("depth" in m and "coerce" in m for m in exc.value.messages)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("decoupled_wd", "false"), ("decoupled_wd", 0), ("depth", 2.7),
+    ("depth", True), ("epochs", True), ("tau", False), ("lr", "0.01"),
+    ("hidden", "16"), ("depth", float("inf")), ("model", 3)])
+def test_config_rejects_lossy_or_mistyped_values(key, value):
+    with pytest.raises(ConfigError) as exc:
+        RunConfig.from_dict({key: value})
+    assert any(key in m and "coerce" in m for m in exc.value.messages)
+
+
+def test_config_collects_every_type_error_at_once():
+    with pytest.raises(ConfigError) as exc:
+        RunConfig.from_dict({"decoupled_wd": "false", "depth": 2.7, "epochs": True,
+                             "dec_hidden": [4, True]})
+    assert len(exc.value.messages) == 4
+
+
+def test_config_takes_integral_floats_and_ints_for_floats():
+    cfg = RunConfig.from_dict({"depth": 3.0, "epochs": np.int64(5), "tau": 1,
+                               "lr": np.float64(0.01), "decoupled_wd": True})
+    assert (cfg.depth, cfg.epochs, cfg.tau, cfg.lr) == (3, 5, 1.0, 0.01)
+    assert type(cfg.depth) is int and type(cfg.epochs) is int
+    assert type(cfg.tau) is float and cfg.decoupled_wd is True
+
+
 def test_config_round_trips_through_dict():
     cfg = RunConfig.from_dict({"model": "eegnn", "dec_hidden": [7, 5], "tau": 0.25})
     assert RunConfig.from_dict(cfg.to_dict()) == cfg
@@ -104,6 +129,9 @@ def test_graph_set_validates_shapes():
     with pytest.raises(ValueError, match="val"):
         GraphSet(graphs=[g], y=np.zeros((1, 1)),
                  masks={"train": [1], "test": [0]})
+    with pytest.raises(ValueError, match="'test' must have one entry per graph"):
+        GraphSet(graphs=[g, g], y=np.zeros((2, 1)),
+                 masks={"train": [1, 0], "val": [0, 1], "test": [0, 1, 1]})
 
 
 # ------------------------------------------------------------------- losses
