@@ -16,11 +16,19 @@ keeps the root's reverse topological order after the first sweep (parents are
 fixed at construction, so the order cannot go stale); repeated seeded sweeps
 over one tape, as in diagnostics.sensitivity, traverse it once.
 
+Two ways to hold less of a tape. Inside `with no_grad():` ops build nodes
+with no parents and no backward rule, so every intermediate of an eval
+forward is freed as soon as the caller drops it. backward(root,
+release=True) frees each node's gradient, rule and parent links once its
+rule has run, so a one-shot training sweep gives the tape back as it goes.
+
 No broadcasting beyond the row-vector bias in matmul_add, no higher-order
 derivatives, and float64 only; those limits are deliberate.
 """
 
 from __future__ import annotations
+
+import contextlib
 
 import numpy as np
 
@@ -52,6 +60,8 @@ __all__ = [
     "straight_through",
     "sum_all",
     "dspmm",
+    "act_update",
+    "act_matmul_add",
     "backward",
     "zero_grads",
     "fd_check",
@@ -116,9 +126,26 @@ def constant(value, name="") -> DiffValue:
     return DiffValue(value, requires_grad=False, name=name)
 
 
+_taping = True
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Ops inside the block record no tape: their nodes have no parents and
+    no backward rule, so backward cannot reach past them. Values are the
+    same as with taping on."""
+    global _taping
+    outer, _taping = _taping, False
+    try:
+        yield
+    finally:
+        _taping = outer
+
+
 def _node(value, parents, rule) -> DiffValue:
-    out = DiffValue(value, parents=parents, backward_rule=rule)
-    return out
+    if not _taping:
+        return DiffValue(value)
+    return DiffValue(value, parents=parents, backward_rule=rule)
 
 
 # ------------------------------------------------------------------- core ops
@@ -163,7 +190,10 @@ def _act_forward(x, kind):
     if kind == "tanh":
         return np.tanh(x)
     if kind == "relu_tanh":
-        return np.where(x > 0, np.tanh(x), 0.0)
+        # tanh(x) where x > 0, else +0.0 (NaN included): fmax sends NaN and
+        # -0.0 to a zero and + 0.0 turns tanh(-0.0) into +0.0, so this is bit
+        # for bit np.where(x > 0, np.tanh(x), 0.0) without its slow select
+        return np.tanh(np.fmax(x, 0.0)) + 0.0
     if kind == "softplus":
         # overflow-safe log(1 + exp(x))
         return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
@@ -181,9 +211,10 @@ def _act_derivative(x, kind):
         t = np.tanh(x)
         return 1.0 - t * t
     if kind == "relu_tanh":
-        # subgradient 0 at x = 0
-        t = np.tanh(x)
-        return np.where(x > 0, 1.0 - t * t, 0.0)
+        # subgradient 0 at x = 0; a product with the mask, not a select, as
+        # in _act_forward
+        t = np.tanh(np.fmax(x, 0.0))
+        return (1.0 - t * t) * (x > 0)
     if kind == "softplus":
         return _sigmoid(x)
     if kind == "sigmoid":
@@ -209,18 +240,40 @@ def activation_apply(X: DiffValue, kind: str) -> DiffValue:
     return _node(_act_forward(x, kind), (X,), rule)
 
 
+def _row_max(x) -> np.ndarray:
+    """Row maxima as an n x 1 column, folded over the columns with
+    np.maximum: numpy's reduction along a short row axis costs some thirty
+    elementwise maxima of the whole column. It equals x.max(axis=1,
+    keepdims=True) except that a tie of -0.0 and +0.0 may give the other
+    zero, which neither softmax below can show: they subtract the maximum
+    and exponentiate, and exp(-0.0) == exp(+0.0)."""
+    m = x[:, :1].copy()
+    for j in range(1, x.shape[1]):
+        np.maximum(m, x[:, j:j + 1], out=m)
+    return m
+
+
+def _row_sum(x) -> np.ndarray:
+    """x.sum(axis=1, keepdims=True), bit for bit. For two columns, as in
+    every exit decision, one column add is far faster than numpy's reduction
+    along so short an axis; numpy's sum starts from +0.0, so two -0.0 sum to
+    +0.0, hence the + 0.0."""
+    if x.shape[1] != 2:
+        return x.sum(axis=1, keepdims=True)
+    return x[:, :1] + x[:, 1:] + 0.0
+
+
 def row_log_softmax(X: DiffValue) -> DiffValue:
     """Per-row x - max(x) - log sum exp(x - max); exp of a row sums to 1."""
     x = X.value
     if x.shape[1] < 1:
         raise ValueError("row_log_softmax needs at least one column")
-    shifted = x - x.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    shifted = x - _row_max(x)
+    lse = np.log(_row_sum(np.exp(shifted)))
     out = shifted - lse
-    prob = np.exp(out)
 
     def rule(G):
-        X.grad += G - prob * G.sum(axis=1, keepdims=True)
+        X.grad += G - np.exp(out) * _row_sum(G)
 
     return _node(out, (X,), rule)
 
@@ -228,12 +281,12 @@ def row_log_softmax(X: DiffValue) -> DiffValue:
 def softmax_rows(X: DiffValue) -> DiffValue:
     """Per-row softmax, computed through the shifted exponential."""
     x = X.value
-    shifted = x - x.max(axis=1, keepdims=True)
+    shifted = x - _row_max(x)
     e = np.exp(shifted)
-    s = e / e.sum(axis=1, keepdims=True)
+    s = e / _row_sum(e)
 
     def rule(G):
-        X.grad += s * (G - (G * s).sum(axis=1, keepdims=True))
+        X.grad += s * (G - _row_sum(G * s))
 
     return _node(s, (X,), rule)
 
@@ -347,7 +400,7 @@ def scale_rows(A: DiffValue, t: DiffValue) -> DiffValue:
 
     def rule(G):
         A.grad += G * t.value
-        t.grad += (G * A.value).sum(axis=1, keepdims=True)
+        t.grad += _row_sum(G * A.value)
 
     return _node(A.value * t.value, (A, t), rule)
 
@@ -440,18 +493,104 @@ def sum_all(A: DiffValue) -> DiffValue:
     return _node(np.array([[A.value.sum()]]), (A,), rule)
 
 
-def dspmm(a, H: DiffValue, product=None) -> DiffValue:
-    """Sparse arc-matrix times DiffValue; the arc values are constants.
+def dspmm(a, H: DiffValue, product=None, W: DiffValue | None = None) -> DiffValue:
+    """Sparse arc-matrix times DiffValue, a @ H, or a @ (H @ W) when W is
+    given; the arc values are constants.
 
     product, when given, is spmm(a, H.value) computed already, so several
     nodes can carry one product; each still runs its own transposed backward.
+    With W the dense product H @ W is not kept: values and gradients are bit
+    for bit those of dspmm(a, matmul_add(H, W)), and the tape is that pair's
+    with the inner node left out, so backward visits every other node in the
+    same order.
     """
-    val = _spmm_value(a, H.value) if product is None else product
+    if W is None:
+        val = _spmm_value(a, H.value) if product is None else product
+
+        def rule(G):
+            H.grad += _spmm_value(a, G, transpose=True)
+
+        return _node(val, (H,), rule)
+    if product is not None:
+        raise ValueError("product is spmm(a, H); it cannot be given with W")
+    if H.shape[1] != W.shape[0]:
+        raise ValueError(f"inner dims disagree: {H.shape} @ {W.shape}")
+
+    def rule_w(G):
+        GM = _spmm_value(a, G, transpose=True)
+        H.grad += GM @ W.value.T
+        W.grad += H.value.T @ GM
+
+    return _node(_spmm_value(a, H.value @ W.value), (H, W), rule_w)
+
+
+def _update_argument(v, inner, terms):
+    out = -_act_forward(v, inner)
+    for t in terms:
+        out = out + t.value
+    return out
+
+
+def act_update(H: DiffValue, W: DiffValue, terms, inner: str,
+               outer: str) -> DiffValue:
+    """outer(-inner(H @ W) + terms[0] + terms[1] + ...), summed left to
+    right, as one node that keeps only its output.
+
+    Values and gradients are bit for bit those of the chain of matmul_add,
+    activation_apply, neg and add nodes it replaces, and the tape is that
+    chain's with the interior nodes left out, so backward visits every other
+    node in the same order and every accumulator receives the same
+    contributions in the same order. backward recomputes H @ W and the
+    argument of outer instead of keeping them.
+    """
+    if H.shape[1] != W.shape[0]:
+        raise ValueError(f"inner dims disagree: {H.shape} @ {W.shape}")
+    terms = tuple(terms)
+    for t in terms:
+        if t.shape != (H.shape[0], W.shape[1]):
+            raise ValueError(f"term shape {t.shape} does not match H @ W")
+    for kind in (inner, outer):
+        if kind not in ACTIVATION_KINDS:
+            raise ValueError(f"unknown activation '{kind}', expected one of {ACTIVATION_KINDS}")
 
     def rule(G):
-        H.grad += _spmm_value(a, G, transpose=True)
+        v = H.value @ W.value
+        g = G * _act_derivative(_update_argument(v, inner, terms), outer)
+        for t in reversed(terms):
+            t.grad += g
+        gv = -(g * _act_derivative(v, inner))
+        H.grad += gv @ W.value.T
+        W.grad += H.value.T @ gv
 
-    return _node(val, (H,), rule)
+    val = _act_forward(_update_argument(H.value @ W.value, inner, terms), outer)
+    return _node(val, (H, W, *terms), rule)
+
+
+def act_matmul_add(X: DiffValue, kind: str, W: DiffValue,
+                   b: DiffValue | None = None) -> DiffValue:
+    """matmul_add(activation_apply(X, kind), W, b) as one node; backward
+    recomputes the activation instead of keeping it.
+
+    Values, gradients and the order of backward are those of the pair it
+    replaces, as for act_update.
+    """
+    if kind not in ACTIVATION_KINDS:
+        raise ValueError(f"unknown activation '{kind}', expected one of {ACTIVATION_KINDS}")
+    if X.shape[1] != W.shape[0]:
+        raise ValueError(f"inner dims disagree: {X.shape} @ {W.shape}")
+    if b is not None and b.shape != (1, W.shape[1]):
+        raise ValueError(f"bias shape {b.shape} must be {(1, W.shape[1])}")
+    val = _act_forward(X.value, kind) @ W.value
+    if b is not None:
+        val = val + b.value
+
+    def rule(G):
+        W.grad += _act_forward(X.value, kind).T @ G
+        if b is not None:
+            b.grad += G.sum(axis=0, keepdims=True)
+        X.grad += (G @ W.value.T) * _act_derivative(X.value, kind)
+
+    return _node(val, (X, W) if b is None else (X, W, b), rule)
 
 
 # ------------------------------------------------------------------- traversal
@@ -476,11 +615,14 @@ def _topo_order(root: DiffValue):
     return order
 
 
-def backward(root: DiffValue, seed=None) -> None:
+def backward(root: DiffValue, seed=None, release: bool = False) -> None:
     """Reverse sweep from a scalar root (or from an explicit seed matrix).
 
     After the sweep, every reachable leaf with requires_grad holds the sum of
     all path contributions in .grad, added on top of whatever was there.
+    release=True frees each interior node's gradient, backward rule and
+    parent links as soon as its rule has run; the sums are the same, values
+    stay readable, but the tape cannot be swept again.
     """
     if seed is None:
         if root.shape != (1, 1):
@@ -493,16 +635,22 @@ def backward(root: DiffValue, seed=None) -> None:
     below = root._sweep
     if below is None:
         below = _topo_order(root)[-2::-1]     # the root is last in post-order
-        root._sweep = below
-    order = (root, *below)
+    root._sweep = None if release else below
+    order = [root, *below]
+    del below
     # interior accumulators start fresh each sweep; leaves keep accumulating
     for node in order:
         if node.backward_rule is not None:
             node._grad = None
     root.grad = root.grad + seed
-    for node in order:
+    for i, node in enumerate(order):
         if node.backward_rule is not None and node.requires_grad:
             node.backward_rule(node.grad)
+        if release:
+            order[i] = None
+            if node.backward_rule is not None:
+                node._grad = node.backward_rule = None
+                node.parents = ()
 
 
 def zero_grads(params) -> None:

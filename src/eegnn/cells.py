@@ -212,11 +212,11 @@ def sas_step(H: DiffValue, a, p: CellParams, tau=None,
         raise ValueError(f"edge_mode {p.edge_mode!r} requires an edge_term")
     oas = antisymmetrize(p.omega_raw)
     ws = symmetrize(p.w_raw)
-    inner = ad.neg(ad.activation_apply(ad.matmul_add(H, oas), p.sigma2))
+    # sigma1(-sigma2(H Oas) [+ edge term] + A H Ws)
+    terms = (ad.dspmm(a, H, W=ws),)
     if edge_term is not None:
-        inner = ad.add(inner, edge_term)
-    inner = ad.add(inner, ad.dspmm(a, ad.matmul_add(H, ws)))
-    upd = ad.activation_apply(inner, p.sigma1)
+        terms = (edge_term, *terms)
+    upd = ad.act_update(H, oas, terms, p.sigma2, p.sigma1)
     tcol = _tau_column(tau, H.shape[0], p.tau)
     return ad.add_scaled_rows(H, upd, tcol)
 
@@ -233,19 +233,18 @@ def baseline_step(H: DiffValue, a, p: CellParams, kind: str,
     if kind == "gcn":
         if not 0 <= layer < len(p.gcn_ws):
             raise ValueError(f"no gcn weight for layer {layer}")
-        return ad.activation_apply(
-            ad.dspmm(a, ad.matmul_add(H, p.gcn_ws[layer])), p.sigma1)
+        return ad.activation_apply(ad.dspmm(a, H, W=p.gcn_ws[layer]), p.sigma1)
     if p.omega_raw is None or p.w_raw is None:
         raise ValueError(f"{kind} step requires omega_raw and w_raw")
     if kind == "graff":
         inner = ad.add(ad.matmul_add(H, symmetrize(p.omega_raw)),
-                       ad.dspmm(a, ad.matmul_add(H, symmetrize(p.w_raw))))
+                       ad.dspmm(a, H, W=symmetrize(p.w_raw)))
         return ad.add(H, ad.smul(ad.activation_apply(inner, p.sigma1), p.tau))
     if kind == "adgn":
         if p.adgn_b is None:
             raise ValueError("adgn step requires adgn_b")
         inner = ad.matmul_add(H, antisymmetrize(p.omega_raw), p.adgn_b)
-        inner = ad.add(inner, ad.dspmm(a, ad.matmul_add(H, p.w_raw)))
+        inner = ad.add(inner, ad.dspmm(a, H, W=p.w_raw))
         return ad.add(H, ad.smul(ad.activation_apply(inner, "tanh"), p.tau))
     raise ValueError(f"unknown baseline kind {kind!r}")
 

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import diagnostics
+from . import autodiff as ad, diagnostics
 from .cells import param_count
 from .diagnostics import ToleranceError
 from .graphs import edge_homophily, gen_minesweeper_grid, gen_sbm, save_graph
@@ -164,7 +164,8 @@ def _metric_bundle(model, data, split: str = "test"):
     the exit state of a node task, all from one eval forward."""
     if model.cfg.task != "node_class":
         return evaluate(model, data, split), None
-    logits, state, _ = forward_node(model, data, "eval_argmax")
+    with ad.no_grad():
+        logits, state, _ = forward_node(model, data, "eval_argmax")
     bundle = node_record(model, data, logits, state, split)
     sel = data.masks[split]
     lv, y = logits.value[sel], np.asarray(data.y)[sel]

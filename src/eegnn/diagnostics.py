@@ -263,7 +263,8 @@ def oracle_exit_eval(model: Model, g: Graph) -> tuple[float, float]:
     if g.y is None:
         raise ValueError("dataset has no labels")
     hs: list = []
-    forward_node(model, g, "eval_argmax", capture=hs)
+    with ad.no_grad():
+        forward_node(model, g, "eval_argmax", capture=hs)
     y = np.asarray(g.y, dtype=np.int64).reshape(-1)
     sel = np.ones(g.n, dtype=bool)
     if g.masks is not None and "test" in g.masks:
@@ -283,7 +284,8 @@ def oracle_exit_eval(model: Model, g: Graph) -> tuple[float, float]:
 def dirichlet_traces(model: Model, g: Graph) -> tuple[Trace, Trace]:
     """Per-layer Dirichlet energy of a forward pass, as sum and per-arc mean."""
     hs: list = []
-    forward_node(model, g, "eval_argmax", capture=hs)
+    with ad.no_grad():
+        forward_node(model, g, "eval_argmax", capture=hs)
     sums = np.array([dirichlet_energy(h, g) for h in hs])
     arcs = max(g.n_arcs, 1)
     layers = np.arange(len(hs))

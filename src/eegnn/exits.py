@@ -152,17 +152,19 @@ def make_exit_heads(rng: np.random.Generator, kind: str, in_dim: int,
 def _backbone_forward(H: DiffValue, layers, out_pair, kind: str, ma,
                       agg=None) -> DiffValue:
     cur = H
-    for layer in layers:
+    for i, layer in enumerate(layers):
+        if i:                       # the last layer's relu is fused into the readout
+            cur = ad.activation_apply(mixed, "relu")
         if kind == "mean_gnn":
             wa, ws, b = layer
-            mixed = ad.add(ad.matmul_add(ad.dspmm(ma, cur, agg), wa),
-                           ad.matmul_add(cur, ws, b))
+            # (M cur) wa + (cur ws + b): the self term rides in as matmul_add's
+            # addend, one node fewer than an add of two products, same sums
+            mixed = ad.matmul_add(ad.dspmm(ma, cur, agg), wa, ad.matmul_add(cur, ws, b))
             agg = None              # agg is H's product; deeper layers make their own
         else:
             w, b = layer
             mixed = ad.matmul_add(cur, w, b)
-        cur = ad.activation_apply(mixed, "relu")
-    return ad.matmul_add(cur, out_pair[0], out_pair[1])
+    return ad.act_matmul_add(mixed, "relu", out_pair[0], out_pair[1])
 
 
 def confidence_logits(H: DiffValue, heads: ExitHeads, ma=None,

@@ -77,8 +77,15 @@ class ArcMatrix:
     jagged diagonals: diagonal k holds the k-th arc of the first
     diag_counts[k] of those rows, the ones whose degree is above k. The arcs
     of the rows of higher degree (high_rows) follow in CSR order, one segment
-    per row starting at high_starts. sweep_cols, sweep_values and
-    sweep_values_t are col_indices, values and values_t in that order.
+    per row starting at high_starts; rows of degree 0 are empty_rows.
+    sweep_cols, sweep_values and
+    sweep_values_t are col_indices, values and values_t in that order;
+    diagonal k occupies positions diag_bounds[k]:diag_bounds[k + 1] of them,
+    and the high rows' arcs start at diag_bounds[-1]. spmm keeps, per width
+    it was called with, the swept values repeated across that many columns
+    (as much memory as one product's gathered rows), because a product with
+    a full-width operand runs several times faster than one broadcast down a
+    column.
     """
 
     n: int
@@ -88,11 +95,15 @@ class ArcMatrix:
     values_t: np.ndarray
     sweep_rows: np.ndarray = field(init=False, repr=False)
     diag_counts: tuple = field(init=False, repr=False)
+    diag_bounds: tuple = field(init=False, repr=False)
     high_rows: np.ndarray = field(init=False, repr=False)
     high_starts: np.ndarray = field(init=False, repr=False)
+    empty_rows: np.ndarray = field(init=False, repr=False)
     sweep_cols: np.ndarray = field(init=False, repr=False)
     sweep_values: np.ndarray = field(init=False, repr=False)
     sweep_values_t: np.ndarray = field(init=False, repr=False)
+    wide_values: dict = field(init=False, repr=False, compare=False,
+                              default_factory=dict)
 
     def __post_init__(self):
         deg = np.diff(self.row_offsets)
@@ -101,9 +112,11 @@ class ArcMatrix:
         counts = [int(np.count_nonzero(deg[low] > k)) for k in range(SWEEP_DEGREE)]
         self.sweep_rows = low
         self.diag_counts = tuple(c for c in counts if c)
+        self.diag_bounds = tuple(np.cumsum((0, *self.diag_counts)).tolist())
         self.high_rows = np.flatnonzero(deg > SWEEP_DEGREE)
         high_deg = deg[self.high_rows]
         self.high_starts = np.cumsum(high_deg) - high_deg
+        self.empty_rows = np.flatnonzero(deg == 0)
         order = np.concatenate(
             [self.row_offsets[low[:c]] + k for k, c in enumerate(self.diag_counts)]
             + [np.flatnonzero(np.repeat(deg > SWEEP_DEGREE, deg))])
@@ -274,6 +287,14 @@ def mean_adj(g: Graph) -> ArcMatrix:
                      values=vals, values_t=vals_t)
 
 
+def _scaled_arcs(H, a, vals, lo, hi=None) -> np.ndarray:
+    """Rows H[v] * value of the arcs at sweep positions lo:hi, a new array;
+    vals holds the values repeated across H's columns."""
+    rows = H.take(a.sweep_cols[lo:hi], axis=0)
+    rows *= vals[lo:hi]
+    return rows
+
+
 def spmm(a, H: np.ndarray, transpose: bool = False) -> np.ndarray:
     """Sparse arc-matrix times dense matrix.
 
@@ -281,29 +302,32 @@ def spmm(a, H: np.ndarray, transpose: bool = False) -> np.ndarray:
     np.add.reduceat gives over the row's arcs in CSR order: the first term
     plus numpy's pairwise sum of the rest. Below 8 remaining terms that sum
     runs left to right, so rows of degree up to SWEEP_DEGREE are swept over
-    a's jagged diagonals: at most 7 vectorised adds, however many rows. Rows
-    of higher degree, such as the hubs of heterophilic benchmark graphs, go
+    a's jagged diagonals: at most 7 vectorised adds, however many rows, each
+    on one diagonal's rows, so no temporary outgrows n x width. Rows of
+    higher degree, such as the hubs of heterophilic benchmark graphs, go
     through one reduceat over their own segments and pay its per-row cost.
     """
     H = np.asarray(H, dtype=np.float64)
     if H.shape[0] != a.n:
         raise ValueError(f"H has {H.shape[0]} rows, expected {a.n}")
-    contrib = H[a.sweep_cols]
-    contrib *= (a.sweep_values_t if transpose else a.sweep_values)[:, None]
-    out = np.zeros((a.n, H.shape[1]))
-    counts = a.diag_counts
-    swept = sum(counts)
-    if counts:
-        # contrib opens with the diagonals, counts[k] rows each
-        diags = np.split(contrib[:swept], np.cumsum(counts[:-1]))
-        if len(diags) > 1:
-            rest = diags[1]
-            for k in range(2, len(diags)):
-                rest[:counts[k]] += diags[k]
-            diags[0][:counts[1]] += rest
-        out[a.sweep_rows] = diags[0]
+    vals = a.wide_values.get((H.shape[1], transpose))
+    if vals is None:
+        v = a.sweep_values_t if transpose else a.sweep_values
+        vals = a.wide_values[H.shape[1], transpose] = np.repeat(v[:, None], H.shape[1], axis=1)
+    out = np.empty((a.n, H.shape[1]))
+    out[a.empty_rows] = 0.0                 # every other row is written below
+    b = a.diag_bounds
+    if len(b) > 1:
+        first = _scaled_arcs(H, a, vals, b[0], b[1])
+        if len(b) > 2:
+            rest = _scaled_arcs(H, a, vals, b[1], b[2])
+            for k in range(2, len(b) - 1):
+                rest[:b[k + 1] - b[k]] += _scaled_arcs(H, a, vals, b[k], b[k + 1])
+            first[:b[2] - b[1]] += rest
+        out[a.sweep_rows] = first
     if a.high_rows.size:
-        out[a.high_rows] = np.add.reduceat(contrib[swept:], a.high_starts, axis=0)
+        out[a.high_rows] = np.add.reduceat(_scaled_arcs(H, a, vals, b[-1]),
+                                           a.high_starts, axis=0)
     return out
 
 

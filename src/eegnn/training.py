@@ -540,7 +540,7 @@ def _train_step(model: Model, data, ops, named, opt: OptimState, rng,
     if not np.isfinite(lv):
         raise TrainDivergenceError(epoch, lv)
     ad.zero_grads([p for _, p in named])
-    ad.backward(loss)
+    ad.backward(loss, release=True)
     adam_step(named, opt)
     return lv
 
@@ -549,18 +549,18 @@ def _eval_splits(model: Model, data, ops):
     """Validation metric, test metric and the validation split's mean exit
     layer, from one deterministic forward.
 
-    Returns plain numbers only: holding the eval logits in the caller would
-    keep their whole tape alive through the next training step.
+    The forward records no tape, and only plain numbers leave this function.
     """
     metric = model.cfg.metric
-    if isinstance(data, GraphSet):
-        preds, states = _forward_graph_set(model, data, ops, "eval_argmax", None)
-        out = np.vstack([p.value for p in preds])
-        masks = {k: np.asarray(m, dtype=bool) for k, m in data.masks.items()}
-        vstates = [s for s, m in zip(states, masks["val"]) if m and s is not None]
-    else:
-        logits, vstates, _ = forward_node(model, data, "eval_argmax", ops=ops)
-        out, masks = logits.value, data.masks
+    with ad.no_grad():
+        if isinstance(data, GraphSet):
+            preds, states = _forward_graph_set(model, data, ops, "eval_argmax", None)
+            out = np.vstack([p.value for p in preds])
+            masks = {k: np.asarray(m, dtype=bool) for k, m in data.masks.items()}
+            vstates = [s for s, m in zip(states, masks["val"]) if m and s is not None]
+        else:
+            logits, vstates, _ = forward_node(model, data, "eval_argmax", ops=ops)
+            out, masks = logits.value, data.masks
     val, test = (metric_eval(_metric_predictions(out[masks[k]], metric),
                              data.y[masks[k]], metric) for k in ("val", "test"))
     return val, test, _mean_exit_layer(model, vstates)
@@ -634,10 +634,11 @@ def evaluate(model: Model, data, split: str = "test", mode: str = "eval_argmax",
     if mode == "train_sample" and rng is None:
         rng = np.random.Generator(np.random.PCG64(model.cfg.seed))
     ops = _operators(model, data)
-    if model.cfg.task == "node_class":
-        logits, state, _ = forward_node(model, data, mode, rng, ops=ops)
-        return node_record(model, data, logits, state, split, mode)
-    value, loss, states = _eval_graph_set(model, data, ops, split, mode, rng)
+    with ad.no_grad():
+        if model.cfg.task == "node_class":
+            logits, state, _ = forward_node(model, data, mode, rng, ops=ops)
+            return node_record(model, data, logits, state, split, mode)
+        value, loss, states = _eval_graph_set(model, data, ops, split, mode, rng)
     return _record(model, split, mode, value, loss, states)
 
 

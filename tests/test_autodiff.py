@@ -50,6 +50,18 @@ def test_relu_tanh_values():
     assert out.value[0, 1] == pytest.approx(math.tanh(1.0), abs=1e-12)
 
 
+def test_relu_tanh_equals_the_select_bit_for_bit():
+    rng = np.random.default_rng(12)
+    x = rng.normal(size=(40, 7)) * rng.choice([1e-310, 1e-3, 1.0, 30.0], size=(40, 1))
+    x.ravel()[:7] = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324]
+    for v in (x, x.T):                       # contiguous and strided input
+        t = np.tanh(v)
+        want = np.where(v > 0, t, 0.0)
+        want_d = np.where(v > 0, 1.0 - t * t, 0.0)
+        assert ad._act_forward(v, "relu_tanh").tobytes() == want.tobytes()
+        assert ad._act_derivative(v, "relu_tanh").tobytes() == want_d.tobytes()
+
+
 def test_relu_tanh_subgradient_zero_at_zero():
     x = ad.leaf([[0.0]])
     ad.backward(ad.sum_all(ad.activation_apply(x, "relu_tanh")))
@@ -89,6 +101,28 @@ def test_log_softmax_rows_exponentiate_to_one():
     out = ad.row_log_softmax(ad.leaf(rng.normal(size=(6, 5)) * 10))
     sums = np.exp(out.value).sum(axis=1)
     assert np.abs(sums - 1.0).max() <= 1e-12
+
+
+def test_row_softmaxes_equal_numpy_reductions_bit_for_bit():
+    rng = np.random.default_rng(21)
+    specials = [0.0, -0.0, 1.0, -1.0, np.inf, -np.inf]
+    for _ in range(400):
+        n, k = int(rng.integers(1, 30)), int(rng.integers(1, 11))
+        x = rng.normal(size=(n, k)) * rng.choice([1e-320, 1e-3, 1.0, 1e300])
+        hit = rng.random((n, k)) < 0.3
+        x[hit] = rng.choice(specials, size=hit.sum())
+        with np.errstate(all="ignore"):
+            assert ad._row_sum(x).tobytes() == x.sum(axis=1, keepdims=True).tobytes()
+            shifted = x - x.max(axis=1, keepdims=True)
+            e = np.exp(shifted)
+            lsm = shifted - np.log(e.sum(axis=1, keepdims=True))
+            sm = e / e.sum(axis=1, keepdims=True)
+            X = ad.leaf(x)
+            for got, want in ((ad.row_log_softmax(X).value, lsm),
+                              (ad.softmax_rows(X).value, sm)):
+                nan = np.isnan(want)             # NaN payloads may differ
+                assert np.array_equal(np.isnan(got), nan)
+                assert got[~nan].tobytes() == want[~nan].tobytes()
 
 
 def test_log_softmax_gradient():
@@ -232,6 +266,7 @@ def _one_op_cases(rng):
     A = ad.leaf(draw(n, m))
     B = ad.leaf(draw(n, m))
     Wk = ad.leaf(draw(m, k))
+    Wm = ad.leaf(draw(m, m) / m)
     bias = ad.leaf(draw(1, k))
     t = ad.leaf(rng.uniform(0.1, 0.9, size=(n, 1)))
     row = ad.leaf(draw(1, m))
@@ -274,6 +309,10 @@ def _one_op_cases(rng):
          lambda: ad.sum_all(ad.mul(ad.masked_mean_pool(A, mask=mask),
                                    probe_row))),
         ("sum_all", [A], lambda: ad.sum_all(A)),
+        ("act_update", [A, Wm, B],
+         lambda: score(ad.act_update(A, Wm, [B], "tanh", "softplus"))),
+        ("act_matmul_add", [A, Wk, bias],
+         lambda: score(ad.act_matmul_add(A, "tanh", Wk, bias), probek)),
     ]
     for kind in ("relu", "tanh", "relu_tanh", "softplus", "sigmoid", "identity"):
         cases.append((f"act_{kind}", [A],
@@ -382,3 +421,146 @@ def test_swept_tape_is_freed_without_the_cycle_collector():
         assert ref() is None                 # no reference cycle kept it
     finally:
         gc.enable()
+
+
+# ------------------------------------------------ eval without a tape, release
+
+def test_no_grad_records_no_tape_and_computes_the_same_values():
+    rng = np.random.default_rng(3)
+    W = rand_leaf(rng, (3, 4))
+    X = ad.constant(rng.normal(size=(5, 3)))
+    taped = ad.activation_apply(ad.matmul_add(X, W), "tanh")
+    with ad.no_grad():
+        free = ad.activation_apply(ad.matmul_add(X, W), "tanh")
+        with ad.no_grad():
+            pass
+        inner = ad.smul(free, 2.0)           # still off after a nested block
+    assert np.array_equal(free.value, taped.value)
+    for node in (free, inner):
+        assert node.parents == () and node.backward_rule is None
+        assert not node.requires_grad
+    assert ad.smul(free, 2.0).backward_rule is not None     # back on after
+
+
+def test_no_grad_restores_taping_after_an_error():
+    with pytest.raises(ValueError):
+        with ad.no_grad():
+            ad.add(ad.constant(np.ones((1, 2))), ad.constant(np.ones((2, 1))))
+    assert ad.neg(ad.leaf(np.ones((1, 1)))).backward_rule is not None
+
+
+def _two_layer_loss(rng_seed):
+    rng = np.random.default_rng(rng_seed)
+    W = ad.leaf(rng.normal(size=(4, 4)))
+    b = ad.leaf(rng.normal(size=(1, 4)))
+    H = ad.constant(rng.normal(size=(6, 4)))
+    for _ in range(3):
+        H = ad.add(H, ad.activation_apply(ad.matmul_add(H, W, b), "tanh"))
+    return W, b, H, ad.sum_all(ad.mul(H, H))
+
+
+def test_release_sweep_gives_the_retained_sweeps_gradients_and_frees_the_tape():
+    W1, b1, _, root1 = _two_layer_loss(5)
+    ad.backward(root1)
+    gc.disable()
+    try:
+        W2, b2, H, root2 = _two_layer_loss(5)
+        value = root2.value.copy()
+        ref = weakref.ref(H)
+        ad.backward(root2, release=True)
+        assert np.array_equal(W2.grad.view(np.int64), W1.grad.view(np.int64))
+        assert np.array_equal(b2.grad.view(np.int64), b1.grad.view(np.int64))
+        assert np.array_equal(root2.value, value)        # values stay readable
+        assert root2.parents == () and root2.backward_rule is None
+        assert H.parents == () and H.backward_rule is None
+        del H
+        assert ref() is None                 # nothing holds the swept tape
+    finally:
+        gc.enable()
+
+
+# ------------------------------------------------------------ fused ops
+
+def _fused_inputs(seed, n, m):
+    rng = np.random.default_rng(seed)
+    g = canonicalize([(i, (i + 1) % n) for i in range(n)]
+                     + [(i, (i * 5 + 2) % n) for i in range(n)], n)
+    H = ad.leaf(rng.normal(size=(n, m)))
+    H.value[rng.random((n, m)) < 0.2] = 0.0          # exact zeros and ties
+    H.value[0, 0] = -0.0
+    W = ad.leaf(rng.normal(size=(m, m)) / np.sqrt(m))
+    E = ad.leaf(rng.normal(size=(n, m)))
+    probe = rng.normal(size=(n, m))
+    return norm_adj(g), H, W, E, probe
+
+
+def _sweep(out, H, probe, leaves):
+    # H also feeds the root directly, so its accumulator sums contributions
+    # from inside and outside the fused node
+    root = ad.add(ad.sum_all(ad.mul_const(out, probe)), ad.sum_all(ad.mul(H, H)))
+    ad.zero_grads(leaves)
+    ad.backward(root)
+    return [out.value.copy()] + [p.grad.copy() for p in leaves]
+
+
+def _bits_equal(xs, ys):
+    return all(np.array_equal(x.view(np.int64), y.view(np.int64))
+               for x, y in zip(xs, ys))
+
+
+def test_dspmm_with_w_equals_dspmm_of_matmul_bit_for_bit():
+    for seed in range(5):
+        a, H, W, _, probe = _fused_inputs(seed, 13, 6)
+        fused = _sweep(ad.dspmm(a, H, W=W), H, probe, [H, W])
+        chain = _sweep(ad.dspmm(a, ad.matmul_add(H, W)), H, probe, [H, W])
+        assert _bits_equal(fused, chain)
+
+
+@pytest.mark.parametrize("inner,outer", [("relu", "relu_tanh"), ("tanh", "softplus"),
+                                         ("identity", "sigmoid")])
+@pytest.mark.parametrize("with_e", [False, True])
+def test_act_update_equals_its_chain_bit_for_bit(inner, outer, with_e):
+    for seed in range(5):
+        a, H, W, E, probe = _fused_inputs(seed, 13, 6)
+        leaves = [H, W, E]
+
+        def terms():
+            d = ad.dspmm(a, H, W=W)
+            return (E, d) if with_e else (d,)
+
+        fused = _sweep(ad.act_update(H, W, terms(), inner, outer), H, probe, leaves)
+        x = ad.neg(ad.activation_apply(ad.matmul_add(H, W), inner))
+        for t in terms():
+            x = ad.add(x, t)
+        chain = _sweep(ad.activation_apply(x, outer), H, probe, leaves)
+        assert _bits_equal(fused, chain)
+
+
+@pytest.mark.parametrize("kind", ["relu", "tanh", "softplus"])
+@pytest.mark.parametrize("with_bias", [False, True])
+def test_act_matmul_add_equals_its_pair_bit_for_bit(kind, with_bias):
+    for seed in range(5):
+        _, H, W, _, _ = _fused_inputs(seed, 11, 5)
+        rng = np.random.default_rng(seed)
+        Wo = ad.leaf(rng.normal(size=(5, 3)))
+        b = ad.leaf(rng.normal(size=(1, 3))) if with_bias else None
+        probe = rng.normal(size=(11, 3))
+        leaves = [H, Wo] + ([b] if with_bias else [])
+        fused = _sweep(ad.act_matmul_add(H, kind, Wo, b), H, probe, leaves)
+        chain = _sweep(ad.matmul_add(ad.activation_apply(H, kind), Wo, b), H,
+                       probe, leaves)
+        assert _bits_equal(fused, chain)
+
+
+def test_fused_ops_reject_bad_shapes_and_kinds():
+    a, H, W, E, _ = _fused_inputs(0, 7, 4)
+    with pytest.raises(ValueError):
+        ad.dspmm(a, H, W=ad.leaf(np.ones((3, 4))))
+    with pytest.raises(ValueError):
+        ad.dspmm(a, H, product=np.zeros((7, 4)), W=W)
+    with pytest.raises(ValueError):
+        ad.act_update(H, W, [ad.leaf(np.ones((7, 3)))], "relu", "tanh")
+    with pytest.raises(ValueError):
+        ad.act_update(H, W, [E], "relu", "gelu")
+    with pytest.raises(ValueError):
+        ad.act_matmul_add(H, "relu", W, ad.leaf(np.ones((2, 4))))

@@ -271,6 +271,30 @@ def test_forward_stops_after_the_last_exit(case, mode, layers):
     assert st.exited.all() == (layers < 8)
 
 
+@pytest.mark.parametrize("mode", ["eval_argmax", "train_sample"])
+@pytest.mark.parametrize("case", sorted(STOP_CASES))
+def test_forward_without_a_tape_is_bit_identical(mode, case):
+    seed, exit_bias, shift, _ = STOP_CASES[case]
+    runs = []
+    for taping in (True, False):
+        g, params, heads, _ = graph_and_params(seed=seed)
+        if exit_bias is not None:
+            force_heads(heads, exit_bias)
+        heads.fc_out[1].value[...] += [[-shift, shift]]
+        rng = np.random.default_rng(40 + seed) if mode == "train_sample" else None
+        if taping:
+            runs.append(eegnn_forward_node(g, params, heads, L=8, rng=rng, mode=mode))
+        else:
+            with ad.no_grad():
+                runs.append(eegnn_forward_node(g, params, heads, L=8, rng=rng,
+                                               mode=mode))
+    (Z, st, recs), (Zf, stf, recsf) = runs
+    assert Zf.parents == () and Z.value.tobytes() == Zf.value.tobytes()
+    for field in ("exited", "exit_layer", "exit_time", "Z"):
+        assert getattr(st, field).tobytes() == getattr(stf, field).tobytes()
+    assert recs == recsf
+
+
 def test_eval_mode_needs_no_rng_and_is_deterministic():
     g, params, heads, _ = graph_and_params(seed=3)
     out1 = eegnn_forward_node(g, params, heads, L=4, mode="eval_argmax")

@@ -408,6 +408,27 @@ def test_end_to_end_gradient_matches_fd_with_frozen_noise():
     assert ad.fd_check(loss, [p for _, p in named]) <= 1e-4
 
 
+def test_only_training_forwards_record_a_tape(monkeypatch, tmp_path):
+    from eegnn import cli, training
+    seen = []
+    original = training.forward_node
+
+    def spy(model, g, mode="eval_argmax", *args, **kwargs):
+        seen.append((mode, ad._taping))
+        return original(model, g, mode, *args, **kwargs)
+
+    monkeypatch.setattr(training, "forward_node", spy)
+    monkeypatch.setattr(cli, "forward_node", spy)
+    g = sbm(seed=17)
+    cfg = quick_cfg(model="eegnn", epochs=2)
+    model, _ = train_run(cfg, g)
+    evaluate(model, g)
+    cli._metric_bundle(model, g)
+    assert seen == [("train_sample", True), ("eval_argmax", False)] * 2 \
+        + [("eval_argmax", False)] * 2
+    assert ad._taping
+
+
 # ------------------------------------------------------------------- artefacts
 
 def test_history_csv_format():
