@@ -5,11 +5,14 @@ Exit codes: 0 success, 1 invalid configuration or arguments or a malformed
 dataset or checkpoint file, 2 runtime failure, 3 a diagnostic ran but landed
 outside its tolerance.
 
-Option precedence is defaults, then command-line flags, then the --config
-file: the file is the run's authoritative record, so its values win over
-flags. Every output is byte-reproducible for a fixed config and seed: JSON
-is written with sorted keys, floats keep their shortest round-trip form, and
-nothing timestamps itself.
+Every command resolves its settings in one place, `_config`: defaults, then
+command-line flags, then the --config file; the file is the run's
+authoritative record, so its values win over flags. A key takes the type of
+its default under `training.coerce_keys`, the rule `RunConfig` uses, so an
+unknown or mistyped key exits 1 from any command. Every output is
+byte-reproducible for a fixed config and seed: JSON is written with sorted
+keys, floats keep their shortest round-trip form, and nothing timestamps
+itself.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -25,10 +29,11 @@ import numpy as np
 from . import autodiff as ad, diagnostics
 from .cells import param_count
 from .diagnostics import ToleranceError
-from .graphs import edge_homophily, gen_minesweeper_grid, gen_sbm, save_graph
-from .training import ConfigError, GraphSet, RunConfig, build_model, \
+from .graphs import degrees, edge_homophily, gen_minesweeper_grid, gen_sbm, \
+    save_graph
+from .training import ConfigError, GraphSet, RunConfig, coerce_keys, \
     evaluate, exit_csv, forward_node, history_csv, load_checkpoint, \
-    load_dataset, metric_eval, node_record, save_checkpoint, \
+    load_dataset, metric_eval, model_for, node_record, save_checkpoint, \
     scores_from_logits, train_run
 
 EXIT_OK = 0
@@ -90,59 +95,52 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _merge(defaults: dict, flag_over: dict, file_cfg: dict) -> dict:
-    unknown = sorted(set(file_cfg) - set(defaults))
-    if unknown:
-        raise ConfigError([f"unknown config key {k!r}" for k in unknown])
-    merged = dict(defaults)
-    merged.update(flag_over)
-    merged.update(file_cfg)
-    return merged
+def _config(args, own: dict, run: bool = False) -> tuple[dict, RunConfig | None]:
+    """One command's settings: its own keys, and a RunConfig when run is set.
 
-
-def _run_config(args, file_cfg: dict) -> RunConfig:
-    base = RunConfig().to_dict()
-    if args.seed is not None:
-        base["seed"] = args.seed
-    base.update(file_cfg)
-    return RunConfig.from_dict(base)
-
-
-def _split_diag_config(file_cfg: dict) -> tuple[dict, dict]:
-    run_keys = set(RunConfig().to_dict())
-    diag, run, unknown = dict(DIAG_DEFAULTS), {}, []
-    for key, val in file_cfg.items():
-        if key in DIAG_DEFAULTS:
-            diag[key] = val
-        elif key in run_keys:
-            run[key] = val
-        else:
-            unknown.append(key)
-    if unknown:
-        raise ConfigError([f"unknown config key {k!r}" for k in sorted(unknown)])
-    return diag, run
+    Defaults, then the flags named like a key, then the --config file; each
+    key is routed to the command's own keys or to RunConfig and coerced to
+    its default's type. Every problem is raised together in one ConfigError.
+    """
+    run_defaults = asdict(RunConfig()) if run else {}
+    defaults = {**run_defaults, **own}
+    given = {k: getattr(args, k) for k in defaults
+             if getattr(args, k, None) is not None}
+    given.update(_read_config(args.config))
+    values, errors = coerce_keys(defaults, given)
+    cfg = None
+    if run:
+        try:
+            cfg = RunConfig.from_dict({k: values[k] for k in run_defaults
+                                       if k in values})
+        except ConfigError as exc:
+            errors += exc.messages
+    if errors:
+        raise ConfigError(errors)
+    return {k: values.get(k, d) for k, d in own.items()}, cfg
 
 
 # ---------------------------------------------------------------- commands
 
 def cmd_generate(args) -> None:
-    file_cfg = _read_config(args.config)
-    flag_over = {} if args.seed is None else {"seed": args.seed}
-    cfg = _merge(GEN_DEFAULTS, flag_over, file_cfg)
+    cfg, _ = _config(args, GEN_DEFAULTS)
     if cfg["dataset"] not in ("minesweeper", "sbm"):
         raise ConfigError([f"dataset must be 'minesweeper' or 'sbm', got {cfg['dataset']!r}"])
     try:
         if cfg["dataset"] == "minesweeper":
-            g = gen_minesweeper_grid(int(cfg["rows"]), int(cfg["cols"]),
-                                     float(cfg["mine_prob"]), int(cfg["seed"]),
-                                     unknown_frac=float(cfg["unknown_frac"]))
+            g = gen_minesweeper_grid(cfg["rows"], cfg["cols"], cfg["mine_prob"],
+                                     cfg["seed"], unknown_frac=cfg["unknown_frac"])
         else:
-            g = gen_sbm([int(s) for s in cfg["sizes"]], float(cfg["p_in"]),
-                        float(cfg["p_out"]), int(cfg["seed"]),
-                        feature_dim=int(cfg["feature_dim"]),
-                        feature_shift=float(cfg["feature_shift"]))
-    except (TypeError, ValueError) as exc:
+            g = gen_sbm(cfg["sizes"], cfg["p_in"], cfg["p_out"], cfg["seed"],
+                        feature_dim=cfg["feature_dim"],
+                        feature_shift=cfg["feature_shift"])
+    except ValueError as exc:
         raise ConfigError([str(exc)])
+    isolated = np.flatnonzero(degrees(g) == 0)
+    if isolated.size:
+        raise ConfigError([f"the generated graph has {isolated.size} isolated "
+                           f"nodes (first: node {isolated[0]}), which training "
+                           f"rejects; raise p_in or p_out"])
     out = _out_dir(args)
     save_graph(g, out / "graph.json")
     labels, counts = np.unique(g.y, return_counts=True)
@@ -188,15 +186,11 @@ def _load_data(path):
 
 
 def cmd_train(args) -> None:
-    file_cfg = _read_config(args.config)
-    data_path = file_cfg.pop("data", None) or args.data
-    cfg = _run_config(args, file_cfg)
-    data = _load_data(data_path)
+    opts, cfg = _config(args, {"data": None}, run=True)
+    data = _load_data(opts["data"])
     model, history = train_run(cfg, data)
     out = _out_dir(args)
-    resolved = cfg.to_dict()
-    resolved["data"] = str(data_path)
-    _write_json(resolved, out / "resolved_config.json")
+    _write_json({**cfg.to_dict(), **opts}, out / "resolved_config.json")
     (out / "history.csv").write_text(history_csv(history))
     save_checkpoint(model, out / "checkpoint.json")
     bundle, state = _metric_bundle(model, data)
@@ -209,23 +203,16 @@ def cmd_train(args) -> None:
 
 
 def cmd_evaluate(args) -> None:
-    file_cfg = _read_config(args.config)
-    data_path = file_cfg.pop("data", None) or args.data
-    ckpt_path = file_cfg.pop("checkpoint", None) or args.checkpoint
-    if ckpt_path is None:
+    opts, _ = _config(args, {"data": None, "checkpoint": None})
+    if opts["checkpoint"] is None:
         raise ConfigError(["no checkpoint given: pass --checkpoint or config key 'checkpoint'"])
-    if file_cfg:
-        raise ConfigError([f"unknown config key {k!r}" for k in sorted(file_cfg)])
-    model = load_checkpoint(ckpt_path)
-    data = _load_data(data_path)
+    model = load_checkpoint(opts["checkpoint"])
+    data = _load_data(opts["data"])
     mode = "train_sample" if args.mode == "train" else "eval_argmax"
-    rec = evaluate(model, data, "test", mode=mode,
-                   rng=np.random.Generator(np.random.PCG64(model.cfg.seed)))
+    rec = evaluate(model, data, "test", mode=mode)
     out = _out_dir(args)
-    resolved = model.cfg.to_dict()
-    resolved.update({"data": str(data_path), "checkpoint": str(ckpt_path),
-                     "mode": mode})
-    _write_json(resolved, out / "resolved_config.json")
+    _write_json({**model.cfg.to_dict(), **opts, "mode": mode},
+                out / "resolved_config.json")
     _write_json(rec, out / "metrics.json")
     print(f"test {rec['metric']} = {rec['value']}")
 
@@ -240,29 +227,17 @@ def _diag_graph(diag: dict, cfg: RunConfig):
 
 
 def _fresh_model(cfg: RunConfig, g):
-    out_dim = int(np.max(g.y)) + 1 if cfg.loss == "ce" else 1
-    rng = np.random.Generator(np.random.PCG64(cfg.seed))
-    return build_model(cfg, g.X.shape[1], out_dim, rng)
+    return model_for(cfg, g, np.random.Generator(np.random.PCG64(cfg.seed)))
 
 
 def cmd_diagnose(args) -> None:
     if args.name is None or args.name not in DIAG_NAMES:
         raise ConfigError([f"unknown diagnostic {args.name!r}; valid names: "
                            + ", ".join(DIAG_NAMES)])
-    file_cfg = _read_config(args.config)
-    diag, run_over = _split_diag_config(file_cfg)
-    if "data" not in file_cfg and args.data is not None:
-        diag["data"] = args.data
-    base = RunConfig().to_dict()
-    if args.seed is not None:
-        base["seed"] = args.seed
-    base.update(run_over)
-    cfg = RunConfig.from_dict(base)
+    diag, cfg = _config(args, DIAG_DEFAULTS, run=True)
     out = _out_dir(args)
-    resolved = cfg.to_dict()
-    resolved.update(diag)
-    resolved["diagnostic"] = args.name
-    _write_json(resolved, out / "resolved_config.json")
+    _write_json({**cfg.to_dict(), **diag, "diagnostic": args.name},
+                out / "resolved_config.json")
 
     report = {"diagnostic": args.name, "seed": cfg.seed}
     if args.name == "dirichlet":
@@ -276,11 +251,11 @@ def cmd_diagnose(args) -> None:
                        "final_over_initial": final / initial if initial else None,
                        "pass": True})
     elif args.name == "energy_descent":
-        rep = diagnostics.descent_suite(int(diag["cases"]), int(diag["steps"]),
-                                        float(diag["step_tau"]), seed=cfg.seed)
+        rep = diagnostics.descent_suite(diag["cases"], diag["steps"],
+                                        diag["step_tau"], seed=cfg.seed)
         report.update(rep)
     elif args.name == "spectrum":
-        rep = diagnostics.spectrum_suite(int(diag["cases"]), seed=cfg.seed)
+        rep = diagnostics.spectrum_suite(diag["cases"], seed=cfg.seed)
         report.update(rep)
     elif args.name == "sensitivity":
         g = _diag_graph(diag, cfg)
@@ -295,8 +270,7 @@ def cmd_diagnose(args) -> None:
         })
     elif args.name == "depth_retention":
         g = _diag_graph(diag, cfg)
-        rows = diagnostics.depth_retention(g, list(diag["kinds"]),
-                                           [int(d) for d in diag["depths"]], cfg)
+        rows = diagnostics.depth_retention(g, diag["kinds"], diag["depths"], cfg)
         verdicts = {}
         for kind in diag["kinds"]:
             vals = [r["value"] for r in rows if r["kind"] == kind]
@@ -321,19 +295,15 @@ def cmd_diagnose(args) -> None:
 
 
 def cmd_param_count(args) -> None:
-    file_cfg = _read_config(args.config)
-    extras = {"feat_dim": 10, "out_dim": 2, "edge_dim": 0}
-    for key in list(extras):
-        if key in file_cfg:
-            extras[key] = int(file_cfg.pop(key))
-    cfg = _run_config(args, file_cfg)
-    counts = param_count(cfg.model, cfg.task, cfg.depth, extras["feat_dim"],
-                         cfg.hidden, extras["out_dim"],
-                         edge_mode=cfg.edge_mode, edge_dim=extras["edge_dim"],
+    dims, cfg = _config(args, {"feat_dim": 10, "out_dim": 2, "edge_dim": 0},
+                        run=True)
+    counts = param_count(cfg.model, cfg.task, cfg.depth, dims["feat_dim"],
+                         cfg.hidden, dims["out_dim"],
+                         edge_mode=cfg.edge_mode, edge_dim=dims["edge_dim"],
                          dec_hidden=cfg.dec_hidden, exit_hidden=cfg.exit_hidden,
                          exit_depth=cfg.exit_depth)
     doc = {"model": cfg.model, "depth": cfg.depth, "hidden": cfg.hidden,
-           **extras, **counts}
+           **dims, **counts}
     out = _out_dir(args)
     _write_json(doc, out / "counts.json")
     print(json.dumps(doc, sort_keys=True, indent=2))
@@ -354,7 +324,8 @@ def build_parser() -> argparse.ArgumentParser:
     for name, fn, help_text in specs:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", metavar="PATH", help="JSON config; overrides flags")
-        p.add_argument("--seed", type=int, help="run seed")
+        if name in ("generate", "train", "diagnose"):
+            p.add_argument("--seed", type=int, help="run seed")
         p.add_argument("--out", metavar="DIR", default=".", help="output directory")
         if name in ("train", "evaluate", "diagnose"):
             p.add_argument("--data", metavar="PATH", help="dataset JSON")

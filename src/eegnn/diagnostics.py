@@ -11,7 +11,7 @@ its own exit code.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,7 +21,8 @@ from .cells import CellParams, build_operators, decode, encode, make_cell_params
     propagate
 from .eig import eigvals
 from .graphs import Graph, arc_rows, degrees, gen_sbm, pair_index
-from .training import Model, evaluate, forward_node, metric_eval, train_run
+from .training import ConfigError, Model, RunConfig, evaluate, forward_node, \
+    metric_eval, train_run
 
 __all__ = [
     "ToleranceError",
@@ -206,7 +207,7 @@ def sensitivity(model: Model, g: Graph, layer: int) -> float:
     """
     cfg = model.cfg
     if cfg.model == "eegnn":
-        raise ValueError("sensitivity needs a fixed-depth model kind")
+        raise ConfigError(["sensitivity needs a fixed-depth model kind"])
     if not 0 <= layer <= cfg.depth:
         raise ValueError(f"layer must lie in 0..{cfg.depth}, got {layer}")
     n, width = g.n, cfg.hidden
@@ -231,15 +232,17 @@ def sensitivity(model: Model, g: Graph, layer: int) -> float:
 
 
 def depth_retention(data, kinds, depths, base_cfg) -> list[dict]:
-    """Test metric for every (kind, depth) pair, each trained from scratch."""
+    """Test metric for every (kind, depth) pair, each trained from scratch;
+    every pair's config is validated before the first one trains."""
+    base = base_cfg.to_dict()
+    cfgs = [RunConfig.from_dict({**base, "model": kind, "depth": L})
+            for kind in kinds for L in depths]
     rows = []
-    for kind in kinds:
-        for L in depths:
-            cfg = replace(base_cfg, model=kind, depth=L)
-            model, _ = train_run(cfg, data)
-            rec = evaluate(model, data, "test")
-            rows.append({"kind": kind, "depth": L, "metric": cfg.metric,
-                         "value": rec["value"]})
+    for cfg in cfgs:
+        model, _ = train_run(cfg, data)
+        rec = evaluate(model, data, "test")
+        rows.append({"kind": cfg.model, "depth": cfg.depth, "metric": cfg.metric,
+                     "value": rec["value"]})
     return rows
 
 
@@ -259,7 +262,7 @@ def oracle_exit_eval(model: Model, g: Graph) -> tuple[float, float]:
     masks are present.
     """
     if model.cfg.task != "node_class":
-        raise ValueError("oracle exit analysis is defined for node tasks")
+        raise ConfigError(["oracle exit analysis is defined for node tasks"])
     if g.y is None:
         raise ValueError("dataset has no labels")
     hs: list = []

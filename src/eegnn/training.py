@@ -13,7 +13,7 @@ import json
 import math
 import numbers
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -29,6 +29,7 @@ __all__ = [
     "ConfigError",
     "TrainDivergenceError",
     "RunConfig",
+    "coerce_keys",
     "GraphSet",
     "Model",
     "OptimState",
@@ -39,6 +40,7 @@ __all__ = [
     "metric_eval",
     "scores_from_logits",
     "build_model",
+    "model_for",
     "forward_node",
     "train_run",
     "evaluate",
@@ -71,8 +73,14 @@ class TrainDivergenceError(RuntimeError):
         super().__init__(f"non-finite loss {value} at epoch {epoch}")
 
 
-def _coerce(v, kind):
-    """v as a value of type kind under from_dict's rules, or None."""
+def _coerce(v, default):
+    """v as a value of default's type under coerce_keys' rules, or None."""
+    if isinstance(default, list):
+        if not (isinstance(v, list) and v):
+            return None
+        items = [_coerce(x, default[0]) for x in v]
+        return None if any(x is None for x in items) else items
+    kind = str if default is None else type(default)
     if kind is bool:
         return v if isinstance(v, bool) else None
     if kind is tuple:
@@ -87,6 +95,36 @@ def _coerce(v, kind):
             return None
         return int(v)
     return float(v)
+
+
+def _type_name(default) -> str:
+    if isinstance(default, list):
+        return f"non-empty list of {type(default[0]).__name__}"
+    names = {type(None): "path string", tuple: "list"}
+    return names.get(type(default), type(default).__name__)
+
+
+def coerce_keys(defaults: dict, d: dict) -> tuple[dict, list[str]]:
+    """d's values, each coerced to the type of its key's default, and one
+    message per key that is unknown or cannot be coerced.
+
+    A bool takes only a bool, a str only a str, an int an int or an integral
+    float, a float any number; a bool is never taken as a number. A tuple
+    default takes any list, a list default a non-empty list of its first
+    item's type, and a None default a path string.
+    """
+    errors = [f"unknown config key {k!r}" for k in sorted(set(d) - set(defaults))]
+    values = {}
+    for key, default in defaults.items():
+        if key not in d:
+            continue
+        v = _coerce(d[key], default)
+        if v is None:
+            errors.append(f"config key {key!r}: cannot coerce {d[key]!r} "
+                          f"to {_type_name(default)}")
+        else:
+            values[key] = v
+    return values, errors
 
 
 @dataclass
@@ -115,26 +153,10 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
-        """Validated config from a JSON-style dict.
-
-        Coercion is strict: an int field takes an int or an integral float,
-        a float field an int or a float, a bool field only a bool; a bool is
-        never taken as a number. Every problem lands in one ConfigError.
-        """
-        known = {f.name for f in fields(cls)}
-        errors = [f"unknown config key {k!r}" for k in sorted(set(d) - known)]
-        cfg = cls()
-        for f in fields(cls):
-            if f.name not in d:
-                continue
-            kind = type(getattr(cfg, f.name))
-            v = _coerce(d[f.name], kind)
-            if v is None:
-                want = "list" if kind is tuple else kind.__name__
-                errors.append(f"config key {f.name!r}: cannot coerce {d[f.name]!r} "
-                              f"to {want}")
-            else:
-                setattr(cfg, f.name, v)
+        """Validated config from a JSON-style dict, each key coerced by
+        coerce_keys; every problem lands in one ConfigError."""
+        values, errors = coerce_keys(asdict(cls()), d)
+        cfg = cls(**values)
         errors += cfg._check()
         if errors:
             raise ConfigError(errors)
@@ -178,7 +200,7 @@ class RunConfig:
         return e
 
     def to_dict(self) -> dict:
-        d = {f.name: getattr(self, f.name) for f in fields(self)}
+        d = asdict(self)
         d["dec_hidden"] = list(self.dec_hidden)
         return d
 
@@ -424,6 +446,21 @@ def build_model(cfg: RunConfig, feat_dim: int, out_dim: int,
                  out_dim=out_dim, edge_dim=edge_dim)
 
 
+def model_for(cfg: RunConfig, data, rng: np.random.Generator) -> Model:
+    """A fresh model sized by a Graph or a GraphSet: feature widths from its
+    (first) graph, output width from its labels and the loss."""
+    g = data.graphs[0] if isinstance(data, GraphSet) else data
+    edge_dim = 0 if g.E_feat is None else g.E_feat.shape[1]
+    y = np.asarray(data.y)
+    if cfg.loss == "ce":
+        out_dim = int(y.max()) + 1
+    elif cfg.loss == "bce_logits":
+        out_dim = 1
+    else:
+        out_dim = int(y.reshape(len(y), -1).shape[1])
+    return build_model(cfg, g.X.shape[1], out_dim, rng, edge_dim=edge_dim)
+
+
 def _operators(model: Model, data):
     """One operator bundle for a Graph; one per member graph for a GraphSet."""
     if isinstance(data, GraphSet):
@@ -588,24 +625,10 @@ def train_run(cfg: RunConfig, data):
         raise ConfigError(["node_class task needs a single Graph dataset"])
     if not node_task and not isinstance(data, GraphSet):
         raise ConfigError([f"{cfg.task} task needs a GraphSet dataset"])
-    rng = np.random.Generator(np.random.PCG64(cfg.seed))
     if node_task:
         _check_node_data(cfg, data)
-        feat_dim = data.X.shape[1]
-        y_for_dims = data.y
-        edge_dim = 0 if data.E_feat is None else data.E_feat.shape[1]
-    else:
-        feat_dim = data.graphs[0].X.shape[1]
-        y_for_dims = data.y
-        g0 = data.graphs[0]
-        edge_dim = 0 if g0.E_feat is None else g0.E_feat.shape[1]
-    if cfg.loss == "ce":
-        out_dim = int(np.asarray(y_for_dims).max()) + 1
-    elif cfg.loss == "bce_logits":
-        out_dim = 1
-    else:
-        out_dim = int(np.asarray(y_for_dims).reshape(len(y_for_dims), -1).shape[1])
-    model = build_model(cfg, feat_dim, out_dim, rng, edge_dim=edge_dim)
+    rng = np.random.Generator(np.random.PCG64(cfg.seed))
+    model = model_for(cfg, data, rng)
     named = model.parameters()
     values = [p for _, p in named]
     opt = OptimState(lr=cfg.lr, weight_decay=cfg.weight_decay,

@@ -1,11 +1,14 @@
 """Command-line behavior: artifacts, exit codes, precedence, reproducibility."""
 
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from eegnn.cli import main
+from eegnn.cli import build_parser, main
+from eegnn.graphs import arc_rows, gen_sbm, save_graph
 
 
 def write_cfg(tmp_path, doc, name="cfg.json"):
@@ -92,6 +95,16 @@ def test_seed_flag_applies_without_config(tmp_path):
     assert run(["generate", "--config", cfg, "--seed", "5",
                 "--out", str(out)]) == 0
     assert json.loads((out / "resolved_config.json").read_text())["seed"] == 5
+
+
+def test_generate_refuses_isolated_nodes(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, {"dataset": "sbm", "sizes": [4, 4], "p_in": 0.1,
+                               "p_out": 0.0, "seed": 1})
+    assert run(["generate", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "8 isolated nodes" in err and "node 0" in err
+    assert not out.exists()
 
 
 # ------------------------------------------------------------------ train
@@ -372,6 +385,39 @@ def test_diagnose_with_explicit_dataset(tmp_path):
     assert resolved["data"] == str(data)
 
 
+def test_diagnose_sensitivity_on_adaptive_model_is_validation_error(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, {"model": "eegnn", "depth": 2, "hidden": 4})
+    assert run(["diagnose", "sensitivity", "--config", cfg,
+                "--out", str(tmp_path / "d")]) == 1
+    assert "fixed-depth" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc, shown", [
+    ({"depths": [0]}, "depth must be >= 1"),
+    ({"kinds": ["bogus"]}, "'bogus'"),
+    ({"kinds": "sas"}, "'kinds'"),
+    ({"depths": [], "kinds": []}, "'depths'")],
+    ids=["depth-0", "unknown-kind", "kinds-string", "empty-grid"])
+def test_diagnose_depth_retention_rejects_bad_grid(tmp_path, capsys, doc, shown):
+    cfg = write_cfg(tmp_path, dict(doc, epochs=1, hidden=4))
+    assert run(["diagnose", "depth_retention", "--config", cfg,
+                "--out", str(tmp_path / "d")]) == 1
+    err = capsys.readouterr().err
+    assert shown in err
+    assert not (tmp_path / "d" / "report.json").exists()
+
+
+@pytest.mark.parametrize("name", ["dirichlet", "sensitivity"])
+def test_diagnose_sizes_model_for_edge_features(tmp_path, name):
+    g = gen_sbm([6, 6], 0.8, 0.2, seed=3, feature_dim=3)
+    g.E_feat = (g.X[arc_rows(g)] + g.X[g.col_indices])[:, :2]
+    data = tmp_path / "edges.json"
+    save_graph(g, data)
+    cfg = write_cfg(tmp_path, {"depth": 2, "hidden": 4, "edge_mode": "linear"})
+    assert run(["diagnose", name, "--config", cfg, "--data", str(data),
+                "--out", str(tmp_path / "d")]) == 0
+
+
 # ---------------------------------------------------------------- param-count
 
 def test_param_count_depth_invariance_at_cli(tmp_path):
@@ -397,7 +443,45 @@ def test_param_count_dimension_overrides(tmp_path):
                                ("encoder", "core", "decoder", "exit_heads"))
 
 
+def test_param_count_accepts_a_shared_run_config_seed(tmp_path):
+    cfg = write_cfg(tmp_path, {"model": "sas", "seed": 3})
+    assert run(["param-count", "--config", cfg, "--out", str(tmp_path / "pc")]) == 0
+
+
 # ------------------------------------------------------------------ plumbing
+
+@pytest.mark.parametrize("argv, doc, shown", [
+    (["diagnose", "energy_descent"], {"cases": 2.9, "steps": True},
+     ["'cases'", "'steps'"]),
+    (["generate"], {"rows": 6.5}, ["'rows'"]),
+    (["generate"], {"dataset": "sbm", "sizes": [10.9, "12"]}, ["'sizes'"]),
+    (["diagnose", "energy_descent"], {"step_tau": "0.05"}, ["'step_tau'"]),
+    (["diagnose", "dirichlet"], {"data": 99999}, ["'data'"]),
+    (["param-count"], {"feat_dim": 3.7, "edge_dim": True},
+     ["'feat_dim'", "'edge_dim'"]),
+    (["evaluate"], {"checkpoint": ["a.json"]}, ["'checkpoint'"])],
+    ids=["descent-counts", "generate-rows", "generate-sizes", "descent-step-tau",
+         "dirichlet-data", "param-count-dims", "evaluate-checkpoint"])
+def test_mistyped_command_keys_are_validation_errors(tmp_path, capsys, argv,
+                                                     doc, shown):
+    cfg = write_cfg(tmp_path, doc)
+    out = tmp_path / "out"
+    assert run(argv + ["--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert all(key in err for key in shown)
+    assert not out.exists()
+
+
+def test_readme_synopsis_lists_the_parser_flags():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```")[1]
+    documented = {m.group(1): set(re.findall(r"--[a-z-]+", m.group(2)))
+                  for m in re.finditer(r"^eegnn (\S+)(.*)$", block, re.M)}
+    sub = next(a for a in build_parser()._actions if a.choices)
+    defined = {name: {o for a in p._actions for o in a.option_strings
+                      if o.startswith("--") and o != "--help"}
+               for name, p in sub.choices.items()}
+    assert documented == defined
 
 def test_missing_command_and_bad_flag_are_validation_errors(capsys):
     assert run([]) == 1

@@ -12,7 +12,7 @@ from eegnn.diagnostics import (SpectrumReport, Trace, depth_retention,
                                oracle_exit_eval, read_trace, sas_jacobian,
                                sensitivity, spectrum_suite)
 from eegnn.graphs import arc_list, degrees, gen_sbm, make_graph, norm_adj
-from eegnn.training import RunConfig, build_model, train_run
+from eegnn.training import ConfigError, RunConfig, build_model, train_run
 
 
 def path2(h):
@@ -261,6 +261,26 @@ def test_depth_retention_rows_and_determinism():
     assert [(r["kind"], r["depth"]) for r in rows1] == [
         ("sas", 1), ("sas", 2), ("gcn", 1), ("gcn", 2)]
     assert all(r["metric"] == "accuracy" for r in rows1)
+
+
+def test_depth_retention_validates_every_config_before_training(monkeypatch):
+    import eegnn.diagnostics as diag
+    monkeypatch.setattr(diag, "train_run", lambda *a: pytest.fail("trained"))
+    g = connected_sbm(13)
+    with pytest.raises(ConfigError, match="depth must be >= 1"):
+        depth_retention(g, ["sas"], [2, 0], small_cfg())
+    with pytest.raises(ConfigError, match="'bogus'"):
+        depth_retention(g, ["sas", "bogus"], [2], small_cfg())
+
+
+def test_config_caused_diagnostic_rejections_are_config_errors():
+    g = connected_sbm(14)
+    with pytest.raises(ConfigError, match="fixed-depth"):
+        sensitivity(fitted(g, model="eegnn", epochs=0, hidden=4), g, 0)
+    graph_cfg = small_cfg(task="graph_class", loss="bce_logits")
+    model = build_model(graph_cfg, 3, 1, np.random.default_rng(0))
+    with pytest.raises(ConfigError, match="node tasks"):
+        oracle_exit_eval(model, g)
 
 
 # ---------------------------------------------------------------- oracle exit

@@ -11,13 +11,13 @@ import oracles
 from eegnn import autodiff as ad
 from eegnn.cells import EDGE_MODES, MODEL_KINDS, param_count
 from eegnn.exits import ExitState, GumbelSample
-from eegnn.graphs import gen_sbm, save_graph
+from eegnn.graphs import arc_rows, gen_sbm, save_graph
 from eegnn.training import (ConfigError, GraphSet, Model, OptimState,
                             RunConfig, TrainDivergenceError, adam_step,
-                            build_model, evaluate, exit_csv, forward_node,
-                            history_csv, load_checkpoint, load_dataset,
-                            loss_eval, metric_eval, save_checkpoint,
-                            scores_from_logits, train_run)
+                            build_model, coerce_keys, evaluate, exit_csv,
+                            forward_node, history_csv, load_checkpoint,
+                            load_dataset, loss_eval, metric_eval, model_for,
+                            save_checkpoint, scores_from_logits, train_run)
 
 
 def sbm(seed=0, n=24, m=6, shift=2.0):
@@ -87,6 +87,23 @@ def test_config_round_trips_through_dict():
     assert cfg.dec_hidden == (7, 5)
 
 
+def test_coerce_keys_list_and_path_defaults():
+    defaults = {"sizes": [50, 50], "kinds": ["sas"], "data": None, "rate": 0.5}
+    values, errors = coerce_keys(defaults, {"sizes": [4.0, 5], "kinds": ["gcn"],
+                                            "data": "g.json", "rate": 1})
+    assert errors == []
+    assert values == {"sizes": [4, 5], "kinds": ["gcn"], "data": "g.json",
+                      "rate": 1.0}
+    assert type(values["sizes"][0]) is int and type(values["rate"]) is float
+    values, errors = coerce_keys(defaults, {"sizes": [], "kinds": "sas",
+                                            "data": 5, "rate": "1", "colour": 1})
+    assert values == {}
+    assert errors[0] == "unknown config key 'colour'"
+    assert [m.split(":")[0] for m in errors[1:]] == [
+        f"config key {k!r}" for k in ("sizes", "kinds", "data", "rate")]
+    assert "non-empty list of int" in errors[1] and "path string" in errors[3]
+
+
 @pytest.mark.parametrize("model", ["gcn", "graff", "adgn"])
 @pytest.mark.parametrize("edge_mode", ["linear", "neg_relu"])
 def test_config_rejects_edge_mode_without_edge_term(model, edge_mode):
@@ -132,6 +149,21 @@ def test_graph_set_validates_shapes():
     with pytest.raises(ValueError, match="'test' must have one entry per graph"):
         GraphSet(graphs=[g, g], y=np.zeros((2, 1)),
                  masks={"train": [1, 0], "val": [0, 1], "test": [0, 1, 1]})
+
+
+# ------------------------------------------------------------------- model
+
+def test_model_for_sizes_a_graph_and_a_graph_set():
+    g = sbm(seed=3)
+    g.E_feat = (g.X[arc_rows(g)] + g.X[g.col_indices])[:, :2]
+    rng = np.random.default_rng(0)
+    node = model_for(RunConfig.from_dict({"edge_mode": "linear"}), g, rng)
+    assert (node.feat_dim, node.out_dim, node.edge_dim) == (6, 2, 2)
+    ds = GraphSet([g, sbm(seed=4)], y=np.array([[0.5, 1.0], [1.5, 2.0]]),
+                  masks={k: np.ones(2, dtype=bool) for k in ("train", "val", "test")})
+    reg = RunConfig.from_dict({"task": "graph_reg", "loss": "mse", "metric": "mae"})
+    graph = model_for(reg, ds, rng)
+    assert (graph.feat_dim, graph.out_dim, graph.edge_dim) == (6, 2, 2)
 
 
 # ------------------------------------------------------------------- losses
