@@ -120,6 +120,13 @@ def _config(args, own: dict, run: bool = False) -> tuple[dict, RunConfig | None]
     return {k: values.get(k, d) for k, d in own.items()}, cfg
 
 
+def _require(checks) -> None:
+    """Raise one ConfigError naming every (ok, message) check that fails."""
+    errors = [msg for ok, msg in checks if not ok]
+    if errors:
+        raise ConfigError(errors)
+
+
 # ---------------------------------------------------------------- commands
 
 def cmd_generate(args) -> None:
@@ -235,17 +242,20 @@ def cmd_diagnose(args) -> None:
         raise ConfigError([f"unknown diagnostic {args.name!r}; valid names: "
                            + ", ".join(DIAG_NAMES)])
     diag, cfg = _config(args, DIAG_DEFAULTS, run=True)
-    out = _out_dir(args)
-    _write_json({**cfg.to_dict(), **diag, "diagnostic": args.name},
-                out / "resolved_config.json")
-
+    _require([
+        (diag["cases"] >= 1, f"cases must be >= 1, got {diag['cases']}"),
+        (diag["steps"] >= 1, f"steps must be >= 1, got {diag['steps']}"),
+        (0.0 < diag["step_tau"] <= 1.0,
+         f"step_tau must lie in (0, 1], got {diag['step_tau']}"),
+    ])
+    # as in train, nothing is written until the run is done
     report = {"diagnostic": args.name, "seed": cfg.seed}
+    traces = {}
     if args.name == "dirichlet":
         g = _diag_graph(diag, cfg)
         model = _fresh_model(cfg, g)
         tr_sum, tr_mean = diagnostics.dirichlet_traces(model, g)
-        diagnostics.emit_trace(tr_sum, out / "dirichlet_sum.csv")
-        diagnostics.emit_trace(tr_mean, out / "dirichlet_mean.csv")
+        traces = {"dirichlet_sum.csv": tr_sum, "dirichlet_mean.csv": tr_mean}
         initial, final = float(tr_sum.values[0]), float(tr_sum.values[-1])
         report.update({"initial": initial, "final": final,
                        "final_over_initial": final / initial if initial else None,
@@ -287,6 +297,11 @@ def cmd_diagnose(args) -> None:
         report.update({"oracle_accuracy": oracle, "final_accuracy": final,
                        "gain": oracle - final, "pass": oracle >= final})
 
+    out = _out_dir(args)
+    _write_json({**cfg.to_dict(), **diag, "diagnostic": args.name},
+                out / "resolved_config.json")
+    for fname, trace in traces.items():
+        diagnostics.emit_trace(trace, out / fname)
     _write_json(report, out / "report.json")
     status = "pass" if report["pass"] else "FAIL"
     print(f"{args.name}: {status} (report.json in {out})")
@@ -297,6 +312,13 @@ def cmd_diagnose(args) -> None:
 def cmd_param_count(args) -> None:
     dims, cfg = _config(args, {"feat_dim": 10, "out_dim": 2, "edge_dim": 0},
                         run=True)
+    edge_lo = 0 if cfg.edge_mode == "zero" else 1  # make_cell_params's rule
+    _require([
+        (dims["feat_dim"] >= 1, f"feat_dim must be >= 1, got {dims['feat_dim']}"),
+        (dims["out_dim"] >= 1, f"out_dim must be >= 1, got {dims['out_dim']}"),
+        (dims["edge_dim"] >= edge_lo, f"edge_dim must be >= {edge_lo} under "
+         f"edge_mode {cfg.edge_mode!r}, got {dims['edge_dim']}"),
+    ])
     counts = param_count(cfg.model, cfg.task, cfg.depth, dims["feat_dim"],
                          cfg.hidden, dims["out_dim"],
                          edge_mode=cfg.edge_mode, edge_dim=dims["edge_dim"],

@@ -1,217 +1,12 @@
-"""Dense nonsymmetric eigenvalue solver: Hessenberg reduction + shifted QR.
-
-Francis double-shift iteration with deflation, real arithmetic throughout;
-complex conjugate pairs come out of trailing 2x2 blocks. A permutation pass
-first splits off rows/columns with no off-diagonal coupling (zero rows of the
-Jacobian, typically), so their eigenvalues never enter the iteration and
-cannot fuse with other eigenvalues into defective clusters. Sized for the
-small matrices the spectrum diagnostics need (up to a few dozen rows); the
-iteration cap is 1000 * n.
-"""
-
-from __future__ import annotations
+"""Dense nonsymmetric eigenvalues, from LAPACK through numpy.linalg."""
 
 import numpy as np
 
-__all__ = ["eigvals", "EigConvergenceError"]
-
-_EPS = float(np.finfo(np.float64).eps)
-_TINY = float(np.finfo(np.float64).tiny)
+__all__ = ["eigvals"]
 
 
-class EigConvergenceError(ArithmeticError):
-    """QR iteration failed to deflate within the iteration cap."""
-
-
-def _swap_sym(B: np.ndarray, i: int, j: int) -> None:
-    if i == j:
-        return
-    B[[i, j], :] = B[[j, i], :]
-    B[:, [i, j]] = B[:, [j, i]]
-
-
-def _isolate(A: np.ndarray) -> tuple[np.ndarray, list[complex]]:
-    """Permutation similarity that pushes decoupled rows/columns to the border.
-
-    A row (column) whose off-diagonal entries are all exactly zero carries its
-    diagonal entry as an exact eigenvalue; it is swapped out of the active
-    window and read off directly. Returns the remaining core block and the
-    split-off eigenvalues.
-    """
-    B = np.array(A, copy=True)
-    lo, hi = 0, B.shape[0] - 1
-    done: list[complex] = []
-    changed = True
-    while changed and lo <= hi:
-        changed = False
-        for i in range(hi, lo - 1, -1):
-            off = B[i, lo:hi + 1].copy()
-            off[i - lo] = 0.0
-            if not off.any():
-                _swap_sym(B, i, hi)
-                done.append(complex(B[hi, hi]))
-                hi -= 1
-                changed = True
-                break
-        if lo > hi:
-            break
-        for j in range(lo, hi + 1):
-            off = B[lo:hi + 1, j].copy()
-            off[j - lo] = 0.0
-            if not off.any():
-                _swap_sym(B, j, lo)
-                done.append(complex(B[lo, lo]))
-                lo += 1
-                changed = True
-                break
-    return B[lo:hi + 1, lo:hi + 1], done
-
-
-def _hessenberg(A: np.ndarray) -> np.ndarray:
-    """Householder similarity reduction to upper Hessenberg form."""
-    H = np.array(A, dtype=np.float64, copy=True)
-    n = H.shape[0]
-    for k in range(n - 2):
-        x = H[k + 1:, k].copy()
-        sigma = float(np.linalg.norm(x))
-        if sigma == 0.0:
-            continue
-        alpha = -sigma if x[0] >= 0 else sigma
-        v = x
-        v[0] -= alpha
-        vn2 = float(v @ v)
-        if vn2 == 0.0:
-            continue
-        beta = 2.0 / vn2
-        H[k + 1:, k:] -= beta * np.outer(v, v @ H[k + 1:, k:])
-        H[:, k + 1:] -= beta * np.outer(H[:, k + 1:] @ v, v)
-        H[k + 1, k] = alpha
-        H[k + 2:, k] = 0.0
-    return H
-
-
-def _eig2(a, b, c, d):
-    """Eigenvalues of [[a, b], [c, d]]."""
-    half_tr = 0.5 * (a + d)
-    disc = 0.25 * (a - d) ** 2 + b * c
-    if disc >= 0.0:
-        s = np.sqrt(disc)
-        return [complex(half_tr + s), complex(half_tr - s)]
-    s = np.sqrt(-disc)
-    return [complex(half_tr, s), complex(half_tr, -s)]
-
-
-def _householder_vec(w):
-    """Reflector (v, beta) sending w to a multiple of e1; beta 0 means no-op."""
-    sigma = float(np.linalg.norm(w))
-    if sigma == 0.0:
-        return w, 0.0
-    alpha = -sigma if w[0] >= 0 else sigma
-    v = w.copy()
-    v[0] -= alpha
-    vn2 = float(v @ v)
-    if vn2 == 0.0:
-        return v, 0.0
-    return v, 2.0 / vn2
-
-
-def _francis_step(H, lo, hi, exceptional):
-    """One implicit double-shift sweep on the unreduced block lo..hi (size >= 3)."""
-    a, b = H[hi - 1, hi - 1], H[hi - 1, hi]
-    c, d = H[hi, hi - 1], H[hi, hi]
-    if exceptional:
-        # ad hoc shift pair built from subdiagonal magnitudes, to break cycles
-        s_mag = abs(H[hi, hi - 1]) + abs(H[hi - 1, hi - 2])
-        s = 1.5 * s_mag
-        t = s_mag * s_mag
-    else:
-        s = a + d
-        t = a * d - b * c
-    x = H[lo, lo] * H[lo, lo] + H[lo, lo + 1] * H[lo + 1, lo] - s * H[lo, lo] + t
-    y = H[lo + 1, lo] * (H[lo, lo] + H[lo + 1, lo + 1] - s)
-    z = H[lo + 1, lo] * H[lo + 2, lo + 1]
-    for k in range(lo, hi):
-        last = k == hi - 1
-        if k > lo:
-            x = H[k, k - 1]
-            y = H[k + 1, k - 1]
-            z = 0.0 if last else H[k + 2, k - 1]
-        w = np.array([x, y] if last else [x, y, z])
-        v, beta = _householder_vec(w)
-        if beta != 0.0:
-            rows = slice(k, k + w.size)
-            cl = max(lo, k - 1)
-            H[rows, cl:] -= beta * np.outer(v, v @ H[rows, cl:])
-            rh = min(hi, k + w.size)
-            H[:rh + 1, rows] -= beta * np.outer(H[:rh + 1, rows] @ v, v)
-        if k > lo:
-            # the reflector annihilated these by construction
-            H[k + 1, k - 1] = 0.0
-            if not last:
-                H[k + 2, k - 1] = 0.0
-
-
-def eigvals(A, iter_cap: int | None = None) -> np.ndarray:
-    """All eigenvalues of a real square matrix, as a complex array.
-
-    No ordering is guaranteed. Raises EigConvergenceError if deflation
-    stalls past the cap (default 1000 * n iterations).
-    """
-    A = np.asarray(A, dtype=np.float64)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {A.shape}")
-    n = A.shape[0]
-    if n == 0:
-        return np.zeros(0, dtype=np.complex128)
-    if not np.all(np.isfinite(A)):
-        raise ValueError("matrix contains non-finite entries")
-    cap = 1000 * n if iter_cap is None else int(iter_cap)
-    core, eigs = _isolate(A)
-    m = core.shape[0]
-    if m == 1:
-        eigs.append(complex(core[0, 0]))
-    elif m == 2:
-        eigs.extend(_eig2(core[0, 0], core[0, 1], core[1, 0], core[1, 1]))
-    elif m >= 3:
-        H = _hessenberg(core)
-        hi = m - 1
-        stuck = 0
-        total = 0
-        while hi >= 0:
-            for k in range(1, hi + 1):
-                sub = abs(H[k, k - 1])
-                if sub <= _TINY:
-                    H[k, k - 1] = 0.0
-                    continue
-                # scale against the neighboring diagonal pair; fall back to the
-                # adjacent subdiagonals when that pair vanishes (skew blocks).
-                # A global threshold here would wreck small eigenvalues.
-                tst = abs(H[k - 1, k - 1]) + abs(H[k, k])
-                if tst == 0.0:
-                    if k >= 2:
-                        tst += abs(H[k - 1, k - 2])
-                    if k + 1 <= m - 1:
-                        tst += abs(H[k + 1, k])
-                if sub <= _EPS * tst:
-                    H[k, k - 1] = 0.0
-            if hi == 0 or H[hi, hi - 1] == 0.0:
-                eigs.append(complex(H[hi, hi]))
-                hi -= 1
-                stuck = 0
-                continue
-            if hi == 1 or H[hi - 1, hi - 2] == 0.0:
-                eigs.extend(_eig2(H[hi - 1, hi - 1], H[hi - 1, hi],
-                                  H[hi, hi - 1], H[hi, hi]))
-                hi -= 2
-                stuck = 0
-                continue
-            lo = hi - 1
-            while lo > 0 and H[lo, lo - 1] != 0.0:
-                lo -= 1
-            total += 1
-            stuck += 1
-            if total > cap:
-                raise EigConvergenceError(
-                    f"QR iteration exceeded {cap} sweeps with {hi + 1} eigenvalues left")
-            _francis_step(H, lo, hi, exceptional=(stuck > 0 and stuck % 12 == 0))
-    return np.array(eigs, dtype=np.complex128)
+def eigvals(A) -> np.ndarray:
+    """All eigenvalues of a real square matrix, as a complex array in no set
+    order (LAPACK's real result for an all-real spectrum is cast to complex).
+    Non-square or non-finite input raises LinAlgError, a ValueError."""
+    return np.linalg.eigvals(np.asarray(A, dtype=np.float64)).astype(np.complex128)

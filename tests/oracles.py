@@ -191,7 +191,7 @@ def fd_jacobian(f, x, h=1e-5):
 
 
 def eigvals_oracle(A):
-    """Reference eigenvalues for the in-repo solver, from numpy's LAPACK binding."""
+    """Reference eigenvalues from numpy's LAPACK binding."""
     return np.linalg.eigvals(np.asarray(A, dtype=float))
 
 

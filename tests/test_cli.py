@@ -407,6 +407,37 @@ def test_diagnose_depth_retention_rejects_bad_grid(tmp_path, capsys, doc, shown)
     assert not (tmp_path / "d" / "report.json").exists()
 
 
+@pytest.mark.parametrize("name, doc, shown", [
+    ("spectrum", {"cases": 0}, ["cases must be >= 1"]),
+    ("energy_descent", {"steps": 0, "cases": -1},
+     ["steps must be >= 1", "cases must be >= 1"]),
+    ("energy_descent", {"step_tau": 0.0}, ["step_tau must lie in (0, 1]"]),
+    ("energy_descent", {"step_tau": 2.0}, ["step_tau must lie in (0, 1]"])],
+    ids=["spectrum-cases-0", "descent-counts", "step-tau-0", "step-tau-2"])
+def test_diagnose_out_of_range_counts_are_validation_errors(tmp_path, capsys,
+                                                            name, doc, shown):
+    cfg = write_cfg(tmp_path, doc)
+    out = tmp_path / "d"
+    assert run(["diagnose", name, "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert all(msg in err for msg in shown)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name, doc, graph_set", [
+    ("depth_retention", {"depths": [0], "epochs": 1, "hidden": 4}, False),
+    ("dirichlet", {"depth": 2}, True),
+    ("sensitivity", {"model": "eegnn", "depth": 2, "hidden": 4}, False)],
+    ids=["retention-depth-0", "graph-set-data", "sensitivity-adaptive"])
+def test_diagnose_rejected_config_writes_nothing(tmp_path, name, doc, graph_set):
+    argv = ["diagnose", name, "--config", write_cfg(tmp_path, doc),
+            "--out", str(tmp_path / "d")]
+    if graph_set:
+        argv += ["--data", graph_set_file(tmp_path)]
+    assert run(argv) == 1
+    assert not (tmp_path / "d").exists()
+
+
 @pytest.mark.parametrize("name", ["dirichlet", "sensitivity"])
 def test_diagnose_sizes_model_for_edge_features(tmp_path, name):
     g = gen_sbm([6, 6], 0.8, 0.2, seed=3, feature_dim=3)
@@ -446,6 +477,22 @@ def test_param_count_dimension_overrides(tmp_path):
 def test_param_count_accepts_a_shared_run_config_seed(tmp_path):
     cfg = write_cfg(tmp_path, {"model": "sas", "seed": 3})
     assert run(["param-count", "--config", cfg, "--out", str(tmp_path / "pc")]) == 0
+
+
+@pytest.mark.parametrize("doc, shown", [
+    ({"feat_dim": 0, "out_dim": -3},
+     ["feat_dim must be >= 1", "out_dim must be >= 1"]),
+    ({"edge_dim": -1}, ["edge_dim must be >= 0"]),
+    ({"edge_mode": "linear", "edge_dim": 0}, ["edge_dim must be >= 1"])],
+    ids=["feat-out-dims", "negative-edge-dim", "edge-mode-without-edge-dim"])
+def test_param_count_out_of_range_dims_are_validation_errors(tmp_path, capsys,
+                                                             doc, shown):
+    cfg = write_cfg(tmp_path, doc)
+    out = tmp_path / "pc"
+    assert run(["param-count", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert all(msg in err for msg in shown)
+    assert not out.exists()
 
 
 # ------------------------------------------------------------------ plumbing

@@ -1,10 +1,11 @@
-"""Dense nonsymmetric eigensolver against closed forms and the LAPACK oracle."""
+"""The eigenvalue wrapper's contract: closed forms, exact zeros, the
+imaginary axis, a complex result and input rejection."""
 
 import numpy as np
 import pytest
 
 import oracles
-from eegnn.eig import EigConvergenceError, eigvals
+from eegnn.eig import eigvals
 
 
 def test_empty_and_scalar():
@@ -13,8 +14,9 @@ def test_empty_and_scalar():
 
 
 def test_diagonal_exact():
-    lam = sorted(eigvals(np.diag([2.0, -1.0, 0.5])).real)
-    assert lam == [-1.0, 0.5, 2.0]
+    lam = eigvals(np.diag([2.0, -1.0, 0.5]))
+    assert lam.dtype == np.complex128
+    assert sorted(lam.real) == [-1.0, 0.5, 2.0]
 
 
 def test_rotation_pure_imaginary():
@@ -43,21 +45,6 @@ def test_jordan_block_multiple_zero():
     assert oracles.match_complex_sets(lam, [0.0, 0.0, 0.0], 1e-4)
 
 
-def test_random_matrices_match_lapack():
-    rng = np.random.default_rng(0)
-    for trial in range(150):
-        n = int(rng.integers(1, 21))
-        A = rng.normal(size=(n, n))
-        if trial % 3 == 0:
-            A = A @ A.T                # symmetric: real spectrum
-        elif trial % 3 == 1:
-            A[rng.random(size=(n, n)) < 0.4] = 0.0
-        lam = eigvals(A)
-        want = oracles.eigvals_oracle(A)
-        scale = max(1.0, float(np.abs(want).max()))
-        assert oracles.match_complex_sets(lam, want, 1e-9 * scale), f"trial {trial}"
-
-
 def test_scaled_skew_spectrum_on_imaginary_axis():
     # the stability workload: positive diagonal scaling of a skew matrix is
     # similar to a skew matrix, so Re(lambda) = 0 up to solver error
@@ -78,7 +65,3 @@ def test_eigenvalue_count_matches_dimension():
     rng = np.random.default_rng(2)
     for n in (1, 2, 3, 7, 12):
         assert eigvals(rng.normal(size=(n, n))).shape == (n,)
-
-
-def test_convergence_error_is_arithmetic_error():
-    assert issubclass(EigConvergenceError, ArithmeticError)
