@@ -295,3 +295,41 @@ def test_graph_set_operators_built_once_per_member(monkeypatch, model):
     calls.clear()
     evaluate(trained, ds)
     assert len(calls) == len(ds.graphs)
+
+
+@pytest.mark.parametrize("model", ["sas", "eegnn"])
+def test_graph_set_train_returns_best_validation_snapshot(model):
+    ds = graph_set("graph_class")
+    trained, history = train_run(cfg_for("graph_class", model, epochs=8), ds)
+    best = max(row[2] for row in history)
+    assert evaluate(trained, ds, split="val")["value"] == best
+
+
+def graph_set_file(ds: GraphSet, path) -> str:
+    """ds as a graph-set JSON file, each member in save_graph's format."""
+    entries = []
+    for g in ds.graphs:
+        graphs.save_graph(g, path)
+        entries.append(json.loads(path.read_text()))
+    masks = {k: [bool(b) for b in m] for k, m in ds.masks.items()}
+    path.write_text(json.dumps({"graphs": entries, "y": ds.y.tolist(), "masks": masks}))
+    return str(path)
+
+
+@pytest.mark.parametrize("model", ["sas", "eegnn"])
+def test_cli_train_then_evaluate_on_a_graph_set(tmp_path, model):
+    data = graph_set_file(graph_set("graph_class"), tmp_path / "set.json")
+    conf = tmp_path / "cfg.json"
+    conf.write_text(json.dumps(cfg_for("graph_class", model, epochs=4).to_dict()))
+    runs = [tmp_path / "a", tmp_path / "b"]
+    for out in runs:
+        assert cli.main(["train", "--config", str(conf), "--data", data,
+                         "--out", str(out)]) == 0
+    for name in ("history.csv", "checkpoint.json", "metrics.json"):
+        assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes()
+    assert cli.main(["evaluate", "--data", data, "--checkpoint",
+                     str(runs[0] / "checkpoint.json"), "--out",
+                     str(tmp_path / "eval")]) == 0
+    trained = json.loads((runs[0] / "metrics.json").read_text())
+    evaluated = json.loads((tmp_path / "eval" / "metrics.json").read_text())
+    assert evaluated["value"] == trained["value"]
