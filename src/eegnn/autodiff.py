@@ -42,7 +42,7 @@ __all__ = [
     "activation_apply",
     "row_log_softmax",
     "softmax_rows",
-    "masked_mean_pool",
+    "segment_mean",
     "add",
     "sub",
     "neg",
@@ -54,7 +54,7 @@ __all__ = [
     "scale_rows",
     "add_scaled_rows",
     "transpose",
-    "tile_rows",
+    "gather_rows",
     "col_slice",
     "where_rows",
     "straight_through",
@@ -291,21 +291,23 @@ def softmax_rows(X: DiffValue) -> DiffValue:
     return _node(s, (X,), rule)
 
 
-def masked_mean_pool(H: DiffValue, mask=None) -> DiffValue:
-    """Mean over (selected) rows as a 1 x m matrix."""
-    if mask is None:
-        sel = np.ones(H.shape[0], dtype=bool)
-    else:
-        sel = np.asarray(mask, dtype=bool)
-        if sel.shape != (H.shape[0],):
-            raise ValueError("mask length must equal the row count")
-    count = int(sel.sum())
-    if count == 0:
-        raise ValueError("masked_mean_pool over an empty selection")
-    val = H.value[sel].mean(axis=0, keepdims=True)
+def segment_mean(H: DiffValue, seg) -> DiffValue:
+    """Mean of each segment's rows, one output row per segment.
+
+    seg gives each row's segment, ascending from 0 with no segment empty, so
+    every segment is one block of consecutive rows; each block is averaged
+    by its own mean(axis=0), the sum it would get as a matrix of its own.
+    """
+    seg = np.asarray(seg)
+    counts = np.bincount(seg, minlength=1)
+    if seg.shape != (H.shape[0],) or (np.diff(seg) < 0).any() or not counts.all():
+        raise ValueError(f"segments must ascend from 0 over the {H.shape[0]} rows "
+                         f"and none may be empty")
+    ends = np.cumsum(counts)
+    val = np.stack([H.value[e - c:e].mean(axis=0) for c, e in zip(counts, ends)])
 
     def rule(G):
-        H.grad[sel] += G / count
+        H.grad += (G / counts[:, None])[seg]
 
     return _node(val, (H,), rule)
 
@@ -436,15 +438,16 @@ def transpose(A: DiffValue) -> DiffValue:
     return _node(A.value.T.copy(), (A,), rule)
 
 
-def tile_rows(A: DiffValue, n: int) -> DiffValue:
-    """Repeat a 1 x k row n times; gradient sums back over the copies."""
-    if A.shape[0] != 1:
-        raise ValueError(f"expected a single row, got shape {A.shape}")
+def gather_rows(A: DiffValue, idx) -> DiffValue:
+    """out[i] = A[idx[i]]; the gradient sums back over the copies of a row."""
+    idx = np.asarray(idx)
+    if idx.ndim != 1 or ((idx < 0) | (idx >= A.shape[0])).any():
+        raise ValueError(f"row index must be 1-D within [0, {A.shape[0]})")
 
     def rule(G):
-        A.grad += G.sum(axis=0, keepdims=True)
+        np.add.at(A.grad, idx, G)
 
-    return _node(np.repeat(A.value, n, axis=0), (A,), rule)
+    return _node(A.value[idx], (A,), rule)
 
 
 def col_slice(A: DiffValue, j: int) -> DiffValue:

@@ -12,8 +12,8 @@ encoder/decoder plumbing but use their own update rules; gcn keeps one weight
 matrix per layer and no residual.
 
 Every forward pass reads its graph through one Operators bundle, and every
-fixed-depth stack runs through propagate; only the adaptive exit loops in
-exits step layer by layer themselves.
+fixed-depth stack runs through propagate; only the adaptive exit loop in
+exits steps layer by layer itself.
 """
 
 from __future__ import annotations
@@ -116,20 +116,25 @@ class CellParams:
 
 @dataclass(frozen=True)
 class Operators:
-    """The fixed per-graph operators one forward pass reads.
+    """The fixed operators one forward pass reads from its graph.
 
     a is the normalized adjacency of every cell step; ma the mean adjacency,
     present only for mean_gnn exit heads; be the incidence aggregate of the
-    edge features, present only when the cell has an edge term.
+    edge features, present only when the cell has an edge term; seg, for
+    the disjoint union of a graph set, the member graph of each node (None
+    for a single graph), by which graph-task states are pooled.
     """
 
     a: NormAdj
     ma: ArcMatrix | None = None
     be: DiffValue | None = None
+    seg: np.ndarray | None = None
 
 
-def build_operators(g: Graph, params: CellParams, heads=None) -> Operators:
-    """The operator bundle of graph g for a cell and its optional exit heads.
+def build_operators(g: Graph, params: CellParams, heads=None,
+                    seg=None) -> Operators:
+    """The operator bundle of graph g for a cell and its optional exit heads;
+    seg is the member index of a graph-set union.
 
     Build it once per graph and pass it down: nothing here depends on the
     trainable values, only on g and on the cell's edge mode and head kind.
@@ -141,7 +146,7 @@ def build_operators(g: Graph, params: CellParams, heads=None) -> Operators:
         if g.E_feat is None:
             raise ValueError(f"edge_mode {params.edge_mode!r} needs edge features")
         be = ad.constant(incidence_aggregate(g, g.E_feat))
-    return Operators(a=a, ma=ma, be=be)
+    return Operators(a=a, ma=ma, be=be, seg=seg)
 
 
 def antisymmetrize(omega_raw: DiffValue) -> DiffValue:
@@ -276,17 +281,13 @@ def encode(X: DiffValue, p: CellParams) -> DiffValue:
     return ad.activation_apply(ad.matmul_add(X, p.enc_w, p.enc_b), "relu")
 
 
-def decode(Z: DiffValue, task: str, p: CellParams, mask=None) -> DiffValue:
-    """Readout head: per-row MLP for node tasks, pooled MLP for graph tasks.
+def decode(Z: DiffValue, p: CellParams) -> DiffValue:
+    """Readout MLP, row by row: a node's state, or a graph's pooled state.
 
     Hidden decoder layers use relu; the last layer is linear (logits or
     regression values).
     """
-    if task not in TASKS:
-        raise ValueError(f"unknown task {task!r}")
     out = Z
-    if task != "node_class":
-        out = ad.masked_mean_pool(out, mask)
     for i, (w, b) in enumerate(p.dec):
         out = ad.matmul_add(out, w, b)
         if i + 1 < len(p.dec):

@@ -273,7 +273,7 @@ def oracle_exit_eval(model: Model, g: Graph) -> tuple[float, float]:
     if g.masks is not None and "test" in g.masks:
         sel = g.masks["test"]
     per_layer = [_classes_from_logits(
-        decode(ad.constant(h), "node_class", model.params).value) for h in hs]
+        decode(ad.constant(h), model.params).value) for h in hs]
     final_classes = per_layer[-1]
     correct_any = np.zeros(g.n, dtype=bool)
     for classes in per_layer:
@@ -301,7 +301,10 @@ def dirichlet_traces(model: Model, g: Graph) -> tuple[Trace, Trace]:
 
 def spectrum_suite(n_configs: int = 100, width_lo: int = 2, width_hi: int = 16,
                    seed: int = 0) -> dict:
-    """Jacobian spectra at random params/points; returns the worst residuals."""
+    """Jacobian spectra at random params/points; returns the worst residuals.
+    Fewer than one config would check nothing and raises ValueError."""
+    if n_configs < 1:
+        raise ValueError(f"n_configs must be >= 1, got {n_configs}")
     rng = np.random.default_rng(seed)
     worst_re = 0.0
     worst_skew = 0.0
@@ -320,7 +323,12 @@ def spectrum_suite(n_configs: int = 100, width_lo: int = 2, width_hi: int = 16,
 
 def descent_suite(n_cases: int = 100, steps: int = 50, tau: float = 0.05,
                   edge_modes=("zero", "neg_relu"), seed: int = 0) -> dict:
-    """Random-instance energy descent; returns the total violation count."""
+    """Random-instance energy descent; returns the total violation count.
+    Fewer than one case, step or edge mode would check nothing and raises
+    ValueError."""
+    if n_cases < 1 or steps < 1 or not edge_modes:
+        raise ValueError(f"n_cases and steps must be >= 1 and edge_modes non-empty, "
+                         f"got {n_cases}, {steps} and {tuple(edge_modes)}")
     rng = np.random.default_rng(seed)
     total = 0
     cases = 0

@@ -1,17 +1,18 @@
-"""Adaptive-depth early exit: Gumbel sampling, exit heads, and the two loops.
+"""Adaptive-depth early exit: Gumbel sampling, exit heads, and the loop.
 
-Each layer, shared heads read the current node states and produce two-way
+Each layer, shared heads read the current agent states and produce two-way
 logits (continue vs exit) plus an inverse temperature. A straight-through
 Gumbel-Softmax turns them into a hard exit decision and a soft non-exit
 probability; the soft probability doubles as that agent's Euler step size
 tau for the layer, so an agent close to exiting also moves in smaller steps.
 
-Node mode freezes a per-node output row at the first hard exit. States of
-exited nodes keep updating while any node is still active (a frozen row only
-pins what the decoder sees), and the loop stops at the layer where the last
-node exits: the remaining layers could not change the output. Graph mode
-pools first, decides once per layer for the whole graph, and stops
-integrating at the first exit.
+An agent is a node, or for a graph set (a disjoint union of its member
+graphs) a whole member graph: its state is the mean of its nodes' states,
+and its tau steps all of its nodes. The loop freezes an agent's output row
+at its first hard exit. States of exited agents keep updating while any
+agent is still active (a frozen row only pins what the decoder sees), and
+the loop stops at the layer where the last agent exits: the remaining layers
+could not change the output.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ __all__ = [
     "inv_temperature",
     "gumbel_softmax_st",
     "eegnn_forward_node",
-    "eegnn_forward_graph",
     "exit_distribution",
     "HEAD_KINDS",
     "EXIT_MODES",
@@ -151,6 +151,8 @@ def make_exit_heads(rng: np.random.Generator, kind: str, in_dim: int,
 
 def _backbone_forward(H: DiffValue, layers, out_pair, kind: str, ma,
                       agg=None) -> DiffValue:
+    if kind == "mean_gnn" and ma is None:
+        raise ValueError("mean_gnn heads need the mean-adjacency operator")
     cur = H
     for i, layer in enumerate(layers):
         if i:                       # the last layer's relu is fused into the readout
@@ -174,24 +176,17 @@ def confidence_logits(H: DiffValue, heads: ExitHeads, ma=None,
     agg, when given, is spmm(ma, H.value) computed already; both heads read it
     in their first mean_gnn layer.
     """
-    if heads.kind == "mean_gnn" and ma is None:
-        raise ValueError("mean_gnn heads need the mean-adjacency operator")
     return _backbone_forward(H, heads.fc_layers, heads.fc_out, heads.kind, ma, agg)
 
 
-def inv_temperature(H: DiffValue, heads: ExitHeads, ma=None,
-                    nu0: float | None = None, agg=None) -> DiffValue:
-    """Per-agent inverse temperature softplus(f_nu(H)) + nu0; always >= nu0.
+def inv_temperature(H: DiffValue, heads: ExitHeads, ma=None, agg=None) -> DiffValue:
+    """Per-agent inverse temperature softplus(f_nu(H)) + heads.nu0; always
+    >= nu0.
 
     agg is as in confidence_logits.
     """
-    if heads.kind == "mean_gnn" and ma is None:
-        raise ValueError("mean_gnn heads need the mean-adjacency operator")
     raw = _backbone_forward(H, heads.fnu_layers, heads.fnu_out, heads.kind, ma, agg)
-    floor = heads.nu0 if nu0 is None else nu0
-    if floor < 0:
-        raise ValueError(f"nu0 must be >= 0, got {floor}")
-    return ad.add_scalar(ad.activation_apply(raw, "softplus"), floor)
+    return ad.add_scalar(ad.activation_apply(raw, "softplus"), heads.nu0)
 
 
 def gumbel_softmax_st(logits: DiffValue, inv_nu: DiffValue,
@@ -225,45 +220,51 @@ def eegnn_forward_node(g: Graph, params: CellParams, heads: ExitHeads,
                        mode: str = "train_sample", *, ops: Operators | None = None,
                        noise: list[GumbelSample] | None = None,
                        capture: list | None = None):
-    """Per-node early-exit forward pass.
+    """Early-exit forward pass over g's nodes, or over the member graphs of a
+    graph-set union when ops carries their segment index.
 
-    Returns (Z, ExitState, per-layer records). Z row i is the node's state at
-    its exit layer (before that layer's update), or the final state if it
-    never exits; gradients flow into each frozen row from the layer where it
-    froze. ops is g's operator bundle, built here when not given.
+    Returns (Z, ExitState, per-layer records), one row per agent. Z row i is
+    the agent's state at its exit layer (before that layer's update), or the
+    final state if it never exits; gradients flow into each frozen row from
+    the layer where it froze. A graph's state is the segment mean of its
+    nodes' states, read by mlp heads, and its tau is gathered to its nodes
+    for the step. ops is g's operator bundle, built here when not given.
 
-    A node exiting at layer l has spent exit_time = sum of its tau over
+    An agent exiting at layer l has spent exit_time = sum of its tau over
     layers 0..l-1; the deciding layer's tau is not counted.
 
-    Once every node has exited, at layer l, the loop stops before that
-    layer's update: Z and the ExitState are those of a full-depth run, and
-    the records end at layer l. A train_sample run that draws its own noise
-    from rng still draws the skipped layers' noise, so rng leaves the call in
-    the state a full-depth run leaves it in. With capture given, all L layers
-    run and capture receives all L + 1 states.
+    A train_sample run without given noise draws one (agents, 2) block from
+    rng per layer, layer by layer. Once every agent has exited, at layer l,
+    the loop stops before that layer's update: Z and the ExitState are those
+    of a full-depth run, and the records end at layer l. The skipped layers'
+    noise is still drawn, in one block, so rng leaves the call in the state a
+    full-depth run leaves it in. With capture given, all L layers run and
+    capture receives all L + 1 node states.
     """
     if L < 1:
         raise ValueError(f"depth must be >= 1, got {L}")
-    if mode not in EXIT_MODES:
-        raise ValueError(f"unknown mode {mode!r}")
     if heads is None:
         raise ValueError("the early-exit forward needs exit heads")
     if ops is None:
         ops = build_operators(g, params, heads)
+    seg = ops.seg
+    if seg is not None and heads.kind != "mlp":
+        raise ValueError("graph-level exits use mlp heads on pooled features")
     et = edge_term(ops.be, params)
-    n = g.n
     H = encode(ad.constant(g.X), params)
     if capture is not None:
         capture.append(H.value.copy())
-    Z_cur = ad.constant(np.zeros_like(H.value))
+    agents = H if seg is None else ad.segment_mean(H, seg)
+    n = agents.shape[0]
+    Z_cur = ad.constant(np.zeros_like(agents.value))
     exited = np.zeros(n, dtype=bool)
     exit_layer = np.full(n, L, dtype=np.int64)
     exit_time = np.zeros(n)
     records = []
     for l in range(L):
         agg = None if ops.ma is None else spmm(ops.ma, H.value)
-        logits = confidence_logits(H, heads, ops.ma, agg)
-        inv_nu = inv_temperature(H, heads, ops.ma, agg=agg)
+        logits = confidence_logits(agents, heads, ops.ma, agg)
+        inv_nu = inv_temperature(agents, heads, ops.ma, agg=agg)
         smp = None
         if mode == "train_sample":
             smp = noise[l] if noise is not None else sample_gumbel((n, 2), rng)
@@ -271,7 +272,7 @@ def eegnn_forward_node(g: Graph, params: CellParams, heads: ExitHeads,
         tau_col = ad.col_slice(c_soft, 0)
         new_exit = (c_hard.value[:, 1] == 1.0) & ~exited
         if new_exit.any():
-            Z_cur = ad.where_rows(new_exit, H, Z_cur)
+            Z_cur = ad.where_rows(new_exit, agents, Z_cur)
             exit_layer[new_exit] = l
             exited |= new_exit
         active = ~exited
@@ -286,73 +287,18 @@ def eegnn_forward_node(g: Graph, params: CellParams, heads: ExitHeads,
                 # next epoch's) are those of a full-depth run
                 rng.random(size=(L - l - 1, n, 2))
             break
-        H = sas_step(H, ops.a, params, tau=tau_col, edge_term=et)
+        step = tau_col if seg is None else ad.gather_rows(tau_col, seg)
+        H = sas_step(H, ops.a, params, tau=step, edge_term=et)
+        agents = H if seg is None else ad.segment_mean(H, seg)
         if capture is not None:
             capture.append(H.value.copy())
     # after a stop every row comes from Z_cur; the row select stays on the
     # tape all the same, so backward visits the layers in the order it visits
     # them after a full-depth run and sums every gradient in the same order
-    Z = ad.where_rows(exited, Z_cur, H) if exited.any() else H
+    Z = ad.where_rows(exited, Z_cur, agents) if exited.any() else agents
     state = ExitState(exited=exited.copy(), exit_layer=exit_layer,
                       exit_time=exit_time, Z=Z.value.copy(), L=L)
     return Z, state, records
-
-
-def eegnn_forward_graph(g: Graph, params: CellParams, heads: ExitHeads,
-                        L: int, rng: np.random.Generator | None = None,
-                        mode: str = "train_sample", *, ops: Operators | None = None,
-                        noise: list[GumbelSample] | None = None):
-    """Whole-graph early-exit forward pass.
-
-    Pools node states each layer, reads one continue/exit decision and one
-    scalar tau for the whole graph, and returns the pooled state of the exit
-    layer immediately (integration stops there). Never exiting returns the
-    pooled final state. ops is g's operator bundle, built here when not given.
-    """
-    if L < 1:
-        raise ValueError(f"depth must be >= 1, got {L}")
-    if mode not in EXIT_MODES:
-        raise ValueError(f"unknown mode {mode!r}")
-    if heads is None:
-        raise ValueError("the early-exit forward needs exit heads")
-    if heads.kind != "mlp":
-        raise ValueError("graph-level exits use mlp heads on pooled features")
-    if ops is None:
-        ops = build_operators(g, params, heads)
-    et = edge_term(ops.be, params)
-    H = encode(ad.constant(g.X), params)
-    exit_time = 0.0
-    records = []
-    pooled = None
-    exited_at = None
-    for l in range(L):
-        pooled = ad.masked_mean_pool(H)
-        logits = confidence_logits(pooled, heads)
-        inv_nu = inv_temperature(pooled, heads)
-        smp = None
-        if mode == "train_sample":
-            smp = noise[l] if noise is not None else sample_gumbel((1, 2), rng)
-        c_soft, c_hard = gumbel_softmax_st(logits, inv_nu, smp, mode)
-        tau_scalar = ad.col_slice(c_soft, 0)
-        if c_hard.value[0, 1] == 1.0:
-            exited_at = l
-            records.append({"layer": l, "tau": float(tau_scalar.value[0, 0]),
-                            "exited": True})
-            break
-        exit_time += float(tau_scalar.value[0, 0])
-        records.append({"layer": l, "tau": float(tau_scalar.value[0, 0]),
-                        "exited": False})
-        H = sas_step(H, ops.a, params, tau=ad.tile_rows(tau_scalar, g.n),
-                     edge_term=et)
-    if exited_at is None:
-        pooled = ad.masked_mean_pool(H)
-    state = ExitState(
-        exited=np.array([exited_at is not None]),
-        exit_layer=np.array([L if exited_at is None else exited_at], dtype=np.int64),
-        exit_time=np.array([exit_time]),
-        Z=pooled.value.copy(),
-        L=L)
-    return pooled, state, records
 
 
 def exit_distribution(states) -> dict:

@@ -24,6 +24,7 @@ __all__ = [
     "arc_list",
     "arc_rows",
     "pair_index",
+    "disjoint_union",
     "norm_adj",
     "mean_adj",
     "spmm",
@@ -221,6 +222,22 @@ def pair_index(g) -> np.ndarray:
     if not np.array_equal(keys[idx], rev):
         raise ValueError("arc set is not symmetric")
     return idx
+
+
+def disjoint_union(graphs) -> Graph:
+    """One graph holding the given graphs side by side, with no arc between
+    them: graph i's nodes follow graph i - 1's, each keeping its arcs in CSR
+    order, so every row of the union's operators is its member's row, bit
+    for bit. Node and edge features stack; the members must share their
+    widths. Labels and masks are not carried over.
+    """
+    offsets = np.cumsum([0] + [g.n for g in graphs])
+    arcs = np.cumsum([0] + [g.n_arcs for g in graphs])
+    row_offsets = np.concatenate([[0]] + [g.row_offsets[1:] + a for g, a in zip(graphs, arcs)])
+    cols = np.concatenate([g.col_indices + o for g, o in zip(graphs, offsets)])
+    E = None if graphs[0].E_feat is None else np.vstack([g.E_feat for g in graphs])
+    return Graph(n=int(offsets[-1]), row_offsets=row_offsets, col_indices=cols,
+                 X=np.vstack([g.X for g in graphs]), E_feat=E)
 
 
 def validate_graph(g: Graph) -> None:

@@ -21,9 +21,9 @@ from . import autodiff as ad
 from .autodiff import ACTIVATION_KINDS, DiffValue
 from .cells import (CellParams, EDGE_KINDS, EDGE_MODES, MODEL_KINDS, TASKS,
                     build_operators, decode, encode, make_cell_params, propagate)
-from .exits import (ExitHeads, ExitState, eegnn_forward_graph,
-                    eegnn_forward_node, exit_distribution, make_exit_heads)
-from .graphs import Graph, load_graph_fields
+from .exits import (ExitHeads, ExitState, eegnn_forward_node, exit_distribution,
+                    make_exit_heads)
+from .graphs import Graph, degrees, disjoint_union, load_graph_fields
 
 __all__ = [
     "ConfigError",
@@ -205,15 +205,27 @@ class RunConfig:
         return d
 
 
+def _widths(g: Graph) -> str:
+    edges = "no" if g.E_feat is None else g.E_feat.shape[1]
+    return f"{g.X.shape[1]} node features and {edges} edge features"
+
+
 @dataclass
 class GraphSet:
-    """Inductive dataset: one label row and one split per member graph."""
+    """Inductive dataset: one label row and one split per member graph.
+
+    The members run as one disjoint union, so each must have graph 0's node
+    and edge feature widths (no edge features if graph 0 has none); a member
+    that does not raises ConfigError naming it.
+    """
 
     graphs: list
     y: np.ndarray
     masks: dict
 
     def __post_init__(self):
+        if not self.graphs:
+            raise ValueError("a graph set needs at least one graph")
         if len(self.graphs) != self.y.shape[0]:
             raise ValueError("one label row per graph required")
         for name in ("train", "val", "test"):
@@ -223,6 +235,12 @@ class GraphSet:
                 raise ValueError(f"split mask {name!r} must have one entry per "
                                  f"graph ({len(self.graphs)}), got shape "
                                  f"{np.shape(self.masks[name])}")
+        self.masks = {k: np.asarray(m, dtype=bool) for k, m in self.masks.items()}
+        first = _widths(self.graphs[0])
+        problems = [f"graph {i} has {_widths(g)}, graph 0 has {first}"
+                    for i, g in enumerate(self.graphs) if _widths(g) != first]
+        if problems:
+            raise ConfigError(problems)
 
 
 @dataclass
@@ -243,23 +261,16 @@ class Model:
 
 # ------------------------------------------------------------------- losses
 
-def _row_mask(mask, n: int) -> np.ndarray:
-    if mask is None:
-        return np.ones(n, dtype=bool)
-    sel = np.asarray(mask, dtype=bool)
-    if sel.shape != (n,):
-        raise ValueError(f"mask length {sel.shape} does not match rows {n}")
-    if not sel.any():
-        raise ValueError("empty mask selects no rows")
-    return sel
-
-
 def loss_eval(pred: DiffValue, targets, kind: str, mask=None) -> DiffValue:
     """Mean-reduced scalar loss over the (optionally masked) rows."""
     if kind not in LOSS_KINDS:
         raise ValueError(f"unknown loss kind {kind!r}")
     n, k = pred.shape
-    sel = _row_mask(mask, n)
+    sel = np.ones(n, dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
+    if sel.shape != (n,):
+        raise ValueError(f"mask length {sel.shape} does not match rows {n}")
+    if not sel.any():
+        raise ValueError("empty mask selects no rows")
     cnt = int(sel.sum())
     if kind == "ce":
         t = np.asarray(targets, dtype=np.int64).reshape(-1)
@@ -462,25 +473,38 @@ def model_for(cfg: RunConfig, data, rng: np.random.Generator) -> Model:
 
 
 def _operators(model: Model, data):
-    """One operator bundle for a Graph; one per member graph for a GraphSet."""
-    if isinstance(data, GraphSet):
-        return [build_operators(g, model.params, model.heads) for g in data.graphs]
-    return build_operators(data, model.params, model.heads)
+    """The graph a forward reads and its operator bundle, built once per run.
+
+    A GraphSet is packed as the disjoint union of its members, whose bundle
+    carries each node's member index: one forward runs the whole set.
+    """
+    if not isinstance(data, GraphSet):
+        return data, build_operators(data, model.params, model.heads)
+    for i, g in enumerate(data.graphs):
+        bad = np.flatnonzero(degrees(g) == 0)
+        if bad.size:
+            raise ValueError(f"graph {i}: isolated node {int(bad[0])} has degree 0; "
+                             f"drop it before norm_adj")
+    seg = np.repeat(np.arange(len(data.graphs)), [g.n for g in data.graphs])
+    union = disjoint_union(data.graphs)
+    return union, build_operators(union, model.params, model.heads, seg=seg)
 
 
-def forward_node(model: Model, g: Graph, mode: str = "eval_argmax",
+def forward_node(model: Model, g, mode: str = "eval_argmax",
                  rng: np.random.Generator | None = None, *, ops=None,
                  noise=None, override_tau: float | None = None,
                  capture: list | None = None):
-    """Logits for a node task; returns (logits, ExitState | None, records).
+    """Logits of every task; returns (logits, ExitState | None, records).
 
-    ops is g's operator bundle, built here when not given. override_tau runs
-    the plain fixed-depth sas stack with that constant step in place of the
-    exits (the ablation), so eegnn with a fixed tau is sas by construction.
-    capture, when given, receives a copy of every layer's state.
+    g is a Graph (one row per node) or a GraphSet (one row per member
+    graph). ops, when given, is the bundle _operators built along with g
+    (for a GraphSet, the union). override_tau runs the plain fixed-depth
+    sas stack with that constant step in place of the exits (the ablation),
+    so eegnn with a fixed tau is sas by construction. capture, when given,
+    receives a copy of every layer's node states.
     """
     if ops is None:
-        ops = _operators(model, g)
+        g, ops = _operators(model, g)
     cfg = model.cfg
     if cfg.model == "eegnn" and override_tau is None:
         Z, state, recs = eegnn_forward_node(
@@ -492,37 +516,9 @@ def forward_node(model: Model, g: Graph, mode: str = "eval_argmax",
         if capture is not None:
             capture.extend(h.value.copy() for h in states)
         Z, state, recs = states[-1], None, []
-    return decode(Z, cfg.task, model.params), state, recs
-
-
-def _forward_one_graph(model: Model, g: Graph, ops, mode, rng):
-    cfg = model.cfg
-    if cfg.model == "eegnn":
-        pooled, state, _ = eegnn_forward_graph(
-            g, model.params, model.heads, cfg.depth, rng, mode, ops=ops)
-        # decode pools again, but pooling one row is the exact identity
-        return decode(pooled, cfg.task, model.params), state
-    H = propagate(encode(ad.constant(g.X), model.params), ops, model.params,
-                  cfg.model, cfg.depth)[-1]
-    return decode(H, cfg.task, model.params), None
-
-
-def _forward_graph_set(model: Model, ds: GraphSet, ops, mode, rng):
-    preds, states = [], []
-    for g, g_ops in zip(ds.graphs, ops):
-        out, state = _forward_one_graph(model, g, g_ops, mode, rng)
-        preds.append(out)
-        states.append(state)
-    return preds, states
-
-
-def _graph_set_loss(preds, ds: GraphSet, kind, mask) -> DiffValue:
-    sel = np.flatnonzero(_row_mask(mask, len(preds)))
-    total = None
-    for i in sel:
-        li = loss_eval(preds[i], ds.y[i:i + 1], kind)
-        total = li if total is None else ad.add(total, li)
-    return ad.smul(total, 1.0 / len(sel))
+        if ops.seg is not None:
+            Z = ad.segment_mean(Z, ops.seg)
+    return decode(Z, model.params), state, recs
 
 
 # ------------------------------------------------------------------- loops
@@ -537,42 +533,29 @@ def _metric_predictions(pred_value: np.ndarray, metric: str):
     return pred_value
 
 
-def _eval_graph_set(model: Model, ds: GraphSet, ops, split: str,
-                    mode="eval_argmax", rng=None):
-    preds, states = _forward_graph_set(model, ds, ops, mode, rng)
-    mask = np.asarray(ds.masks[split], dtype=bool)
-    stack = np.vstack([p.value for p in preds])
-    value = metric_eval(_metric_predictions(stack[mask], model.cfg.metric),
-                        ds.y[mask], model.cfg.metric)
-    loss = float(_graph_set_loss(preds, ds, model.cfg.loss, mask).value[0, 0])
-    sel_states = [s for s, m in zip(states, mask) if m and s is not None]
-    return value, loss, sel_states
+def _split_exits(model: Model, state: ExitState | None, data, split: str):
+    """The exit state a summary reads and its mean exit layer (the depth
+    without exits): every node of a node task, but the split's graphs of a
+    graph set."""
+    if state is None:
+        return None, float(model.cfg.depth)
+    if isinstance(data, GraphSet):
+        m = data.masks[split]
+        state = ExitState(exited=state.exited[m], exit_layer=state.exit_layer[m],
+                          exit_time=state.exit_time[m], Z=state.Z[m], L=state.L)
+    return state, float(state.exit_layer.mean())
 
 
-def _mean_exit_layer(model: Model, states) -> float:
-    if model.cfg.model != "eegnn":
-        return float(model.cfg.depth)
-    if isinstance(states, ExitState):
-        return float(states.exit_layer.mean())
-    if states:
-        return float(np.concatenate([s.exit_layer for s in states]).mean())
-    return float(model.cfg.depth)
-
-
-def _train_step(model: Model, data, ops, named, opt: OptimState, rng,
+def _train_step(model: Model, data, pack, named, opt: OptimState, rng,
                 epoch: int) -> float:
     """One sampled forward, backward and Adam update; returns the training loss.
 
     Returns a plain number, so the training tape is freed before the eval
     forward builds its own.
     """
-    cfg = model.cfg
-    if isinstance(data, GraphSet):
-        preds, _ = _forward_graph_set(model, data, ops, "train_sample", rng)
-        loss = _graph_set_loss(preds, data, cfg.loss, data.masks["train"])
-    else:
-        logits, _, _ = forward_node(model, data, "train_sample", rng, ops=ops)
-        loss = loss_eval(logits, data.y, cfg.loss, mask=data.masks["train"])
+    g, ops = pack
+    logits, _, _ = forward_node(model, g, "train_sample", rng, ops=ops)
+    loss = loss_eval(logits, data.y, model.cfg.loss, mask=data.masks["train"])
     lv = float(loss.value[0, 0])
     if not np.isfinite(lv):
         raise TrainDivergenceError(epoch, lv)
@@ -582,25 +565,21 @@ def _train_step(model: Model, data, ops, named, opt: OptimState, rng,
     return lv
 
 
-def _eval_splits(model: Model, data, ops):
-    """Validation metric, test metric and the validation split's mean exit
-    layer, from one deterministic forward.
+def _eval_splits(model: Model, data, pack):
+    """Validation metric, test metric and mean exit layer, from one
+    deterministic forward.
 
-    The forward records no tape, and only plain numbers leave this function.
+    The mean exit layer is taken over every node of a node task, and over
+    the validation graphs of a graph set. The forward records no tape, and
+    only plain numbers leave this function.
     """
     metric = model.cfg.metric
+    g, ops = pack
     with ad.no_grad():
-        if isinstance(data, GraphSet):
-            preds, states = _forward_graph_set(model, data, ops, "eval_argmax", None)
-            out = np.vstack([p.value for p in preds])
-            masks = {k: np.asarray(m, dtype=bool) for k, m in data.masks.items()}
-            vstates = [s for s, m in zip(states, masks["val"]) if m and s is not None]
-        else:
-            logits, vstates, _ = forward_node(model, data, "eval_argmax", ops=ops)
-            out, masks = logits.value, data.masks
-    val, test = (metric_eval(_metric_predictions(out[masks[k]], metric),
-                             data.y[masks[k]], metric) for k in ("val", "test"))
-    return val, test, _mean_exit_layer(model, vstates)
+        logits, state, _ = forward_node(model, g, "eval_argmax", ops=ops)
+    val, test = (metric_eval(_metric_predictions(logits.value[data.masks[k]], metric),
+                             data.y[data.masks[k]], metric) for k in ("val", "test"))
+    return val, test, _split_exits(model, state, data, "val")[1]
 
 
 def _check_node_data(cfg: RunConfig, g: Graph):
@@ -633,14 +612,14 @@ def train_run(cfg: RunConfig, data):
     values = [p for _, p in named]
     opt = OptimState(lr=cfg.lr, weight_decay=cfg.weight_decay,
                      decoupled=cfg.decoupled_wd)
-    ops = _operators(model, data)
+    pack = _operators(model, data)
     higher = _HIGHER_BETTER[cfg.metric]
     best_val = None
     best_snapshot = None
     history = []
     for epoch in range(cfg.epochs):
-        lv = _train_step(model, data, ops, named, opt, rng, epoch)
-        val, test, mel = _eval_splits(model, data, ops)
+        lv = _train_step(model, data, pack, named, opt, rng, epoch)
+        val, test, mel = _eval_splits(model, data, pack)
         history.append((epoch, lv, val, test, mel))
         if best_val is None or (val > best_val if higher else val < best_val):
             best_val = val
@@ -653,40 +632,35 @@ def train_run(cfg: RunConfig, data):
 
 def evaluate(model: Model, data, split: str = "test", mode: str = "eval_argmax",
              rng: np.random.Generator | None = None) -> dict:
-    """Metrics record for one split; exit summaries included for eegnn."""
+    """Metrics record for one split; exit summaries included for eegnn, over
+    every node of a node task or over the split's graphs of a graph set."""
     if mode == "train_sample" and rng is None:
         rng = np.random.Generator(np.random.PCG64(model.cfg.seed))
-    ops = _operators(model, data)
+    g, ops = _operators(model, data)
     with ad.no_grad():
-        if model.cfg.task == "node_class":
-            logits, state, _ = forward_node(model, data, mode, rng, ops=ops)
-            return node_record(model, data, logits, state, split, mode)
-        value, loss, states = _eval_graph_set(model, data, ops, split, mode, rng)
-    return _record(model, split, mode, value, loss, states)
+        logits, state, _ = forward_node(model, g, mode, rng, ops=ops)
+        return node_record(model, data, logits, state, split, mode)
 
 
-def node_record(model: Model, g: Graph, logits: DiffValue, state,
+def node_record(model: Model, data, logits: DiffValue, state,
                 split: str = "test", mode: str = "eval_argmax") -> dict:
-    """evaluate's record for a node task, from one forward's logits and exit
-    state, so a caller that needs those too runs the forward only once."""
-    mask = g.masks[split]
+    """evaluate's record, from one forward's logits and exit state, so a
+    caller that needs those too runs the forward only once."""
+    mask = data.masks[split]
     value = metric_eval(_metric_predictions(logits.value[mask], model.cfg.metric),
-                        g.y[mask], model.cfg.metric)
-    loss = float(loss_eval(logits, g.y, model.cfg.loss, mask=mask).value[0, 0])
-    return _record(model, split, mode, value, loss, state)
-
-
-def _record(model: Model, split, mode, value, loss, states) -> dict:
+                        data.y[mask], model.cfg.metric)
+    loss = float(loss_eval(logits, data.y, model.cfg.loss, mask=mask).value[0, 0])
+    state, mean_layer = _split_exits(model, state, data, split)
     record = {
         "split": split,
         "mode": mode,
         "metric": model.cfg.metric,
         "value": value,
         "loss": loss,
-        "mean_exit_layer": _mean_exit_layer(model, states),
+        "mean_exit_layer": mean_layer,
     }
-    if model.cfg.model == "eegnn" and (isinstance(states, ExitState) or states):
-        dist = exit_distribution(states)
+    if state is not None:
+        dist = exit_distribution(state)
         record["exit"] = {
             "min_layer": dist["min_layer"],
             "median_layer": dist["median_layer"],

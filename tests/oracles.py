@@ -209,3 +209,71 @@ def match_complex_sets(a, b, tol):
             return False
         b_left.pop(j)
     return True
+
+
+# ------------------------------------------------------ graph-set oracle
+
+def graph_set_forward_per_graph(model, graphs, mode="eval_argmax", noise=None):
+    """A graph-set forward run one member graph at a time, as the package ran
+    it before graph sets were batched.
+
+    Each graph is encoded, propagated and mean-pooled on its own, and decoded
+    as a single row. An eegnn model reads one continue/exit decision per layer
+    from its heads on the graph's pooled state, steps the whole graph with
+    that decision's tau, and stops at its first exit; its pooled state is the
+    one of its exit layer. With mode train_sample, noise holds one (G, 2)
+    block per layer and graph i reads row i of each.
+
+    Returns per-graph node states of the last layer run, pooled states
+    (G x hidden), logits, exit layers and exit times; the last two are
+    None for fixed-depth kinds. Forward only: nothing is taped.
+    """
+    from eegnn import autodiff as ad
+    from eegnn.cells import build_operators, edge_term, encode, propagate, \
+        sas_step
+    from eegnn.exits import GumbelSample, confidence_logits, \
+        gumbel_softmax_st, inv_temperature
+
+    cfg, p = model.cfg, model.params
+    states, pooled, logits, layers, times = [], [], [], [], []
+    with ad.no_grad():
+        for i, g in enumerate(graphs):
+            ops = build_operators(g, p, model.heads)
+            H = encode(ad.constant(g.X), p)
+            if cfg.model != "eegnn":
+                H = propagate(H, ops, p, cfg.model, cfg.depth)[-1]
+                pool = H.value.mean(axis=0, keepdims=True)
+            else:
+                et = edge_term(ops.be, p)
+                layer, t = cfg.depth, 0.0
+                for l in range(cfg.depth):
+                    pool = H.value.mean(axis=0, keepdims=True)
+                    row = ad.constant(pool)
+                    smp = None
+                    if mode == "train_sample":
+                        smp = GumbelSample(g=noise[l].g[i:i + 1], rng_state={})
+                    c_soft, c_hard = gumbel_softmax_st(
+                        confidence_logits(row, model.heads),
+                        inv_temperature(row, model.heads), smp, mode)
+                    tau = c_soft.value[0, 0]
+                    if c_hard.value[0, 1] == 1.0:
+                        layer = l
+                        break
+                    t += float(tau)
+                    H = sas_step(H, ops.a, p, tau=ad.constant(np.full((g.n, 1), tau)),
+                                 edge_term=et)
+                else:
+                    pool = H.value.mean(axis=0, keepdims=True)
+                layers.append(layer)
+                times.append(t)
+            states.append(H.value)
+            pooled.append(pool)
+            out = ad.constant(pool)
+            for k, (w, b) in enumerate(p.dec):
+                out = ad.matmul_add(out, w, b)
+                if k + 1 < len(p.dec):
+                    out = ad.activation_apply(out, "relu")
+            logits.append(out.value)
+    eegnn = cfg.model == "eegnn"
+    return (states, np.vstack(pooled), np.vstack(logits),
+            np.array(layers) if eegnn else None, np.array(times) if eegnn else None)

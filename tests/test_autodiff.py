@@ -137,27 +137,87 @@ def test_log_softmax_gradient():
 
 
 def test_mean_pool_identical_rows():
-    out = ad.masked_mean_pool(ad.leaf([[2.0, 3.0], [2.0, 3.0]]))
+    out = ad.segment_mean(ad.leaf([[2.0, 3.0], [2.0, 3.0]]), [0, 0])
     assert np.array_equal(out.value, [[2.0, 3.0]])
 
 
 def test_mean_pool_arithmetic_mean():
-    out = ad.masked_mean_pool(ad.leaf([[0.0], [2.0]]))
-    assert out.value.tolist() == [[1.0]]
+    out = ad.segment_mean(ad.leaf([[0.0], [2.0], [5.0]]), [0, 0, 1])
+    assert out.value.tolist() == [[1.0], [5.0]]
 
 
 def test_mean_pool_permutation_invariant():
     rng = np.random.default_rng(5)
     H = rng.normal(size=(7, 3))
-    perm = rng.permutation(7)
-    a = ad.masked_mean_pool(ad.leaf(H)).value
-    b = ad.masked_mean_pool(ad.leaf(H[perm])).value
+    seg = [0, 0, 0, 1, 1, 1, 1]
+    perm = np.concatenate([rng.permutation(3), 3 + rng.permutation(4)])
+    a = ad.segment_mean(ad.leaf(H), seg).value
+    b = ad.segment_mean(ad.leaf(H[perm]), seg).value
     assert np.allclose(a, b, atol=1e-15)
+    # each segment's mean is the one it gets as a matrix of its own
+    assert a[1].tobytes() == H[3:].mean(axis=0).tobytes()
 
 
 def test_mean_pool_empty_selection_rejected():
+    H = ad.leaf(np.ones((3, 2)))
+    for seg in ([0, 2, 2], [1, 1, 1], [1, 0, 0], [0, 0]):
+        with pytest.raises(ValueError):
+            ad.segment_mean(H, seg)
+
+
+def test_gather_rows_copies_rows_and_sums_gradients_back():
+    A = ad.leaf([[1.0, 2.0], [3.0, 4.0]])
+    out = ad.gather_rows(A, [1, 0, 1])
+    assert out.value.tolist() == [[3.0, 4.0], [1.0, 2.0], [3.0, 4.0]]
+    ad.backward(ad.sum_all(out))
+    assert A.grad.tolist() == [[1.0, 1.0], [2.0, 2.0]]
     with pytest.raises(ValueError):
-        ad.masked_mean_pool(ad.leaf(np.ones((3, 2))), mask=np.zeros(3, dtype=bool))
+        ad.gather_rows(A, [2])
+
+
+# bench/layers.py wraps every other public name of autodiff as a tape op and
+# reads the .value and .grad of its result
+NON_OPS = {"DiffValue", "backward", "zero_grads", "fd_check"}
+
+
+def test_every_public_op_returns_a_diff_value():
+    A, B = ad.leaf(np.ones((3, 2))), ad.leaf(np.full((3, 2), 2.0))
+    W, b = ad.leaf(np.eye(2)), ad.leaf(np.zeros((1, 2)))
+    t = ad.constant(np.full((3, 1), 0.5))
+    a = norm_adj(canonicalize([(0, 1), (1, 2)], 3))
+    calls = {
+        "leaf": lambda: ad.leaf(np.ones((2, 2))),
+        "constant": lambda: ad.constant(np.ones((2, 2))),
+        "matmul_add": lambda: ad.matmul_add(A, W, b),
+        "activation_apply": lambda: ad.activation_apply(A, "tanh"),
+        "row_log_softmax": lambda: ad.row_log_softmax(A),
+        "softmax_rows": lambda: ad.softmax_rows(A),
+        "segment_mean": lambda: ad.segment_mean(A, [0, 0, 1]),
+        "add": lambda: ad.add(A, B),
+        "sub": lambda: ad.sub(A, B),
+        "neg": lambda: ad.neg(A),
+        "smul": lambda: ad.smul(A, 2.0),
+        "add_scalar": lambda: ad.add_scalar(A, 1.0),
+        "mul": lambda: ad.mul(A, B),
+        "mul_const": lambda: ad.mul_const(A, np.ones((3, 2))),
+        "abs_val": lambda: ad.abs_val(A),
+        "scale_rows": lambda: ad.scale_rows(A, t),
+        "add_scaled_rows": lambda: ad.add_scaled_rows(A, B, t),
+        "transpose": lambda: ad.transpose(A),
+        "gather_rows": lambda: ad.gather_rows(A, [2, 0]),
+        "col_slice": lambda: ad.col_slice(A, 1),
+        "where_rows": lambda: ad.where_rows([True, False, True], A, B),
+        "straight_through": lambda: ad.straight_through(A, np.zeros((3, 2))),
+        "sum_all": lambda: ad.sum_all(A),
+        "dspmm": lambda: ad.dspmm(a, A, W=W),
+        "act_update": lambda: ad.act_update(A, W, [B], "relu", "tanh"),
+        "act_matmul_add": lambda: ad.act_matmul_add(A, "relu", W, b),
+    }
+    assert set(calls) == set(ad.__all__) - NON_OPS
+    for name, call in calls.items():
+        out = call()
+        assert isinstance(out, ad.DiffValue), name
+        assert out.grad.shape == out.value.shape, name
 
 
 def test_backward_sum_gives_ones():
@@ -269,14 +329,15 @@ def _one_op_cases(rng):
     Wm = ad.leaf(draw(m, m) / m)
     bias = ad.leaf(draw(1, k))
     t = ad.leaf(rng.uniform(0.1, 0.9, size=(n, 1)))
-    row = ad.leaf(draw(1, m))
     mask = rng.random(n) < 0.5
     if not mask.any():
         mask[0] = True
     probe = ad.constant(draw(n, m))
     probek = ad.constant(draw(n, k))
     probe_col = ad.constant(draw(n, 1))
-    probe_row = ad.constant(draw(1, m))
+    rows = rng.integers(0, n, size=n)       # with repeats, so sums back
+    seg = np.unique(np.sort(rng.integers(0, n, size=n)), return_inverse=True)[1]
+    probe_seg = ad.constant(probe.value[:seg.max() + 1])
 
     def score(x, w=probe):
         return ad.sum_all(ad.mul(x, w))
@@ -299,15 +360,14 @@ def _one_op_cases(rng):
         ("transpose", [A],
          lambda: ad.sum_all(ad.mul(ad.transpose(A),
                                    ad.constant(probe.value.T)))),
-        ("tile_rows", [row], lambda: score(ad.tile_rows(row, n))),
+        ("gather_rows", [A], lambda: score(ad.gather_rows(A, rows))),
         ("col_slice", [A],
          lambda: ad.sum_all(ad.mul(ad.col_slice(A, m - 1), probe_col))),
         ("where_rows", [A, B], lambda: score(ad.where_rows(mask, A, B))),
         ("row_log_softmax", [A], lambda: score(ad.row_log_softmax(A))),
         ("softmax_rows", [A], lambda: score(ad.softmax_rows(A))),
-        ("mean_pool", [A],
-         lambda: ad.sum_all(ad.mul(ad.masked_mean_pool(A, mask=mask),
-                                   probe_row))),
+        ("segment_mean", [A],
+         lambda: score(ad.segment_mean(A, seg), probe_seg)),
         ("sum_all", [A], lambda: ad.sum_all(A)),
         ("act_update", [A, Wm, B],
          lambda: score(ad.act_update(A, Wm, [B], "tanh", "softplus"))),

@@ -244,19 +244,19 @@ def test_decode_identity_returns_input():
     p.dec[0][0].value[...] = np.eye(m)
     p.dec[0][1].value[...] = 0.0
     Z = rng.normal(size=(4, m))
-    out = decode(ad.constant(Z), "node_class", p)
+    out = decode(ad.constant(Z), p)
     assert np.array_equal(out.value, Z)
 
 
-def test_decode_graph_task_pools_first():
+def test_decode_reads_each_row_alone():
     rng = np.random.default_rng(17)
-    p = make_cell_params(rng, "sas", 3, 3, 2)
-    row = rng.normal(size=(1, 3))
-    Z = np.tile(row, (5, 1))
-    pooled = decode(ad.constant(Z), "graph_class", p)
-    single = decode(ad.constant(row), "graph_class", p)
-    assert pooled.shape == (1, 2)
-    assert np.allclose(pooled.value, single.value, atol=1e-15)
+    p = make_cell_params(rng, "sas", 3, 3, 2, dec_hidden=(4,))
+    Z = rng.normal(size=(5, 3))
+    out = decode(ad.constant(Z), p)
+    assert out.shape == (5, 2)
+    for i in range(5):
+        single = decode(ad.constant(Z[i:i + 1]), p)
+        assert np.allclose(out.value[i:i + 1], single.value, rtol=0, atol=1e-15)
 
 
 def test_decode_gradients_match_fd():
@@ -266,7 +266,7 @@ def test_decode_gradients_match_fd():
     w = ad.constant(rng.normal(size=(6, 2)))
 
     def loss():
-        return ad.sum_all(ad.mul(decode(Z, "node_class", p), w))
+        return ad.sum_all(ad.mul(decode(Z, p), w))
 
     params = [v for pair in p.dec for v in pair]
     assert ad.fd_check(loss, params) <= 1e-6

@@ -229,6 +229,20 @@ def test_train_graph_set_mask_of_wrong_length_is_validation_error(tmp_path, caps
     assert "'train'" in capsys.readouterr().err
 
 
+def test_train_graph_set_member_of_another_width_is_validation_error(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, dict(TRAIN_CFG, task="graph_reg", loss="mse",
+                                   metric="mae"), name="gs.json")
+    data = graph_set_file(tmp_path)
+    doc = json.loads(Path(data).read_text())
+    doc["graphs"][1]["x"] = [row[:3] for row in doc["graphs"][1]["x"]]
+    Path(data).write_text(json.dumps(doc))
+    assert run(["train", "--config", cfg, "--data", data,
+                "--out", str(tmp_path / "run")]) == 1
+    assert ("graph 1 has 3 node features and no edge features, graph 0 has 5 "
+            "node features") in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def trained_checkpoint(tmp_path):
     data = gen_sbm_data(tmp_path, seed=12)
     cfg = write_cfg(tmp_path, dict(TRAIN_CFG, epochs=1), name="t.json")

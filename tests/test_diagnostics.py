@@ -147,6 +147,13 @@ def test_descent_trace_layer_count():
     assert tr.layers.tolist() == list(range(8))
 
 
+@pytest.mark.parametrize("kw", [dict(n_cases=-1, steps=0), dict(n_cases=0),
+                                dict(steps=0), dict(edge_modes=())])
+def test_descent_suite_rejects_counts_that_check_nothing(kw):
+    with pytest.raises(ValueError, match="must be >= 1"):
+        descent_suite(**kw)
+
+
 def test_descent_suite_small_run_passes():
     out = descent_suite(n_cases=6, steps=20, tau=0.05, seed=1)
     assert out["pass"]
@@ -193,6 +200,12 @@ def test_jacobian_width_budget_enforced():
     params = make_cell_params(rng, "sas", 33, 33, 2)
     with pytest.raises(ValueError, match="32"):
         sas_jacobian(params, np.zeros(33))
+
+
+@pytest.mark.parametrize("n_configs", [0, -1])
+def test_spectrum_suite_rejects_a_count_that_checks_nothing(n_configs):
+    with pytest.raises(ValueError, match="n_configs"):
+        spectrum_suite(n_configs=n_configs)
 
 
 def test_spectrum_suite_small_run_passes():

@@ -7,12 +7,11 @@ import pytest
 
 import oracles
 from eegnn import autodiff as ad
-from eegnn.cells import make_cell_params, sas_step, encode
-from eegnn.exits import (ExitHeads, ExitState, GumbelSample,
-                         eegnn_forward_graph, eegnn_forward_node,
+from eegnn.cells import build_operators, make_cell_params, sas_step, encode
+from eegnn.exits import (ExitHeads, ExitState, GumbelSample, eegnn_forward_node,
                          exit_distribution, gumbel_softmax_st, inv_temperature,
                          confidence_logits, make_exit_heads, sample_gumbel)
-from eegnn.graphs import gen_sbm, mean_adj, norm_adj
+from eegnn.graphs import disjoint_union, gen_sbm, mean_adj, norm_adj
 
 EULER_MASCHERONI = 0.5772156649015329
 
@@ -324,11 +323,20 @@ def test_exit_state_validates_consistency():
                   exit_time=np.array([4.5]), Z=np.zeros((1, 2)), L=3)
 
 
+def graph_agents(members, params, heads):
+    """The union of member graphs and an operator bundle whose agents are
+    the members."""
+    seg = np.repeat(np.arange(len(members)), [g.n for g in members])
+    union = disjoint_union(members)
+    return union, build_operators(union, params, heads, seg=seg)
+
+
 def test_graph_forward_immediate_exit_pools_initial_state():
     g, params, _, rng = graph_and_params(seed=5)
     heads = make_exit_heads(np.random.default_rng(5), "mlp", 5, 8, 1)
     force_heads(heads, exit_bias=50.0)
-    pooled, state, recs = eegnn_forward_graph(g, params, heads, L=6, rng=rng)
+    g, ops = graph_agents([g], params, heads)
+    pooled, state, recs = eegnn_forward_node(g, params, heads, L=6, rng=rng, ops=ops)
     H0 = encode(ad.constant(g.X), params).value
     assert np.allclose(pooled.value, H0.mean(axis=0, keepdims=True), atol=1e-12)
     assert state.exit_layer.tolist() == [0]
@@ -340,22 +348,35 @@ def test_graph_forward_never_exit_pools_final_state():
     heads = make_exit_heads(np.random.default_rng(6), "mlp", 5, 8, 1)
     force_heads(heads, exit_bias=-50.0)
     L = 4
-    pooled, state, recs = eegnn_forward_graph(g, params, heads, L=L, rng=rng)
+    g, ops = graph_agents([g], params, heads)
+    captured = []
+    pooled, state, recs = eegnn_forward_node(g, params, heads, L=L, rng=rng, ops=ops,
+                                             capture=captured)
     assert state.exit_layer.tolist() == [L]
     assert not state.exited[0]
     assert len(recs) == L
+    assert np.array_equal(pooled.value, captured[-1].mean(axis=0, keepdims=True))
 
 
 def test_graph_forward_tau_depends_on_graph():
     _, params, _, _ = graph_and_params(seed=7)
     heads = make_exit_heads(np.random.default_rng(7), "mlp", 5, 8, 1)
+    force_heads(heads, exit_bias=-2.0)       # continue, with tau short of 1
+    heads.fc_layers[0][0].value[...] = np.random.default_rng(8).normal(size=(5, 8))
+    heads.fc_out[0].value[...] = 0.1 * np.random.default_rng(9).normal(size=(8, 2))
     g1 = gen_sbm([8, 8], 0.7, 0.2, seed=70, feature_dim=5)
     g2 = gen_sbm([8, 8], 0.2, 0.7, seed=71, feature_dim=5)
-    _, _, r1 = eegnn_forward_graph(g1, params, heads, L=3, mode="eval_argmax")
-    _, _, r2 = eegnn_forward_graph(g2, params, heads, L=3, mode="eval_argmax")
-    t1 = [r["tau"] for r in r1]
-    t2 = [r["tau"] for r in r2]
-    assert t1 != t2
+    g, ops = graph_agents([g1, g2], params, heads)
+    _, state, _ = eegnn_forward_node(g, params, heads, L=3, mode="eval_argmax", ops=ops)
+    assert not state.exited.any()
+    assert state.exit_time[0] != state.exit_time[1]
+
+
+def test_graph_agents_need_mlp_heads():
+    g, params, heads, _ = graph_and_params(seed=8)
+    g, ops = graph_agents([g], params, heads)
+    with pytest.raises(ValueError, match="mlp heads"):
+        eegnn_forward_node(g, params, heads, L=2, mode="eval_argmax", ops=ops)
 
 
 def test_exit_distribution_all_at_zero():

@@ -151,15 +151,47 @@ def test_graph_set_validates_shapes():
                  masks={"train": [1, 0], "val": [0, 1], "test": [0, 1, 1]})
 
 
+def with_edge_features(g, width=2):
+    """g with edge features equal on both arcs of an edge."""
+    g.E_feat = (g.X[arc_rows(g)] + g.X[g.col_indices])[:, :width]
+    return g
+
+
+@pytest.mark.parametrize("edges,change,shown", [
+    (0, lambda g: setattr(g, "X", g.X[:, :3]),
+     "graph 2 has 3 node features and no edge features, graph 0 has 6 node "
+     "features and no edge features"),
+    (0, with_edge_features,
+     "graph 2 has 6 node features and 2 edge features, graph 0 has 6 node "
+     "features and no edge features"),
+    (2, lambda g: None,
+     "graph 2 has 6 node features and no edge features, graph 0 has 6 node "
+     "features and 2 edge features"),
+    (2, lambda g: with_edge_features(g, 3),
+     "graph 2 has 6 node features and 3 edge features, graph 0 has 6 node "
+     "features and 2 edge features"),
+])
+def test_graph_set_members_must_fit_one_union(edges, change, shown):
+    """edges is the edge-feature width of graphs 0 and 1; change alters graph 2."""
+    members = [sbm(seed=s) for s in (5, 6, 7)]
+    for g in members[:2]:
+        if edges:
+            with_edge_features(g, edges)
+    change(members[2])
+    with pytest.raises(ConfigError, match=shown):
+        GraphSet(members, y=np.zeros((3, 1)),
+                 masks={k: np.ones(3, dtype=bool) for k in ("train", "val", "test")})
+
+
 # ------------------------------------------------------------------- model
 
 def test_model_for_sizes_a_graph_and_a_graph_set():
-    g = sbm(seed=3)
-    g.E_feat = (g.X[arc_rows(g)] + g.X[g.col_indices])[:, :2]
+    g = with_edge_features(sbm(seed=3))
     rng = np.random.default_rng(0)
     node = model_for(RunConfig.from_dict({"edge_mode": "linear"}), g, rng)
     assert (node.feat_dim, node.out_dim, node.edge_dim) == (6, 2, 2)
-    ds = GraphSet([g, sbm(seed=4)], y=np.array([[0.5, 1.0], [1.5, 2.0]]),
+    ds = GraphSet([g, with_edge_features(sbm(seed=4))],
+                  y=np.array([[0.5, 1.0], [1.5, 2.0]]),
                   masks={k: np.ones(2, dtype=bool) for k in ("train", "val", "test")})
     reg = RunConfig.from_dict({"task": "graph_reg", "loss": "mse", "metric": "mae"})
     graph = model_for(reg, ds, rng)
