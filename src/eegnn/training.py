@@ -636,9 +636,8 @@ def evaluate(model: Model, data, split: str = "test", mode: str = "eval_argmax",
     every node of a node task or over the split's graphs of a graph set."""
     if mode == "train_sample" and rng is None:
         rng = np.random.Generator(np.random.PCG64(model.cfg.seed))
-    g, ops = _operators(model, data)
     with ad.no_grad():
-        logits, state, _ = forward_node(model, g, mode, rng, ops=ops)
+        logits, state, _ = forward_node(model, data, mode, rng)
         return node_record(model, data, logits, state, split, mode)
 
 
