@@ -7,14 +7,14 @@ module exposes all of it as one command.
 """
 
 from . import autodiff, cells, diagnostics, eig, exits, graphs, training
-from .graphs import Graph, load_graph, save_graph
+from .graphs import Graph, save_graph
 from .training import RunConfig, evaluate, train_run
 
 __version__ = "0.1.0"
 
 __all__ = [
     "autodiff", "cells", "diagnostics", "eig", "exits", "graphs", "training",
-    "Graph", "load_graph", "save_graph",
+    "Graph", "save_graph",
     "RunConfig", "evaluate", "train_run",
     "__version__",
 ]

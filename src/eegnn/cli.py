@@ -34,7 +34,7 @@ from .graphs import degrees, edge_homophily, gen_minesweeper_grid, gen_sbm, \
 from .training import ConfigError, GraphSet, RunConfig, coerce_keys, \
     evaluate, exit_csv, forward_node, history_csv, load_checkpoint, \
     load_dataset, metric_eval, model_for, node_record, save_checkpoint, \
-    scores_from_logits, train_run
+    train_run
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -177,9 +177,8 @@ def _metric_bundle(model, data, split: str = "test"):
     for name in ("accuracy", "macro_f1"):
         bundle[name] = metric_eval(lv, y, name)
     try:
-        scores = scores_from_logits(lv)
-        bundle["auroc"] = metric_eval(scores, y, "auroc")
-        bundle["ap"] = metric_eval(scores, y, "ap")
+        bundle["auroc"] = metric_eval(lv, y, "auroc")
+        bundle["ap"] = metric_eval(lv, y, "ap")
     except ValueError:
         bundle["auroc"] = None
         bundle["ap"] = None

@@ -12,7 +12,11 @@ and its tau steps all of its nodes. The loop freezes an agent's output row
 at its first hard exit. States of exited agents keep updating while any
 agent is still active (a frozen row only pins what the decoder sees), and
 the loop stops at the layer where the last agent exits: the remaining layers
-could not change the output.
+could not change the output. A row freezes through a constant mask, so the
+straight-through one-hot of gumbel_softmax_st reaches no loss: the heads
+train through tau alone. With every head parameter zero both exit logits
+are equal, c_soft is exactly [0.5, 0.5] and the argmax continues, so the
+loop is plain sas at tau 0.5 bit for bit (the ablation tests check this).
 """
 
 from __future__ import annotations
@@ -28,7 +32,6 @@ from .cells import CellParams, Operators, _glorot, build_operators, edge_term, \
 from .graphs import Graph, spmm
 
 __all__ = [
-    "GumbelSample",
     "ExitState",
     "ExitHeads",
     "sample_gumbel",
@@ -48,31 +51,25 @@ _CLAMP = 1e-12
 
 
 @dataclass
-class GumbelSample:
-    """Standard Gumbel draws plus the generator state they came from."""
-
-    g: np.ndarray
-    rng_state: dict
-
-
-@dataclass
 class ExitState:
-    """Bookkeeping for one forward pass: who exited, when, and with what."""
+    """Per agent of one forward: its exit layer (L when it never exits) and
+    its exit time, the tau it spent before that layer."""
 
-    exited: np.ndarray
     exit_layer: np.ndarray
     exit_time: np.ndarray
-    Z: np.ndarray
     L: int
 
     def __post_init__(self):
-        n = self.exited.shape[0]
-        if not (self.exit_layer.shape == (n,) and self.exit_time.shape == (n,)):
+        if self.exit_layer.ndim != 1 or self.exit_time.shape != self.exit_layer.shape:
             raise ValueError("per-agent arrays must share one length")
+        if ((self.exit_layer < 0) | (self.exit_layer > self.L)).any():
+            raise ValueError("exit_layer outside [0, L]")
         if ((self.exit_time < 0) | (self.exit_time > self.L)).any():
             raise ValueError("exit_time outside [0, L]")
-        if ((self.exit_layer == self.L) == self.exited).any():
-            raise ValueError("exit_layer == L must mean never exited")
+
+    @property
+    def exited(self) -> np.ndarray:
+        return self.exit_layer < self.L
 
 
 @dataclass
@@ -118,11 +115,10 @@ class ExitHeads:
         return out
 
 
-def sample_gumbel(shape, rng: np.random.Generator) -> GumbelSample:
+def sample_gumbel(shape, rng: np.random.Generator) -> np.ndarray:
     """i.i.d. Gumbel(0,1) draws: -log(-log(u)) with u clamped off {0, 1}."""
-    state = rng.bit_generator.state
     u = np.clip(rng.random(size=shape), _CLAMP, 1.0 - _CLAMP)
-    return GumbelSample(g=-np.log(-np.log(u)), rng_state=state)
+    return -np.log(-np.log(u))
 
 
 def make_exit_heads(rng: np.random.Generator, kind: str, in_dim: int,
@@ -190,13 +186,14 @@ def inv_temperature(H: DiffValue, heads: ExitHeads, ma=None, agg=None) -> DiffVa
 
 
 def gumbel_softmax_st(logits: DiffValue, inv_nu: DiffValue,
-                      g: GumbelSample | None = None,
+                      g: np.ndarray | None = None,
                       mode: str = "train_sample") -> tuple[DiffValue, DiffValue]:
     """Sharpened two-way sample: (soft probabilities, straight-through one-hot).
 
     Soft path: row-softmax((log_softmax(logits) + g) * inv_nu). The hard
     output's value is the exact one-hot of the soft argmax; its gradient is
-    the soft path's gradient. eval_argmax drops the noise term entirely.
+    the soft path's gradient. g is the Gumbel noise, shaped like logits;
+    eval_argmax drops the noise term entirely.
     """
     if mode not in EXIT_MODES:
         raise ValueError(f"unknown mode {mode!r}")
@@ -205,10 +202,10 @@ def gumbel_softmax_st(logits: DiffValue, inv_nu: DiffValue,
     scores = ad.row_log_softmax(logits)
     if mode == "train_sample":
         if g is None:
-            raise ValueError("train_sample mode needs a GumbelSample")
-        if g.g.shape != logits.shape:
-            raise ValueError(f"noise shape {g.g.shape} must match logits {logits.shape}")
-        scores = ad.add(scores, ad.constant(g.g))
+            raise ValueError("train_sample mode needs Gumbel noise")
+        if g.shape != logits.shape:
+            raise ValueError(f"noise shape {g.shape} must match logits {logits.shape}")
+        scores = ad.add(scores, ad.constant(g))
     c_soft = ad.softmax_rows(ad.scale_rows(scores, inv_nu))
     hard = np.zeros_like(c_soft.value)
     hard[np.arange(hard.shape[0]), np.argmax(c_soft.value, axis=1)] = 1.0
@@ -218,7 +215,7 @@ def gumbel_softmax_st(logits: DiffValue, inv_nu: DiffValue,
 def eegnn_forward_node(g: Graph, params: CellParams, heads: ExitHeads,
                        L: int, rng: np.random.Generator | None = None,
                        mode: str = "train_sample", *, ops: Operators | None = None,
-                       noise: list[GumbelSample] | None = None,
+                       noise: list[np.ndarray] | None = None,
                        capture: list | None = None):
     """Early-exit forward pass over g's nodes, or over the member graphs of a
     graph-set union when ops carries their segment index.
@@ -296,32 +293,18 @@ def eegnn_forward_node(g: Graph, params: CellParams, heads: ExitHeads,
     # tape all the same, so backward visits the layers in the order it visits
     # them after a full-depth run and sums every gradient in the same order
     Z = ad.where_rows(exited, Z_cur, agents) if exited.any() else agents
-    state = ExitState(exited=exited.copy(), exit_layer=exit_layer,
-                      exit_time=exit_time, Z=Z.value.copy(), L=L)
-    return Z, state, records
+    return Z, ExitState(exit_layer=exit_layer, exit_time=exit_time, L=L), records
 
 
-def exit_distribution(states) -> dict:
-    """Histogram and summary of exit layers/times over one or many states.
-
-    Discrete layers are binned 0..L; continuous times come back as a sorted
-    copy. min <= median <= max by construction.
-    """
-    if isinstance(states, ExitState):
-        states = [states]
-    states = list(states)
-    if not states:
-        raise ValueError("no exit states given")
-    layers = np.concatenate([s.exit_layer for s in states])
-    times = np.concatenate([s.exit_time for s in states])
-    L = max(s.L for s in states)
-    hist = np.bincount(layers, minlength=L + 1)
+def exit_distribution(state: ExitState, rows) -> dict:
+    """The exit summary of the agents rows selects (a mask, indices or a
+    slice): min, median and max exit layer, mean exit time, and the count of
+    agents per exit layer 0..L."""
+    layers, times = state.exit_layer[rows], state.exit_time[rows]
     return {
-        "histogram": hist,
-        "layers": layers,
-        "times": np.sort(times),
         "min_layer": int(layers.min()),
         "median_layer": float(np.median(layers)),
         "max_layer": int(layers.max()),
         "mean_time": float(times.mean()),
+        "histogram": [int(c) for c in np.bincount(layers, minlength=state.L + 1)],
     }

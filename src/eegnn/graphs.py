@@ -33,7 +33,6 @@ __all__ = [
     "gen_minesweeper_grid",
     "gen_sbm",
     "save_graph",
-    "load_graph",
     "load_graph_fields",
 ]
 
@@ -491,21 +490,9 @@ def _field(doc, name, required=True):
     return doc[name]
 
 
-def load_graph(path) -> Graph:
-    """Load a JSON graph document, canonicalize, and validate.
-
-    edge_attr rows align with the canonical CSR arc order.
-    """
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"malformed JSON in graph file: {exc}") from exc
-    return load_graph_fields(doc)
-
-
 def load_graph_fields(doc) -> Graph:
-    """Build a validated Graph from an already-parsed JSON object."""
+    """Build a validated Graph from an already-parsed JSON object; edge_attr
+    rows align with the canonical CSR arc order."""
     if not isinstance(doc, dict):
         raise ValueError("graph document must be a JSON object")
     n = _field(doc, "n")

@@ -492,27 +492,24 @@ def _operators(model: Model, data):
 
 def forward_node(model: Model, g, mode: str = "eval_argmax",
                  rng: np.random.Generator | None = None, *, ops=None,
-                 noise=None, override_tau: float | None = None,
-                 capture: list | None = None):
+                 noise=None, capture: list | None = None):
     """Logits of every task; returns (logits, ExitState | None, records).
 
     g is a Graph (one row per node) or a GraphSet (one row per member
     graph). ops, when given, is the bundle _operators built along with g
-    (for a GraphSet, the union). override_tau runs the plain fixed-depth
-    sas stack with that constant step in place of the exits (the ablation),
-    so eegnn with a fixed tau is sas by construction. capture, when given,
-    receives a copy of every layer's node states.
+    (for a GraphSet, the union). capture, when given, receives a copy of
+    every layer's node states.
     """
     if ops is None:
         g, ops = _operators(model, g)
     cfg = model.cfg
-    if cfg.model == "eegnn" and override_tau is None:
+    if cfg.model == "eegnn":
         Z, state, recs = eegnn_forward_node(
             g, model.params, model.heads, cfg.depth, rng, mode,
             ops=ops, noise=noise, capture=capture)
     else:
         states = propagate(encode(ad.constant(g.X), model.params), ops,
-                           model.params, cfg.model, cfg.depth, override_tau)
+                           model.params, cfg.model, cfg.depth)
         if capture is not None:
             capture.extend(h.value.copy() for h in states)
         Z, state, recs = states[-1], None, []
@@ -527,23 +524,16 @@ _HIGHER_BETTER = {"accuracy": True, "auroc": True, "ap": True,
                   "macro_f1": True, "mae": False}
 
 
-def _metric_predictions(pred_value: np.ndarray, metric: str):
-    if metric in ("auroc", "ap"):
-        return scores_from_logits(pred_value)
-    return pred_value
+def _exit_rows(data, split: str):
+    """The agents an exit summary reads: all nodes, or a graph set's split graphs."""
+    return data.masks[split] if isinstance(data, GraphSet) else slice(None)
 
 
-def _split_exits(model: Model, state: ExitState | None, data, split: str):
-    """The exit state a summary reads and its mean exit layer (the depth
-    without exits): every node of a node task, but the split's graphs of a
-    graph set."""
+def _mean_exit_layer(model: Model, state: ExitState | None, data, split: str):
+    """Mean exit layer of the _exit_rows agents; the depth without exits."""
     if state is None:
-        return None, float(model.cfg.depth)
-    if isinstance(data, GraphSet):
-        m = data.masks[split]
-        state = ExitState(exited=state.exited[m], exit_layer=state.exit_layer[m],
-                          exit_time=state.exit_time[m], Z=state.Z[m], L=state.L)
-    return state, float(state.exit_layer.mean())
+        return float(model.cfg.depth)
+    return float(state.exit_layer[_exit_rows(data, split)].mean())
 
 
 def _train_step(model: Model, data, pack, named, opt: OptimState, rng,
@@ -577,18 +567,43 @@ def _eval_splits(model: Model, data, pack):
     g, ops = pack
     with ad.no_grad():
         logits, state, _ = forward_node(model, g, "eval_argmax", ops=ops)
-    val, test = (metric_eval(_metric_predictions(logits.value[data.masks[k]], metric),
-                             data.y[data.masks[k]], metric) for k in ("val", "test"))
-    return val, test, _split_exits(model, state, data, "val")[1]
+    val, test = (metric_eval(logits.value[data.masks[k]], data.y[data.masks[k]], metric)
+                 for k in ("val", "test"))
+    return val, test, _mean_exit_layer(model, state, data, "val")
 
 
-def _check_node_data(cfg: RunConfig, g: Graph):
-    problems = []
-    if g.y is None:
-        problems.append("dataset has no labels")
-    for name in ("train", "val", "test"):
-        if g.masks is None or name not in g.masks:
-            problems.append(f"dataset is missing the {name!r} split mask")
+def _check_data(cfg: RunConfig, data, splits, model: Model | None = None):
+    """The dataset rules of train_run and evaluate, raised as one ConfigError:
+    data of the task's kind, with labels and all three split masks; each given
+    split nonempty, with class-index labels under the ce loss; and with a
+    trained model, labels below its output width and its node feature width."""
+    node_task = cfg.task == "node_class"
+    if node_task and not isinstance(data, Graph):
+        raise ConfigError(["node_class task needs a single Graph dataset"])
+    if not node_task and not isinstance(data, GraphSet):
+        raise ConfigError([f"{cfg.task} task needs a GraphSet dataset"])
+    problems = [] if data.y is not None else ["dataset has no labels"]
+    problems += [f"dataset is missing the {name!r} split mask"
+                 for name in ("train", "val", "test")
+                 if data.masks is None or name not in data.masks]
+    if problems:
+        raise ConfigError(problems)
+    width = (data.graphs[0] if isinstance(data, GraphSet) else data).X.shape[1]
+    if model is not None and width != model.feat_dim:
+        problems.append(f"dataset has {width} node features; the model reads "
+                        f"{model.feat_dim}")
+    top, below = (np.inf, "") if model is None else \
+        (model.out_dim, f" below the model's {model.out_dim} classes")
+    for name in splits:
+        mask = np.asarray(data.masks[name], dtype=bool)
+        if not mask.any():
+            problems.append(f"the {name!r} split is empty")
+        elif cfg.loss == "ce":
+            y = np.asarray(data.y, dtype=np.float64)[mask]
+            bad = y[(y != np.floor(y)) | (y < 0) | (y >= top)]
+            if bad.size:
+                problems.append(f"ce labels must be class indices{below}; the "
+                                f"{name!r} split has label {float(bad[0])!r}")
     if problems:
         raise ConfigError(problems)
 
@@ -599,13 +614,7 @@ def train_run(cfg: RunConfig, data):
     History rows are (epoch, train_loss, val_metric, test_metric,
     mean_exit_layer). Aborts with TrainDivergenceError on a non-finite loss.
     """
-    node_task = cfg.task == "node_class"
-    if node_task and not isinstance(data, Graph):
-        raise ConfigError(["node_class task needs a single Graph dataset"])
-    if not node_task and not isinstance(data, GraphSet):
-        raise ConfigError([f"{cfg.task} task needs a GraphSet dataset"])
-    if node_task:
-        _check_node_data(cfg, data)
+    _check_data(cfg, data, ("train", "val", "test"))
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     model = model_for(cfg, data, rng)
     named = model.parameters()
@@ -633,7 +642,9 @@ def train_run(cfg: RunConfig, data):
 def evaluate(model: Model, data, split: str = "test", mode: str = "eval_argmax",
              rng: np.random.Generator | None = None) -> dict:
     """Metrics record for one split; exit summaries included for eegnn, over
-    every node of a node task or over the split's graphs of a graph set."""
+    every node of a node task or over the split's graphs of a graph set.
+    Raises ConfigError when data does not fit the model (see _check_data)."""
+    _check_data(model.cfg, data, (split,), model)
     if mode == "train_sample" and rng is None:
         rng = np.random.Generator(np.random.PCG64(model.cfg.seed))
     with ad.no_grad():
@@ -646,27 +657,18 @@ def node_record(model: Model, data, logits: DiffValue, state,
     """evaluate's record, from one forward's logits and exit state, so a
     caller that needs those too runs the forward only once."""
     mask = data.masks[split]
-    value = metric_eval(_metric_predictions(logits.value[mask], model.cfg.metric),
-                        data.y[mask], model.cfg.metric)
+    value = metric_eval(logits.value[mask], data.y[mask], model.cfg.metric)
     loss = float(loss_eval(logits, data.y, model.cfg.loss, mask=mask).value[0, 0])
-    state, mean_layer = _split_exits(model, state, data, split)
     record = {
         "split": split,
         "mode": mode,
         "metric": model.cfg.metric,
         "value": value,
         "loss": loss,
-        "mean_exit_layer": mean_layer,
+        "mean_exit_layer": _mean_exit_layer(model, state, data, split),
     }
     if state is not None:
-        dist = exit_distribution(state)
-        record["exit"] = {
-            "min_layer": dist["min_layer"],
-            "median_layer": dist["median_layer"],
-            "max_layer": dist["max_layer"],
-            "mean_time": dist["mean_time"],
-            "histogram": [int(c) for c in dist["histogram"]],
-        }
+        record["exit"] = exit_distribution(state, _exit_rows(data, split))
     return record
 
 
@@ -681,7 +683,7 @@ def history_csv(history) -> str:
 
 def exit_csv(state: ExitState, agent_ids=None) -> str:
     """One row per selected node; agent_ids both selects and labels the rows."""
-    ids = np.arange(state.exited.shape[0]) if agent_ids is None else np.asarray(agent_ids)
+    ids = np.arange(state.exit_layer.shape[0]) if agent_ids is None else np.asarray(agent_ids)
     lines = ["agent_id,exit_layer,exit_time"]
     for i in ids:
         lines.append(f"{int(i)},{int(state.exit_layer[i])},{float(state.exit_time[i])!r}")
@@ -714,6 +716,8 @@ def _reading(what: str, path):
         yield
     except ConfigError:
         raise
+    except json.JSONDecodeError as exc:
+        raise ConfigError([f"{what} {path}: malformed JSON: {exc}"]) from exc
     except (ValueError, TypeError) as exc:
         raise ConfigError([f"{what} {path}: {exc}"]) from exc
 

@@ -231,7 +231,7 @@ def graph_set_forward_per_graph(model, graphs, mode="eval_argmax", noise=None):
     from eegnn import autodiff as ad
     from eegnn.cells import build_operators, edge_term, encode, propagate, \
         sas_step
-    from eegnn.exits import GumbelSample, confidence_logits, \
+    from eegnn.exits import confidence_logits, \
         gumbel_softmax_st, inv_temperature
 
     cfg, p = model.cfg, model.params
@@ -251,7 +251,7 @@ def graph_set_forward_per_graph(model, graphs, mode="eval_argmax", noise=None):
                     row = ad.constant(pool)
                     smp = None
                     if mode == "train_sample":
-                        smp = GumbelSample(g=noise[l].g[i:i + 1], rng_state={})
+                        smp = noise[l][i:i + 1]
                     c_soft, c_hard = gumbel_softmax_st(
                         confidence_logits(row, model.heads),
                         inv_temperature(row, model.heads), smp, mode)

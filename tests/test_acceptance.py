@@ -6,7 +6,6 @@ The workloads are sized to their stated wall-clock budgets, which are also
 asserted.
 """
 
-import dataclasses
 import json
 import time
 
@@ -19,11 +18,12 @@ from eegnn.cells import make_cell_params, param_count, sas_step
 from eegnn.cli import main as cli_main
 from eegnn.diagnostics import (descent_suite, dirichlet_traces,
                                oracle_exit_eval, spectrum_suite)
-from eegnn.exits import GumbelSample, gumbel_softmax_st
+from eegnn.exits import gumbel_softmax_st
 from eegnn.graphs import degrees, gen_minesweeper_grid, gen_sbm, norm_adj
-from eegnn.training import (Model, RunConfig, build_model, evaluate,
+from eegnn.training import (RunConfig, build_model, evaluate,
                             forward_node, loss_eval, metric_eval, train_run)
 from test_autodiff import _one_op_cases
+from test_training import ABLATION_CASES, ablation_case
 
 
 @pytest.fixture(scope="module")
@@ -55,8 +55,7 @@ def test_criterion_01_gradient_correctness():
                                    metric="accuracy", seed=0))
     rng = np.random.Generator(np.random.PCG64(3))
     model = build_model(cfg, g.X.shape[1], 2, rng)
-    frozen = [GumbelSample(g=rng.gumbel(size=(g.n, 2)), rng_state={})
-              for _ in range(cfg.depth)]
+    frozen = [rng.gumbel(size=(g.n, 2)) for _ in range(cfg.depth)]
 
     def loss():
         logits, _, _ = forward_node(model, g, "train_sample", noise=frozen)
@@ -155,7 +154,7 @@ def test_criterion_07_early_exit_semantics():
     # (a) hard straight-through output is exactly one-hot
     logits = ad.constant(rng.normal(size=(40, 2)))
     inv_nu = ad.constant(np.full((40, 1), 0.8))
-    smp = GumbelSample(g=rng.gumbel(size=(40, 2)), rng_state={})
+    smp = rng.gumbel(size=(40, 2))
     _, hard = gumbel_softmax_st(logits, inv_nu, g=smp)
     assert set(np.unique(hard.value)) <= {0.0, 1.0}
     assert np.array_equal(hard.value.sum(axis=1), np.ones(40))
@@ -171,19 +170,21 @@ def test_criterion_07_early_exit_semantics():
     for i in frozen_rows:
         assert np.array_equal(out[i], H.value[i])
 
-    # (c) exits disabled + constant tau reproduces the fixed-depth cell
+    # (c) zero exit heads (equal exit logits, so tau 0.5 and no exit) make
+    # the exit loop reproduce the fixed-depth sas cell at tau 0.5 bit for bit,
+    # on a node task, a graph set and a node task with an edge term
+    for case in ABLATION_CASES:
+        ablation, data, twin = ablation_case(case)
+        ablated, state, _ = forward_node(ablation, data)
+        fixed, _, _ = forward_node(twin, data)
+        assert ablated.value.tobytes() == fixed.value.tobytes()
+        assert not state.exited.any()
+
+    # (d) eval-mode forwards are deterministic across reruns
     cfg = RunConfig.from_dict(dict(model="eegnn", depth=6, hidden=8, tau=0.1,
                                    metric="accuracy", seed=0))
     model = build_model(cfg, g.X.shape[1], 2,
                         np.random.Generator(np.random.PCG64(2)))
-    plain = Model(cfg=dataclasses.replace(cfg, model="sas"),
-                  params=model.params, heads=None,
-                  feat_dim=model.feat_dim, out_dim=model.out_dim)
-    ablated, _, _ = forward_node(model, g, override_tau=0.1)
-    fixed, _, _ = forward_node(plain, g)
-    assert np.array_equal(ablated.value, fixed.value)
-
-    # (d) eval-mode forwards are deterministic across reruns
     runs = [forward_node(model, g, "eval_argmax") for _ in range(2)]
     assert np.array_equal(runs[0][0].value, runs[1][0].value)
     assert np.array_equal(runs[0][1].exit_layer, runs[1][1].exit_layer)

@@ -1,0 +1,47 @@
+"""The benchmark's view of the package: bench/layers.py traces eegnn names by
+module attribute and reads the kept eegnn_forward_node result as
+(Z, ExitState, records). A rename here would only surface as a failed
+`bench/run.py --trace 1`; this test runs the tracer on a small eegnn run.
+"""
+
+from pathlib import Path
+
+import eegnn
+from eegnn import training
+from eegnn.graphs import gen_minesweeper_grid
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def test_benchmark_tracer_wraps_and_reads_an_eegnn_run(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    import layers
+    import workloads
+    from spans import Tracer, self_times
+
+    original = training.forward_node
+    tracer = Tracer(workloads.PACKAGE_MODULES)
+    layers.install_all(tracer, eegnn)
+    try:
+        g = gen_minesweeper_grid(5, 5, 0.2, seed=0, unknown_frac=0.5)
+        cfg = training.RunConfig.from_dict({"model": "eegnn", "depth": 3, "hidden": 4,
+                                            "epochs": 3, "metric": "accuracy"})
+        model, _ = training.train_run(cfg, g)
+        training.evaluate(model, g)
+    finally:
+        tracer.restore()
+    assert training.forward_node is original
+
+    kept = tracer.results["eegnn_forward_node"]
+    Z, state, records = kept
+    assert Z.shape[0] == g.n and state.exit_layer.shape == (g.n,)
+    assert state.L == cfg.depth and 1 <= len(records) <= cfg.depth
+    selfs = self_times(tracer.start, tracer.end, tracer.parent)
+    metrics, fired = layers.round_metrics(tracer, eegnn, 0, len(tracer), selfs,
+                                          None, kept)
+    assert metrics["exits.layers_run"] == len(records)
+    assert 0.0 < metrics["exits.useful_layer_ratio"] <= 1.0
+    expected = {"exits.eegnn_forward_node", "exits.sample_gumbel",
+                "exits.gumbel_softmax_st", "training.forward_node.train",
+                "training.forward_node.eval", "training.evaluate", "cells.sas_step"}
+    assert expected <= fired

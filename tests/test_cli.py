@@ -271,6 +271,73 @@ def test_evaluate_checkpoint_of_unknown_format_is_validation_error(tmp_path, cap
     assert not (tmp_path / "eval").exists()
 
 
+def edited_graph(tmp_path, data, edit):
+    """A copy of a graph file with edit applied to its JSON document."""
+    doc = json.loads(Path(data).read_text())
+    edit(doc)
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def _set_labels(doc, split, value, first_only=True):
+    rows = [i for i, m in enumerate(doc["masks"][split]) if m]
+    for i in rows[:1] if first_only else range(len(doc["y"])):
+        doc["y"][i] = value
+
+
+@pytest.mark.parametrize("case, shown", [
+    ("empty_train", "the 'train' split is empty"),
+    ("half_labels", "ce labels must be class indices; the 'train' split has label 0.5"),
+    ("negative_label", "ce labels must be class indices; the 'train' split has "
+                       "label -1.0")])
+def test_train_rejects_an_empty_split_or_labels_that_are_not_classes(
+        tmp_path, capsys, case, shown):
+    data = gen_sbm_data(tmp_path, seed=12)
+    edit = {"empty_train": lambda d: d["masks"].update(train=[False] * d["n"]),
+            "half_labels": lambda d: _set_labels(d, "train", 0.5, first_only=False),
+            "negative_label": lambda d: _set_labels(d, "train", -1)}[case]
+    cfg = write_cfg(tmp_path, TRAIN_CFG, name="t.json")
+    assert run(["train", "--config", cfg, "--data", edited_graph(tmp_path, data, edit),
+                "--out", str(tmp_path / "run")]) == 1
+    assert shown in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("case, shown", [
+    ("graph_set", "node_class task needs a single Graph dataset"),
+    ("narrow", "dataset has 3 node features; the model reads 5"),
+    ("empty_test", "the 'test' split is empty"),
+    ("label_at_out_dim", "ce labels must be class indices below the model's 2 "
+                         "classes; the 'test' split has label 2.0")])
+def test_evaluate_rejects_data_that_does_not_fit_the_checkpoint(tmp_path, capsys,
+                                                                case, shown):
+    data, path, _ = trained_checkpoint(tmp_path)
+    if case == "graph_set":
+        data = graph_set_file(tmp_path)
+    else:
+        edit = {"narrow": lambda d: d.update(x=[row[:3] for row in d["x"]]),
+                "empty_test": lambda d: d["masks"].update(test=[False] * d["n"]),
+                "label_at_out_dim": lambda d: _set_labels(d, "test", 2)}[case]
+        data = edited_graph(tmp_path, data, edit)
+    assert run(["evaluate", "--checkpoint", str(path), "--data", str(data),
+                "--out", str(tmp_path / "eval")]) == 1
+    assert shown in capsys.readouterr().err
+    assert not (tmp_path / "eval").exists()
+
+
+def test_evaluate_graph_checkpoint_on_a_single_graph_is_validation_error(tmp_path,
+                                                                          capsys):
+    cfg = write_cfg(tmp_path, dict(TRAIN_CFG, task="graph_reg", loss="mse",
+                                   metric="mae", epochs=1), name="gs.json")
+    assert run(["train", "--config", cfg, "--data", graph_set_file(tmp_path),
+                "--out", str(tmp_path / "run")]) == 0
+    assert run(["evaluate", "--checkpoint", str(tmp_path / "run" / "checkpoint.json"),
+                "--data", str(gen_sbm_data(tmp_path, seed=11)),
+                "--out", str(tmp_path / "eval")]) == 1
+    assert "graph_reg task needs a GraphSet dataset" in capsys.readouterr().err
+
+
 # ------------------------------------------------------------------ evaluate
 
 def test_evaluate_roundtrip_from_checkpoint(tmp_path):

@@ -8,7 +8,7 @@ import pytest
 import oracles
 from eegnn import autodiff as ad
 from eegnn.cells import build_operators, make_cell_params, sas_step, encode
-from eegnn.exits import (ExitHeads, ExitState, GumbelSample, eegnn_forward_node,
+from eegnn.exits import (ExitHeads, ExitState, eegnn_forward_node,
                          exit_distribution, gumbel_softmax_st, inv_temperature,
                          confidence_logits, make_exit_heads, sample_gumbel)
 from eegnn.graphs import disjoint_union, gen_sbm, mean_adj, norm_adj
@@ -35,38 +35,36 @@ def test_sample_gumbel_closed_form_point():
     class FixedU:
         def __init__(self, u):
             self.u = u
-            self.bit_generator = np.random.default_rng(0).bit_generator
 
         def random(self, size=None):
             return np.full(size, self.u)
 
-    smp = sample_gumbel((1, 2), FixedU(1.0 / math.e))
-    assert np.abs(smp.g).max() <= 1e-15     # -log(-log(1/e)) = 0
+    g = sample_gumbel((1, 2), FixedU(1.0 / math.e))
+    assert np.abs(g).max() <= 1e-15     # -log(-log(1/e)) = 0
 
 
 def test_sample_gumbel_deterministic_in_seed():
-    a = sample_gumbel((4, 2), np.random.default_rng(5)).g
-    b = sample_gumbel((4, 2), np.random.default_rng(5)).g
+    a = sample_gumbel((4, 2), np.random.default_rng(5))
+    b = sample_gumbel((4, 2), np.random.default_rng(5))
     assert np.array_equal(a, b)
 
 
 def test_sample_gumbel_mean_is_euler_mascheroni():
-    g = sample_gumbel((1000000, 1), np.random.default_rng(6)).g
+    g = sample_gumbel((1000000, 1), np.random.default_rng(6))
     assert abs(float(g.mean()) - EULER_MASCHERONI) <= 0.01
 
 
 def test_sample_gumbel_clamps_extreme_uniforms():
     class EdgeU:
         def __init__(self):
-            self.bit_generator = np.random.default_rng(0).bit_generator
             self.vals = iter([0.0, 1.0])
 
         def random(self, size=None):
             return np.full(size, next(self.vals))
 
     src = EdgeU()
-    assert np.isfinite(sample_gumbel((1, 1), src).g).all()
-    assert np.isfinite(sample_gumbel((1, 1), src).g).all()
+    assert np.isfinite(sample_gumbel((1, 1), src)).all()
+    assert np.isfinite(sample_gumbel((1, 1), src)).all()
 
 
 def test_exit_heads_validation():
@@ -111,7 +109,7 @@ def test_inv_temperature_gradients_match_fd():
 def test_gumbel_softmax_equal_logits_no_noise():
     logits = ad.constant([[0.3, 0.3]])
     inv_nu = ad.constant([[1.0]])
-    smp = GumbelSample(g=np.zeros((1, 2)), rng_state={})
+    smp = np.zeros((1, 2))
     c_soft, c_hard = gumbel_softmax_st(logits, inv_nu, g=smp)
     assert np.allclose(c_soft.value, [[0.5, 0.5]], atol=1e-12)
     assert c_hard.value.tolist() in ([[1.0, 0.0]], [[0.0, 1.0]])
@@ -129,7 +127,7 @@ def test_gumbel_softmax_hard_is_exactly_one_hot():
     rng = np.random.default_rng(11)
     logits = ad.constant(rng.normal(size=(6, 2)))
     inv_nu = ad.constant(np.full((6, 1), 0.7))
-    smp = GumbelSample(g=rng.gumbel(size=(6, 2)), rng_state={})
+    smp = rng.gumbel(size=(6, 2))
     c_soft, c_hard = gumbel_softmax_st(logits, inv_nu, g=smp)
     assert set(np.unique(c_hard.value)) <= {0.0, 1.0}
     assert np.array_equal(c_hard.value.sum(axis=1), np.ones(6))
@@ -145,8 +143,8 @@ def test_gumbel_softmax_st_gradient_equals_soft_gradient():
     inv_nu_val = 1.3
 
     logits = ad.leaf(raw)
-    smp = GumbelSample(g=noise, rng_state={})
-    c_soft, c_hard = gumbel_softmax_st(logits, ad.constant(np.full((3, 1), inv_nu_val)), g=smp)
+    c_soft, c_hard = gumbel_softmax_st(logits, ad.constant(np.full((3, 1), inv_nu_val)),
+                                       g=noise)
     ad.backward(ad.sum_all(ad.mul(c_hard, ad.constant(w))))
     st_grad = logits.grad.copy()
 
@@ -165,7 +163,7 @@ def test_gumbel_softmax_rejects_non_finite_logits():
     inv_nu = ad.constant([[1.0]])
     with pytest.raises(ValueError):
         gumbel_softmax_st(ad.constant([[np.nan, 0.0]]), inv_nu,
-                          g=GumbelSample(g=np.zeros((1, 2)), rng_state={}))
+                          g=np.zeros((1, 2)))
 
 
 def test_forced_exit_all_nodes_stop_at_layer_zero():
@@ -176,7 +174,7 @@ def test_forced_exit_all_nodes_stop_at_layer_zero():
     assert not state.exit_layer.any()
     assert not state.exit_time.any()
     H0 = encode(ad.constant(g.X), params).value
-    assert np.array_equal(state.Z, H0)       # pre-update states
+    assert np.array_equal(Z.value, H0)       # pre-update states
     assert len(recs) == 1                    # no layer runs after the last exit
 
 
@@ -196,10 +194,10 @@ def test_never_exit_returns_final_layer_states():
     for r in recs:
         logits = confidence_logits(H, heads, ma=ma)
         inv_nu = inv_temperature(H, heads, ma=ma)
-        smp = GumbelSample(g=np.zeros((g.n, 2)), rng_state={})
+        smp = np.zeros((g.n, 2))
         c_soft, _ = gumbel_softmax_st(logits, inv_nu, g=smp)
         H = sas_step(H, a, params, tau=ad.col_slice(c_soft, 0))
-    assert np.abs(state.Z - H.value).max() <= 1e-12
+    assert np.abs(Z.value - H.value).max() <= 1e-12
 
 
 # (graph seed, forced exit bias or None, shift of the random heads' exit
@@ -245,7 +243,7 @@ def test_stopping_at_last_exit_is_bit_identical_to_full_depth(mode, case):
     (Z, st, recs, rng, grads), (Zc, stc, recsc, rngc, gradsc) = _forward_pair(
         case, mode)
     assert Z.tobytes() == Zc.tobytes()
-    for field in ("exited", "exit_layer", "exit_time", "Z"):
+    for field in ("exit_layer", "exit_time"):
         assert getattr(st, field).tobytes() == getattr(stc, field).tobytes()
     assert st.L == stc.L
     if rng is not None:                      # the skipped layers' noise is drawn
@@ -289,7 +287,7 @@ def test_forward_without_a_tape_is_bit_identical(mode, case):
                                                mode=mode))
     (Z, st, recs), (Zf, stf, recsf) = runs
     assert Zf.parents == () and Z.value.tobytes() == Zf.value.tobytes()
-    for field in ("exited", "exit_layer", "exit_time", "Z"):
+    for field in ("exit_layer", "exit_time"):
         assert getattr(st, field).tobytes() == getattr(stf, field).tobytes()
     assert recs == recsf
 
@@ -298,7 +296,7 @@ def test_eval_mode_needs_no_rng_and_is_deterministic():
     g, params, heads, _ = graph_and_params(seed=3)
     out1 = eegnn_forward_node(g, params, heads, L=4, mode="eval_argmax")
     out2 = eegnn_forward_node(g, params, heads, L=4, mode="eval_argmax")
-    assert np.array_equal(out1[1].Z, out2[1].Z)
+    assert np.array_equal(out1[0].value, out2[0].value)
     assert np.array_equal(out1[1].exit_layer, out2[1].exit_layer)
     assert np.array_equal(out1[1].exit_time, out2[1].exit_time)
 
@@ -311,16 +309,18 @@ def test_frozen_rows_never_change_after_exit():
     for i in range(g.n):
         if state.exited[i]:
             li = int(state.exit_layer[i])
-            assert np.array_equal(state.Z[i], captured[li][i])
+            assert np.array_equal(Z.value[i], captured[li][i])
 
 
 def test_exit_state_validates_consistency():
-    with pytest.raises(ValueError):
-        ExitState(exited=np.array([True]), exit_layer=np.array([3]),
-                  exit_time=np.array([1.0]), Z=np.zeros((1, 2)), L=3)
-    with pytest.raises(ValueError):
-        ExitState(exited=np.array([False]), exit_layer=np.array([3]),
-                  exit_time=np.array([4.5]), Z=np.zeros((1, 2)), L=3)
+    st = ExitState(exit_layer=np.array([0, 2, 3]), exit_time=np.zeros(3), L=3)
+    assert st.exited.tolist() == [True, True, False]     # exit_layer == L: never
+    with pytest.raises(ValueError, match="exit_layer"):
+        ExitState(exit_layer=np.array([4]), exit_time=np.array([1.0]), L=3)
+    with pytest.raises(ValueError, match="exit_time"):
+        ExitState(exit_layer=np.array([3]), exit_time=np.array([4.5]), L=3)
+    with pytest.raises(ValueError, match="one length"):
+        ExitState(exit_layer=np.array([3, 3]), exit_time=np.array([1.0]), L=3)
 
 
 def graph_agents(members, params, heads):
@@ -380,19 +380,17 @@ def test_graph_agents_need_mlp_heads():
 
 
 def test_exit_distribution_all_at_zero():
-    st = ExitState(exited=np.ones(5, dtype=bool), exit_layer=np.zeros(5, dtype=int),
-                   exit_time=np.zeros(5), Z=np.zeros((5, 2)), L=4)
-    d = exit_distribution(st)
+    st = ExitState(exit_layer=np.zeros(5, dtype=int), exit_time=np.zeros(5), L=4)
+    d = exit_distribution(st, slice(None))
     assert d["min_layer"] == d["median_layer"] == d["max_layer"] == 0
     assert d["histogram"][0] == 5
 
 
 def test_exit_distribution_none_exit():
     L = 20
-    st = ExitState(exited=np.zeros(6, dtype=bool),
-                   exit_layer=np.full(6, L, dtype=int),
-                   exit_time=np.full(6, 13.0), Z=np.zeros((6, 2)), L=L)
-    d = exit_distribution(st)
+    st = ExitState(exit_layer=np.full(6, L, dtype=int), exit_time=np.full(6, 13.0),
+                   L=L)
+    d = exit_distribution(st, slice(None))
     assert d["histogram"][L] == 6
     assert sum(d["histogram"]) == 6
     assert d["min_layer"] == d["max_layer"] == L
@@ -401,16 +399,17 @@ def test_exit_distribution_none_exit():
 def test_exit_distribution_quantiles_match_sort_oracle():
     rng = np.random.default_rng(13)
     layers = rng.integers(0, 9, size=17)
-    exited = layers < 8
-    st = ExitState(exited=exited,
-                   exit_layer=np.where(exited, layers, 8).astype(int),
-                   exit_time=rng.uniform(0, 8, size=17), Z=np.zeros((17, 2)), L=8)
-    d = exit_distribution(st)
-    lo, med, hi = oracles.sorted_quantiles(st.exit_layer)
+    st = ExitState(exit_layer=layers, exit_time=rng.uniform(0, 8, size=17), L=8)
+    rows = rng.uniform(size=17) < 0.6
+    d = exit_distribution(st, rows)
+    lo, med, hi = oracles.sorted_quantiles(layers[rows])
     assert (d["min_layer"], d["median_layer"], d["max_layer"]) == (lo, med, hi)
     assert d["min_layer"] <= d["median_layer"] <= d["max_layer"]
+    assert d["histogram"] == np.bincount(layers[rows], minlength=9).tolist()
+    assert d["mean_time"] == float(st.exit_time[rows].mean())
 
 
 def test_exit_distribution_rejects_empty():
+    st = ExitState(exit_layer=np.array([1, 2]), exit_time=np.ones(2), L=3)
     with pytest.raises(ValueError):
-        exit_distribution([])
+        exit_distribution(st, np.zeros(2, dtype=bool))

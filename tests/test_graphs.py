@@ -6,9 +6,9 @@ import pytest
 import oracles
 from eegnn.graphs import (ArcMatrix, Graph, arc_list, arc_rows, canonicalize,
                           degrees, edge_homophily, gen_minesweeper_grid,
-                          gen_sbm, incidence_aggregate, load_graph,
-                          make_graph, mean_adj, norm_adj, save_graph, spmm,
-                          validate_graph)
+                          gen_sbm, incidence_aggregate, make_graph, mean_adj,
+                          norm_adj, save_graph, spmm, validate_graph)
+from eegnn.training import ConfigError, load_dataset
 
 
 def path_graph(n):
@@ -338,7 +338,7 @@ def test_save_load_round_trip(tmp_path):
                           "test": [False, True]})
     p = tmp_path / "g.json"
     save_graph(g, p)
-    back = load_graph(p)
+    back = load_dataset(p)
     assert back.n == g.n
     assert np.array_equal(back.row_offsets, g.row_offsets)
     assert np.array_equal(back.col_indices, g.col_indices)
@@ -352,20 +352,20 @@ def test_save_load_round_trip(tmp_path):
 def test_load_missing_edges_field_named(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text('{"n": 2, "x": [[0.0], [0.0]]}')
-    with pytest.raises(ValueError, match="edges"):
-        load_graph(p)
+    with pytest.raises(ConfigError, match="edges"):
+        load_dataset(p)
 
 
 def test_load_bad_edge_attr_rows_named(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text('{"n": 2, "edges": [[0, 1]], "x": [[0.0], [0.0]],'
                  ' "edge_attr": [[1.0]]}')
-    with pytest.raises(ValueError, match="edge_attr"):
-        load_graph(p)
+    with pytest.raises(ConfigError, match="edge_attr"):
+        load_dataset(p)
 
 
 def test_load_malformed_json(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text("{not json")
-    with pytest.raises(ValueError, match="JSON"):
-        load_graph(p)
+    with pytest.raises(ConfigError, match="malformed JSON"):
+        load_dataset(p)

@@ -10,9 +10,9 @@ import pytest
 import oracles
 from eegnn import autodiff as ad
 from eegnn.cells import EDGE_MODES, MODEL_KINDS, param_count
-from eegnn.exits import ExitState, GumbelSample
-from eegnn.graphs import arc_rows, gen_sbm, save_graph
-from eegnn.training import (ConfigError, GraphSet, Model, OptimState,
+from eegnn.exits import ExitState
+from eegnn.graphs import arc_rows, gen_minesweeper_grid, gen_sbm, save_graph
+from eegnn.training import (ConfigError, GraphSet, OptimState,
                             RunConfig, TrainDivergenceError, adam_step,
                             build_model, coerce_keys, evaluate, exit_csv,
                             forward_node, history_csv, load_checkpoint,
@@ -442,18 +442,49 @@ def test_train_missing_masks_reported():
 
 # ------------------------------------------------------- ablation and gradients
 
-def test_eegnn_with_override_tau_matches_plain_sas_bitwise():
-    g = sbm(seed=15)
-    cfg = quick_cfg(model="eegnn", tau=0.05)
-    rng = np.random.Generator(np.random.PCG64(3))
-    model = build_model(cfg, g.X.shape[1], 2, rng)
-    sas_model = Model(cfg=dataclasses.replace(cfg, model="sas"),
-                      params=model.params, heads=None,
-                      feat_dim=model.feat_dim, out_dim=2)
-    ablated, state, _ = forward_node(model, g, override_tau=0.05)
-    plain, _, _ = forward_node(sas_model, g)
-    assert np.array_equal(ablated.value, plain.value)
-    assert state is None
+ABLATION_CASES = ("node", "graph_set", "edge_linear", "edge_neg_relu")
+
+
+def ablation_case(case: str):
+    """(eegnn model with zero exit heads, its dataset, the plain sas model
+    that shares its cell parameters at tau 0.5) on a node task, a graph set,
+    or a node task with an edge term.
+
+    Zero heads give equal exit logits at every layer, so c_soft is exactly
+    [0.5, 0.5] and the argmax continues: every agent steps with tau 0.5 for
+    the whole depth, as the sas model does without exits.
+    """
+    if case == "graph_set":
+        members = [gen_minesweeper_grid(3, 4, 0.3, seed=s) for s in range(6)]
+        for g in members:
+            g.y, g.masks = None, None
+        idx = np.arange(6)
+        data = GraphSet(graphs=members, y=(idx % 2).reshape(-1, 1).astype(float),
+                        masks={"train": idx < 2, "val": idx == 2, "test": idx > 2})
+        cfg = quick_cfg(model="eegnn", task="graph_class", depth=6)
+    else:
+        data = sbm(seed=15)
+        edge_mode = "zero" if case == "node" else case[len("edge_"):]
+        if edge_mode != "zero":
+            data.E_feat = (data.X[arc_rows(data)] + data.X[data.col_indices])[:, :2]
+        cfg = quick_cfg(model="eegnn", depth=6, edge_mode=edge_mode)
+    model = model_for(cfg, data, np.random.Generator(np.random.PCG64(3)))
+    for _, p in model.heads.parameters():
+        p.value[...] = 0.0
+    twin = dataclasses.replace(model, heads=None,
+                               cfg=dataclasses.replace(cfg, model="sas", tau=0.5),
+                               params=dataclasses.replace(model.params, tau=0.5))
+    return model, data, twin
+
+
+@pytest.mark.parametrize("case", ABLATION_CASES)
+def test_eegnn_with_even_exit_logits_matches_plain_sas_bitwise(case):
+    model, data, twin = ablation_case(case)
+    ablated, state, recs = forward_node(model, data)
+    plain, _, _ = forward_node(twin, data)
+    assert ablated.value.tobytes() == plain.value.tobytes()
+    assert not state.exited.any() and len(recs) == model.cfg.depth
+    assert all(r["mean_tau"] == 0.5 and r["new_exits"] == 0 for r in recs)
 
 
 def test_end_to_end_gradient_matches_fd_with_frozen_noise():
@@ -461,8 +492,7 @@ def test_end_to_end_gradient_matches_fd_with_frozen_noise():
     cfg = quick_cfg(model="eegnn", depth=3, hidden=4, tau=0.9)
     rng = np.random.Generator(np.random.PCG64(4))
     model = build_model(cfg, g.X.shape[1], 2, rng)
-    frozen = [GumbelSample(g=rng.gumbel(size=(g.n, 2)), rng_state={})
-              for _ in range(cfg.depth)]
+    frozen = [rng.gumbel(size=(g.n, 2)) for _ in range(cfg.depth)]
 
     def loss():
         logits, _, _ = forward_node(model, g, "train_sample", noise=frozen)
@@ -505,10 +535,8 @@ def test_history_csv_format():
 
 
 def test_exit_csv_selects_and_labels_by_agent_id():
-    st = ExitState(exited=np.array([True, True, False]),
-                   exit_layer=np.array([1, 0, 4]),
-                   exit_time=np.array([0.5, 0.0, 2.0]),
-                   Z=np.zeros((3, 2)), L=4)
+    st = ExitState(exit_layer=np.array([1, 0, 4]),
+                   exit_time=np.array([0.5, 0.0, 2.0]), L=4)
     text = exit_csv(st, agent_ids=[2, 0])
     assert text.splitlines() == ["agent_id,exit_layer,exit_time",
                                  "2,4,2.0", "0,1,0.5"]
