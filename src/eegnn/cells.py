@@ -116,15 +116,17 @@ class CellParams:
 
 @dataclass(frozen=True)
 class Operators:
-    """The fixed operators one forward pass reads from its graph.
+    """Everything one forward pass reads from its graph: the prepared input.
 
-    a is the normalized adjacency of every cell step; ma the mean adjacency,
-    present only for mean_gnn exit heads; be the incidence aggregate of the
-    edge features, present only when the cell has an edge term; seg, for
-    the disjoint union of a graph set, the member graph of each node (None
-    for a single graph), by which graph-task states are pooled.
+    X is the node-feature array the encoder reads; a the normalized
+    adjacency of every cell step; ma the mean adjacency, present only for
+    mean_gnn exit heads; be the incidence aggregate of the edge features,
+    present only when the cell has an edge term; seg, for the disjoint union
+    of a graph set, the member graph of each node (None for a single graph),
+    by which graph-task states are pooled.
     """
 
+    X: np.ndarray
     a: NormAdj
     ma: ArcMatrix | None = None
     be: DiffValue | None = None
@@ -146,7 +148,7 @@ def build_operators(g: Graph, params: CellParams, heads=None,
         if g.E_feat is None:
             raise ValueError(f"edge_mode {params.edge_mode!r} needs edge features")
         be = ad.constant(incidence_aggregate(g, g.E_feat))
-    return Operators(a=a, ma=ma, be=be, seg=seg)
+    return Operators(X=g.X, a=a, ma=ma, be=be, seg=seg)
 
 
 def antisymmetrize(omega_raw: DiffValue) -> DiffValue:

@@ -33,8 +33,8 @@ from .graphs import degrees, edge_homophily, gen_minesweeper_grid, gen_sbm, \
     save_graph
 from .training import ConfigError, GraphSet, RunConfig, coerce_keys, \
     evaluate, exit_csv, forward_node, history_csv, load_checkpoint, \
-    load_dataset, metric_eval, model_for, node_record, save_checkpoint, \
-    train_run
+    load_dataset, metric_eval, model_for, node_record, operators_for, \
+    save_checkpoint, train_run
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -167,11 +167,12 @@ def cmd_generate(args) -> None:
 def _metric_bundle(model, data, split: str = "test"):
     """Headline metric plus whatever companion metrics the task admits, and
     the exit state of a node task, all from one eval forward."""
-    if model.cfg.task != "node_class":
-        return evaluate(model, data, split), None
     with ad.no_grad():
-        logits, state, _ = forward_node(model, data, "eval_argmax")
+        logits, state, _ = forward_node(model, operators_for(model, data),
+                                        "eval_argmax")
     bundle = node_record(model, data, logits, state, split)
+    if model.cfg.task != "node_class":
+        return bundle, None
     sel = data.masks[split]
     lv, y = logits.value[sel], np.asarray(data.y)[sel]
     for name in ("accuracy", "macro_f1"):

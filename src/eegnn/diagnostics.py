@@ -22,7 +22,7 @@ from .cells import CellParams, build_operators, decode, encode, make_cell_params
 from .eig import eigvals
 from .graphs import Graph, arc_rows, degrees, gen_sbm, pair_index
 from .training import ConfigError, Model, RunConfig, evaluate, forward_node, \
-    metric_eval, train_run
+    metric_eval, operators_for, train_run
 
 __all__ = [
     "ToleranceError",
@@ -267,7 +267,7 @@ def oracle_exit_eval(model: Model, g: Graph) -> tuple[float, float]:
         raise ValueError("dataset has no labels")
     hs: list = []
     with ad.no_grad():
-        forward_node(model, g, "eval_argmax", capture=hs)
+        forward_node(model, operators_for(model, g), "eval_argmax", capture=hs)
     y = np.asarray(g.y, dtype=np.int64).reshape(-1)
     sel = np.ones(g.n, dtype=bool)
     if g.masks is not None and "test" in g.masks:
@@ -288,7 +288,7 @@ def dirichlet_traces(model: Model, g: Graph) -> tuple[Trace, Trace]:
     """Per-layer Dirichlet energy of a forward pass, as sum and per-arc mean."""
     hs: list = []
     with ad.no_grad():
-        forward_node(model, g, "eval_argmax", capture=hs)
+        forward_node(model, operators_for(model, g), "eval_argmax", capture=hs)
     sums = np.array([dirichlet_energy(h, g) for h in hs])
     arcs = max(g.n_arcs, 1)
     layers = np.arange(len(hs))

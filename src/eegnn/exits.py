@@ -17,6 +17,10 @@ straight-through one-hot of gumbel_softmax_st reaches no loss: the heads
 train through tau alone. With every head parameter zero both exit logits
 are equal, c_soft is exactly [0.5, 0.5] and the argmax continues, so the
 loop is plain sas at tau 0.5 bit for bit (the ablation tests check this).
+
+The loop's inputs are ready before its first layer: one cells.Operators
+bundle, node features included, and for a sampled forward every layer's
+Gumbel noise, drawn in one block.
 """
 
 from __future__ import annotations
@@ -27,9 +31,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import DiffValue
-from .cells import CellParams, Operators, _glorot, build_operators, edge_term, \
-    encode, sas_step
-from .graphs import Graph, spmm
+from .cells import CellParams, Operators, _glorot, edge_term, encode, sas_step
+from .graphs import spmm
 
 __all__ = [
     "ExitState",
@@ -212,47 +215,48 @@ def gumbel_softmax_st(logits: DiffValue, inv_nu: DiffValue,
     return c_soft, ad.straight_through(c_soft, hard)
 
 
-def eegnn_forward_node(g: Graph, params: CellParams, heads: ExitHeads,
+def eegnn_forward_node(ops: Operators, params: CellParams, heads: ExitHeads,
                        L: int, rng: np.random.Generator | None = None,
-                       mode: str = "train_sample", *, ops: Operators | None = None,
+                       mode: str = "train_sample", *,
                        noise: list[np.ndarray] | None = None,
                        capture: list | None = None):
-    """Early-exit forward pass over g's nodes, or over the member graphs of a
-    graph-set union when ops carries their segment index.
+    """Early-exit forward pass over the nodes of the graph ops was built
+    from, or over the member graphs of a graph-set union when ops carries
+    their segment index.
 
     Returns (Z, ExitState, per-layer records), one row per agent. Z row i is
     the agent's state at its exit layer (before that layer's update), or the
     final state if it never exits; gradients flow into each frozen row from
     the layer where it froze. A graph's state is the segment mean of its
     nodes' states, read by mlp heads, and its tau is gathered to its nodes
-    for the step. ops is g's operator bundle, built here when not given.
+    for the step.
 
     An agent exiting at layer l has spent exit_time = sum of its tau over
     layers 0..l-1; the deciding layer's tau is not counted.
 
-    A train_sample run without given noise draws one (agents, 2) block from
-    rng per layer, layer by layer. Once every agent has exited, at layer l,
-    the loop stops before that layer's update: Z and the ExitState are those
-    of a full-depth run, and the records end at layer l. The skipped layers'
-    noise is still drawn, in one block, so rng leaves the call in the state a
-    full-depth run leaves it in. With capture given, all L layers run and
-    capture receives all L + 1 node states.
+    A train_sample run without given noise draws all L layers' noise from
+    rng in one (L, agents, 2) block before the first layer, the same stream
+    as L successive (agents, 2) draws. Once every agent has exited, at layer
+    l, the loop stops before that layer's update: Z and the ExitState are
+    those of a full-depth run, the records end at layer l, and rng is left
+    where a full-depth run leaves it. With capture given, all L layers run
+    and capture receives all L + 1 node states.
     """
     if L < 1:
         raise ValueError(f"depth must be >= 1, got {L}")
     if heads is None:
         raise ValueError("the early-exit forward needs exit heads")
-    if ops is None:
-        ops = build_operators(g, params, heads)
     seg = ops.seg
     if seg is not None and heads.kind != "mlp":
         raise ValueError("graph-level exits use mlp heads on pooled features")
     et = edge_term(ops.be, params)
-    H = encode(ad.constant(g.X), params)
+    H = encode(ad.constant(ops.X), params)
     if capture is not None:
         capture.append(H.value.copy())
     agents = H if seg is None else ad.segment_mean(H, seg)
     n = agents.shape[0]
+    if mode == "train_sample" and noise is None:
+        noise = sample_gumbel((L, n, 2), rng)
     Z_cur = ad.constant(np.zeros_like(agents.value))
     exited = np.zeros(n, dtype=bool)
     exit_layer = np.full(n, L, dtype=np.int64)
@@ -262,9 +266,7 @@ def eegnn_forward_node(g: Graph, params: CellParams, heads: ExitHeads,
         agg = None if ops.ma is None else spmm(ops.ma, H.value)
         logits = confidence_logits(agents, heads, ops.ma, agg)
         inv_nu = inv_temperature(agents, heads, ops.ma, agg=agg)
-        smp = None
-        if mode == "train_sample":
-            smp = noise[l] if noise is not None else sample_gumbel((n, 2), rng)
+        smp = noise[l] if mode == "train_sample" else None
         c_soft, c_hard = gumbel_softmax_st(logits, inv_nu, smp, mode)
         tau_col = ad.col_slice(c_soft, 0)
         new_exit = (c_hard.value[:, 1] == 1.0) & ~exited
@@ -278,11 +280,6 @@ def eegnn_forward_node(g: Graph, params: CellParams, heads: ExitHeads,
                         "new_exits": int(new_exit.sum()),
                         "mean_inv_nu": float(inv_nu.value.mean())})
         if capture is None and exited.all():
-            if mode == "train_sample" and noise is None and l + 1 < L:
-                # one draw of the skipped layers' noise consumes the stream of
-                # L - l - 1 separate (n, 2) draws, so later draws from rng (the
-                # next epoch's) are those of a full-depth run
-                rng.random(size=(L - l - 1, n, 2))
             break
         step = tau_col if seg is None else ad.gather_rows(tau_col, seg)
         H = sas_step(H, ops.a, params, tau=step, edge_term=et)

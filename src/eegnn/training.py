@@ -20,7 +20,8 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import ACTIVATION_KINDS, DiffValue
 from .cells import (CellParams, EDGE_KINDS, EDGE_MODES, MODEL_KINDS, TASKS,
-                    build_operators, decode, encode, make_cell_params, propagate)
+                    Operators, build_operators, decode, encode, make_cell_params,
+                    propagate)
 from .exits import (ExitHeads, ExitState, eegnn_forward_node, exit_distribution,
                     make_exit_heads)
 from .graphs import Graph, degrees, disjoint_union, load_graph_fields
@@ -41,6 +42,7 @@ __all__ = [
     "scores_from_logits",
     "build_model",
     "model_for",
+    "operators_for",
     "forward_node",
     "train_run",
     "evaluate",
@@ -472,43 +474,41 @@ def model_for(cfg: RunConfig, data, rng: np.random.Generator) -> Model:
     return build_model(cfg, g.X.shape[1], out_dim, rng, edge_dim=edge_dim)
 
 
-def _operators(model: Model, data):
-    """The graph a forward reads and its operator bundle, built once per run.
+def operators_for(model: Model, data) -> Operators:
+    """The operator bundle a forward of model reads, node features included;
+    build it once per run.
 
     A GraphSet is packed as the disjoint union of its members, whose bundle
     carries each node's member index: one forward runs the whole set.
     """
     if not isinstance(data, GraphSet):
-        return data, build_operators(data, model.params, model.heads)
+        return build_operators(data, model.params, model.heads)
     for i, g in enumerate(data.graphs):
         bad = np.flatnonzero(degrees(g) == 0)
         if bad.size:
             raise ValueError(f"graph {i}: isolated node {int(bad[0])} has degree 0; "
                              f"drop it before norm_adj")
     seg = np.repeat(np.arange(len(data.graphs)), [g.n for g in data.graphs])
-    union = disjoint_union(data.graphs)
-    return union, build_operators(union, model.params, model.heads, seg=seg)
+    return build_operators(disjoint_union(data.graphs), model.params, model.heads,
+                           seg=seg)
 
 
-def forward_node(model: Model, g, mode: str = "eval_argmax",
-                 rng: np.random.Generator | None = None, *, ops=None,
-                 noise=None, capture: list | None = None):
+def forward_node(model: Model, ops: Operators, mode: str = "eval_argmax",
+                 rng: np.random.Generator | None = None, *, noise=None,
+                 capture: list | None = None):
     """Logits of every task; returns (logits, ExitState | None, records).
 
-    g is a Graph (one row per node) or a GraphSet (one row per member
-    graph). ops, when given, is the bundle _operators built along with g
-    (for a GraphSet, the union). capture, when given, receives a copy of
-    every layer's node states.
+    ops is the bundle operators_for built from the data: one row per node
+    of a Graph, one per member graph of a GraphSet. capture, when given,
+    receives a copy of every layer's node states.
     """
-    if ops is None:
-        g, ops = _operators(model, g)
     cfg = model.cfg
     if cfg.model == "eegnn":
         Z, state, recs = eegnn_forward_node(
-            g, model.params, model.heads, cfg.depth, rng, mode,
-            ops=ops, noise=noise, capture=capture)
+            ops, model.params, model.heads, cfg.depth, rng, mode,
+            noise=noise, capture=capture)
     else:
-        states = propagate(encode(ad.constant(g.X), model.params), ops,
+        states = propagate(encode(ad.constant(ops.X), model.params), ops,
                            model.params, cfg.model, cfg.depth)
         if capture is not None:
             capture.extend(h.value.copy() for h in states)
@@ -536,15 +536,14 @@ def _mean_exit_layer(model: Model, state: ExitState | None, data, split: str):
     return float(state.exit_layer[_exit_rows(data, split)].mean())
 
 
-def _train_step(model: Model, data, pack, named, opt: OptimState, rng,
+def _train_step(model: Model, data, ops: Operators, named, opt: OptimState, rng,
                 epoch: int) -> float:
     """One sampled forward, backward and Adam update; returns the training loss.
 
     Returns a plain number, so the training tape is freed before the eval
     forward builds its own.
     """
-    g, ops = pack
-    logits, _, _ = forward_node(model, g, "train_sample", rng, ops=ops)
+    logits, _, _ = forward_node(model, ops, "train_sample", rng)
     loss = loss_eval(logits, data.y, model.cfg.loss, mask=data.masks["train"])
     lv = float(loss.value[0, 0])
     if not np.isfinite(lv):
@@ -555,7 +554,7 @@ def _train_step(model: Model, data, pack, named, opt: OptimState, rng,
     return lv
 
 
-def _eval_splits(model: Model, data, pack):
+def _eval_splits(model: Model, data, ops: Operators):
     """Validation metric, test metric and mean exit layer, from one
     deterministic forward.
 
@@ -564,9 +563,8 @@ def _eval_splits(model: Model, data, pack):
     only plain numbers leave this function.
     """
     metric = model.cfg.metric
-    g, ops = pack
     with ad.no_grad():
-        logits, state, _ = forward_node(model, g, "eval_argmax", ops=ops)
+        logits, state, _ = forward_node(model, ops, "eval_argmax")
     val, test = (metric_eval(logits.value[data.masks[k]], data.y[data.masks[k]], metric)
                  for k in ("val", "test"))
     return val, test, _mean_exit_layer(model, state, data, "val")
@@ -621,14 +619,14 @@ def train_run(cfg: RunConfig, data):
     values = [p for _, p in named]
     opt = OptimState(lr=cfg.lr, weight_decay=cfg.weight_decay,
                      decoupled=cfg.decoupled_wd)
-    pack = _operators(model, data)
+    ops = operators_for(model, data)
     higher = _HIGHER_BETTER[cfg.metric]
     best_val = None
     best_snapshot = None
     history = []
     for epoch in range(cfg.epochs):
-        lv = _train_step(model, data, pack, named, opt, rng, epoch)
-        val, test, mel = _eval_splits(model, data, pack)
+        lv = _train_step(model, data, ops, named, opt, rng, epoch)
+        val, test, mel = _eval_splits(model, data, ops)
         history.append((epoch, lv, val, test, mel))
         if best_val is None or (val > best_val if higher else val < best_val):
             best_val = val
@@ -647,8 +645,9 @@ def evaluate(model: Model, data, split: str = "test", mode: str = "eval_argmax",
     _check_data(model.cfg, data, (split,), model)
     if mode == "train_sample" and rng is None:
         rng = np.random.Generator(np.random.PCG64(model.cfg.seed))
+    ops = operators_for(model, data)
     with ad.no_grad():
-        logits, state, _ = forward_node(model, data, mode, rng)
+        logits, state, _ = forward_node(model, ops, mode, rng)
         return node_record(model, data, logits, state, split, mode)
 
 

@@ -20,8 +20,8 @@ from eegnn.diagnostics import (descent_suite, dirichlet_traces,
                                oracle_exit_eval, spectrum_suite)
 from eegnn.exits import gumbel_softmax_st
 from eegnn.graphs import degrees, gen_minesweeper_grid, gen_sbm, norm_adj
-from eegnn.training import (RunConfig, build_model, evaluate,
-                            forward_node, loss_eval, metric_eval, train_run)
+from eegnn.training import (RunConfig, build_model, evaluate, forward_node,
+                            loss_eval, metric_eval, operators_for, train_run)
 from test_autodiff import _one_op_cases
 from test_training import ABLATION_CASES, ablation_case
 
@@ -56,9 +56,10 @@ def test_criterion_01_gradient_correctness():
     rng = np.random.Generator(np.random.PCG64(3))
     model = build_model(cfg, g.X.shape[1], 2, rng)
     frozen = [rng.gumbel(size=(g.n, 2)) for _ in range(cfg.depth)]
+    ops = operators_for(model, g)
 
     def loss():
-        logits, _, _ = forward_node(model, g, "train_sample", noise=frozen)
+        logits, _, _ = forward_node(model, ops, "train_sample", noise=frozen)
         return loss_eval(logits, g.y, "ce", mask=g.masks["train"])
 
     full_err = ad.fd_check(loss, [p for _, p in model.parameters()])
@@ -175,8 +176,8 @@ def test_criterion_07_early_exit_semantics():
     # on a node task, a graph set and a node task with an edge term
     for case in ABLATION_CASES:
         ablation, data, twin = ablation_case(case)
-        ablated, state, _ = forward_node(ablation, data)
-        fixed, _, _ = forward_node(twin, data)
+        ablated, state, _ = forward_node(ablation, operators_for(ablation, data))
+        fixed, _, _ = forward_node(twin, operators_for(twin, data))
         assert ablated.value.tobytes() == fixed.value.tobytes()
         assert not state.exited.any()
 
@@ -185,7 +186,8 @@ def test_criterion_07_early_exit_semantics():
                                    metric="accuracy", seed=0))
     model = build_model(cfg, g.X.shape[1], 2,
                         np.random.Generator(np.random.PCG64(2)))
-    runs = [forward_node(model, g, "eval_argmax") for _ in range(2)]
+    runs = [forward_node(model, operators_for(model, g), "eval_argmax")
+            for _ in range(2)]
     assert np.array_equal(runs[0][0].value, runs[1][0].value)
     assert np.array_equal(runs[0][1].exit_layer, runs[1][1].exit_layer)
     assert np.array_equal(runs[0][1].exit_time, runs[1][1].exit_time)

@@ -241,8 +241,8 @@ def test_sensitivity_matches_fd_jacobian():
     layer = 1
 
     hs: list = []
-    from eegnn.training import forward_node
-    forward_node(model, g, capture=hs)
+    from eegnn.training import forward_node, operators_for
+    forward_node(model, operators_for(model, g), capture=hs)
     hl = hs[layer]
     a = norm_adj(g)
 

@@ -169,7 +169,8 @@ def test_gumbel_softmax_rejects_non_finite_logits():
 def test_forced_exit_all_nodes_stop_at_layer_zero():
     g, params, heads, rng = graph_and_params(seed=1)
     force_heads(heads, exit_bias=50.0)
-    Z, state, recs = eegnn_forward_node(g, params, heads, L=6, rng=rng)
+    ops = build_operators(g, params, heads)
+    Z, state, recs = eegnn_forward_node(ops, params, heads, L=6, rng=rng)
     assert np.all(state.exited)
     assert not state.exit_layer.any()
     assert not state.exit_time.any()
@@ -182,7 +183,8 @@ def test_never_exit_returns_final_layer_states():
     g, params, heads, rng = graph_and_params(seed=2, tau=0.3)
     force_heads(heads, exit_bias=-50.0)
     L = 5
-    Z, state, recs = eegnn_forward_node(g, params, heads, L=L, rng=rng)
+    ops = build_operators(g, params, heads)
+    Z, state, recs = eegnn_forward_node(ops, params, heads, L=L, rng=rng)
     assert not state.exited.any()
     assert np.all(state.exit_layer == L)
     # exit_time accumulates every layer's tau for non-exited nodes
@@ -227,7 +229,8 @@ def _forward_pair(case, mode, L=8):
             force_heads(heads, exit_bias)
         heads.fc_out[1].value[...] += [[-shift, shift]]
         rng = np.random.default_rng(40 + seed) if mode == "train_sample" else None
-        Z, state, recs = eegnn_forward_node(g, params, heads, L=L, rng=rng,
+        ops = build_operators(g, params, heads)
+        Z, state, recs = eegnn_forward_node(ops, params, heads, L=L, rng=rng,
                                             mode=mode, capture=capture)
         w = np.random.default_rng(41).normal(size=Z.shape)
         ad.backward(ad.sum_all(ad.mul_const(Z, w)))
@@ -246,7 +249,7 @@ def test_stopping_at_last_exit_is_bit_identical_to_full_depth(mode, case):
     for field in ("exit_layer", "exit_time"):
         assert getattr(st, field).tobytes() == getattr(stc, field).tobytes()
     assert st.L == stc.L
-    if rng is not None:                      # the skipped layers' noise is drawn
+    if rng is not None:                      # every layer's noise is drawn up front
         assert rng.bit_generator.state == rngc.bit_generator.state
     assert all(a.tobytes() == b.tobytes() for a, b in zip(grads, gradsc))
     assert len(recsc) == 8
@@ -279,11 +282,12 @@ def test_forward_without_a_tape_is_bit_identical(mode, case):
             force_heads(heads, exit_bias)
         heads.fc_out[1].value[...] += [[-shift, shift]]
         rng = np.random.default_rng(40 + seed) if mode == "train_sample" else None
+        ops = build_operators(g, params, heads)
         if taping:
-            runs.append(eegnn_forward_node(g, params, heads, L=8, rng=rng, mode=mode))
+            runs.append(eegnn_forward_node(ops, params, heads, L=8, rng=rng, mode=mode))
         else:
             with ad.no_grad():
-                runs.append(eegnn_forward_node(g, params, heads, L=8, rng=rng,
+                runs.append(eegnn_forward_node(ops, params, heads, L=8, rng=rng,
                                                mode=mode))
     (Z, st, recs), (Zf, stf, recsf) = runs
     assert Zf.parents == () and Z.value.tobytes() == Zf.value.tobytes()
@@ -294,8 +298,9 @@ def test_forward_without_a_tape_is_bit_identical(mode, case):
 
 def test_eval_mode_needs_no_rng_and_is_deterministic():
     g, params, heads, _ = graph_and_params(seed=3)
-    out1 = eegnn_forward_node(g, params, heads, L=4, mode="eval_argmax")
-    out2 = eegnn_forward_node(g, params, heads, L=4, mode="eval_argmax")
+    ops = build_operators(g, params, heads)
+    out1 = eegnn_forward_node(ops, params, heads, L=4, mode="eval_argmax")
+    out2 = eegnn_forward_node(ops, params, heads, L=4, mode="eval_argmax")
     assert np.array_equal(out1[0].value, out2[0].value)
     assert np.array_equal(out1[1].exit_layer, out2[1].exit_layer)
     assert np.array_equal(out1[1].exit_time, out2[1].exit_time)
@@ -304,7 +309,8 @@ def test_eval_mode_needs_no_rng_and_is_deterministic():
 def test_frozen_rows_never_change_after_exit():
     g, params, heads, rng = graph_and_params(seed=4)
     captured = []
-    Z, state, _ = eegnn_forward_node(g, params, heads, L=8, rng=rng,
+    ops = build_operators(g, params, heads)
+    Z, state, _ = eegnn_forward_node(ops, params, heads, L=8, rng=rng,
                                      capture=captured)
     for i in range(g.n):
         if state.exited[i]:
@@ -324,20 +330,19 @@ def test_exit_state_validates_consistency():
 
 
 def graph_agents(members, params, heads):
-    """The union of member graphs and an operator bundle whose agents are
+    """The operator bundle of the union of member graphs, whose agents are
     the members."""
     seg = np.repeat(np.arange(len(members)), [g.n for g in members])
-    union = disjoint_union(members)
-    return union, build_operators(union, params, heads, seg=seg)
+    return build_operators(disjoint_union(members), params, heads, seg=seg)
 
 
 def test_graph_forward_immediate_exit_pools_initial_state():
     g, params, _, rng = graph_and_params(seed=5)
     heads = make_exit_heads(np.random.default_rng(5), "mlp", 5, 8, 1)
     force_heads(heads, exit_bias=50.0)
-    g, ops = graph_agents([g], params, heads)
-    pooled, state, recs = eegnn_forward_node(g, params, heads, L=6, rng=rng, ops=ops)
-    H0 = encode(ad.constant(g.X), params).value
+    ops = graph_agents([g], params, heads)
+    pooled, state, recs = eegnn_forward_node(ops, params, heads, L=6, rng=rng)
+    H0 = encode(ad.constant(ops.X), params).value
     assert np.allclose(pooled.value, H0.mean(axis=0, keepdims=True), atol=1e-12)
     assert state.exit_layer.tolist() == [0]
     assert len(recs) == 1                    # integration stopped
@@ -348,9 +353,9 @@ def test_graph_forward_never_exit_pools_final_state():
     heads = make_exit_heads(np.random.default_rng(6), "mlp", 5, 8, 1)
     force_heads(heads, exit_bias=-50.0)
     L = 4
-    g, ops = graph_agents([g], params, heads)
+    ops = graph_agents([g], params, heads)
     captured = []
-    pooled, state, recs = eegnn_forward_node(g, params, heads, L=L, rng=rng, ops=ops,
+    pooled, state, recs = eegnn_forward_node(ops, params, heads, L=L, rng=rng,
                                              capture=captured)
     assert state.exit_layer.tolist() == [L]
     assert not state.exited[0]
@@ -366,17 +371,17 @@ def test_graph_forward_tau_depends_on_graph():
     heads.fc_out[0].value[...] = 0.1 * np.random.default_rng(9).normal(size=(8, 2))
     g1 = gen_sbm([8, 8], 0.7, 0.2, seed=70, feature_dim=5)
     g2 = gen_sbm([8, 8], 0.2, 0.7, seed=71, feature_dim=5)
-    g, ops = graph_agents([g1, g2], params, heads)
-    _, state, _ = eegnn_forward_node(g, params, heads, L=3, mode="eval_argmax", ops=ops)
+    ops = graph_agents([g1, g2], params, heads)
+    _, state, _ = eegnn_forward_node(ops, params, heads, L=3, mode="eval_argmax")
     assert not state.exited.any()
     assert state.exit_time[0] != state.exit_time[1]
 
 
 def test_graph_agents_need_mlp_heads():
     g, params, heads, _ = graph_and_params(seed=8)
-    g, ops = graph_agents([g], params, heads)
+    ops = graph_agents([g], params, heads)
     with pytest.raises(ValueError, match="mlp heads"):
-        eegnn_forward_node(g, params, heads, L=2, mode="eval_argmax", ops=ops)
+        eegnn_forward_node(ops, params, heads, L=2, mode="eval_argmax")
 
 
 def test_exit_distribution_all_at_zero():

@@ -20,8 +20,8 @@ from eegnn import graphs
 from eegnn import cells, cli
 from eegnn.exits import eegnn_forward_node, sample_gumbel
 from eegnn.graphs import degrees, gen_minesweeper_grid, gen_sbm, make_graph
-from eegnn.training import GraphSet, RunConfig, _operators, build_model, \
-    evaluate, forward_node, loss_eval, train_run
+from eegnn.training import GraphSet, RunConfig, build_model, evaluate, \
+    forward_node, loss_eval, operators_for, train_run
 
 
 def _connected(g) -> bool:
@@ -243,10 +243,10 @@ def test_node_eegnn_training_stopping_early_is_pinned(monkeypatch):
 def test_full_depth_eegnn_forward_makes_two_spmm_per_layer(monkeypatch):
     g, cfg = eegnn_node_case("sbm")
     model = build_model(cfg, g.X.shape[1], 2, np.random.default_rng(0))
-    ops = cells.build_operators(g, model.params, model.heads)
+    ops = operators_for(model, g)
     model.heads.fc_out[1].value[...] = [[50.0, -50.0]]     # never exit
     calls = _count_calls(monkeypatch, graphs.spmm)
-    _, state, recs = forward_node(model, g, "eval_argmax", ops=ops)
+    _, state, recs = forward_node(model, ops, "eval_argmax")
     assert not state.exited.any() and len(recs) == cfg.depth
     # one for the cell step, one mean aggregate shared by both exit heads
     assert len(calls) == 2 * cfg.depth
@@ -368,10 +368,10 @@ def test_union_forward_matches_the_per_graph_oracle(model, edge_mode, mode):
              for l in range(cfg.depth)]
     states, pooled, logits, layers, times = oracles.graph_set_forward_per_graph(
         trained, ds.graphs, mode, noise)
-    g, ops = _operators(trained, ds)
+    ops = operators_for(trained, ds)
     captured = []
     with ad.no_grad():
-        out, state, _ = forward_node(trained, g, mode, ops=ops, noise=noise,
+        out, state, _ = forward_node(trained, ops, mode, noise=noise,
                                      capture=captured)
     # the decoder reads one row per graph in the oracle and all rows at once
     # here, and BLAS rounds a one-row product differently
@@ -388,8 +388,8 @@ def test_union_forward_matches_the_per_graph_oracle(model, edge_mode, mode):
     assert layers.min() < layers.max()      # frozen and stepping graphs mix
     assert np.array_equal(state.exit_layer, layers)
     with ad.no_grad():
-        Z, _, _ = eegnn_forward_node(g, trained.params, trained.heads, cfg.depth,
-                                     mode=mode, ops=ops, noise=noise)
+        Z, _, _ = eegnn_forward_node(ops, trained.params, trained.heads, cfg.depth,
+                                     mode=mode, noise=noise)
     assert np.abs(Z.value - pooled).max() <= 1e-13 * np.abs(pooled).max()
     assert np.abs(state.exit_time - times).max() <= 1e-13 * cfg.depth
 
@@ -400,12 +400,12 @@ def test_batched_graph_loss_gradients_match_fd():
     rng = np.random.Generator(np.random.PCG64(4))
     trained = build_model(cfg, 4, 1, rng)
     frozen = [rng.gumbel(size=(len(ds.graphs), 2)) for _ in range(cfg.depth)]
-    g, ops = _operators(trained, ds)
-    out, state, _ = forward_node(trained, g, "train_sample", ops=ops, noise=frozen)
+    ops = operators_for(trained, ds)
+    out, state, _ = forward_node(trained, ops, "train_sample", noise=frozen)
     assert state.exit_layer.min() < state.exit_layer.max()
 
     def loss():
-        logits, _, _ = forward_node(trained, g, "train_sample", ops=ops, noise=frozen)
+        logits, _, _ = forward_node(trained, ops, "train_sample", noise=frozen)
         return loss_eval(logits, ds.y, "mse", mask=ds.masks["train"])
 
     assert ad.fd_check(loss, [p for _, p in trained.parameters()]) <= 1e-4

@@ -17,7 +17,8 @@ from eegnn.training import (ConfigError, GraphSet, OptimState,
                             build_model, coerce_keys, evaluate, exit_csv,
                             forward_node, history_csv, load_checkpoint,
                             load_dataset, loss_eval, metric_eval, model_for,
-                            save_checkpoint, scores_from_logits, train_run)
+                            operators_for, save_checkpoint, scores_from_logits,
+                            train_run)
 
 
 def sbm(seed=0, n=24, m=6, shift=2.0):
@@ -480,8 +481,8 @@ def ablation_case(case: str):
 @pytest.mark.parametrize("case", ABLATION_CASES)
 def test_eegnn_with_even_exit_logits_matches_plain_sas_bitwise(case):
     model, data, twin = ablation_case(case)
-    ablated, state, recs = forward_node(model, data)
-    plain, _, _ = forward_node(twin, data)
+    ablated, state, recs = forward_node(model, operators_for(model, data))
+    plain, _, _ = forward_node(twin, operators_for(twin, data))
     assert ablated.value.tobytes() == plain.value.tobytes()
     assert not state.exited.any() and len(recs) == model.cfg.depth
     assert all(r["mean_tau"] == 0.5 and r["new_exits"] == 0 for r in recs)
@@ -493,9 +494,10 @@ def test_end_to_end_gradient_matches_fd_with_frozen_noise():
     rng = np.random.Generator(np.random.PCG64(4))
     model = build_model(cfg, g.X.shape[1], 2, rng)
     frozen = [rng.gumbel(size=(g.n, 2)) for _ in range(cfg.depth)]
+    ops = operators_for(model, g)
 
     def loss():
-        logits, _, _ = forward_node(model, g, "train_sample", noise=frozen)
+        logits, _, _ = forward_node(model, ops, "train_sample", noise=frozen)
         return loss_eval(logits, g.y, "ce", mask=g.masks["train"])
 
     named = model.parameters()
@@ -507,9 +509,9 @@ def test_only_training_forwards_record_a_tape(monkeypatch, tmp_path):
     seen = []
     original = training.forward_node
 
-    def spy(model, g, mode="eval_argmax", *args, **kwargs):
+    def spy(model, ops, mode="eval_argmax", *args, **kwargs):
         seen.append((mode, ad._taping))
-        return original(model, g, mode, *args, **kwargs)
+        return original(model, ops, mode, *args, **kwargs)
 
     monkeypatch.setattr(training, "forward_node", spy)
     monkeypatch.setattr(cli, "forward_node", spy)
