@@ -305,14 +305,17 @@ def loss_eval(pred: DiffValue, targets, kind: str, mask=None) -> DiffValue:
 
 # ------------------------------------------------------------------- optimizer
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class OptimState:
-    """Adam state: first/second moments keyed by parameter name."""
+    """Adam state: first/second moments keyed by parameter name; the decay
+    rates and epsilon are the module constants ADAM_BETA1/2 and ADAM_EPS."""
 
     lr: float = 3e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     weight_decay: float = 0.0
     decoupled: bool = False
     step: int = 0
@@ -324,21 +327,21 @@ def adam_step(params: list[tuple[str, DiffValue]], state: OptimState) -> None:
     """One bias-corrected Adam update in place; grads must already be summed."""
     state.step += 1
     t = state.step
-    c1 = 1.0 - state.beta1 ** t
-    c2 = 1.0 - state.beta2 ** t
+    c1 = 1.0 - ADAM_BETA1 ** t
+    c2 = 1.0 - ADAM_BETA2 ** t
     for name, p in params:
         g = p.grad
         if state.weight_decay != 0.0 and not state.decoupled:
             g = g + state.weight_decay * p.value
         m = state.m.setdefault(name, np.zeros_like(p.value))
         v = state.v.setdefault(name, np.zeros_like(p.value))
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * (g * g)
         if state.decoupled and state.weight_decay != 0.0:
             p.value *= 1.0 - state.lr * state.weight_decay
-        p.value -= state.lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+        p.value -= state.lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
 
 
 # ------------------------------------------------------------------- metrics
@@ -573,8 +576,11 @@ def _eval_splits(model: Model, data, ops: Operators):
 def _check_data(cfg: RunConfig, data, splits, model: Model | None = None):
     """The dataset rules of train_run and evaluate, raised as one ConfigError:
     data of the task's kind, with labels and all three split masks; each given
-    split nonempty, with class-index labels under the ce loss; and with a
-    trained model, labels below its output width and its node feature width."""
+    split nonempty, with class-index labels under the ce loss and labels 0 or
+    1 under bce_logits; edge features under an edge term. Without a model,
+    a ce label of at least 1, so the model gets two or more classes; with a
+    trained model, labels below its output width and its node and edge
+    feature widths (the edge width only when its cell has an edge term)."""
     node_task = cfg.task == "node_class"
     if node_task and not isinstance(data, Graph):
         raise ConfigError(["node_class task needs a single Graph dataset"])
@@ -586,10 +592,22 @@ def _check_data(cfg: RunConfig, data, splits, model: Model | None = None):
                  if data.masks is None or name not in data.masks]
     if problems:
         raise ConfigError(problems)
-    width = (data.graphs[0] if isinstance(data, GraphSet) else data).X.shape[1]
+    g = data.graphs[0] if isinstance(data, GraphSet) else data
+    width = g.X.shape[1]
+    edges = 0 if g.E_feat is None else g.E_feat.shape[1]
     if model is not None and width != model.feat_dim:
         problems.append(f"dataset has {width} node features; the model reads "
                         f"{model.feat_dim}")
+    if cfg.edge_mode != "zero":
+        if model is None and not edges:
+            problems.append(f"edge_mode {cfg.edge_mode!r} needs edge features; "
+                            f"the dataset has none")
+        elif model is not None and edges != model.edge_dim:
+            problems.append(f"dataset has {edges or 'no'} edge features; the "
+                            f"model's edge term reads {model.edge_dim}")
+    if model is None and cfg.loss == "ce" and not (np.asarray(data.y) >= 1).any():
+        problems.append("ce needs two or more classes, but no label is 1 or "
+                        "more; use bce_logits for one class")
     top, below = (np.inf, "") if model is None else \
         (model.out_dim, f" below the model's {model.out_dim} classes")
     for name in splits:
@@ -602,6 +620,12 @@ def _check_data(cfg: RunConfig, data, splits, model: Model | None = None):
             if bad.size:
                 problems.append(f"ce labels must be class indices{below}; the "
                                 f"{name!r} split has label {float(bad[0])!r}")
+        elif cfg.loss == "bce_logits":
+            y = np.asarray(data.y, dtype=np.float64)[mask]
+            bad = y[(y != 0.0) & (y != 1.0)]
+            if bad.size:
+                problems.append(f"bce_logits labels must be 0 or 1; the {name!r} "
+                                f"split has label {float(bad[0])!r}")
     if problems:
         raise ConfigError(problems)
 

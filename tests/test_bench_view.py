@@ -13,6 +13,10 @@ from eegnn.graphs import gen_minesweeper_grid
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
+def _spans(tracer, name) -> int:
+    return sum(tracer.names[tracer.name_id[i]] == name for i in range(len(tracer)))
+
+
 def test_benchmark_tracer_wraps_and_reads_an_eegnn_run(monkeypatch):
     monkeypatch.syspath_prepend(str(BENCH))
     import layers
@@ -28,9 +32,14 @@ def test_benchmark_tracer_wraps_and_reads_an_eegnn_run(monkeypatch):
                                             "epochs": 3, "metric": "accuracy"})
         model, _ = training.train_run(cfg, g)
         training.evaluate(model, g)
+        sampled_before = _spans(tracer, "training.forward_node.train")
+        training.evaluate(model, g, mode="train_sample")
+        sampled_after = _spans(tracer, "training.forward_node.train")
     finally:
         tracer.restore()
     assert training.forward_node is original
+    # the tracer reads forward_node's mode from its third positional argument
+    assert sampled_after == sampled_before + 1
 
     kept = tracer.results["eegnn_forward_node"]
     Z, state, records = kept

@@ -290,14 +290,24 @@ def _set_labels(doc, split, value, first_only=True):
     ("empty_train", "the 'train' split is empty"),
     ("half_labels", "ce labels must be class indices; the 'train' split has label 0.5"),
     ("negative_label", "ce labels must be class indices; the 'train' split has "
-                       "label -1.0")])
+                       "label -1.0"),
+    ("all_zero_ce", "ce needs two or more classes, but no label is 1 or more"),
+    ("three_class_bce", "bce_logits labels must be 0 or 1; the 'train' split has "
+                        "label 2.0"),
+    ("edge_term_without_edges", "edge_mode 'linear' needs edge features; the "
+                                "dataset has none")])
 def test_train_rejects_an_empty_split_or_labels_that_are_not_classes(
         tmp_path, capsys, case, shown):
     data = gen_sbm_data(tmp_path, seed=12)
     edit = {"empty_train": lambda d: d["masks"].update(train=[False] * d["n"]),
             "half_labels": lambda d: _set_labels(d, "train", 0.5, first_only=False),
-            "negative_label": lambda d: _set_labels(d, "train", -1)}[case]
-    cfg = write_cfg(tmp_path, TRAIN_CFG, name="t.json")
+            "negative_label": lambda d: _set_labels(d, "train", -1),
+            "all_zero_ce": lambda d: d.update(y=[0] * d["n"]),
+            "three_class_bce": lambda d: _set_labels(d, "train", 2),
+            "edge_term_without_edges": lambda d: None}[case]
+    extra = {"three_class_bce": {"loss": "bce_logits"},
+             "edge_term_without_edges": {"edge_mode": "linear"}}.get(case, {})
+    cfg = write_cfg(tmp_path, {**TRAIN_CFG, **extra}, name="t.json")
     assert run(["train", "--config", cfg, "--data", edited_graph(tmp_path, data, edit),
                 "--out", str(tmp_path / "run")]) == 1
     assert shown in capsys.readouterr().err
@@ -309,21 +319,51 @@ def test_train_rejects_an_empty_split_or_labels_that_are_not_classes(
     ("narrow", "dataset has 3 node features; the model reads 5"),
     ("empty_test", "the 'test' split is empty"),
     ("label_at_out_dim", "ce labels must be class indices below the model's 2 "
-                         "classes; the 'test' split has label 2.0")])
+                         "classes; the 'test' split has label 2.0"),
+    ("no_edges", "dataset has no edge features; the model's edge term reads 2"),
+    ("edge_width", "dataset has 3 edge features; the model's edge term reads 2")])
 def test_evaluate_rejects_data_that_does_not_fit_the_checkpoint(tmp_path, capsys,
                                                                 case, shown):
-    data, path, _ = trained_checkpoint(tmp_path)
+    if case in ("no_edges", "edge_width"):
+        data, path = edge_checkpoint(tmp_path)
+    else:
+        data, path, _ = trained_checkpoint(tmp_path)
     if case == "graph_set":
         data = graph_set_file(tmp_path)
     else:
         edit = {"narrow": lambda d: d.update(x=[row[:3] for row in d["x"]]),
                 "empty_test": lambda d: d["masks"].update(test=[False] * d["n"]),
-                "label_at_out_dim": lambda d: _set_labels(d, "test", 2)}[case]
+                "label_at_out_dim": lambda d: _set_labels(d, "test", 2),
+                "no_edges": lambda d: d.pop("edge_attr"),
+                "edge_width": lambda d: d.update(
+                    edge_attr=[row + [0.0] for row in d["edge_attr"]])}[case]
         data = edited_graph(tmp_path, data, edit)
     assert run(["evaluate", "--checkpoint", str(path), "--data", str(data),
                 "--out", str(tmp_path / "eval")]) == 1
     assert shown in capsys.readouterr().err
     assert not (tmp_path / "eval").exists()
+
+
+def edge_checkpoint(tmp_path):
+    """A graph with two edge features per arc, and the checkpoint of a sas
+    model with a linear edge term trained on it."""
+    g = gen_sbm([10, 10], 0.8, 0.15, seed=12, feature_dim=5, feature_shift=2.0)
+    g.E_feat = (g.X[arc_rows(g)] + g.X[g.col_indices])[:, :2]
+    data = tmp_path / "edges.json"
+    save_graph(g, data)
+    cfg = write_cfg(tmp_path, dict(TRAIN_CFG, epochs=1, edge_mode="linear"),
+                    name="e.json")
+    assert run(["train", "--config", cfg, "--data", str(data),
+                "--out", str(tmp_path / "run")]) == 0
+    return data, tmp_path / "run" / "checkpoint.json"
+
+
+def test_evaluate_ignores_edge_features_without_an_edge_term(tmp_path):
+    data, path, _ = trained_checkpoint(tmp_path)
+    widened = edited_graph(tmp_path, data, lambda d: d.update(
+        edge_attr=[[1.0, 2.0, 3.0]] * (2 * len(d["edges"]))))
+    assert run(["evaluate", "--checkpoint", str(path), "--data", widened,
+                "--out", str(tmp_path / "eval")]) == 0
 
 
 def test_evaluate_graph_checkpoint_on_a_single_graph_is_validation_error(tmp_path,
@@ -341,18 +381,23 @@ def test_evaluate_graph_checkpoint_on_a_single_graph_is_validation_error(tmp_pat
 # ------------------------------------------------------------------ evaluate
 
 def test_evaluate_roundtrip_from_checkpoint(tmp_path):
-    data = gen_sbm_data(tmp_path, seed=7)
-    train_out = tmp_path / "run"
-    cfg = write_cfg(tmp_path, TRAIN_CFG, name="t.json")
-    assert run(["train", "--config", cfg, "--data", str(data),
-                "--out", str(train_out)]) == 0
-    eval_out = tmp_path / "eval"
-    assert run(["evaluate", "--checkpoint", str(train_out / "checkpoint.json"),
-                "--data", str(data), "--out", str(eval_out)]) == 0
-    trained = json.loads((train_out / "metrics.json").read_text())
-    scored = json.loads((eval_out / "metrics.json").read_text())
-    assert scored["value"] == trained["value"]
-    assert scored["mode"] == "eval_argmax"
+    # a sas node task, and an eegnn graph set whose record carries exits
+    cases = {"node": (str(gen_sbm_data(tmp_path, seed=7)), TRAIN_CFG),
+             "graph_set": (graph_set_file(tmp_path),
+                           dict(TRAIN_CFG, model="eegnn", task="graph_class"))}
+    for name, (data, doc) in cases.items():
+        train_out, eval_out = tmp_path / f"run_{name}", tmp_path / f"eval_{name}"
+        cfg = write_cfg(tmp_path, doc, name=f"{name}.json")
+        assert run(["train", "--config", cfg, "--data", data,
+                    "--out", str(train_out)]) == 0
+        assert run(["evaluate", "--checkpoint", str(train_out / "checkpoint.json"),
+                    "--data", data, "--out", str(eval_out)]) == 0
+        trained = json.loads((train_out / "metrics.json").read_text())
+        scored = json.loads((eval_out / "metrics.json").read_text())
+        for key in ("value", "loss", "mean_exit_layer", "exit"):
+            assert scored.get(key) == trained.get(key), (name, key)
+        assert scored["mode"] == "eval_argmax"
+    assert "exit" in scored
 
 
 def test_evaluate_sampled_mode(tmp_path):
