@@ -199,6 +199,33 @@ def test_model_for_sizes_a_graph_and_a_graph_set():
     assert (graph.feat_dim, graph.out_dim, graph.edge_dim) == (6, 2, 2)
 
 
+_CELL = ["cell.omega_raw", "cell.w_raw"]
+_DEC = ["cell.enc_w", "cell.enc_b", "cell.dec0_w", "cell.dec0_b"]
+
+
+def _head_names(tag, layers):
+    return [f"heads.{tag}{i}_{s}" for i in range(len(layers)) for s in layers[i]] + \
+        [f"heads.{tag}_out_w", f"heads.{tag}_out_b"]
+
+
+@pytest.mark.parametrize("config, edge_dim, names", [
+    ({"model": "sas", "edge_mode": "linear", "dec_hidden": [4]}, 2,
+     _CELL + ["cell.w_e"] + _DEC + ["cell.dec1_w", "cell.dec1_b"]),
+    ({"model": "gcn", "depth": 3}, 0,
+     ["cell.gcn_w0", "cell.gcn_w1", "cell.gcn_w2"] + _DEC),
+    ({"model": "adgn"}, 0, _CELL + ["cell.adgn_b"] + _DEC),
+    ({"model": "eegnn", "exit_depth": 2}, 0,
+     _CELL + _DEC + _head_names("fc", [("w_agg", "w_self", "b")] * 2)
+     + _head_names("fnu", [("w_agg", "w_self", "b")] * 2)),
+    ({"model": "eegnn", "task": "graph_class"}, 0,
+     _CELL + _DEC + _head_names("fc", [("w", "b")]) + _head_names("fnu", [("w", "b")]))])
+def test_parameter_names_are_the_pinned_checkpoint_keys(config, edge_dim, names):
+    """Checkpoint keys and Adam state are keyed by these names, in this order."""
+    model = build_model(RunConfig.from_dict({**config, "depth": config.get("depth", 2)}),
+                        3, 2, np.random.default_rng(0), edge_dim=edge_dim)
+    assert [n for n, _ in model.parameters()] == names
+
+
 # ------------------------------------------------------------------- losses
 
 def test_ce_loss_on_confident_one_hot_is_near_zero():
