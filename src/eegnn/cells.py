@@ -94,24 +94,12 @@ class CellParams:
         return self.enc_w.shape[1]
 
     def parameters(self) -> list[tuple[str, DiffValue]]:
-        """Trainable leaves in a fixed, checkpoint-stable order."""
-        out: list[tuple[str, DiffValue]] = []
-        if self.omega_raw is not None:
-            out.append(("omega_raw", self.omega_raw))
-        if self.w_raw is not None:
-            out.append(("w_raw", self.w_raw))
-        if self.w_e is not None:
-            out.append(("w_e", self.w_e))
-        if self.adgn_b is not None:
-            out.append(("adgn_b", self.adgn_b))
-        for i, w in enumerate(self.gcn_ws):
-            out.append((f"gcn_w{i}", w))
-        out.append(("enc_w", self.enc_w))
-        out.append(("enc_b", self.enc_b))
-        for i, (w, b) in enumerate(self.dec):
-            out.append((f"dec{i}_w", w))
-            out.append((f"dec{i}_b", b))
-        return out
+        """(name, leaf) for every present trainable leaf, in a fixed,
+        checkpoint-stable order. The name make_cell_params gives each leaf
+        is its checkpoint key."""
+        leaves = (self.omega_raw, self.w_raw, self.w_e, self.adgn_b, *self.gcn_ws,
+                  self.enc_w, self.enc_b, *(p for layer in self.dec for p in layer))
+        return [(p.name, p) for p in leaves if p is not None]
 
 
 @dataclass(frozen=True)

@@ -79,10 +79,11 @@ class ExitState:
 class ExitHeads:
     """Shared confidence and temperature heads.
 
-    kind mean_gnn stacks neighbor-mean layers (aggregate matrix, self matrix,
-    bias) for per-node logits; kind mlp is a plain stack for pooled features.
-    Both heads share the family and depth; f_c emits two logits, f_nu one raw
-    value that becomes an inverse temperature via softplus + nu0.
+    Every hidden layer is a tuple (w_agg, w, b): kind mean_gnn adds the
+    neighbor mean through w_agg, for per-node logits; kind mlp, for pooled
+    features, has w_agg None. Both heads share the family and depth; f_c
+    emits two logits, f_nu one raw value that becomes an inverse temperature
+    via softplus + nu0.
     """
 
     kind: str
@@ -103,19 +104,12 @@ class ExitHeads:
             raise ValueError(f"nu0 must be >= 0, got {self.nu0}")
 
     def parameters(self) -> list[tuple[str, DiffValue]]:
-        out = []
-        for tag, layers, rd in (("fc", self.fc_layers, self.fc_out),
-                                ("fnu", self.fnu_layers, self.fnu_out)):
-            for i, layer in enumerate(layers):
-                if self.kind == "mean_gnn":
-                    wa, ws, b = layer
-                    out += [(f"{tag}{i}_w_agg", wa), (f"{tag}{i}_w_self", ws),
-                            (f"{tag}{i}_b", b)]
-                else:
-                    w, b = layer
-                    out += [(f"{tag}{i}_w", w), (f"{tag}{i}_b", b)]
-            out += [(f"{tag}_out_w", rd[0]), (f"{tag}_out_b", rd[1])]
-        return out
+        """(name, leaf) for every present trainable leaf, f_c's before
+        f_nu's, each head's layers in order and then its readout. The name
+        make_exit_heads gives each leaf is its checkpoint key."""
+        leaves = (*(p for layer in self.fc_layers for p in layer), *self.fc_out,
+                  *(p for layer in self.fnu_layers for p in layer), *self.fnu_out)
+        return [(p.name, p) for p in leaves if p is not None]
 
 
 def sample_gumbel(shape, rng: np.random.Generator) -> np.ndarray:
@@ -126,17 +120,21 @@ def sample_gumbel(shape, rng: np.random.Generator) -> np.ndarray:
 
 def make_exit_heads(rng: np.random.Generator, kind: str, in_dim: int,
                     hidden: int, depth: int, nu0: float = 0.05) -> ExitHeads:
+    """Glorot-initialized heads: depth hidden layers, each the tuple
+    (w_agg, w, b), and a (w, b) readout. w_agg, drawn before w, is None for
+    kind mlp; without it w is named {tag}{i}_w, with it {tag}{i}_w_self."""
+    aggregates = kind != "mlp"
+
     def backbone(tag, out_dim):
         layers = []
         d = in_dim
         for i in range(depth):
-            if kind == "mean_gnn":
-                layers.append((ad.leaf(_glorot(rng, d, hidden), f"{tag}{i}_w_agg"),
-                               ad.leaf(_glorot(rng, d, hidden), f"{tag}{i}_w_self"),
-                               ad.leaf(np.zeros((1, hidden)), f"{tag}{i}_b")))
-            else:
-                layers.append((ad.leaf(_glorot(rng, d, hidden), f"{tag}{i}_w"),
-                               ad.leaf(np.zeros((1, hidden)), f"{tag}{i}_b")))
+            w_agg = None
+            if aggregates:
+                w_agg = ad.leaf(_glorot(rng, d, hidden), f"{tag}{i}_w_agg")
+            w = ad.leaf(_glorot(rng, d, hidden),
+                        f"{tag}{i}_w_self" if aggregates else f"{tag}{i}_w")
+            layers.append((w_agg, w, ad.leaf(np.zeros((1, hidden)), f"{tag}{i}_b")))
             d = hidden
         rd = (ad.leaf(_glorot(rng, hidden, out_dim), f"{tag}_out_w"),
               ad.leaf(np.zeros((1, out_dim)), f"{tag}_out_b"))
@@ -148,23 +146,19 @@ def make_exit_heads(rng: np.random.Generator, kind: str, in_dim: int,
                      fnu_layers=fnu_layers, fnu_out=fnu_out, nu0=nu0)
 
 
-def _backbone_forward(H: DiffValue, layers, out_pair, kind: str, ma,
-                      agg=None) -> DiffValue:
-    if kind == "mean_gnn" and ma is None:
-        raise ValueError("mean_gnn heads need the mean-adjacency operator")
+def _backbone_forward(H: DiffValue, layers, out_pair, ma, agg=None) -> DiffValue:
     cur = H
-    for i, layer in enumerate(layers):
+    for i, (w_agg, w, b) in enumerate(layers):
         if i:                       # the last layer's relu is fused into the readout
             cur = ad.activation_apply(mixed, "relu")
-        if kind == "mean_gnn":
-            wa, ws, b = layer
-            # (M cur) wa + (cur ws + b): the self term rides in as matmul_add's
+        mixed = ad.matmul_add(cur, w, b)
+        if w_agg is not None:
+            if ma is None:
+                raise ValueError("mean_gnn heads need the mean-adjacency operator")
+            # (M cur) w_agg + (cur w + b): the self term rides in as matmul_add's
             # addend, one node fewer than an add of two products, same sums
-            mixed = ad.matmul_add(ad.dspmm(ma, cur, agg), wa, ad.matmul_add(cur, ws, b))
+            mixed = ad.matmul_add(ad.dspmm(ma, cur, agg), w_agg, mixed)
             agg = None              # agg is H's product; deeper layers make their own
-        else:
-            w, b = layer
-            mixed = ad.matmul_add(cur, w, b)
     return ad.act_matmul_add(mixed, "relu", out_pair[0], out_pair[1])
 
 
@@ -175,7 +169,7 @@ def confidence_logits(H: DiffValue, heads: ExitHeads, ma=None,
     agg, when given, is spmm(ma, H.value) computed already; both heads read it
     in their first mean_gnn layer.
     """
-    return _backbone_forward(H, heads.fc_layers, heads.fc_out, heads.kind, ma, agg)
+    return _backbone_forward(H, heads.fc_layers, heads.fc_out, ma, agg)
 
 
 def inv_temperature(H: DiffValue, heads: ExitHeads, ma=None, agg=None) -> DiffValue:
@@ -184,7 +178,7 @@ def inv_temperature(H: DiffValue, heads: ExitHeads, ma=None, agg=None) -> DiffVa
 
     agg is as in confidence_logits.
     """
-    raw = _backbone_forward(H, heads.fnu_layers, heads.fnu_out, heads.kind, ma, agg)
+    raw = _backbone_forward(H, heads.fnu_layers, heads.fnu_out, ma, agg)
     return ad.add_scalar(ad.activation_apply(raw, "softplus"), heads.nu0)
 
 

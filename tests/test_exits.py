@@ -367,7 +367,7 @@ def test_graph_forward_tau_depends_on_graph():
     _, params, _, _ = graph_and_params(seed=7)
     heads = make_exit_heads(np.random.default_rng(7), "mlp", 5, 8, 1)
     force_heads(heads, exit_bias=-2.0)       # continue, with tau short of 1
-    heads.fc_layers[0][0].value[...] = np.random.default_rng(8).normal(size=(5, 8))
+    heads.fc_layers[0][1].value[...] = np.random.default_rng(8).normal(size=(5, 8))
     heads.fc_out[0].value[...] = 0.1 * np.random.default_rng(9).normal(size=(8, 2))
     g1 = gen_sbm([8, 8], 0.7, 0.2, seed=70, feature_dim=5)
     g2 = gen_sbm([8, 8], 0.2, 0.7, seed=71, feature_dim=5)
