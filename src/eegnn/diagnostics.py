@@ -21,8 +21,8 @@ from .cells import CellParams, build_operators, decode, encode, make_cell_params
     propagate
 from .eig import eigvals
 from .graphs import Graph, arc_rows, degrees, gen_sbm, pair_index
-from .training import ConfigError, Model, RunConfig, evaluate, forward_node, \
-    metric_eval, operators_for, train_run
+from .training import ConfigError, Model, RunConfig, classes_from_logits, \
+    evaluate, forward_node, metric_eval, operators_for, train_run
 
 __all__ = [
     "ToleranceError",
@@ -246,12 +246,6 @@ def depth_retention(data, kinds, depths, base_cfg) -> list[dict]:
     return rows
 
 
-def _classes_from_logits(logits: np.ndarray) -> np.ndarray:
-    if logits.shape[1] == 1:
-        return (logits[:, 0] > 0).astype(np.int64)
-    return logits.argmax(axis=1)
-
-
 def oracle_exit_eval(model: Model, g: Graph) -> tuple[float, float]:
     """Counterfactual best-exit accuracy vs plain final-layer accuracy.
 
@@ -272,7 +266,7 @@ def oracle_exit_eval(model: Model, g: Graph) -> tuple[float, float]:
     sel = np.ones(g.n, dtype=bool)
     if g.masks is not None and "test" in g.masks:
         sel = g.masks["test"]
-    per_layer = [_classes_from_logits(
+    per_layer = [classes_from_logits(
         decode(ad.constant(h), model.params).value) for h in hs]
     final_classes = per_layer[-1]
     correct_any = np.zeros(g.n, dtype=bool)

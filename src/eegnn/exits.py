@@ -250,6 +250,8 @@ def eegnn_forward_node(ops: Operators, params: CellParams, heads: ExitHeads,
     agents = H if seg is None else ad.segment_mean(H, seg)
     n = agents.shape[0]
     if mode == "train_sample" and noise is None:
+        if rng is None:
+            raise ValueError("a train_sample forward needs noise or a generator rng")
         noise = sample_gumbel((L, n, 2), rng)
     Z_cur = ad.constant(np.zeros_like(agents.value))
     exited = np.zeros(n, dtype=bool)

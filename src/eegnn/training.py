@@ -40,6 +40,7 @@ __all__ = [
     "adam_step",
     "metric_eval",
     "scores_from_logits",
+    "classes_from_logits",
     "build_model",
     "model_for",
     "operators_for",
@@ -179,6 +180,8 @@ class RunConfig:
              f"metric must be one of {METRIC_KINDS}, got {self.metric!r}"),
             (self.loss in LOSS_KINDS,
              f"loss must be one of {LOSS_KINDS}, got {self.loss!r}"),
+            (not (self.loss == "ce" and self.metric == "mae"),
+             "metric 'mae' scores values, but loss 'ce' gives class logits"),
             (self.sigma1 in ACTIVATION_KINDS, f"sigma1 unknown: {self.sigma1!r}"),
             (self.sigma2 in ACTIVATION_KINDS, f"sigma2 unknown: {self.sigma2!r}"),
             (self.depth >= 1, f"depth must be >= 1, got {self.depth}"),
@@ -409,19 +412,29 @@ def scores_from_logits(pred: np.ndarray) -> np.ndarray:
     raise ValueError(f"cannot derive a binary score from shape {pred.shape}")
 
 
+def classes_from_logits(pred: np.ndarray) -> np.ndarray:
+    """Class per row of a logit matrix: a lone column is a binary logit, so
+    class 1 where it is positive; wider rows take their argmax column."""
+    if pred.shape[1] == 1:
+        return (pred[:, 0] > 0).astype(np.int64)
+    return pred.argmax(axis=1)
+
+
 def metric_eval(predictions, targets, kind: str) -> float:
     """Scalar quality measure.
 
     auroc/ap take a 1-D score vector and binary labels; accuracy/macro_f1
-    take logits (argmax applied) or already-discrete class vectors; mae takes
-    values shaped like its targets.
+    take logits (classes_from_logits applied; one column means two classes)
+    or already-discrete class vectors; mae takes one value row per target
+    row, a 1-D vector counting as one column.
     """
     if kind not in METRIC_KINDS:
         raise ValueError(f"unknown metric kind {kind!r}")
     p = np.asarray(predictions, dtype=np.float64)
     t = np.asarray(targets)
     if kind == "mae":
-        t = t.astype(np.float64)
+        p = p.reshape(p.shape[0], -1)
+        t = t.astype(np.float64).reshape(t.shape[0], -1)
         if p.shape != t.shape:
             raise ValueError(f"shape mismatch {p.shape} vs {t.shape}")
         return float(np.abs(p - t).mean())
@@ -433,8 +446,8 @@ def metric_eval(predictions, targets, kind: str) -> float:
         return _auroc(scores, labels) if kind == "auroc" else _average_precision(scores, labels)
     labels = t.reshape(-1).astype(np.int64)
     if p.ndim == 2:
-        classes = p.argmax(axis=1)
-        n_classes = p.shape[1]
+        classes = classes_from_logits(p)
+        n_classes = max(p.shape[1], 2)
     else:
         classes = p.astype(np.int64)
         n_classes = int(max(classes.max(initial=0), labels.max(initial=0))) + 1
@@ -577,10 +590,12 @@ def _check_data(cfg: RunConfig, data, splits, model: Model | None = None):
     """The dataset rules of train_run and evaluate, raised as one ConfigError:
     data of the task's kind, with labels and all three split masks; each given
     split nonempty, with class-index labels under the ce loss and labels 0 or
-    1 under bce_logits; edge features under an edge term. Without a model,
-    a ce label of at least 1, so the model gets two or more classes; with a
-    trained model, labels below its output width and its node and edge
-    feature widths (the edge width only when its cell has an edge term)."""
+    1 in one column under bce_logits; edge features under an edge term.
+    Without a model, a ce label of at least 1, so the model gets two or more
+    classes, and none above 1 under an auroc or ap metric, which score two
+    classes; with a trained model, labels below its output width and its
+    node and edge feature widths (the edge width only when its cell has an
+    edge term)."""
     node_task = cfg.task == "node_class"
     if node_task and not isinstance(data, Graph):
         raise ConfigError(["node_class task needs a single Graph dataset"])
@@ -605,9 +620,19 @@ def _check_data(cfg: RunConfig, data, splits, model: Model | None = None):
         elif model is not None and edges != model.edge_dim:
             problems.append(f"dataset has {edges or 'no'} edge features; the "
                             f"model's edge term reads {model.edge_dim}")
-    if model is None and cfg.loss == "ce" and not (np.asarray(data.y) >= 1).any():
-        problems.append("ce needs two or more classes, but no label is 1 or "
-                        "more; use bce_logits for one class")
+    labels = np.asarray(data.y)
+    if model is None and cfg.loss == "ce":
+        if not (labels >= 1).any():
+            problems.append("ce needs two or more classes, but no label is 1 or "
+                            "more; use bce_logits for one class")
+        if cfg.metric in ("auroc", "ap") and (labels >= 2).any():
+            problems.append(f"metric {cfg.metric!r} scores two classes, but a "
+                            f"label is {float(labels.max())!r}; use accuracy or "
+                            f"macro_f1")
+    columns = labels.reshape(len(labels), -1).shape[1]
+    if cfg.loss == "bce_logits" and columns > 1:
+        problems.append(f"bce_logits takes one label column; the dataset has "
+                        f"{columns}")
     top, below = (np.inf, "") if model is None else \
         (model.out_dim, f" below the model's {model.out_dim} classes")
     for name in splits:

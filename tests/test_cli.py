@@ -295,7 +295,10 @@ def _set_labels(doc, split, value, first_only=True):
     ("three_class_bce", "bce_logits labels must be 0 or 1; the 'train' split has "
                         "label 2.0"),
     ("edge_term_without_edges", "edge_mode 'linear' needs edge features; the "
-                                "dataset has none")])
+                                "dataset has none"),
+    ("three_class_auroc", "metric 'auroc' scores two classes, but a label is 2.0"),
+    ("ce_mae", "metric 'mae' scores values, but loss 'ce' gives class logits"),
+    ("two_column_bce", "bce_logits takes one label column; the dataset has 2")])
 def test_train_rejects_an_empty_split_or_labels_that_are_not_classes(
         tmp_path, capsys, case, shown):
     data = gen_sbm_data(tmp_path, seed=12)
@@ -304,9 +307,15 @@ def test_train_rejects_an_empty_split_or_labels_that_are_not_classes(
             "negative_label": lambda d: _set_labels(d, "train", -1),
             "all_zero_ce": lambda d: d.update(y=[0] * d["n"]),
             "three_class_bce": lambda d: _set_labels(d, "train", 2),
-            "edge_term_without_edges": lambda d: None}[case]
+            "edge_term_without_edges": lambda d: None,
+            "three_class_auroc": lambda d: _set_labels(d, "train", 2),
+            "ce_mae": lambda d: None,
+            "two_column_bce": lambda d: d.update(y=[[v, v] for v in d["y"]])}[case]
     extra = {"three_class_bce": {"loss": "bce_logits"},
-             "edge_term_without_edges": {"edge_mode": "linear"}}.get(case, {})
+             "edge_term_without_edges": {"edge_mode": "linear"},
+             "three_class_auroc": {"metric": "auroc"},
+             "ce_mae": {"metric": "mae"},
+             "two_column_bce": {"loss": "bce_logits"}}.get(case, {})
     cfg = write_cfg(tmp_path, {**TRAIN_CFG, **extra}, name="t.json")
     assert run(["train", "--config", cfg, "--data", edited_graph(tmp_path, data, edit),
                 "--out", str(tmp_path / "run")]) == 1
@@ -381,8 +390,12 @@ def test_evaluate_graph_checkpoint_on_a_single_graph_is_validation_error(tmp_pat
 # ------------------------------------------------------------------ evaluate
 
 def test_evaluate_roundtrip_from_checkpoint(tmp_path):
-    # a sas node task, and an eegnn graph set whose record carries exits
+    # a sas node task, a graph_reg set with one scalar label per graph, and
+    # an eegnn graph set whose record carries exits
     cases = {"node": (str(gen_sbm_data(tmp_path, seed=7)), TRAIN_CFG),
+             "graph_reg": (edited_graph(tmp_path, graph_set_file(tmp_path),
+                                        lambda d: d.update(y=[0.5, 1.5])),
+                           dict(TRAIN_CFG, task="graph_reg", loss="mse", metric="mae")),
              "graph_set": (graph_set_file(tmp_path),
                            dict(TRAIN_CFG, model="eegnn", task="graph_class"))}
     for name, (data, doc) in cases.items():

@@ -221,8 +221,8 @@ def _head_names(tag, layers):
      _CELL + _DEC + _head_names("fc", [("w", "b")]) + _head_names("fnu", [("w", "b")]))])
 def test_parameter_names_are_the_pinned_checkpoint_keys(config, edge_dim, names):
     """Checkpoint keys and Adam state are keyed by these names, in this order."""
-    model = build_model(RunConfig.from_dict({**config, "depth": config.get("depth", 2)}),
-                        3, 2, np.random.default_rng(0), edge_dim=edge_dim)
+    model = build_model(RunConfig.from_dict({"depth": 2, **config}), 3, 2,
+                        np.random.default_rng(0), edge_dim=edge_dim)
     assert [n for n, _ in model.parameters()] == names
 
 
@@ -362,6 +362,16 @@ def test_macro_f1_hand_case():
 def test_accuracy_from_logits_uses_argmax():
     logits = np.array([[2.0, 1.0], [0.0, 3.0], [5.0, 4.0]])
     assert metric_eval(logits, [0, 1, 1], "accuracy") == pytest.approx(2.0 / 3.0)
+
+
+def test_one_column_outputs_score_against_1d_labels():
+    # a lone logit column is binary: class 1 where positive, two classes for f1
+    logits = np.array([[3.0], [-2.0], [1.0], [-1.0]])
+    assert metric_eval(logits, [1, 0, 1, 0], "accuracy") == 1.0
+    assert metric_eval(logits, [1, 0, 1, 0], "macro_f1") == 1.0
+    assert metric_eval(logits, [1, 1, 1, 0], "macro_f1") == pytest.approx(
+        (0.8 + 2.0 / 3.0) / 2.0)
+    assert metric_eval(np.array([[1.0], [2.0]]), [1.5, 2.0], "mae") == 0.25
 
 
 def test_scores_from_logits_shapes():
@@ -529,6 +539,13 @@ def test_end_to_end_gradient_matches_fd_with_frozen_noise():
 
     named = model.parameters()
     assert ad.fd_check(loss, [p for _, p in named]) <= 1e-4
+
+
+def test_sampled_forward_without_noise_or_generator_names_it():
+    g = sbm(seed=16)
+    model = model_for(quick_cfg(model="eegnn"), g, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="needs noise or a generator rng"):
+        forward_node(model, operators_for(model, g), "train_sample")
 
 
 def test_only_training_forwards_record_a_tape(monkeypatch, tmp_path):
