@@ -57,7 +57,6 @@ __all__ = [
     "gather_rows",
     "col_slice",
     "where_rows",
-    "straight_through",
     "sum_all",
     "dspmm",
     "act_update",
@@ -475,18 +474,6 @@ def where_rows(mask, A: DiffValue, B: DiffValue) -> DiffValue:
         B.grad[~sel] += G[~sel]
 
     return _node(val, (A, B), rule)
-
-
-def straight_through(soft: DiffValue, hard_value) -> DiffValue:
-    """Value is the given hard matrix; gradient passes to the soft input unchanged."""
-    hv = _as_matrix(hard_value)
-    if hv.shape != soft.shape:
-        raise ValueError(f"hard value shape {hv.shape} must match soft {soft.shape}")
-
-    def rule(G):
-        soft.grad += G
-
-    return _node(hv, (soft,), rule)
 
 
 def sum_all(A: DiffValue) -> DiffValue:

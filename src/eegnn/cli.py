@@ -168,8 +168,8 @@ def _metric_bundle(model, data, split: str = "test"):
     """Headline metric plus whatever companion metrics the task admits, and
     the exit state of a node task, all from one eval forward."""
     with ad.no_grad():
-        logits, state, _ = forward_node(model, operators_for(model, data),
-                                        "eval_argmax")
+        logits, state = forward_node(model, operators_for(model, data),
+                                     "eval_argmax")
     bundle = node_record(model, data, logits, state, split)
     if model.cfg.task != "node_class":
         return bundle, None

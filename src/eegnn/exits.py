@@ -1,10 +1,11 @@
 """Adaptive-depth early exit: Gumbel sampling, exit heads, and the loop.
 
 Each layer, shared heads read the current agent states and produce two-way
-logits (continue vs exit) plus an inverse temperature. A straight-through
-Gumbel-Softmax turns them into a hard exit decision and a soft non-exit
-probability; the soft probability doubles as that agent's Euler step size
-tau for the layer, so an agent close to exiting also moves in smaller steps.
+logits (continue vs exit) plus an inverse temperature. A Gumbel-Softmax
+turns them into a soft non-exit probability and a hard exit decision, the
+one-hot of its argmax; the soft probability doubles as that agent's Euler
+step size tau for the layer, so an agent close to exiting also moves in
+smaller steps.
 
 An agent is a node, or for a graph set (a disjoint union of its member
 graphs) a whole member graph: its state is the mean of its nodes' states,
@@ -12,11 +13,12 @@ and its tau steps all of its nodes. The loop freezes an agent's output row
 at its first hard exit. States of exited agents keep updating while any
 agent is still active (a frozen row only pins what the decoder sees), and
 the loop stops at the layer where the last agent exits: the remaining layers
-could not change the output. A row freezes through a constant mask, so the
-straight-through one-hot of gumbel_softmax_st reaches no loss: the heads
-train through tau alone. With every head parameter zero both exit logits
-are equal, c_soft is exactly [0.5, 0.5] and the argmax continues, so the
-loop is plain sas at tau 0.5 bit for bit (the ablation tests check this).
+could not change the output. The hard decision is a plain array that only
+picks the rows to freeze, through a constant mask, so no gradient passes
+through it: the heads train through tau alone. With every head parameter
+zero both exit logits are equal, c_soft is exactly [0.5, 0.5] and the argmax
+continues, so the loop is plain sas at tau 0.5 bit for bit (the ablation
+tests check this).
 
 The loop's inputs are ready before its first layer: one cells.Operators
 bundle, node features included, and for a sampled forward every layer's
@@ -184,13 +186,14 @@ def inv_temperature(H: DiffValue, heads: ExitHeads, ma=None, agg=None) -> DiffVa
 
 def gumbel_softmax_st(logits: DiffValue, inv_nu: DiffValue,
                       g: np.ndarray | None = None,
-                      mode: str = "train_sample") -> tuple[DiffValue, DiffValue]:
-    """Sharpened two-way sample: (soft probabilities, straight-through one-hot).
+                      mode: str = "train_sample") -> tuple[DiffValue, np.ndarray]:
+    """Sharpened two-way sample: (soft probabilities, hard one-hot array).
 
-    Soft path: row-softmax((log_softmax(logits) + g) * inv_nu). The hard
-    output's value is the exact one-hot of the soft argmax; its gradient is
-    the soft path's gradient. g is the Gumbel noise, shaped like logits;
-    eval_argmax drops the noise term entirely.
+    Soft path: row-softmax((log_softmax(logits) + g) * inv_nu), on the tape.
+    The hard decision is the exact one-hot of the soft argmax, a plain array
+    off the tape: the loop reads it only to pick which rows freeze. g is the
+    Gumbel noise, shaped like logits; eval_argmax drops the noise term
+    entirely.
     """
     if mode not in EXIT_MODES:
         raise ValueError(f"unknown mode {mode!r}")
@@ -206,7 +209,7 @@ def gumbel_softmax_st(logits: DiffValue, inv_nu: DiffValue,
     c_soft = ad.softmax_rows(ad.scale_rows(scores, inv_nu))
     hard = np.zeros_like(c_soft.value)
     hard[np.arange(hard.shape[0]), np.argmax(c_soft.value, axis=1)] = 1.0
-    return c_soft, ad.straight_through(c_soft, hard)
+    return c_soft, hard
 
 
 def eegnn_forward_node(ops: Operators, params: CellParams, heads: ExitHeads,
@@ -263,9 +266,9 @@ def eegnn_forward_node(ops: Operators, params: CellParams, heads: ExitHeads,
         logits = confidence_logits(agents, heads, ops.ma, agg)
         inv_nu = inv_temperature(agents, heads, ops.ma, agg=agg)
         smp = noise[l] if mode == "train_sample" else None
-        c_soft, c_hard = gumbel_softmax_st(logits, inv_nu, smp, mode)
+        c_soft, hard = gumbel_softmax_st(logits, inv_nu, smp, mode)
         tau_col = ad.col_slice(c_soft, 0)
-        new_exit = (c_hard.value[:, 1] == 1.0) & ~exited
+        new_exit = (hard[:, 1] == 1.0) & ~exited
         if new_exit.any():
             Z_cur = ad.where_rows(new_exit, agents, Z_cur)
             exit_layer[new_exit] = l

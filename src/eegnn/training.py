@@ -512,15 +512,17 @@ def operators_for(model: Model, data) -> Operators:
 def forward_node(model: Model, ops: Operators, mode: str = "eval_argmax",
                  rng: np.random.Generator | None = None, *, noise=None,
                  capture: list | None = None):
-    """Logits of every task; returns (logits, ExitState | None, records).
+    """Logits of every task; returns (logits, ExitState | None), the state
+    None for the fixed-depth kinds.
 
     ops is the bundle operators_for built from the data: one row per node
     of a Graph, one per member graph of a GraphSet. capture, when given,
-    receives a copy of every layer's node states.
+    receives a copy of every layer's node states. The per-layer exit records
+    come from exits.eegnn_forward_node itself.
     """
     cfg = model.cfg
     if cfg.model == "eegnn":
-        Z, state, recs = eegnn_forward_node(
+        Z, state, _ = eegnn_forward_node(
             ops, model.params, model.heads, cfg.depth, rng, mode,
             noise=noise, capture=capture)
     else:
@@ -528,10 +530,10 @@ def forward_node(model: Model, ops: Operators, mode: str = "eval_argmax",
                            model.params, cfg.model, cfg.depth)
         if capture is not None:
             capture.extend(h.value.copy() for h in states)
-        Z, state, recs = states[-1], None, []
+        Z, state = states[-1], None
         if ops.seg is not None:
             Z = ad.segment_mean(Z, ops.seg)
-    return decode(Z, model.params), state, recs
+    return decode(Z, model.params), state
 
 
 # ------------------------------------------------------------------- loops
@@ -559,7 +561,7 @@ def _train_step(model: Model, data, ops: Operators, named, opt: OptimState, rng,
     Returns a plain number, so the training tape is freed before the eval
     forward builds its own.
     """
-    logits, _, _ = forward_node(model, ops, "train_sample", rng)
+    logits, _ = forward_node(model, ops, "train_sample", rng)
     loss = loss_eval(logits, data.y, model.cfg.loss, mask=data.masks["train"])
     lv = float(loss.value[0, 0])
     if not np.isfinite(lv):
@@ -580,7 +582,7 @@ def _eval_splits(model: Model, data, ops: Operators):
     """
     metric = model.cfg.metric
     with ad.no_grad():
-        logits, state, _ = forward_node(model, ops, "eval_argmax")
+        logits, state = forward_node(model, ops, "eval_argmax")
     val, test = (metric_eval(logits.value[data.masks[k]], data.y[data.masks[k]], metric)
                  for k in ("val", "test"))
     return val, test, _mean_exit_layer(model, state, data, "val")
@@ -696,7 +698,7 @@ def evaluate(model: Model, data, split: str = "test", mode: str = "eval_argmax",
         rng = np.random.Generator(np.random.PCG64(model.cfg.seed))
     ops = operators_for(model, data)
     with ad.no_grad():
-        logits, state, _ = forward_node(model, ops, mode, rng)
+        logits, state = forward_node(model, ops, mode, rng)
         return node_record(model, data, logits, state, split, mode)
 
 

@@ -252,11 +252,11 @@ def graph_set_forward_per_graph(model, graphs, mode="eval_argmax", noise=None):
                     smp = None
                     if mode == "train_sample":
                         smp = noise[l][i:i + 1]
-                    c_soft, c_hard = gumbel_softmax_st(
+                    c_soft, hard = gumbel_softmax_st(
                         confidence_logits(row, model.heads),
                         inv_temperature(row, model.heads), smp, mode)
                     tau = c_soft.value[0, 0]
-                    if c_hard.value[0, 1] == 1.0:
+                    if hard[0, 1] == 1.0:
                         layer = l
                         break
                     t += float(tau)

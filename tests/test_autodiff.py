@@ -207,7 +207,6 @@ def test_every_public_op_returns_a_diff_value():
         "gather_rows": lambda: ad.gather_rows(A, [2, 0]),
         "col_slice": lambda: ad.col_slice(A, 1),
         "where_rows": lambda: ad.where_rows([True, False, True], A, B),
-        "straight_through": lambda: ad.straight_through(A, np.zeros((3, 2))),
         "sum_all": lambda: ad.sum_all(A),
         "dspmm": lambda: ad.dspmm(a, A, W=W),
         "act_update": lambda: ad.act_update(A, W, [B], "relu", "tanh"),
@@ -273,25 +272,6 @@ def test_fd_check_constant_function():
         return ad.constant([[4.0]])
 
     assert ad.fd_check(loss, [W]) == 0.0
-
-
-def test_straight_through_forward_hard_backward_soft():
-    logits = ad.leaf([[0.4, 0.6]])
-    hard = np.array([[0.0, 1.0]])
-    w = ad.constant([[1.0, -1.0]])
-    out = ad.straight_through(ad.softmax_rows(logits), hard)
-    assert np.array_equal(out.value, hard)
-    # backward through the estimator must equal the soft path's gradient,
-    # measured by FD on the soft-only function
-    ad.backward(ad.sum_all(ad.mul(out, w)))
-    st_grad = logits.grad.copy()
-
-    def soft_loss(x):
-        e = np.exp(x - x.max())
-        return float((e / e.sum() * w.value).sum())
-
-    fd = oracles.fd_gradient(lambda x: soft_loss(x), logits.value.copy())
-    assert np.abs(st_grad - fd).max() <= 1e-6
 
 
 def test_dspmm_matches_dense_and_differentiates():

@@ -246,7 +246,8 @@ def test_full_depth_eegnn_forward_makes_two_spmm_per_layer(monkeypatch):
     ops = operators_for(model, g)
     model.heads.fc_out[1].value[...] = [[50.0, -50.0]]     # never exit
     calls = _count_calls(monkeypatch, graphs.spmm)
-    _, state, recs = forward_node(model, ops, "eval_argmax")
+    _, state, recs = eegnn_forward_node(ops, model.params, model.heads, cfg.depth,
+                                        mode="eval_argmax")
     assert not state.exited.any() and len(recs) == cfg.depth
     # one for the cell step, one mean aggregate shared by both exit heads
     assert len(calls) == 2 * cfg.depth
@@ -371,8 +372,8 @@ def test_union_forward_matches_the_per_graph_oracle(model, edge_mode, mode):
     ops = operators_for(trained, ds)
     captured = []
     with ad.no_grad():
-        out, state, _ = forward_node(trained, ops, mode, noise=noise,
-                                     capture=captured)
+        out, state = forward_node(trained, ops, mode, noise=noise,
+                                  capture=captured)
     # the decoder reads one row per graph in the oracle and all rows at once
     # here, and BLAS rounds a one-row product differently
     assert np.abs(out.value - logits).max() <= 1e-13 * np.abs(logits).max()
@@ -401,11 +402,11 @@ def test_batched_graph_loss_gradients_match_fd():
     trained = build_model(cfg, 4, 1, rng)
     frozen = [rng.gumbel(size=(len(ds.graphs), 2)) for _ in range(cfg.depth)]
     ops = operators_for(trained, ds)
-    out, state, _ = forward_node(trained, ops, "train_sample", noise=frozen)
+    out, state = forward_node(trained, ops, "train_sample", noise=frozen)
     assert state.exit_layer.min() < state.exit_layer.max()
 
     def loss():
-        logits, _, _ = forward_node(trained, ops, "train_sample", noise=frozen)
+        logits, _ = forward_node(trained, ops, "train_sample", noise=frozen)
         return loss_eval(logits, ds.y, "mse", mask=ds.masks["train"])
 
     assert ad.fd_check(loss, [p for _, p in trained.parameters()]) <= 1e-4

@@ -10,7 +10,7 @@ import pytest
 import oracles
 from eegnn import autodiff as ad
 from eegnn.cells import EDGE_MODES, MODEL_KINDS, param_count
-from eegnn.exits import ExitState
+from eegnn.exits import ExitState, eegnn_forward_node
 from eegnn.graphs import arc_rows, gen_minesweeper_grid, gen_sbm, save_graph
 from eegnn.training import (ConfigError, GraphSet, OptimState,
                             RunConfig, TrainDivergenceError, adam_step,
@@ -518,9 +518,12 @@ def ablation_case(case: str):
 @pytest.mark.parametrize("case", ABLATION_CASES)
 def test_eegnn_with_even_exit_logits_matches_plain_sas_bitwise(case):
     model, data, twin = ablation_case(case)
-    ablated, state, recs = forward_node(model, operators_for(model, data))
-    plain, _, _ = forward_node(twin, operators_for(twin, data))
+    ops = operators_for(model, data)
+    ablated, state = forward_node(model, ops)
+    plain, _ = forward_node(twin, operators_for(twin, data))
     assert ablated.value.tobytes() == plain.value.tobytes()
+    _, _, recs = eegnn_forward_node(ops, model.params, model.heads, model.cfg.depth,
+                                    mode="eval_argmax")
     assert not state.exited.any() and len(recs) == model.cfg.depth
     assert all(r["mean_tau"] == 0.5 and r["new_exits"] == 0 for r in recs)
 
@@ -534,7 +537,7 @@ def test_end_to_end_gradient_matches_fd_with_frozen_noise():
     ops = operators_for(model, g)
 
     def loss():
-        logits, _, _ = forward_node(model, ops, "train_sample", noise=frozen)
+        logits, _ = forward_node(model, ops, "train_sample", noise=frozen)
         return loss_eval(logits, g.y, "ce", mask=g.masks["train"])
 
     named = model.parameters()
@@ -567,6 +570,27 @@ def test_only_training_forwards_record_a_tape(monkeypatch, tmp_path):
     assert seen == [("train_sample", True), ("eval_argmax", False)] * 2 \
         + [("eval_argmax", False)] * 2
     assert ad._taping
+
+
+def test_sampled_forward_tapes_only_what_the_loss_reads(monkeypatch):
+    g = gen_minesweeper_grid(5, 5, 0.2, seed=0, unknown_frac=0.5)
+    model = model_for(quick_cfg(model="eegnn", depth=4), g, np.random.default_rng(0))
+    model.heads.fc_out[1].value[...] = [[50.0, -50.0]]     # never exit
+    taped = []
+    node = ad._node
+
+    def recorded(*args):
+        out = node(*args)
+        taped.append(out)
+        return out
+
+    monkeypatch.setattr(ad, "_node", recorded)
+    logits, state = forward_node(model, operators_for(model, g), "train_sample",
+                                 np.random.default_rng(1))
+    assert not state.exited.any()
+    loss = loss_eval(logits, g.y, "ce", mask=g.masks["train"])
+    reached = {id(n) for n in ad._topo_order(loss)}
+    assert [n for n in taped if id(n) not in reached] == []
 
 
 # ------------------------------------------------------------------- artefacts
