@@ -88,6 +88,7 @@ class CellParams:
         for m in (self.omega_raw, self.w_raw):
             if m is not None and m.shape[0] != m.shape[1]:
                 raise ValueError(f"cell weight must be square, got {m.shape}")
+        _check_leaf_names(self.parameters())
 
     @property
     def hidden(self) -> int:
@@ -100,6 +101,18 @@ class CellParams:
         leaves = (self.omega_raw, self.w_raw, self.w_e, self.adgn_b, *self.gcn_ws,
                   self.enc_w, self.enc_b, *(p for layer in self.dec for p in layer))
         return [(p.name, p) for p in leaves if p is not None]
+
+
+def _check_leaf_names(named) -> None:
+    """Raise ValueError unless every (name, leaf) pair has its own nonempty
+    name: each name is a checkpoint key and an Adam moment key."""
+    names = [name for name, _ in named]
+    if "" in names:
+        raise ValueError(f"leaf {names.index('')} of {len(names)} has an empty "
+                         f"name; each leaf needs its own")
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        raise ValueError(f"leaf names used more than once: {', '.join(repeated)}")
 
 
 @dataclass(frozen=True)

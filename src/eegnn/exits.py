@@ -33,7 +33,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import DiffValue
-from .cells import CellParams, Operators, _glorot, edge_term, encode, sas_step
+from .cells import (CellParams, Operators, _check_leaf_names, _glorot, edge_term,
+                    encode, sas_step)
 from .graphs import spmm
 
 __all__ = [
@@ -104,6 +105,7 @@ class ExitHeads:
             raise ValueError("f_c and f_nu must share depth")
         if self.nu0 < 0:
             raise ValueError(f"nu0 must be >= 0, got {self.nu0}")
+        _check_leaf_names(self.parameters())
 
     def parameters(self) -> list[tuple[str, DiffValue]]:
         """(name, leaf) for every present trainable leaf, f_c's before

@@ -490,9 +490,16 @@ def _field(doc, name, required=True):
     return doc[name]
 
 
+def _finite(name, values: np.ndarray) -> np.ndarray:
+    if not np.isfinite(values).all():
+        raise ValueError(f"field '{name}' must be finite")
+    return values
+
+
 def load_graph_fields(doc) -> Graph:
     """Build a validated Graph from an already-parsed JSON object; edge_attr
-    rows align with the canonical CSR arc order."""
+    rows align with the canonical CSR arc order. x, edge_attr and y must be
+    finite numbers, y one row per node, kept in the dtype it reads as."""
     if not isinstance(doc, dict):
         raise ValueError("graph document must be a JSON object")
     n = _field(doc, "n")
@@ -504,20 +511,22 @@ def load_graph_fields(doc) -> Graph:
     X = np.asarray(x, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] != n:
         raise ValueError(f"field 'x' must be an {n}-row matrix")
-    g.X = X
+    g.X = _finite("x", X)
     ea = _field(doc, "edge_attr", required=False)
     if ea is not None:
         E = np.asarray(ea, dtype=np.float64)
         if E.ndim != 2 or E.shape[0] != g.n_arcs:
             raise ValueError(
                 f"field 'edge_attr' must carry one row per arc ({g.n_arcs}), got {E.shape[0]}")
-        g.E_feat = E
+        g.E_feat = _finite("edge_attr", E)
     yv = _field(doc, "y", required=False)
     if yv is not None:
         y = np.asarray(yv)
-        if y.ndim == 1 and y.shape[0] != n:
-            raise ValueError(f"field 'y' must have length n={n}")
-        g.y = y
+        if y.dtype.kind not in "biuf":
+            raise ValueError("field 'y' must hold numbers")
+        if y.ndim == 0 or y.shape[0] != n:
+            raise ValueError(f"field 'y' must have one row per node (n={n})")
+        g.y = _finite("y", y)
     mv = _field(doc, "masks", required=False)
     if mv is not None:
         masks = {}

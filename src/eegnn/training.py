@@ -823,5 +823,7 @@ def load_dataset(path):
         _require(payload, ("y", "masks"))
         graphs = [load_graph_fields(entry) for entry in payload["graphs"]]
         y = np.asarray(payload["y"], dtype=np.float64)
+        if not np.isfinite(y).all():
+            raise ValueError("key 'y' must be finite")
         masks = {k: np.asarray(v, dtype=bool) for k, v in dict(payload["masks"]).items()}
         return GraphSet(graphs=graphs, y=y, masks=masks)

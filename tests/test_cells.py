@@ -41,15 +41,26 @@ def test_cell_params_rejects_bad_activation_and_edge_mode():
         make_cell_params(rng, "sas", 3, 3, 2, edge_mode="bilinear")
 
 
+def hand_built_leaves(names=("omega_raw", "w_raw", "enc_w", "enc_b", "dec0_w",
+                              "dec0_b")) -> dict:
+    """CellParams keyword leaves for hidden width 2, named by names."""
+    shapes = ((2, 2), (2, 2), (2, 2), (1, 2), (2, 2), (1, 2))
+    o, w, ew, eb, dw, db = (ad.leaf(np.zeros(s), n) for s, n in zip(shapes, names))
+    return dict(omega_raw=o, w_raw=w, enc_w=ew, enc_b=eb, dec=[(dw, db)])
+
+
 def test_edge_mode_requires_edge_weights():
-    p = CellParams(omega_raw=ad.leaf(np.zeros((2, 2))),
-                   w_raw=ad.leaf(np.zeros((2, 2))),
-                   enc_w=ad.leaf(np.zeros((2, 2))),
-                   enc_b=ad.leaf(np.zeros((1, 2))),
-                   dec=[(ad.leaf(np.zeros((2, 2))), ad.leaf(np.zeros((1, 2))))])
-    with pytest.raises(ValueError):
-        CellParams(omega_raw=p.omega_raw, w_raw=p.w_raw, enc_w=p.enc_w,
-                   enc_b=p.enc_b, dec=p.dec, edge_mode="neg_relu")
+    CellParams(**hand_built_leaves())
+    with pytest.raises(ValueError, match="requires w_e"):
+        CellParams(**hand_built_leaves(), edge_mode="neg_relu")
+
+
+def test_cell_params_reject_empty_and_repeated_leaf_names():
+    with pytest.raises(ValueError, match="leaf 0 of 6 has an empty name"):
+        CellParams(**hand_built_leaves(("",) * 6))
+    names = ("omega_raw", "w_raw", "enc_w", "enc_b", "w_raw", "enc_b")
+    with pytest.raises(ValueError, match="used more than once: enc_b, w_raw"):
+        CellParams(**hand_built_leaves(names))
 
 
 def test_antisymmetrize_kernel_is_symmetric_matrices():

@@ -286,6 +286,14 @@ def _set_labels(doc, split, value, first_only=True):
         doc["y"][i] = value
 
 
+def _one_member_set(doc, label):
+    """Turn a graph document into a one-graph set labelled label."""
+    member = {k: doc[k] for k in ("n", "edges", "x")}
+    doc.clear()
+    doc.update(graphs=[member], y=[[label]],
+               masks={k: [True] for k in ("train", "val", "test")})
+
+
 @pytest.mark.parametrize("case, shown", [
     ("empty_train", "the 'train' split is empty"),
     ("half_labels", "ce labels must be class indices; the 'train' split has label 0.5"),
@@ -298,7 +306,16 @@ def _set_labels(doc, split, value, first_only=True):
                                 "dataset has none"),
     ("three_class_auroc", "metric 'auroc' scores two classes, but a label is 2.0"),
     ("ce_mae", "metric 'mae' scores values, but loss 'ce' gives class logits"),
-    ("two_column_bce", "bce_logits takes one label column; the dataset has 2")])
+    ("two_column_bce", "bce_logits takes one label column; the dataset has 2"),
+    ("y_string", "field 'y' must hold numbers"),
+    ("y_scalar", "field 'y' must have one row per node (n=20)"),
+    ("y_object", "field 'y' must hold numbers"),
+    ("y_one_string", "field 'y' must hold numbers"),
+    ("y_too_few_rows", "field 'y' must have one row per node (n=20)"),
+    ("y_nan", "field 'y' must be finite"),
+    ("x_nan", "field 'x' must be finite"),
+    ("edge_attr_inf", "field 'edge_attr' must be finite"),
+    ("graph_set_y_nan", "key 'y' must be finite")])
 def test_train_rejects_an_empty_split_or_labels_that_are_not_classes(
         tmp_path, capsys, case, shown):
     data = gen_sbm_data(tmp_path, seed=12)
@@ -310,12 +327,24 @@ def test_train_rejects_an_empty_split_or_labels_that_are_not_classes(
             "edge_term_without_edges": lambda d: None,
             "three_class_auroc": lambda d: _set_labels(d, "train", 2),
             "ce_mae": lambda d: None,
-            "two_column_bce": lambda d: d.update(y=[[v, v] for v in d["y"]])}[case]
+            "two_column_bce": lambda d: d.update(y=[[v, v] for v in d["y"]]),
+            "y_string": lambda d: d.update(y="abc"),
+            "y_scalar": lambda d: d.update(y=-1),
+            "y_object": lambda d: d.update(y={}),
+            "y_one_string": lambda d: _set_labels(d, "train", "1"),
+            "y_too_few_rows": lambda d: d.update(y=[[v] for v in d["y"][1:]]),
+            "y_nan": lambda d: _set_labels(d, "train", float("nan")),
+            "x_nan": lambda d: d["x"][0].__setitem__(0, float("nan")),
+            "edge_attr_inf": lambda d: d.update(
+                edge_attr=[[float("inf")]] * (2 * len(d["edges"]))),
+            "graph_set_y_nan": lambda d: _one_member_set(d, float("nan"))}[case]
     extra = {"three_class_bce": {"loss": "bce_logits"},
              "edge_term_without_edges": {"edge_mode": "linear"},
              "three_class_auroc": {"metric": "auroc"},
              "ce_mae": {"metric": "mae"},
-             "two_column_bce": {"loss": "bce_logits"}}.get(case, {})
+             "two_column_bce": {"loss": "bce_logits"},
+             "graph_set_y_nan": {"task": "graph_reg", "loss": "mse",
+                                 "metric": "mae"}}.get(case, {})
     cfg = write_cfg(tmp_path, {**TRAIN_CFG, **extra}, name="t.json")
     assert run(["train", "--config", cfg, "--data", edited_graph(tmp_path, data, edit),
                 "--out", str(tmp_path / "run")]) == 1

@@ -77,6 +77,17 @@ def test_exit_heads_validation():
         make_exit_heads(rng, "mlp", 4, 8, 1, nu0=-0.1)
 
 
+def test_exit_heads_reject_empty_and_repeated_leaf_names():
+    heads = make_exit_heads(np.random.default_rng(7), "mlp", 4, 8, 1)
+    w, b = heads.fnu_out
+    fields = dict(kind=heads.kind, fc_layers=heads.fc_layers, fc_out=heads.fc_out,
+                  fnu_layers=heads.fnu_layers)
+    with pytest.raises(ValueError, match="leaf 6 of 8 has an empty name"):
+        ExitHeads(**fields, fnu_out=(ad.leaf(w.value), b))
+    with pytest.raises(ValueError, match="used more than once: fc_out_b"):
+        ExitHeads(**fields, fnu_out=(w, ad.leaf(b.value, "fc_out_b")))
+
+
 def test_inv_temperature_zero_backbone_is_log_two():
     rng = np.random.default_rng(8)
     heads = make_exit_heads(rng, "mlp", 3, 4, 1, nu0=0.0)
