@@ -199,6 +199,8 @@ def gumbel_softmax_st(logits: DiffValue, inv_nu: DiffValue,
     """
     if mode not in EXIT_MODES:
         raise ValueError(f"unknown mode {mode!r}")
+    if logits.shape[1] != 2:
+        raise ValueError(f"exit logits need 2 columns, got {logits.shape[1]}")
     if not np.isfinite(logits.value).all():
         raise ValueError("non-finite exit logits")
     scores = ad.row_log_softmax(logits)
@@ -209,8 +211,11 @@ def gumbel_softmax_st(logits: DiffValue, inv_nu: DiffValue,
             raise ValueError(f"noise shape {g.shape} must match logits {logits.shape}")
         scores = ad.add(scores, ad.constant(g))
     c_soft = ad.softmax_rows(ad.scale_rows(scores, inv_nu))
-    hard = np.zeros_like(c_soft.value)
-    hard[np.arange(hard.shape[0]), np.argmax(c_soft.value, axis=1)] = 1.0
+    soft = c_soft.value
+    hard = np.empty_like(soft)
+    # a tie goes to column 0, as argmax would; the ablation identity needs it
+    hard[:, 1] = soft[:, 1] > soft[:, 0]
+    hard[:, 0] = 1.0 - hard[:, 1]
     return c_soft, hard
 
 

@@ -211,6 +211,36 @@ def match_complex_sets(a, b, tol):
     return True
 
 
+# ---------------------------------------------------- sensitivity oracle
+
+def sensitivity_single_seed(model, g, layer):
+    """Layer sensitivity with one reverse sweep per final-state coordinate,
+    on a tape of g alone: the loop diagnostics.sensitivity ran before it
+    batched its seeds over copies of the graph.
+    """
+    from eegnn import autodiff as ad
+    from eegnn.cells import build_operators, encode, propagate
+
+    cfg = model.cfg
+    n, width = g.n, cfg.hidden
+    taped = propagate(encode(ad.constant(g.X), model.params),
+                      build_operators(g, model.params), model.params, cfg.model,
+                      cfg.depth)
+    root, probe = taped[-1], taped[layer]
+    total = 0.0
+    seed = np.zeros((n, width))
+    for v in range(n):
+        nbrs = g.col_indices[g.row_offsets[v]:g.row_offsets[v + 1]]
+        if nbrs.size == 0:
+            continue
+        for c in range(width):
+            seed[v, c] = 1.0
+            ad.backward(root, seed=seed)
+            total += float(np.abs(probe.grad[nbrs]).sum())
+            seed[v, c] = 0.0
+    return total
+
+
 # ------------------------------------------------------ graph-set oracle
 
 def graph_set_forward_per_graph(model, graphs, mode="eval_argmax", noise=None):

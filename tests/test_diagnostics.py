@@ -11,7 +11,8 @@ from eegnn.diagnostics import (SpectrumReport, Trace, depth_retention,
                                dirichlet_traces, emit_trace, energy_functional,
                                oracle_exit_eval, read_trace, sas_jacobian,
                                sensitivity, spectrum_suite)
-from eegnn.graphs import arc_list, degrees, gen_sbm, make_graph, norm_adj
+from eegnn.graphs import arc_list, degrees, gen_minesweeper_grid, gen_sbm, make_graph, \
+    norm_adj
 from eegnn.training import ConfigError, RunConfig, build_model, train_run
 
 
@@ -261,6 +262,75 @@ def test_sensitivity_matches_fd_jacobian():
             block = J[v * w:(v + 1) * w, u * w:(u + 1) * w]
             total += np.abs(block).sum()
     assert sensitivity(model, g, layer) == pytest.approx(total, abs=1e-4)
+
+
+def _sens_graph(name):
+    if name == "grid":      # degrees 3 to 8: every row on the jagged diagonals
+        g = gen_minesweeper_grid(3, 4, 0.3, seed=1)
+        # its one-hot counts leave a fresh sas cell with no influence at all
+        g.X = np.random.default_rng(1).normal(size=g.X.shape)
+        return g
+    hub = connected_sbm(20, sizes=(8, 8), p_in=0.9, p_out=0.3)
+    assert degrees(hub).max() >= 9 and degrees(hub).min() <= 8   # reduceat rows too
+    if name == "hub":
+        return hub
+    rng = np.random.default_rng(21)
+    edges = [(u, v) for u, v in arc_list(hub) if u < v]
+    return make_graph(edges, hub.n, hub.X, E_edge=rng.normal(size=(len(edges), 2)))
+
+
+def _sens_model(g, kind, hidden, depth=3, **kw):
+    cfg = small_cfg(model=kind, hidden=hidden, depth=depth, **kw)
+    edge_dim = 0 if g.E_feat is None else g.E_feat.shape[1]
+    return build_model(cfg, g.X.shape[1], 2, np.random.default_rng(3),
+                       edge_dim=edge_dim)
+
+
+@pytest.mark.parametrize("kind,graph,hidden,kw", [
+    ("sas", "grid", 3, {}),          # 36 seeds: the last chunk holds 4
+    ("gcn", "hub", 4, {}),
+    ("graff", "grid", 5, {}),        # 60 seeds: the last chunk holds 4
+    ("adgn", "hub", 3, {}),
+    ("sas", "edges", 3, {"edge_mode": "linear"})],
+    ids=["sas-grid", "gcn-hub", "graff-grid", "adgn-hub", "sas-edges"])
+def test_sensitivity_equals_single_seed_oracle_at_every_layer(kind, graph, hidden, kw):
+    g = _sens_graph(graph)
+    model = _sens_model(g, kind, hidden, **kw)
+    assert sensitivity(model, g, 0) > 0.0
+    for layer in range(model.cfg.depth + 1):
+        assert sensitivity(model, g, layer) == \
+            oracles.sensitivity_single_seed(model, g, layer)
+
+
+def test_sensitivity_work_does_not_depend_on_layer(monkeypatch):
+    g = _sens_graph("grid")
+    model = _sens_model(g, "sas", 3)
+    counts = {}
+
+    def spy(name):
+        inner = getattr(ad, name)
+
+        def counted(*a, **kw):
+            counts[name] = counts.get(name, 0) + 1
+            return inner(*a, **kw)
+        monkeypatch.setattr(ad, name, counted)
+
+    for name in ("backward", "_spmm_value", "_node"):
+        spy(name)
+    per_layer = []
+    for layer in (0, model.cfg.depth):
+        counts.clear()
+        sensitivity(model, g, layer)
+        per_layer.append(dict(counts))
+    assert per_layer[0] == per_layer[1]
+    assert per_layer[0]["backward"] == -(-g.n * model.cfg.hidden // 8)
+
+
+def test_sensitivity_rejects_an_isolated_node():
+    g = make_graph([(0, 1), (1, 2), (2, 0)], 4, X=np.ones((4, 2)))
+    model = _sens_model(g, "sas", 2)
+    with pytest.raises(ValueError, match="isolated node 3"):
+        sensitivity(model, g, 0)
 
 
 # ------------------------------------------------------------------ retention

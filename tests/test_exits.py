@@ -146,6 +146,25 @@ def test_gumbel_softmax_hard_is_exactly_one_hot():
     assert np.abs(c_soft.value.sum(axis=1) - 1.0).max() <= 1e-12
 
 
+@pytest.mark.parametrize("mode", ["train_sample", "eval_argmax"])
+def test_gumbel_softmax_hard_is_the_argmax_one_hot_ties_to_column_0(mode):
+    rng = np.random.default_rng(12)
+    raw = rng.normal(size=(40, 2))
+    raw[:10, 1] = raw[:10, 0]            # ties: zero heads give these
+    smp = rng.gumbel(size=(40, 2))
+    smp[:10] = 0.0
+    inv_nu = ad.constant(rng.uniform(0.1, 5.0, size=(40, 1)))
+    c_soft, hard = gumbel_softmax_st(ad.constant(raw), inv_nu, g=smp, mode=mode)
+    assert np.array_equal(hard, np.eye(2)[np.argmax(c_soft.value, axis=1)])
+    assert np.array_equal(hard[:10], np.tile([1.0, 0.0], (10, 1)))
+
+
+def test_gumbel_softmax_rejects_logits_that_are_not_two_way():
+    with pytest.raises(ValueError, match="2 columns"):
+        gumbel_softmax_st(ad.constant(np.zeros((2, 3))), ad.constant(np.ones((2, 1))),
+                          mode="eval_argmax")
+
+
 def test_gumbel_softmax_rejects_non_finite_logits():
     inv_nu = ad.constant([[1.0]])
     with pytest.raises(ValueError):
