@@ -159,7 +159,7 @@ def matmul_add(A: DiffValue, B: DiffValue, C: DiffValue | None = None) -> DiffVa
     if C is not None:
         if C.shape != (n, m) and C.shape != (1, m):
             raise ValueError(f"bias shape {C.shape} not broadcastable to {(n, m)}")
-        val = val + C.value
+        val += C.value
 
     def rule(G):
         A.grad += G @ B.value.T
@@ -572,7 +572,7 @@ def act_matmul_add(X: DiffValue, kind: str, W: DiffValue,
         raise ValueError(f"bias shape {b.shape} must be {(1, W.shape[1])}")
     val = _act_forward(X.value, kind) @ W.value
     if b is not None:
-        val = val + b.value
+        val += b.value
 
     def rule(G):
         W.grad += _act_forward(X.value, kind).T @ G

@@ -262,11 +262,12 @@ def propagate(H: DiffValue, ops: Operators, params: CellParams, kind: str,
     """The fixed-depth stack: depth steps of one cell kind from state H.
 
     Returns the depth + 1 states H_0 = H, ..., H_depth, all on the tape.
-    Kinds sas and eegnn take the sas step with step size tau (the cell's own
-    when None); the baseline kinds take their own step and ignore tau.
+    Kind sas takes the sas step with step size tau (the cell's own when
+    None); the baseline kinds take their own step and ignore tau. The eegnn
+    kind runs its own loop, exits.eegnn_forward_node.
     """
     states = [H]
-    if kind in ("sas", "eegnn"):
+    if kind == "sas":
         et = edge_term(ops.be, params)
         for _ in range(depth):
             states.append(sas_step(states[-1], ops.a, params, tau=tau, edge_term=et))

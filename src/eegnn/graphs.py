@@ -134,31 +134,30 @@ class NormAdj(ArcMatrix):
 
 
 def canonicalize(edges, n: int) -> Graph:
-    """Build a canonical CSR skeleton from an edge list.
+    """Build a canonical CSR skeleton from an edge list of integer [u, v] pairs.
 
     Self-loops are dropped, duplicates merged, and the reverse of every arc is
-    added, so the result satisfies all Graph invariants. Node features default
-    to an empty n x 0 matrix.
+    added, so the result satisfies all Graph invariants: arcs ascend by the key
+    u * n + v. Node features default to an empty n x 0 matrix.
     """
-    pairs = set()
-    for u, v in edges:
-        u = int(u)
-        v = int(v)
-        if not (0 <= u < n and 0 <= v < n):
-            raise ValueError(f"edge ({u},{v}) out of range for n={n}")
-        if u == v:
-            continue
-        pairs.add((u, v))
-        pairs.add((v, u))
-    if pairs:
-        arr = np.array(sorted(pairs), dtype=np.int64)
-        src, dst = arr[:, 0], arr[:, 1]
-    else:
-        src = np.zeros(0, dtype=np.int64)
-        dst = np.zeros(0, dtype=np.int64)
-    row_offsets = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(row_offsets, src + 1, 1)
-    row_offsets = np.cumsum(row_offsets)
+    shape_error = "edges must be a list of [u, v] pairs of 64-bit integers"
+    try:
+        e = np.asarray(edges)
+    except (ValueError, OverflowError) as exc:     # ragged rows
+        raise ValueError(shape_error) from exc
+    if e.shape == (0,):
+        e = e.reshape(0, 2).astype(np.int64)
+    if e.ndim != 2 or e.shape[1] != 2 or e.dtype.kind not in "iu":
+        raise ValueError(shape_error)
+    bad = np.flatnonzero(((e < 0) | (e >= n)).any(axis=1))
+    if bad.size:
+        u, v = e[bad[0]].tolist()
+        raise ValueError(f"edge ({u},{v}) out of range for n={n}")
+    u, v = e[e[:, 0] != e[:, 1]].astype(np.int64).T
+    keys = np.sort(np.concatenate([u * n + v, v * n + u]))
+    # sort and drop repeats rather than np.unique, which imports numpy.ma
+    src, dst = np.divmod(keys[np.diff(keys, prepend=-1) != 0], n)
+    row_offsets = np.concatenate([[0], np.cumsum(np.bincount(src, minlength=n))])
     return Graph(n=n, row_offsets=row_offsets, col_indices=dst,
                  X=np.zeros((n, 0)))
 
@@ -166,8 +165,9 @@ def canonicalize(edges, n: int) -> Graph:
 def make_graph(edges, n, X, E_edge=None, y=None, masks=None) -> Graph:
     """Canonicalize an edge list and attach features, labels, and masks.
 
-    E_edge, when given, maps each canonical undirected edge (u < v) to one
-    feature row; the row is duplicated onto both arcs of the pair.
+    E_edge, when given, holds one feature row per canonical undirected edge,
+    in the CSR order of its u < v arc; the row is duplicated onto both arcs
+    of the pair.
     """
     g = canonicalize(edges, n)
     g.X = np.ascontiguousarray(np.asarray(X, dtype=np.float64))
@@ -175,21 +175,12 @@ def make_graph(edges, n, X, E_edge=None, y=None, masks=None) -> Graph:
         raise ValueError(f"X has {g.X.shape[0]} rows, expected n={n}")
     if E_edge is not None:
         E_edge = np.asarray(E_edge, dtype=np.float64)
-        rows = arc_rows(g)
-        und = {}
-        pos = 0
-        for u, v in zip(rows, g.col_indices):
-            key = (min(u, v), max(u, v))
-            if key not in und:
-                und[key] = pos
-                pos += 1
-        if E_edge.shape[0] != pos:
-            raise ValueError(
-                f"E_edge has {E_edge.shape[0]} rows, expected one per edge ({pos})")
-        E = np.zeros((g.n_arcs, E_edge.shape[1]))
-        for k, (u, v) in enumerate(zip(rows, g.col_indices)):
-            E[k] = E_edge[und[(min(u, v), max(u, v))]]
-        g.E_feat = E
+        first = arc_rows(g) < g.col_indices
+        edge = np.cumsum(first) - 1          # the edge number of each u < v arc
+        if E_edge.ndim != 2 or E_edge.shape[0] != edge.size // 2:
+            raise ValueError(f"E_edge has shape {E_edge.shape}, expected one row per "
+                             f"edge ({edge.size // 2})")
+        g.E_feat = E_edge[np.where(first, edge, edge[pair_index(g)])]
     if y is not None:
         y = np.asarray(y)
         g.y = y
@@ -392,18 +383,12 @@ def gen_minesweeper_grid(rows: int, cols: int, mine_prob: float, seed: int,
     rng = np.random.Generator(np.random.PCG64(seed))
     n = rows * cols
     mines = rng.random(n) < mine_prob
+    r, c = np.divmod(np.arange(n), cols)
     edges = []
-    for r in range(rows):
-        for c in range(cols):
-            u = r * cols + c
-            for dr in (-1, 0, 1):
-                for dc in (-1, 0, 1):
-                    if dr == 0 and dc == 0:
-                        continue
-                    rr, cc = r + dr, c + dc
-                    if 0 <= rr < rows and 0 <= cc < cols:
-                        edges.append((u, rr * cols + cc))
-    g = canonicalize(edges, n)
+    for dr, dc in ((0, 1), (1, -1), (1, 0), (1, 1)):   # right and the three below
+        u = np.flatnonzero((r + dr < rows) & (0 <= c + dc) & (c + dc < cols))
+        edges.append(np.stack([u, u + dr * cols + dc], axis=1))
+    g = canonicalize(np.concatenate(edges), n)      # adds the reverse arcs, sorts
     counts = np.zeros(n, dtype=np.int64)
     rws = arc_rows(g)
     np.add.at(counts, rws, mines[g.col_indices].astype(np.int64))
@@ -419,6 +404,12 @@ def gen_minesweeper_grid(rows: int, cols: int, mine_prob: float, seed: int,
     return g
 
 
+# gen_sbm draws its node pairs in bands of rows holding about this many
+# (row, node) cells (one row at least), so its temporaries stay near 40 MB
+# while n is below this
+_SBM_BAND_CELLS = 2**20
+
+
 def gen_sbm(sizes, p_in: float, p_out: float, seed: int,
             feature_dim: int = 8, feature_shift: float = 1.0) -> Graph:
     """Stochastic block model with block labels and mean-shifted Gaussian features."""
@@ -429,13 +420,16 @@ def gen_sbm(sizes, p_in: float, p_out: float, seed: int,
     sizes = [int(s) for s in sizes]
     n = sum(sizes)
     labels = np.repeat(np.arange(len(sizes)), sizes)
-    edges = []
-    for u in range(n):
-        for v in range(u + 1, n):
-            p = p_in if labels[u] == labels[v] else p_out
-            if rng.random() < p:
-                edges.append((u, v))
-    g = canonicalize(edges, n)
+    edges = [np.zeros((0, 2), dtype=np.int64)]
+    band = max(1, _SBM_BAND_CELLS // max(n, 1))
+    for lo in range(0, n, band):
+        # the pairs u < v of rows lo.. in row-major order, one double each, so
+        # band after band reads the stream as one draw per pair would
+        u, v = np.nonzero(np.arange(lo, min(lo + band, n))[:, None] < np.arange(n))
+        u += lo
+        keep = rng.random(u.size) < np.where(labels[u] == labels[v], p_in, p_out)
+        edges.append(np.stack([u[keep], v[keep]], axis=1))
+    g = canonicalize(np.concatenate(edges), n)
     X = rng.normal(size=(n, feature_dim))
     shift_dirs = rng.normal(size=(len(sizes), feature_dim))
     norms = np.linalg.norm(shift_dirs, axis=1, keepdims=True)
@@ -464,13 +458,9 @@ def save_graph(g: Graph, path) -> None:
     """Write a graph as a JSON document; round trips bit-exactly on all arrays."""
     validate_graph(g)
     rows = arc_rows(g)
-    und_edges = []
-    und_rows = []
-    for k, (u, v) in enumerate(zip(rows.tolist(), g.col_indices.tolist())):
-        if u < v:
-            und_edges.append([u, v])
-            und_rows.append(k)
-    doc = {"n": g.n, "edges": und_edges, "x": g.X.tolist()}
+    first = rows < g.col_indices
+    doc = {"n": g.n, "edges": np.stack([rows[first], g.col_indices[first]], axis=1).tolist(),
+           "x": g.X.tolist()}
     if g.E_feat is not None:
         doc["edge_attr"] = g.E_feat.tolist()
     if g.y is not None:
@@ -503,14 +493,15 @@ def load_graph_fields(doc) -> Graph:
     if not isinstance(doc, dict):
         raise ValueError("graph document must be a JSON object")
     n = _field(doc, "n")
-    if not isinstance(n, int) or n < 0:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 0:
         raise ValueError("field 'n' must be a non-negative integer")
     edges = _field(doc, "edges")
-    x = _field(doc, "x")
-    g = canonicalize(edges, n)
-    X = np.asarray(x, dtype=np.float64)
+    X = np.asarray(_field(doc, "x"), dtype=np.float64)
+    # x first: its rows bound n, so canonicalize never sizes arrays by an n
+    # that no data backs
     if X.ndim != 2 or X.shape[0] != n:
         raise ValueError(f"field 'x' must be an {n}-row matrix")
+    g = canonicalize(edges, n)
     g.X = _finite("x", X)
     ea = _field(doc, "edge_attr", required=False)
     if ea is not None:

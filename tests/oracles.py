@@ -307,3 +307,145 @@ def graph_set_forward_per_graph(model, graphs, mode="eval_argmax", noise=None):
     eegnn = cfg.model == "eegnn"
     return (states, np.vstack(pooled), np.vstack(logits),
             np.array(layers) if eegnn else None, np.array(times) if eegnn else None)
+
+
+# ------------------------------------------------------- graph-loop oracles
+#
+# The per-edge Python loops graphs.py ran before it built arcs with array
+# operations over the key u * n + v, kept verbatim: canonicalize, make_graph's
+# E_edge mapping, save_graph and the two generators.
+
+def canonicalize_loop(edges, n):
+    """Canonical CSR skeleton from a set of arc tuples, then sorted."""
+    from eegnn.graphs import Graph
+
+    pairs = set()
+    for u, v in edges:
+        u = int(u)
+        v = int(v)
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u},{v}) out of range for n={n}")
+        if u == v:
+            continue
+        pairs.add((u, v))
+        pairs.add((v, u))
+    if pairs:
+        arr = np.array(sorted(pairs), dtype=np.int64)
+        src, dst = arr[:, 0], arr[:, 1]
+    else:
+        src = np.zeros(0, dtype=np.int64)
+        dst = np.zeros(0, dtype=np.int64)
+    row_offsets = np.zeros(n + 1, dtype=np.int64)
+    np.add.at(row_offsets, src + 1, 1)
+    row_offsets = np.cumsum(row_offsets)
+    return Graph(n=n, row_offsets=row_offsets, col_indices=dst,
+                 X=np.zeros((n, 0)))
+
+
+def e_feat_loop(g, E_edge):
+    """Per-arc edge features from one row per canonical edge (u < v),
+    numbered in first-seen CSR order through a dict."""
+    from eegnn.graphs import arc_rows
+
+    E_edge = np.asarray(E_edge, dtype=np.float64)
+    rows = arc_rows(g)
+    und = {}
+    pos = 0
+    for u, v in zip(rows, g.col_indices):
+        key = (min(u, v), max(u, v))
+        if key not in und:
+            und[key] = pos
+            pos += 1
+    if E_edge.shape[0] != pos:
+        raise ValueError(
+            f"E_edge has {E_edge.shape[0]} rows, expected one per edge ({pos})")
+    E = np.zeros((g.n_arcs, E_edge.shape[1]))
+    for k, (u, v) in enumerate(zip(rows, g.col_indices)):
+        E[k] = E_edge[und[(min(u, v), max(u, v))]]
+    return E
+
+
+def gen_minesweeper_grid_loop(rows, cols, mine_prob, seed, unknown_frac=0.5):
+    """The minesweeper generator with its edges from four nested loops."""
+    from eegnn.graphs import _random_split, arc_rows
+
+    rng = np.random.Generator(np.random.PCG64(seed))
+    n = rows * cols
+    mines = rng.random(n) < mine_prob
+    edges = []
+    for r in range(rows):
+        for c in range(cols):
+            u = r * cols + c
+            for dr in (-1, 0, 1):
+                for dc in (-1, 0, 1):
+                    if dr == 0 and dc == 0:
+                        continue
+                    rr, cc = r + dr, c + dc
+                    if 0 <= rr < rows and 0 <= cc < cols:
+                        edges.append((u, rr * cols + cc))
+    g = canonicalize_loop(edges, n)
+    counts = np.zeros(n, dtype=np.int64)
+    rws = arc_rows(g)
+    np.add.at(counts, rws, mines[g.col_indices].astype(np.int64))
+    unknown = rng.random(n) < unknown_frac
+    X = np.zeros((n, 10))
+    known = ~unknown
+    X[known, counts[known]] = 1.0
+    X[unknown, 9] = 1.0
+    masks = _random_split(n, rng)
+    g.X = X
+    g.y = mines.astype(np.int64)
+    g.masks = masks
+    return g
+
+
+def gen_sbm_loop(sizes, p_in, p_out, seed, feature_dim=8, feature_shift=1.0):
+    """The block-model generator with one draw per node pair, in a loop."""
+    from eegnn.graphs import _random_split
+
+    rng = np.random.Generator(np.random.PCG64(seed))
+    sizes = [int(s) for s in sizes]
+    n = sum(sizes)
+    labels = np.repeat(np.arange(len(sizes)), sizes)
+    edges = []
+    for u in range(n):
+        for v in range(u + 1, n):
+            p = p_in if labels[u] == labels[v] else p_out
+            if rng.random() < p:
+                edges.append((u, v))
+    g = canonicalize_loop(edges, n)
+    X = rng.normal(size=(n, feature_dim))
+    shift_dirs = rng.normal(size=(len(sizes), feature_dim))
+    norms = np.linalg.norm(shift_dirs, axis=1, keepdims=True)
+    shift_dirs = shift_dirs / np.where(norms == 0, 1.0, norms)
+    X = X + feature_shift * shift_dirs[labels]
+    g.X = X
+    g.y = labels.astype(np.int64)
+    g.masks = _random_split(n, rng)
+    return g
+
+
+def save_graph_loop(g, path):
+    """save_graph with its edge list built arc by arc."""
+    import json
+
+    from eegnn.graphs import arc_rows, validate_graph
+
+    validate_graph(g)
+    rows = arc_rows(g)
+    und_edges = []
+    und_rows = []
+    for k, (u, v) in enumerate(zip(rows.tolist(), g.col_indices.tolist())):
+        if u < v:
+            und_edges.append([u, v])
+            und_rows.append(k)
+    doc = {"n": g.n, "edges": und_edges, "x": g.X.tolist()}
+    if g.E_feat is not None:
+        doc["edge_attr"] = g.E_feat.tolist()
+    if g.y is not None:
+        doc["y"] = g.y.tolist()
+    if g.masks is not None:
+        doc["masks"] = {k: [bool(b) for b in g.masks[k]] for k in ("train", "val", "test")}
+    with open(path, "w") as fh:
+        json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
+        fh.write("\n")

@@ -39,6 +39,19 @@ def test_matmul_bias_broadcasts_rows():
     assert np.array_equal(out.value, np.tile([[1.0, -2.0]], (3, 1)))
 
 
+@pytest.mark.parametrize("rows", [1, 7])
+def test_matmul_add_is_product_plus_addend_bit_for_bit(rows):
+    rng = np.random.default_rng(4)
+    A, B = rand_leaf(rng, (7, 5)), rand_leaf(rng, (5, 3))
+    C = rand_leaf(rng, (rows, 3))
+    kept = C.value.copy()
+    assert np.array_equal(ad.matmul_add(A, B, C).value, A.value @ B.value + C.value)
+    if rows == 1:
+        out = ad.act_matmul_add(A, "tanh", B, C)
+        assert np.array_equal(out.value, np.tanh(A.value) @ B.value + C.value)
+    assert np.array_equal(C.value, kept)
+
+
 def test_matmul_shape_mismatch():
     with pytest.raises(ValueError):
         ad.matmul_add(ad.leaf(np.zeros((2, 3))), ad.leaf(np.zeros((2, 3))))

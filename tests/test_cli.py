@@ -294,6 +294,9 @@ def _one_member_set(doc, label):
                masks={k: [True] for k in ("train", "val", "test")})
 
 
+EDGES_SHOWN = "edges must be a list of [u, v] pairs of 64-bit integers"
+
+
 @pytest.mark.parametrize("case, shown", [
     ("empty_train", "the 'train' split is empty"),
     ("half_labels", "ce labels must be class indices; the 'train' split has label 0.5"),
@@ -315,7 +318,15 @@ def _one_member_set(doc, label):
     ("y_nan", "field 'y' must be finite"),
     ("x_nan", "field 'x' must be finite"),
     ("edge_attr_inf", "field 'edge_attr' must be finite"),
-    ("graph_set_y_nan", "key 'y' must be finite")])
+    ("graph_set_y_nan", "key 'y' must be finite"),
+    ("edge_fraction", EDGES_SHOWN),
+    ("edge_string", EDGES_SHOWN),
+    ("edges_object", EDGES_SHOWN),
+    ("edges_scalar", EDGES_SHOWN),
+    ("edges_triple", EDGES_SHOWN),
+    ("edges_ragged", EDGES_SHOWN),
+    ("edge_beyond_int64", EDGES_SHOWN),
+    ("n_boolean", "field 'n' must be a non-negative integer")])
 def test_train_rejects_an_empty_split_or_labels_that_are_not_classes(
         tmp_path, capsys, case, shown):
     data = gen_sbm_data(tmp_path, seed=12)
@@ -337,7 +348,15 @@ def test_train_rejects_an_empty_split_or_labels_that_are_not_classes(
             "x_nan": lambda d: d["x"][0].__setitem__(0, float("nan")),
             "edge_attr_inf": lambda d: d.update(
                 edge_attr=[[float("inf")]] * (2 * len(d["edges"]))),
-            "graph_set_y_nan": lambda d: _one_member_set(d, float("nan"))}[case]
+            "graph_set_y_nan": lambda d: _one_member_set(d, float("nan")),
+            "edge_fraction": lambda d: d["edges"][0].__setitem__(1, 1.5),
+            "edge_string": lambda d: d["edges"][0].__setitem__(0, "0"),
+            "edges_object": lambda d: d.update(edges={}),
+            "edges_scalar": lambda d: d.update(edges=7),
+            "edges_triple": lambda d: d.update(edges=[0, 1, 2]),
+            "edges_ragged": lambda d: d["edges"].append([1]),
+            "edge_beyond_int64": lambda d: d["edges"][0].__setitem__(1, 10**30),
+            "n_boolean": lambda d: d.update(n=True)}[case]
     extra = {"three_class_bce": {"loss": "bce_logits"},
              "edge_term_without_edges": {"edge_mode": "linear"},
              "three_class_auroc": {"metric": "auroc"},

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 import oracles
+from eegnn import graphs
 from eegnn.graphs import (ArcMatrix, Graph, arc_list, arc_rows, canonicalize,
                           degrees, edge_homophily, gen_minesweeper_grid,
                           gen_sbm, incidence_aggregate, make_graph, mean_adj,
-                          norm_adj, save_graph, spmm, validate_graph)
+                          norm_adj, pair_index, save_graph, spmm,
+                          validate_graph)
 from eegnn.training import ConfigError, load_dataset
 
 
@@ -36,8 +38,16 @@ def test_canonicalize_csr_offsets():
 def test_canonicalize_rejects_out_of_range():
     with pytest.raises(ValueError):
         canonicalize([(0, 3)], 3)
-    with pytest.raises(ValueError):
-        canonicalize([(-1, 0)], 3)
+    with pytest.raises(ValueError, match=r"edge \(5,0\) out of range for n=3"):
+        canonicalize([(0, 1), (5, 0), (-1, 0)], 3)
+
+
+# the CLI's malformed-dataset test covers fractions, strings, objects,
+# scalars, ragged lists and endpoints beyond int64
+@pytest.mark.parametrize("edges", [[(True, False)], [(0, 1, 2)], [[]]])
+def test_canonicalize_rejects_anything_but_integer_pairs(edges):
+    with pytest.raises(ValueError, match="edges must be a list of \\[u, v\\] pairs"):
+        canonicalize(edges, 3)
 
 
 def test_canonicalize_idempotent():
@@ -364,8 +374,67 @@ def test_load_bad_edge_attr_rows_named(tmp_path):
         load_dataset(p)
 
 
+def test_load_checks_x_rows_before_sizing_arrays_by_n(tmp_path):
+    p = tmp_path / "bad.json"
+    p.write_text('{"n": 1000000000000, "edges": [], "x": [[0.0]]}')
+    with pytest.raises(ConfigError, match="field 'x' must be an 1000000000000-row"):
+        load_dataset(p)
+
+
 def test_load_malformed_json(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text("{not json")
     with pytest.raises(ConfigError, match="malformed JSON"):
         load_dataset(p)
+
+
+def _same_bits(got, want):
+    if want is None:
+        assert got is None
+        return
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def _same_graph(got, want):
+    assert got.n == want.n
+    for name in ("row_offsets", "col_indices", "X", "y"):
+        _same_bits(getattr(got, name), getattr(want, name))
+    assert (got.masks is None) == (want.masks is None)
+    for k in got.masks or {}:
+        _same_bits(got.masks[k], want.masks[k])
+
+
+def test_graph_building_matches_the_frozen_edge_loops(tmp_path, monkeypatch):
+    rng = np.random.default_rng(14)
+    # random lists with duplicates, both directions of an edge, self-loops
+    # and isolated nodes; plus the empty list and one node
+    cases = [([], 4), ([], 1), ([(0, 0)], 1), (np.array([(3, 1), (1, 3), (2, 2)]), 5)]
+    for _ in range(60):
+        n = int(rng.integers(1, 25))
+        cases.append((rng.integers(0, n, size=(int(rng.integers(0, 3 * n)), 2)).tolist(), n))
+    for edges, n in cases:
+        want = oracles.canonicalize_loop(edges, n)
+        _same_graph(canonicalize(edges, n), want)
+        E_edge = rng.normal(size=(want.n_arcs // 2, 3))
+        _same_bits(make_graph(edges, n, np.zeros((n, 1)), E_edge=E_edge).E_feat,
+                   oracles.e_feat_loop(want, E_edge))
+    for (rows, cols), seeds in (((2, 2), range(3)), ((3, 5), range(3)), ((30, 30), range(2))):
+        for seed in seeds:
+            for unknown in (0.0, 0.5, 1.0):
+                _same_graph(gen_minesweeper_grid(rows, cols, 0.3, seed, unknown),
+                            oracles.gen_minesweeper_grid_loop(rows, cols, 0.3, seed, unknown))
+    for sizes, p_in, p_out in (([12], 0.4, 0.9), ([5, 7, 4], 0.6, 0.2),
+                               ([4, 4, 4], 1.0, 0.0), ([6, 3, 5], 0.0, 1.0)):
+        for seed in range(3):
+            want = oracles.gen_sbm_loop(sizes, p_in, p_out, seed)
+            _same_graph(gen_sbm(sizes, p_in, p_out, seed), want)
+            with monkeypatch.context() as m:     # many bands of pairs, not one
+                m.setattr(graphs, "_SBM_BAND_CELLS", 3 * sum(sizes))
+                _same_graph(gen_sbm(sizes, p_in, p_out, seed), want)
+    g = gen_minesweeper_grid(5, 4, 0.3, seed=1)
+    E = rng.normal(size=(g.n_arcs, 2))
+    g.E_feat = E + E[pair_index(g)]       # paired arcs carry the same row
+    save_graph(g, tmp_path / "new.json")
+    oracles.save_graph_loop(g, tmp_path / "loop.json")
+    assert (tmp_path / "new.json").read_bytes() == (tmp_path / "loop.json").read_bytes()
