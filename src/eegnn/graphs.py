@@ -404,12 +404,6 @@ def gen_minesweeper_grid(rows: int, cols: int, mine_prob: float, seed: int,
     return g
 
 
-# gen_sbm draws its node pairs in bands of rows holding about this many
-# (row, node) cells (one row at least), so its temporaries stay near 40 MB
-# while n is below this
-_SBM_BAND_CELLS = 2**20
-
-
 def gen_sbm(sizes, p_in: float, p_out: float, seed: int,
             feature_dim: int = 8, feature_shift: float = 1.0) -> Graph:
     """Stochastic block model with block labels and mean-shifted Gaussian features."""
@@ -421,14 +415,12 @@ def gen_sbm(sizes, p_in: float, p_out: float, seed: int,
     n = sum(sizes)
     labels = np.repeat(np.arange(len(sizes)), sizes)
     edges = [np.zeros((0, 2), dtype=np.int64)]
-    band = max(1, _SBM_BAND_CELLS // max(n, 1))
-    for lo in range(0, n, band):
-        # the pairs u < v of rows lo.. in row-major order, one double each, so
-        # band after band reads the stream as one draw per pair would
-        u, v = np.nonzero(np.arange(lo, min(lo + band, n))[:, None] < np.arange(n))
-        u += lo
-        keep = rng.random(u.size) < np.where(labels[u] == labels[v], p_in, p_out)
-        edges.append(np.stack([u[keep], v[keep]], axis=1))
+    for u in range(n):
+        # one double per pair u < v, row by row, reads the stream as one draw
+        # per pair in row-major order would
+        v = np.arange(u + 1, n)
+        keep = rng.random(v.size) < np.where(labels[v] == labels[u], p_in, p_out)
+        edges.append(np.stack([np.full(keep.sum(), u), v[keep]], axis=1))
     g = canonicalize(np.concatenate(edges), n)
     X = rng.normal(size=(n, feature_dim))
     shift_dirs = rng.normal(size=(len(sizes), feature_dim))
