@@ -16,6 +16,15 @@ keeps the root's reverse topological order after the first sweep (parents are
 fixed at construction, so the order cannot go stale); repeated seeded sweeps
 over one tape, as in diagnostics.sensitivity, traverse it once.
 
+What a rule skips and what it keeps. The product rules (matmul_add,
+act_update, dspmm with W, add_scaled_rows) write nothing into a parent that
+does not require a gradient, so a constant's .grad stays unallocated and a
+tape built on constant weights sweeps only its state path. act_update keeps
+its two activation derivatives from its second run on, because every later
+sweep of the same tape would recompute them from the forward alone; its
+first run keeps nothing, so a one-shot training sweep holds no more memory
+than a rule that never keeps. Every other rule keeps nothing between runs.
+
 Two ways to hold less of a tape. Inside `with no_grad():` ops build nodes
 with no parents and no backward rule, so every intermediate of an eval
 forward is freed as soon as the caller drops it. backward(root,
@@ -162,9 +171,11 @@ def matmul_add(A: DiffValue, B: DiffValue, C: DiffValue | None = None) -> DiffVa
         val += C.value
 
     def rule(G):
-        A.grad += G @ B.value.T
-        B.grad += A.value.T @ G
-        if C is not None:
+        if A.requires_grad:
+            A.grad += G @ B.value.T
+        if B.requires_grad:
+            B.grad += A.value.T @ G
+        if C is not None and C.requires_grad:
             if C.shape[0] == n:
                 C.grad += G
             else:
@@ -423,9 +434,12 @@ def add_scaled_rows(H: DiffValue, S: DiffValue, t: DiffValue) -> DiffValue:
         val[frozen] = H.value[frozen]
 
     def rule(G):
-        H.grad += G
-        S.grad += G * tv
-        t.grad += (G * S.value).sum(axis=1, keepdims=True)
+        if H.requires_grad:
+            H.grad += G
+        if S.requires_grad:
+            S.grad += G * tv
+        if t.requires_grad:
+            t.grad += (G * S.value).sum(axis=1, keepdims=True)
 
     return _node(val, (H, S, t), rule)
 
@@ -508,8 +522,10 @@ def dspmm(a, H: DiffValue, product=None, W: DiffValue | None = None) -> DiffValu
 
     def rule_w(G):
         GM = _spmm_value(a, G, transpose=True)
-        H.grad += GM @ W.value.T
-        W.grad += H.value.T @ GM
+        if H.requires_grad:
+            H.grad += GM @ W.value.T
+        if W.requires_grad:
+            W.grad += H.value.T @ GM
 
     return _node(_spmm_value(a, H.value @ W.value), (H, W), rule_w)
 
@@ -530,8 +546,11 @@ def act_update(H: DiffValue, W: DiffValue, terms, inner: str,
     activation_apply, neg and add nodes it replaces, and the tape is that
     chain's with the interior nodes left out, so backward visits every other
     node in the same order and every accumulator receives the same
-    contributions in the same order. backward recomputes H @ W and the
-    argument of outer instead of keeping them.
+    contributions in the same order. The forward keeps neither H @ W nor
+    the argument of outer, and neither does the rule's first run, so a
+    one-shot sweep holds nothing extra. The second run, on a tape swept
+    again, keeps both activation derivatives, which depend only on the
+    forward, and later runs reuse them.
     """
     if H.shape[1] != W.shape[0]:
         raise ValueError(f"inner dims disagree: {H.shape} @ {W.shape}")
@@ -543,14 +562,32 @@ def act_update(H: DiffValue, W: DiffValue, terms, inner: str,
         if kind not in ACTIVATION_KINDS:
             raise ValueError(f"unknown activation '{kind}', expected one of {ACTIVATION_KINDS}")
 
+    kept = []       # outer'(argument) and inner'(H @ W), from the second run on
+    ran = False
+
     def rule(G):
-        v = H.value @ W.value
-        g = G * _act_derivative(_update_argument(v, inner, terms), outer)
+        nonlocal ran
+        if ran and not kept:
+            v = H.value @ W.value
+            kept.extend((_act_derivative(_update_argument(v, inner, terms), outer),
+                         _act_derivative(v, inner)))
+        ran = True
+        if kept:
+            d_outer, d_inner = kept
+            g = G * d_outer
+        else:
+            # the first run drops each derivative as soon as it is used: a
+            # one-shot training sweep peaks no higher than with no cache
+            v = H.value @ W.value
+            g = G * _act_derivative(_update_argument(v, inner, terms), outer)
         for t in reversed(terms):
-            t.grad += g
-        gv = -(g * _act_derivative(v, inner))
-        H.grad += gv @ W.value.T
-        W.grad += H.value.T @ gv
+            if t.requires_grad:
+                t.grad += g
+        gv = -(g * (d_inner if kept else _act_derivative(v, inner)))
+        if H.requires_grad:
+            H.grad += gv @ W.value.T
+        if W.requires_grad:
+            W.grad += H.value.T @ gv
 
     val = _act_forward(_update_argument(H.value @ W.value, inner, terms), outer)
     return _node(val, (H, W, *terms), rule)

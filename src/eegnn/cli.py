@@ -270,8 +270,7 @@ def cmd_diagnose(args) -> None:
     elif args.name == "sensitivity":
         g = _diag_graph(diag, cfg)
         model = _fresh_model(cfg, g)
-        values = [diagnostics.sensitivity(model, g, l)
-                  for l in range(cfg.depth + 1)]
+        values = diagnostics._sensitivities(model, g, range(cfg.depth + 1))
         report.update({
             "layers": list(range(cfg.depth + 1)),
             "sensitivity": values,

@@ -11,7 +11,7 @@ its own exit code.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -206,35 +206,62 @@ def sensitivity(model: Model, g: Graph, layer: int) -> float:
     seeds one coordinate per copy. The copies share no arc, so each copy's
     gradient is exactly that of a single-seed sweep on g, and the result does
     not depend on the copy count. Cost is ceil(n * width / 8) sweeps over the
-    8-copy union; instances are capped at n * width <= 2000. Only fixed-depth
-    model kinds are supported; adaptive-exit stacks have no single layer-l
-    state to differentiate against.
+    8-copy union, whatever the layer; instances are capped at
+    n * width <= 2000. The tape holds the cell's arrays as constants and the
+    node features as its only leaf, so each sweep runs only the state path,
+    the sas step computes its activation derivatives in the first sweep
+    alone, and the model's gradient buffers are left as they were. The
+    diagnose command reads every layer from one set of sweeps through
+    _sensitivities. Only fixed-depth model kinds are supported;
+    adaptive-exit stacks have no single layer-l state to differentiate
+    against.
     """
+    return _sensitivities(model, g, [layer])[0]
+
+
+def _constant_view(p: CellParams) -> CellParams:
+    """p with every leaf replaced by a constant over the same array."""
+    def const(x):
+        return None if x is None else ad.constant(x.value, x.name)
+
+    return replace(p, omega_raw=const(p.omega_raw), w_raw=const(p.w_raw),
+                   enc_w=const(p.enc_w), enc_b=const(p.enc_b),
+                   dec=[(const(w), const(b)) for w, b in p.dec],
+                   w_e=const(p.w_e), adgn_b=const(p.adgn_b),
+                   gcn_ws=[const(w) for w in p.gcn_ws])
+
+
+def _sensitivities(model: Model, g: Graph, layers) -> list[float]:
+    """sensitivity at each of layers, all read from one set of sweeps: after
+    every sweep each layer's probe adds its terms one seed at a time, as a
+    call for that layer alone would, so each value equals that call's."""
     cfg = model.cfg
     if cfg.model == "eegnn":
         raise ConfigError(["sensitivity needs a fixed-depth model kind"])
-    if not 0 <= layer <= cfg.depth:
-        raise ValueError(f"layer must lie in 0..{cfg.depth}, got {layer}")
+    for layer in layers:
+        if not 0 <= layer <= cfg.depth:
+            raise ValueError(f"layer must lie in 0..{cfg.depth}, got {layer}")
     n, width = g.n, cfg.hidden
     if n * width > 2000:
         raise ValueError(f"instance too large: n * width = {n * width} > 2000")
     union = disjoint_union([g] * _SWEEP_COPIES)
-    taped = propagate(encode(ad.constant(union.X), model.params),
-                      build_operators(union, model.params), model.params, cfg.model,
-                      cfg.depth)
-    root, probe = taped[-1], taped[layer]
+    params = _constant_view(model.params)
+    taped = propagate(encode(ad.leaf(union.X), params),
+                      build_operators(union, params), params, cfg.model, cfg.depth)
+    root, probes = taped[-1], [taped[layer] for layer in layers]
     nbrs = [g.col_indices[g.row_offsets[v]:g.row_offsets[v + 1]] for v in range(n)]
     seeds = [(v, c) for v in range(n) for c in range(width)]
-    total = 0.0
+    totals = [0.0] * len(probes)
     for start in range(0, len(seeds), _SWEEP_COPIES):
         chunk = seeds[start:start + _SWEEP_COPIES]
         seed = np.zeros(root.shape)
         for k, (v, c) in enumerate(chunk):
             seed[k * n + v, c] = 1.0
         ad.backward(root, seed=seed)
-        for k, (v, _) in enumerate(chunk):
-            total += float(np.abs(probe.grad[k * n + nbrs[v]]).sum())
-    return total
+        for i, probe in enumerate(probes):
+            for k, (v, _) in enumerate(chunk):
+                totals[i] += float(np.abs(probe.grad[k * n + nbrs[v]]).sum())
+    return totals
 
 
 def depth_retention(data, kinds, depths, base_cfg) -> list[dict]:

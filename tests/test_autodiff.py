@@ -617,3 +617,75 @@ def test_fused_ops_reject_bad_shapes_and_kinds():
         ad.act_update(H, W, [E], "relu", "gelu")
     with pytest.raises(ValueError):
         ad.act_matmul_add(H, "relu", W, ad.leaf(np.ones((2, 4))))
+
+
+# ------------------------------------------- repeated sweeps, skipped parents
+
+def _update_tape(seed, inner, outer, with_e):
+    a, H, W, E, _ = _fused_inputs(seed, 13, 6)
+    terms = (E, ad.dspmm(a, H, W=W)) if with_e else (ad.dspmm(a, H, W=W),)
+    return ad.act_update(H, W, terms, inner, outer), [H, W, E]
+
+
+def _seeded_sweep(out, leaves, seed):
+    ad.zero_grads(leaves)
+    ad.backward(out, seed=seed)
+    return [p.grad.copy() for p in leaves]
+
+
+@pytest.mark.parametrize("with_e", [False, True])
+def test_act_update_resweeps_equal_fresh_tapes_bit_for_bit(with_e):
+    seeds = np.random.default_rng(11).normal(size=(3, 13, 6))
+    for outer in ad.ACTIVATION_KINDS:            # sigma1
+        for inner in ad.ACTIVATION_KINDS:        # sigma2
+            out, leaves = _update_tape(4, inner, outer, with_e)
+            again = [_seeded_sweep(out, leaves, s) for s in seeds]
+            fresh = [_seeded_sweep(*_update_tape(4, inner, outer, with_e), s)
+                     for s in seeds]
+            for got, want in zip(again, fresh):
+                assert _bits_equal(got, want), (outer, inner)
+
+
+def test_release_sweep_keeps_no_cached_factor(monkeypatch):
+    made = []
+    original = ad._act_derivative
+
+    def tracked(x, kind):
+        d = original(x, kind)
+        made.append(weakref.ref(d))
+        return d
+
+    monkeypatch.setattr(ad, "_act_derivative", tracked)
+    seed = np.ones((13, 6))
+    gc.disable()
+    try:
+        out, _ = _update_tape(0, "relu", "relu_tanh", True)
+        ad.backward(out, seed=seed)
+        assert made and all(r() is None for r in made)    # first run keeps none
+        ad.backward(out, seed=seed)
+        assert sum(r() is not None for r in made) == 2    # the second keeps two
+        ad.backward(out, seed=seed, release=True)
+        assert all(r() is None for r in made)
+        made.clear()
+        out, _ = _update_tape(1, "tanh", "softplus", False)
+        ad.backward(out, seed=seed, release=True)           # one-shot sweep
+        assert made and all(r() is None for r in made)
+    finally:
+        gc.enable()
+
+
+def test_product_rules_write_no_gradient_into_a_constant_parent():
+    a, H, W, _, _ = _fused_inputs(12, 7, 3)
+    rng = np.random.default_rng(12)
+    consts = [ad.constant(rng.normal(size=shape)) for shape in
+              [(7, 3), (3, 3), (1, 3), (7, 3), (7, 1), (3, 3), (7, 3)]]
+    X, B, b, S, t, Wc, E = consts
+    outs = [ad.matmul_add(X, W, b), ad.matmul_add(H, B),
+            ad.add_scaled_rows(H, S, t), ad.dspmm(a, H, W=Wc),
+            ad.act_update(H, Wc, (E, ad.dspmm(a, H, W=Wc)), "relu", "relu_tanh")]
+    root = outs[0]
+    for out in outs[1:]:
+        root = ad.add(root, out)
+    ad.backward(ad.sum_all(root))
+    assert H._grad.any() and W._grad.any()
+    assert [i for i, c in enumerate(consts) if c._grad is not None] == []

@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 from eegnn.cli import build_parser, main
+from eegnn.diagnostics import sensitivity
 from eegnn.graphs import arc_rows, gen_sbm, save_graph
+from eegnn.training import RunConfig, model_for
 
 
 def write_cfg(tmp_path, doc, name="cfg.json"):
@@ -519,6 +521,20 @@ def test_diagnose_sensitivity_final_layer_zero(tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert report["sensitivity"][-1] == 0.0
     assert report["log_sensitivity"][-1] is None
+
+
+@pytest.mark.parametrize("kind", ["sas", "gcn"])
+def test_diagnose_sensitivity_equals_per_layer_calls(tmp_path, kind):
+    out = tmp_path / "d"
+    doc = {"model": kind, "depth": 3, "hidden": 5, "seed": 4}
+    assert run(["diagnose", "sensitivity", "--config", write_cfg(tmp_path, doc),
+                "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    g = gen_sbm((20, 20), 0.7, 0.1, 4, feature_dim=8)     # the built-in graph
+    model = model_for(RunConfig.from_dict(doc), g,
+                      np.random.Generator(np.random.PCG64(4)))
+    assert report["sensitivity"] == [sensitivity(model, g, l) for l in range(4)]
+    assert report["sensitivity"][0] > 0.0
 
 
 def test_diagnose_dirichlet_emits_traces(tmp_path):

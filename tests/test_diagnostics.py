@@ -326,6 +326,43 @@ def test_sensitivity_work_does_not_depend_on_layer(monkeypatch):
     assert per_layer[0]["backward"] == -(-g.n * model.cfg.hidden // 8)
 
 
+def test_sensitivity_update_arguments_do_not_grow_with_the_sweeps(monkeypatch):
+    g = _sens_graph("edges")
+    model = _sens_model(g, "sas", 3, edge_mode="linear")
+    in_sweep = [False]
+    calls = {False: 0, True: 0}
+    argument, backward = ad._update_argument, ad.backward
+
+    def counted_argument(*a):
+        calls[in_sweep[0]] += 1
+        return argument(*a)
+
+    def sweeping(*a, **kw):
+        in_sweep[0] = True
+        return backward(*a, **kw)
+
+    monkeypatch.setattr(ad, "_update_argument", counted_argument)
+    monkeypatch.setattr(ad, "backward", sweeping)
+    sensitivity(model, g, 0)
+    depth = model.cfg.depth
+    assert -(-g.n * model.cfg.hidden // 8) > 2                # several sweeps
+    # once in the forward; in the sweeps, once in the first run, which keeps
+    # nothing, and once in the second, which keeps the derivatives
+    assert calls == {False: depth, True: 2 * depth}
+
+
+@pytest.mark.parametrize("kind,kw", [("sas", {}), ("gcn", {}), ("graff", {}),
+                                     ("adgn", {}), ("sas", {"edge_mode": "linear"})],
+                         ids=["sas", "gcn", "graff", "adgn", "sas-edges"])
+def test_sensitivity_leaves_the_model_gradients_untouched(kind, kw):
+    g = _sens_graph("edges" if kw else "hub")
+    model = _sens_model(g, kind, 3, **kw)
+    leaves = model.params.parameters()
+    assert all(p._grad is None for _, p in leaves)
+    sensitivity(model, g, 0)
+    assert [name for name, p in leaves if p._grad is not None] == []
+
+
 def test_sensitivity_rejects_an_isolated_node():
     g = make_graph([(0, 1), (1, 2), (2, 0)], 4, X=np.ones((4, 2)))
     model = _sens_model(g, "sas", 2)
