@@ -41,7 +41,7 @@ import contextlib
 
 import numpy as np
 
-from .graphs import spmm as _spmm_value
+from .graphs import Segments, spmm as _spmm_value
 
 __all__ = [
     "DiffValue",
@@ -304,20 +304,21 @@ def softmax_rows(X: DiffValue) -> DiffValue:
 def segment_mean(H: DiffValue, seg) -> DiffValue:
     """Mean of each segment's rows, one output row per segment.
 
-    seg gives each row's segment, ascending from 0 with no segment empty, so
-    every segment is one block of consecutive rows; each block is averaged
-    by its own mean(axis=0), the sum it would get as a matrix of its own.
+    seg is a graphs.Segments over H's rows, as a graph-set bundle carries,
+    or each row's segment label, ascending from 0; no segment may be empty.
+    Each mean is the segment's sum under the Segments rule divided by its
+    row count.
     """
-    seg = np.asarray(seg)
-    counts = np.bincount(seg, minlength=1)
-    if seg.shape != (H.shape[0],) or (np.diff(seg) < 0).any() or not counts.all():
-        raise ValueError(f"segments must ascend from 0 over the {H.shape[0]} rows "
-                         f"and none may be empty")
-    ends = np.cumsum(counts)
-    val = np.stack([H.value[e - c:e].mean(axis=0) for c, e in zip(counts, ends)])
+    if not isinstance(seg, Segments):
+        seg = Segments.from_ids(seg)
+    if seg.offsets[-1] != H.shape[0] or seg.empty.size:
+        raise ValueError(f"segments must cover the {H.shape[0]} rows and none "
+                         f"may be empty")
+    counts = np.diff(seg.offsets)
+    val = seg.sum_rows(H.value) / counts[:, None]
 
     def rule(G):
-        H.grad += (G / counts[:, None])[seg]
+        H.grad += np.repeat(G / counts[:, None], counts, axis=0)
 
     return _node(val, (H,), rule)
 

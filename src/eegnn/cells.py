@@ -24,7 +24,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ACTIVATION_KINDS, DiffValue
-from .graphs import ArcMatrix, Graph, NormAdj, incidence_aggregate, mean_adj, norm_adj
+from .graphs import ArcMatrix, Graph, NormAdj, Segments, incidence_aggregate, mean_adj, \
+    norm_adj
 
 __all__ = [
     "CellParams",
@@ -123,33 +124,38 @@ class Operators:
     adjacency of every cell step; ma the mean adjacency, present only for
     mean_gnn exit heads; be the incidence aggregate of the edge features,
     present only when the cell has an edge term; seg, for the disjoint union
-    of a graph set, the member graph of each node (None for a single graph),
-    by which graph-task states are pooled.
+    of a graph set, the Segments of its member graphs' nodes (None for a
+    single graph), by which graph-task states are pooled.
     """
 
     X: np.ndarray
     a: NormAdj
     ma: ArcMatrix | None = None
     be: DiffValue | None = None
-    seg: np.ndarray | None = None
+    seg: Segments | None = None
 
 
 def build_operators(g: Graph, params: CellParams, heads=None,
                     seg=None) -> Operators:
     """The operator bundle of graph g for a cell and its optional exit heads;
-    seg is the member index of a graph-set union.
+    seg is the member index of each node of a graph-set union.
 
     Build it once per graph and pass it down: nothing here depends on the
     trainable values, only on g and on the cell's edge mode and head kind.
+    The row layout of norm_adj serves mean_adj and the incidence aggregate
+    too, as they share its rows.
     """
     a = norm_adj(g)
-    ma = mean_adj(g) if heads is not None and heads.kind == "mean_gnn" else None
+    ma = None
+    if heads is not None and heads.kind == "mean_gnn":
+        ma = mean_adj(g, a.segments)
     be = None
     if params.edge_mode != "zero":
         if g.E_feat is None:
             raise ValueError(f"edge_mode {params.edge_mode!r} needs edge features")
-        be = ad.constant(incidence_aggregate(g, g.E_feat))
-    return Operators(X=g.X, a=a, ma=ma, be=be, seg=seg)
+        be = ad.constant(incidence_aggregate(g, g.E_feat, a.segments))
+    return Operators(X=g.X, a=a, ma=ma, be=be,
+                     seg=None if seg is None else Segments.from_ids(seg))
 
 
 def antisymmetrize(omega_raw: DiffValue) -> DiffValue:

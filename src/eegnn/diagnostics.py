@@ -208,13 +208,13 @@ def sensitivity(model: Model, g: Graph, layer: int) -> float:
     not depend on the copy count. Cost is ceil(n * width / 8) sweeps over the
     8-copy union, whatever the layer; instances are capped at
     n * width <= 2000. The tape holds the cell's arrays as constants and the
-    node features as its only leaf, so each sweep runs only the state path,
-    the sas step computes its activation derivatives in the first sweep
-    alone, and the model's gradient buffers are left as they were. The
-    diagnose command reads every layer from one set of sweeps through
-    _sensitivities. Only fixed-depth model kinds are supported;
-    adaptive-exit stacks have no single layer-l state to differentiate
-    against.
+    encoder's output as its only leaf, so each sweep runs only the state
+    path from the last layer down to layer 0, the sas step computes its
+    activation derivatives in the first sweep alone, and the model's
+    gradient buffers are left as they were. The diagnose command reads
+    every layer from one set of sweeps through _sensitivities. Only
+    fixed-depth model kinds are supported; adaptive-exit stacks have no
+    single layer-l state to differentiate against.
     """
     return _sensitivities(model, g, [layer])[0]
 
@@ -246,8 +246,9 @@ def _sensitivities(model: Model, g: Graph, layers) -> list[float]:
         raise ValueError(f"instance too large: n * width = {n * width} > 2000")
     union = disjoint_union([g] * _SWEEP_COPIES)
     params = _constant_view(model.params)
-    taped = propagate(encode(ad.leaf(union.X), params),
-                      build_operators(union, params), params, cfg.model, cfg.depth)
+    h0 = ad.leaf(encode(ad.constant(union.X), params).value)
+    taped = propagate(h0, build_operators(union, params), params, cfg.model,
+                      cfg.depth)
     root, probes = taped[-1], [taped[layer] for layer in layers]
     nbrs = [g.col_indices[g.row_offsets[v]:g.row_offsets[v + 1]] for v in range(n)]
     seeds = [(v, c) for v in range(n) for c in range(width)]
@@ -257,6 +258,7 @@ def _sensitivities(model: Model, g: Graph, layers) -> list[float]:
         seed = np.zeros(root.shape)
         for k, (v, c) in enumerate(chunk):
             seed[k * n + v, c] = 1.0
+        ad.zero_grads([h0])      # a leaf's gradient adds up over sweeps
         ad.backward(root, seed=seed)
         for i, probe in enumerate(probes):
             for k, (v, _) in enumerate(chunk):

@@ -226,7 +226,7 @@ def eegnn_forward_node(ops: Operators, params: CellParams, heads: ExitHeads,
                        capture: list | None = None):
     """Early-exit forward pass over the nodes of the graph ops was built
     from, or over the member graphs of a graph-set union when ops carries
-    their segment index.
+    their Segments.
 
     Returns (Z, ExitState, per-layer records), one row per agent. Z row i is
     the agent's state at its exit layer (before that layer's update), or the
@@ -251,8 +251,11 @@ def eegnn_forward_node(ops: Operators, params: CellParams, heads: ExitHeads,
     if heads is None:
         raise ValueError("the early-exit forward needs exit heads")
     seg = ops.seg
-    if seg is not None and heads.kind != "mlp":
-        raise ValueError("graph-level exits use mlp heads on pooled features")
+    if seg is not None:
+        if heads.kind != "mlp":
+            raise ValueError("graph-level exits use mlp heads on pooled features")
+        sizes = np.diff(seg.offsets)
+        members = np.repeat(np.arange(sizes.size), sizes)     # each node's graph
     et = edge_term(ops.be, params)
     H = encode(ad.constant(ops.X), params)
     if capture is not None:
@@ -287,7 +290,7 @@ def eegnn_forward_node(ops: Operators, params: CellParams, heads: ExitHeads,
                         "mean_inv_nu": float(inv_nu.value.mean())})
         if capture is None and exited.all():
             break
-        step = tau_col if seg is None else ad.gather_rows(tau_col, seg)
+        step = tau_col if seg is None else ad.gather_rows(tau_col, members)
         H = sas_step(H, ops.a, params, tau=step, edge_term=et)
         agents = H if seg is None else ad.segment_mean(H, seg)
         if capture is not None:

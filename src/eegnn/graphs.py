@@ -15,6 +15,7 @@ import numpy as np
 
 __all__ = [
     "Graph",
+    "Segments",
     "ArcMatrix",
     "NormAdj",
     "canonicalize",
@@ -59,10 +60,82 @@ class Graph:
         return int(self.col_indices.shape[0])
 
 
-# numpy's add.reduceat sums a segment a_0..a_{d-1} as a_0 + pairwise(a_1..),
-# and its pairwise sum runs strictly left to right only below 8 terms, so
-# rows up to this degree can be swept diagonal by diagonal in the same order.
-SWEEP_DEGREE = 8
+@dataclass(frozen=True)
+class Segments:
+    """Runs of consecutive terms, and the one rule by which each run is summed.
+
+    Segment i holds terms offsets[i]:offsets[i + 1]. It sums them as
+    a_0 + (((a_1 + a_2) + a_3) + ...): its first term plus the rest, added
+    left to right; an empty segment sums to 0. Every graph reduction of the
+    kit follows this rule: spmm over a row's arcs, segment_mean over a
+    graph's nodes, incidence_aggregate over a node's arcs.
+
+    sum runs it over jagged diagonals: rows holds the non-empty segments by
+    falling length, and diagonal k, positions bounds[k]:bounds[k + 1] of
+    order, holds the k-th term of the first bounds[k + 1] - bounds[k] of
+    them, the ones longer than k. It costs one vectorised add per diagonal,
+    so its Python-level cost grows with the longest segment, not with the
+    number of segments; empty holds the empty segments.
+    """
+
+    offsets: np.ndarray
+    rows: np.ndarray
+    order: np.ndarray
+    bounds: tuple
+    empty: np.ndarray
+
+    @classmethod
+    def from_offsets(cls, offsets) -> "Segments":
+        offsets = np.asarray(offsets, dtype=np.int64)
+        length = np.diff(offsets)
+        rows = np.flatnonzero(length)
+        rows = rows[np.argsort(-length[rows], kind="stable")]
+        size = length[rows]
+        # each term's place k in its segment, the segments taken in rows
+        # order; the term of the r-th of rows goes to position bounds[k] + r
+        place = np.arange(size.sum()) - np.repeat(np.cumsum(size) - size, size)
+        bounds = np.concatenate([[0], np.cumsum(np.bincount(place))])
+        order = np.empty(place.size, dtype=np.int64)
+        order[bounds[place] + np.repeat(np.arange(rows.size), size)] = \
+            np.repeat(offsets[rows], size) + place
+        return cls(offsets=offsets, rows=rows, order=order,
+                   bounds=tuple(bounds.tolist()), empty=np.flatnonzero(length == 0))
+
+    @classmethod
+    def from_ids(cls, ids) -> "Segments":
+        """Segment i holds the rows labelled i; the labels ascend from 0."""
+        ids = np.asarray(ids)
+        if ids.ndim != 1 or ids.dtype.kind not in "iu":
+            raise ValueError("segment labels must be a 1-D integer array")
+        ids = ids.astype(np.int64)
+        if (np.diff(ids) < 0).any() or (ids.size and ids[0] < 0):
+            raise ValueError("segment labels must ascend from 0")
+        return cls.from_offsets(np.concatenate([[0], np.cumsum(np.bincount(ids))]))
+
+    def sum(self, term, width: int) -> np.ndarray:
+        """One row per segment: the sum of its terms by the rule above.
+
+        term(lo, hi) returns the terms at positions lo:hi of order, one row
+        of the given width each, as a new array that sum may overwrite; it
+        is called once per diagonal, so no temporary outgrows one term per
+        position of the longest diagonal.
+        """
+        out = np.empty((self.offsets.size - 1, width))
+        out[self.empty] = 0.0               # every other row is written below
+        b = self.bounds
+        if len(b) > 1:
+            first = term(b[0], b[1])
+            if len(b) > 2:
+                rest = term(b[1], b[2])
+                for k in range(2, len(b) - 1):
+                    rest[:b[k + 1] - b[k]] += term(b[k], b[k + 1])
+                first[:b[2] - b[1]] += rest
+            out[self.rows] = first
+        return out
+
+    def sum_rows(self, X: np.ndarray) -> np.ndarray:
+        """The sum of each segment of X's rows."""
+        return self.sum(lambda lo, hi: X.take(self.order[lo:hi], axis=0), X.shape[1])
 
 
 @dataclass
@@ -72,20 +145,13 @@ class ArcMatrix:
     values[k] weights arc k in the forward product; values_t[k] weights arc k
     in the transposed product (equal to values for symmetric matrices).
 
-    Construction also fixes the layout spmm sweeps. Rows of degree 1 to
-    SWEEP_DEGREE, sorted by falling degree (sweep_rows), store their arcs as
-    jagged diagonals: diagonal k holds the k-th arc of the first
-    diag_counts[k] of those rows, the ones whose degree is above k. The arcs
-    of the rows of higher degree (high_rows) follow in CSR order, one segment
-    per row starting at high_starts; rows of degree 0 are empty_rows.
-    sweep_cols, sweep_values and
-    sweep_values_t are col_indices, values and values_t in that order;
-    diagonal k occupies positions diag_bounds[k]:diag_bounds[k + 1] of them,
-    and the high rows' arcs start at diag_bounds[-1]. spmm keeps, per width
-    it was called with, the swept values repeated across that many columns
-    (as much memory as one product's gathered rows), because a product with
-    a full-width operand runs several times faster than one broadcast down a
-    column.
+    segments is the Segments of the rows' arcs (row_offsets), built here
+    unless given. sweep_cols, sweep_values and sweep_values_t are
+    col_indices, values and values_t in its diagonal order. spmm keeps, per
+    width it was called with, the swept values repeated across that many
+    columns (as much memory as one product's gathered rows), because a
+    product with a full-width operand runs several times faster than one
+    broadcast down a column.
     """
 
     n: int
@@ -93,12 +159,7 @@ class ArcMatrix:
     col_indices: np.ndarray
     values: np.ndarray
     values_t: np.ndarray
-    sweep_rows: np.ndarray = field(init=False, repr=False)
-    diag_counts: tuple = field(init=False, repr=False)
-    diag_bounds: tuple = field(init=False, repr=False)
-    high_rows: np.ndarray = field(init=False, repr=False)
-    high_starts: np.ndarray = field(init=False, repr=False)
-    empty_rows: np.ndarray = field(init=False, repr=False)
+    segments: Segments | None = field(default=None, repr=False, compare=False)
     sweep_cols: np.ndarray = field(init=False, repr=False)
     sweep_values: np.ndarray = field(init=False, repr=False)
     sweep_values_t: np.ndarray = field(init=False, repr=False)
@@ -106,20 +167,9 @@ class ArcMatrix:
                               default_factory=dict)
 
     def __post_init__(self):
-        deg = np.diff(self.row_offsets)
-        low = np.flatnonzero((deg > 0) & (deg <= SWEEP_DEGREE))
-        low = low[np.argsort(-deg[low], kind="stable")]
-        counts = [int(np.count_nonzero(deg[low] > k)) for k in range(SWEEP_DEGREE)]
-        self.sweep_rows = low
-        self.diag_counts = tuple(c for c in counts if c)
-        self.diag_bounds = tuple(np.cumsum((0, *self.diag_counts)).tolist())
-        self.high_rows = np.flatnonzero(deg > SWEEP_DEGREE)
-        high_deg = deg[self.high_rows]
-        self.high_starts = np.cumsum(high_deg) - high_deg
-        self.empty_rows = np.flatnonzero(deg == 0)
-        order = np.concatenate(
-            [self.row_offsets[low[:c]] + k for k, c in enumerate(self.diag_counts)]
-            + [np.flatnonzero(np.repeat(deg > SWEEP_DEGREE, deg))])
+        if self.segments is None:
+            self.segments = Segments.from_offsets(self.row_offsets)
+        order = self.segments.order
         self.sweep_cols = self.col_indices[order]
         self.sweep_values = self.values[order]
         self.sweep_values_t = self.values_t[order]
@@ -281,8 +331,12 @@ def norm_adj(g: Graph) -> NormAdj:
                    values=vals, values_t=vals)
 
 
-def mean_adj(g: Graph) -> ArcMatrix:
-    """Row-stochastic neighbor-mean operator: values[k] = 1/d_u for arc (u,v)."""
+def mean_adj(g: Graph, segments: Segments | None = None) -> ArcMatrix:
+    """Row-stochastic neighbor-mean operator: values[k] = 1/d_u for arc (u,v).
+
+    segments, when given, is Segments.from_offsets(g.row_offsets) built
+    already, as norm_adj(g).segments is.
+    """
     d = degrees(g)
     if np.any(d == 0):
         bad = int(np.flatnonzero(d == 0)[0])
@@ -291,28 +345,18 @@ def mean_adj(g: Graph) -> ArcMatrix:
     vals = 1.0 / d[rows].astype(np.float64)
     vals_t = vals[pair_index(g)]
     return ArcMatrix(n=g.n, row_offsets=g.row_offsets, col_indices=g.col_indices,
-                     values=vals, values_t=vals_t)
-
-
-def _scaled_arcs(H, a, vals, lo, hi=None) -> np.ndarray:
-    """Rows H[v] * value of the arcs at sweep positions lo:hi, a new array;
-    vals holds the values repeated across H's columns."""
-    rows = H.take(a.sweep_cols[lo:hi], axis=0)
-    rows *= vals[lo:hi]
-    return rows
+                     values=vals, values_t=vals_t, segments=segments)
 
 
 def spmm(a, H: np.ndarray, transpose: bool = False) -> np.ndarray:
     """Sparse arc-matrix times dense matrix.
 
-    out[u] = sum over arcs (u,v) of values[k] * H[v], bit for bit what
-    np.add.reduceat gives over the row's arcs in CSR order: the first term
-    plus numpy's pairwise sum of the rest. Below 8 remaining terms that sum
-    runs left to right, so rows of degree up to SWEEP_DEGREE are swept over
-    a's jagged diagonals: at most 7 vectorised adds, however many rows, each
-    on one diagonal's rows, so no temporary outgrows n x width. Rows of
-    higher degree, such as the hubs of heterophilic benchmark graphs, go
-    through one reduceat over their own segments and pay its per-row cost.
+    out[u] = sum over arcs (u,v) of values[k] * H[v], summed by the Segments
+    rule over the row's arcs in CSR order: the first term plus the rest,
+    left to right. Each diagonal of a.segments gathers its rows of H and
+    scales them in one new array, so no temporary outgrows n x width; a
+    row of degree d, such as a hub of a heterophilic graph, costs d such
+    vectorised adds.
     """
     H = np.asarray(H, dtype=np.float64)
     if H.shape[0] != a.n:
@@ -321,37 +365,30 @@ def spmm(a, H: np.ndarray, transpose: bool = False) -> np.ndarray:
     if vals is None:
         v = a.sweep_values_t if transpose else a.sweep_values
         vals = a.wide_values[H.shape[1], transpose] = np.repeat(v[:, None], H.shape[1], axis=1)
-    out = np.empty((a.n, H.shape[1]))
-    out[a.empty_rows] = 0.0                 # every other row is written below
-    b = a.diag_bounds
-    if len(b) > 1:
-        first = _scaled_arcs(H, a, vals, b[0], b[1])
-        if len(b) > 2:
-            rest = _scaled_arcs(H, a, vals, b[1], b[2])
-            for k in range(2, len(b) - 1):
-                rest[:b[k + 1] - b[k]] += _scaled_arcs(H, a, vals, b[k], b[k + 1])
-            first[:b[2] - b[1]] += rest
-        out[a.sweep_rows] = first
-    if a.high_rows.size:
-        out[a.high_rows] = np.add.reduceat(_scaled_arcs(H, a, vals, b[-1]),
-                                           a.high_starts, axis=0)
-    return out
+
+    def scaled_arcs(lo, hi):
+        rows = H.take(a.sweep_cols[lo:hi], axis=0)
+        rows *= vals[lo:hi]
+        return rows
+
+    return a.segments.sum(scaled_arcs, H.shape[1])
 
 
-def incidence_aggregate(g: Graph, E_feat: np.ndarray) -> np.ndarray:
+def incidence_aggregate(g: Graph, E_feat: np.ndarray,
+                        segments: Segments | None = None) -> np.ndarray:
     """Per-node sum of incident edge features (each edge counted once per endpoint).
 
-    Implemented as a sum over each node's stored arcs, which equals the dense
-    incidence product because paired arcs carry identical rows.
+    Implemented as a sum over each node's stored arcs, by the Segments rule,
+    which equals the dense incidence product because paired arcs carry
+    identical rows. segments, when given, is
+    Segments.from_offsets(g.row_offsets) built already.
     """
-    E_feat = np.asarray(E_feat)
+    E_feat = np.asarray(E_feat, dtype=np.float64)
     if E_feat.shape[0] != g.n_arcs:
         raise ValueError(f"E_feat has {E_feat.shape[0]} rows, expected {g.n_arcs}")
-    out = np.zeros((g.n, E_feat.shape[1]))
-    nz = np.flatnonzero(np.diff(g.row_offsets) > 0)
-    if nz.size:
-        out[nz] = np.add.reduceat(E_feat, g.row_offsets[nz], axis=0)
-    return out
+    if segments is None:
+        segments = Segments.from_offsets(g.row_offsets)
+    return segments.sum_rows(E_feat)
 
 
 def edge_homophily(g: Graph) -> float:

@@ -490,6 +490,18 @@ def model_for(cfg: RunConfig, data, rng: np.random.Generator) -> Model:
     return build_model(cfg, g.X.shape[1], out_dim, rng, edge_dim=edge_dim)
 
 
+def _reject_isolated_nodes(data) -> None:
+    """Raise ValueError naming the first node of degree 0, and for a graph
+    set its member: the normalized adjacency is undefined there."""
+    graphs = data.graphs if isinstance(data, GraphSet) else [data]
+    for i, g in enumerate(graphs):
+        bad = np.flatnonzero(degrees(g) == 0)
+        if bad.size:
+            member = f"graph {i}: " if isinstance(data, GraphSet) else ""
+            raise ValueError(f"{member}isolated node {int(bad[0])} has degree 0; "
+                             f"drop it before norm_adj")
+
+
 def operators_for(model: Model, data) -> Operators:
     """The operator bundle a forward of model reads, node features included;
     build it once per run.
@@ -499,11 +511,7 @@ def operators_for(model: Model, data) -> Operators:
     """
     if not isinstance(data, GraphSet):
         return build_operators(data, model.params, model.heads)
-    for i, g in enumerate(data.graphs):
-        bad = np.flatnonzero(degrees(g) == 0)
-        if bad.size:
-            raise ValueError(f"graph {i}: isolated node {int(bad[0])} has degree 0; "
-                             f"drop it before norm_adj")
+    _reject_isolated_nodes(data)
     seg = np.repeat(np.arange(len(data.graphs)), [g.n for g in data.graphs])
     return build_operators(disjoint_union(data.graphs), model.params, model.heads,
                            seg=seg)
@@ -814,16 +822,21 @@ def load_checkpoint(path) -> Model:
 
 def load_dataset(path):
     """Graph JSON or graph-set JSON, decided by the top-level keys; a
-    malformed file raises ConfigError naming the problem."""
+    malformed file, or one with an isolated node, raises ConfigError naming
+    the problem."""
     with open(path) as fh, _reading("dataset", path):
         payload = json.load(fh)
         _require(payload)
         if "graphs" not in payload:
-            return load_graph_fields(payload)
-        _require(payload, ("y", "masks"))
-        graphs = [load_graph_fields(entry) for entry in payload["graphs"]]
-        y = np.asarray(payload["y"], dtype=np.float64)
-        if not np.isfinite(y).all():
-            raise ValueError("key 'y' must be finite")
-        masks = {k: np.asarray(v, dtype=bool) for k, v in dict(payload["masks"]).items()}
-        return GraphSet(graphs=graphs, y=y, masks=masks)
+            data = load_graph_fields(payload)
+        else:
+            _require(payload, ("y", "masks"))
+            graphs = [load_graph_fields(entry) for entry in payload["graphs"]]
+            y = np.asarray(payload["y"], dtype=np.float64)
+            if not np.isfinite(y).all():
+                raise ValueError("key 'y' must be finite")
+            masks = {k: np.asarray(v, dtype=bool)
+                     for k, v in dict(payload["masks"]).items()}
+            data = GraphSet(graphs=graphs, y=y, masks=masks)
+        _reject_isolated_nodes(data)
+        return data

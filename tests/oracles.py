@@ -47,6 +47,24 @@ def dense_incidence_product(n, arcs, e_feat):
     return out
 
 
+def segment_sum_loop(terms, offsets):
+    """Each segment offsets[i]:offsets[i + 1] of terms' rows summed one
+    segment at a time by the kit's summation rule: the first term plus the
+    rest, added left to right, a_0 + (((a_1 + a_2) + a_3) + ...); an empty
+    segment sums to zero."""
+    terms = np.asarray(terms, dtype=float)
+    out = np.zeros((len(offsets) - 1, terms.shape[1]))
+    for i in range(len(offsets) - 1):
+        seg = terms[offsets[i]:offsets[i + 1]]
+        if len(seg) == 0:
+            continue
+        rest = None
+        for t in seg[1:]:
+            rest = t.copy() if rest is None else rest + t
+        out[i] = seg[0] if rest is None else seg[0] + rest
+    return out
+
+
 # ----------------------------------------------------------- metric oracles
 
 def auroc_pair_count(scores, labels):
@@ -247,11 +265,12 @@ def graph_set_forward_per_graph(model, graphs, mode="eval_argmax", noise=None):
     """A graph-set forward run one member graph at a time, as the package ran
     it before graph sets were batched.
 
-    Each graph is encoded, propagated and mean-pooled on its own, and decoded
-    as a single row. An eegnn model reads one continue/exit decision per layer
-    from its heads on the graph's pooled state, steps the whole graph with
-    that decision's tau, and stops at its first exit; its pooled state is the
-    one of its exit layer. With mode train_sample, noise holds one (G, 2)
+    Each graph is encoded, propagated and mean-pooled on its own (its sum by
+    segment_sum_loop over its node rows, divided by its node count), and
+    decoded as a single row. An eegnn model reads one continue/exit decision
+    per layer from its heads on the graph's pooled state, steps the whole
+    graph with that decision's tau, and stops at its first exit; its pooled
+    state is the one of its exit layer. With mode train_sample, noise holds one (G, 2)
     block per layer and graph i reads row i of each.
 
     Returns per-graph node states of the last layer run, pooled states
@@ -264,6 +283,9 @@ def graph_set_forward_per_graph(model, graphs, mode="eval_argmax", noise=None):
     from eegnn.exits import confidence_logits, \
         gumbel_softmax_st, inv_temperature
 
+    def mean(H):
+        return segment_sum_loop(H, [0, len(H)]) / len(H)
+
     cfg, p = model.cfg, model.params
     states, pooled, logits, layers, times = [], [], [], [], []
     with ad.no_grad():
@@ -272,12 +294,12 @@ def graph_set_forward_per_graph(model, graphs, mode="eval_argmax", noise=None):
             H = encode(ad.constant(g.X), p)
             if cfg.model != "eegnn":
                 H = propagate(H, ops, p, cfg.model, cfg.depth)[-1]
-                pool = H.value.mean(axis=0, keepdims=True)
+                pool = mean(H.value)
             else:
                 et = edge_term(ops.be, p)
                 layer, t = cfg.depth, 0.0
                 for l in range(cfg.depth):
-                    pool = H.value.mean(axis=0, keepdims=True)
+                    pool = mean(H.value)
                     row = ad.constant(pool)
                     smp = None
                     if mode == "train_sample":
@@ -293,7 +315,7 @@ def graph_set_forward_per_graph(model, graphs, mode="eval_argmax", noise=None):
                     H = sas_step(H, ops.a, p, tau=ad.constant(np.full((g.n, 1), tau)),
                                  edge_term=et)
                 else:
-                    pool = H.value.mean(axis=0, keepdims=True)
+                    pool = mean(H.value)
                 layers.append(layer)
                 times.append(t)
             states.append(H.value)

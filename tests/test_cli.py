@@ -403,6 +403,37 @@ def test_evaluate_rejects_data_that_does_not_fit_the_checkpoint(tmp_path, capsys
     assert not (tmp_path / "eval").exists()
 
 
+@pytest.mark.parametrize("graph_set", [False, True])
+def test_a_data_file_with_an_isolated_node_exits_1(tmp_path, capsys, graph_set):
+    # found on reading, before anything is trained or written, as generate
+    # refuses such a graph
+    if graph_set:
+        cfg = write_cfg(tmp_path, dict(TRAIN_CFG, task="graph_reg", loss="mse",
+                                       metric="mae", epochs=1), name="gs.json")
+        data = graph_set_file(tmp_path)
+
+        def edit(doc):
+            member = doc["graphs"][1]
+            member["edges"] = [e for e in member["edges"] if 0 not in e]
+        shown = "graph 1: isolated node 0 "
+    else:
+        cfg = write_cfg(tmp_path, dict(TRAIN_CFG, epochs=1), name="t.json")
+        data = str(gen_sbm_data(tmp_path, seed=12))
+
+        def edit(doc):
+            doc["edges"] = []
+        shown = ": isolated node 0 "
+    assert run(["train", "--config", cfg, "--data", data,
+                "--out", str(tmp_path / "run")]) == 0
+    bad = edited_graph(tmp_path, data, edit)
+    for argv in (["train", "--config", cfg],
+                 ["evaluate", "--checkpoint", str(tmp_path / "run" / "checkpoint.json")]):
+        out = tmp_path / f"{argv[0]}-out"
+        assert run(argv + ["--data", bad, "--out", str(out)]) == 1
+        assert shown in capsys.readouterr().err
+        assert not out.exists()
+
+
 def edge_checkpoint(tmp_path):
     """A graph with two edge features per arc, and the checkpoint of a sas
     model with a linear edge term trained on it."""

@@ -265,13 +265,13 @@ def test_sensitivity_matches_fd_jacobian():
 
 
 def _sens_graph(name):
-    if name == "grid":      # degrees 3 to 8: every row on the jagged diagonals
+    if name == "grid":      # degrees 3 to 8
         g = gen_minesweeper_grid(3, 4, 0.3, seed=1)
         # its one-hot counts leave a fresh sas cell with no influence at all
         g.X = np.random.default_rng(1).normal(size=g.X.shape)
         return g
     hub = connected_sbm(20, sizes=(8, 8), p_in=0.9, p_out=0.3)
-    assert degrees(hub).max() >= 9 and degrees(hub).min() <= 8   # reduceat rows too
+    assert degrees(hub).max() >= 9 and degrees(hub).min() <= 8
     if name == "hub":
         return hub
     rng = np.random.default_rng(21)

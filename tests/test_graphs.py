@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
+from eegnn import autodiff as ad
 from eegnn.graphs import (ArcMatrix, Graph, arc_list, arc_rows, canonicalize,
                           degrees, edge_homophily, gen_minesweeper_grid,
                           gen_sbm, incidence_aggregate, make_graph, mean_adj,
@@ -116,17 +117,12 @@ def test_spmm_matches_dense_oracle():
         assert np.abs(spmm(norm_adj(g), H) - dense @ H).max() <= 1e-12
 
 
-def reduceat_spmm(a, H, transpose=False):
-    """The CSR kernel spmm replaced, frozen here as its bit-level reference:
-    one np.add.reduceat over every non-empty row's arcs in CSR order."""
-    H = np.asarray(H)
+def rule_spmm(a, H, transpose=False):
+    """spmm's bit-level reference: every row's products values[k] * H[v]
+    summed by oracles.segment_sum_loop, one row at a time."""
     vals = a.values_t if transpose else a.values
-    contrib = vals[:, None] * H[a.col_indices]
-    out = np.zeros((a.n, H.shape[1]))
-    nz = np.flatnonzero(np.diff(a.row_offsets) > 0)
-    if nz.size:
-        out[nz] = np.add.reduceat(contrib, a.row_offsets[nz], axis=0)
-    return out
+    return oracles.segment_sum_loop(vals[:, None] * np.asarray(H)[a.col_indices],
+                                    a.row_offsets)
 
 
 def hard_input(rng, n, width):
@@ -137,54 +133,78 @@ def hard_input(rng, n, width):
     return H
 
 
+def assert_bits_equal(got, want, *context):
+    # int64 views compare bits, so -0.0 and +0.0 differ
+    assert got.shape == want.shape, context
+    assert np.array_equal(got.view(np.int64), want.view(np.int64)), context
+
+
 def assert_spmm_bits_match(a, seed=0):
     rng = np.random.default_rng(seed)
     for width in (1, 2, 16, 32):
         for H in (hard_input(rng, a.n, width), rng.normal(size=(a.n, width))):
             for transpose in (False, True):
-                got = spmm(a, H, transpose=transpose)
-                want = reduceat_spmm(a, H, transpose=transpose)
-                # int64 views compare bits, so -0.0 and +0.0 differ
-                assert np.array_equal(got.view(np.int64), want.view(np.int64)), \
-                    (width, transpose)
+                assert_bits_equal(spmm(a, H, transpose=transpose),
+                                  rule_spmm(a, H, transpose=transpose),
+                                  width, transpose)
 
 
 def test_spmm_bits_match_reduceat_on_grid():
-    a = norm_adj(gen_minesweeper_grid(30, 30, 0.2, seed=0))
-    assert a.high_rows.size == 0          # degrees 3, 5 and 8: all swept
-    assert_spmm_bits_match(a)
+    assert_spmm_bits_match(norm_adj(gen_minesweeper_grid(30, 30, 0.2, seed=0)))
 
 
 def test_spmm_bits_match_reduceat_on_dense_sbm():
     g = gen_sbm((15, 15), 0.75, 0.25, seed=12)
     d = degrees(g)
-    assert d.min() >= 10 and d.max() <= 19   # every row takes reduceat
+    assert d.min() >= 10 and d.max() <= 19
     assert_spmm_bits_match(norm_adj(g), seed=1)
     assert_spmm_bits_match(mean_adj(g), seed=2)
 
 
-def test_spmm_bits_match_reduceat_at_degrees_8_and_9():
-    # hub 0 has degree 8, hub 9 degree 9; each hub's leaves form a path
+def hub_edges():
+    """Hub 0 of degree 8, hub 9 of degree 9 and hub 19 of degree 64 over
+    nodes 0..83; each hub's leaves form a path."""
     edges = [(0, v) for v in range(1, 9)] + [(9, v) for v in range(10, 19)]
-    edges += [(v, v + 1) for v in (*range(1, 8), *range(10, 18))]
-    g = canonicalize(edges, 19)
+    edges += [(19, v) for v in range(20, 84)]
+    return edges + [(v, v + 1) for v in (*range(1, 8), *range(10, 18), *range(20, 83))]
+
+
+def test_spmm_bits_match_reduceat_at_degrees_8_and_9():
+    g = canonicalize(hub_edges(), 84)
     d = degrees(g)
-    assert d[0] == 8 and d[9] == 9
-    a = mean_adj(g)
-    assert a.high_rows.tolist() == [9]
+    assert d[0] == 8 and d[9] == 9 and d[19] == 64
     assert_spmm_bits_match(norm_adj(g), seed=3)
-    assert_spmm_bits_match(a, seed=4)
+    assert_spmm_bits_match(mean_adj(g), seed=4)
 
 
 def test_spmm_bits_match_reduceat_with_empty_rows():
     rng = np.random.default_rng(5)
-    # rows 1, 3 and 6 have no arcs; row 5 has ten
-    row_offsets = np.array([0, 2, 2, 5, 5, 6, 16, 16, 19])
-    cols = np.concatenate([[1, 4], [0, 2, 7], [3], np.arange(10) % 8, [0, 4, 5]])
-    a = ArcMatrix(n=8, row_offsets=row_offsets, col_indices=cols,
-                  values=rng.normal(size=19), values_t=rng.normal(size=19))
+    # rows 1, 3 and 6 have no arcs; row 5 has ten and row 8 seventy
+    row_offsets = np.array([0, 2, 2, 5, 5, 6, 16, 16, 19, 89])
+    cols = np.concatenate([[1, 4], [0, 2, 7], [3], np.arange(10) % 9, [0, 4, 5],
+                           rng.integers(0, 9, size=70)])
+    a = ArcMatrix(n=9, row_offsets=row_offsets, col_indices=cols,
+                  values=rng.normal(size=89), values_t=rng.normal(size=89))
     assert_spmm_bits_match(a, seed=6)
-    assert not spmm(a, np.ones((8, 3)))[[1, 3, 6]].any()
+    assert not spmm(a, np.ones((9, 3)))[[1, 3, 6]].any()
+
+
+def test_segment_mean_and_incidence_bits_match_the_rule():
+    rng = np.random.default_rng(7)
+    sizes = [1, 2, 3, 9, 70, 5]             # one segment per length class, and a hub
+    offsets = np.concatenate([[0], np.cumsum(sizes)])
+    seg = np.repeat(np.arange(len(sizes)), sizes)
+    for width in (1, 2, 16):
+        for H in (hard_input(rng, offsets[-1], width),
+                  rng.normal(size=(offsets[-1], width))):
+            got = ad.segment_mean(ad.constant(H), seg).value
+            want = oracles.segment_sum_loop(H, offsets) / np.array(sizes)[:, None]
+            assert_bits_equal(got, want, width)
+    g = canonicalize(hub_edges(), 90)       # nodes 84..89 have no arc
+    for width in (1, 2, 16):
+        E = hard_input(rng, g.n_arcs, width)
+        assert_bits_equal(incidence_aggregate(g, E),
+                          oracles.segment_sum_loop(E, g.row_offsets), width)
 
 
 def test_mean_adj_transpose_uses_transposed_values():
