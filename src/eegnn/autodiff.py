@@ -19,11 +19,11 @@ over one tape, as in diagnostics.sensitivity, traverse it once.
 What a rule skips and what it keeps. The product rules (matmul_add,
 act_update, dspmm with W, add_scaled_rows) write nothing into a parent that
 does not require a gradient, so a constant's .grad stays unallocated and a
-tape built on constant weights sweeps only its state path. act_update keeps
-its two activation derivatives from its second run on, because every later
-sweep of the same tape would recompute them from the forward alone; its
-first run keeps nothing, so a one-shot training sweep holds no more memory
-than a rule that never keeps. Every other rule keeps nothing between runs.
+tape built on constant weights sweeps only its state path. act_update and
+activation_apply keep their activation derivatives from their second run on,
+as every later sweep of the same tape would recompute them from the forward
+alone; the first run keeps nothing, so a one-shot training sweep holds no
+more memory than a rule that never keeps. Other rules keep nothing.
 
 Two ways to hold less of a tape. Inside `with no_grad():` ops build nodes
 with no parents and no backward rule, so every intermediate of an eval
@@ -243,9 +243,14 @@ def activation_apply(X: DiffValue, kind: str) -> DiffValue:
     if kind not in ACTIVATION_KINDS:
         raise ValueError(f"unknown activation '{kind}', expected one of {ACTIVATION_KINDS}")
     x = X.value
+    kept, ran = None, False     # the derivative, kept from the second run on
 
     def rule(G):
-        X.grad += G * _act_derivative(x, kind)
+        nonlocal kept, ran
+        if ran and kept is None:
+            kept = _act_derivative(x, kind)
+        ran = True
+        X.grad += G * (_act_derivative(x, kind) if kept is None else kept)
 
     return _node(_act_forward(x, kind), (X,), rule)
 
@@ -498,26 +503,21 @@ def sum_all(A: DiffValue) -> DiffValue:
     return _node(np.array([[A.value.sum()]]), (A,), rule)
 
 
-def dspmm(a, H: DiffValue, product=None, W: DiffValue | None = None) -> DiffValue:
+def dspmm(a, H: DiffValue, W: DiffValue | None = None) -> DiffValue:
     """Sparse arc-matrix times DiffValue, a @ H, or a @ (H @ W) when W is
     given; the arc values are constants.
 
-    product, when given, is spmm(a, H.value) computed already, so several
-    nodes can carry one product; each still runs its own transposed backward.
-    With W the dense product H @ W is not kept: values and gradients are bit
-    for bit those of dspmm(a, matmul_add(H, W)), and the tape is that pair's
-    with the inner node left out, so backward visits every other node in the
-    same order.
+    Backward runs one transposed product per node on its readers' summed
+    gradient, so readers of one a @ H (both exit heads) share one node. With
+    W, H @ W is not kept: values and gradients are bit for bit those of
+    dspmm(a, matmul_add(H, W)), and the tape is that pair's without the
+    inner node, so backward visits every other node in the same order.
     """
     if W is None:
-        val = _spmm_value(a, H.value) if product is None else product
-
         def rule(G):
             H.grad += _spmm_value(a, G, transpose=True)
 
-        return _node(val, (H,), rule)
-    if product is not None:
-        raise ValueError("product is spmm(a, H); it cannot be given with W")
+        return _node(_spmm_value(a, H.value), (H,), rule)
     if H.shape[1] != W.shape[0]:
         raise ValueError(f"inner dims disagree: {H.shape} @ {W.shape}")
 

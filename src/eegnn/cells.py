@@ -6,10 +6,10 @@ The main cell is a residual Euler step
 
 where Oas = Omega - Omega^T is exactly antisymmetric, Ws = (W + W^T)/2 is
 exactly symmetric, and tau is either a scalar step size or a per-node column
-of step sizes in [0, 1]. The same raw matrices are reused at every layer, so
-depth does not add parameters. Baseline cells (gcn, graff, adgn) share the
-encoder/decoder plumbing but use their own update rules; gcn keeps one weight
-matrix per layer and no residual.
+of step sizes in [0, 1]. Every layer reads the same raw matrices, so depth
+does not add parameters, and one Oas and one Ws per forward (cell_weights).
+Baseline cells (gcn, graff, adgn) share the encoder/decoder plumbing but use
+their own update rules; gcn keeps one weight matrix per layer and no residual.
 
 Every forward pass reads its graph through one Operators bundle, and every
 fixed-depth stack runs through propagate; only the adaptive exit loop in
@@ -32,6 +32,7 @@ __all__ = [
     "Operators",
     "build_operators",
     "propagate",
+    "cell_weights",
     "antisymmetrize",
     "symmetrize",
     "sas_step",
@@ -136,9 +137,9 @@ class Operators:
 
 
 def build_operators(g: Graph, params: CellParams, heads=None,
-                    seg=None) -> Operators:
+                    seg: Segments | None = None) -> Operators:
     """The operator bundle of graph g for a cell and its optional exit heads;
-    seg is the member index of each node of a graph-set union.
+    seg holds the member graphs' nodes of a graph-set union.
 
     Build it once per graph and pass it down: nothing here depends on the
     trainable values, only on g and on the cell's edge mode and head kind.
@@ -154,8 +155,7 @@ def build_operators(g: Graph, params: CellParams, heads=None,
         if g.E_feat is None:
             raise ValueError(f"edge_mode {params.edge_mode!r} needs edge features")
         be = ad.constant(incidence_aggregate(g, g.E_feat, a.segments))
-    return Operators(X=g.X, a=a, ma=ma, be=be,
-                     seg=None if seg is None else Segments.from_ids(seg))
+    return Operators(X=g.X, a=a, ma=ma, be=be, seg=seg)
 
 
 def antisymmetrize(omega_raw: DiffValue) -> DiffValue:
@@ -170,6 +170,18 @@ def symmetrize(w_raw: DiffValue) -> DiffValue:
     if w_raw.shape[0] != w_raw.shape[1]:
         raise ValueError(f"expected a square matrix, got {w_raw.shape}")
     return ad.smul(ad.add(w_raw, ad.transpose(w_raw)), 0.5)
+
+
+def cell_weights(p: CellParams, kind: str) -> tuple[DiffValue, DiffValue] | None:
+    """The (coupling, diffusion) pair each step of a kind reads, built once per
+    forward: (Omega - Omega^T, (W + W^T)/2) for sas and eegnn, both matrices
+    symmetrized for graff, (Omega - Omega^T, W) for adgn; None for gcn."""
+    if kind == "gcn":
+        return None
+    if p.omega_raw is None or p.w_raw is None:
+        raise ValueError(f"{kind} step requires omega_raw and w_raw")
+    coupling = (symmetrize if kind == "graff" else antisymmetrize)(p.omega_raw)
+    return coupling, p.w_raw if kind == "adgn" else symmetrize(p.w_raw)
 
 
 def edge_term(be: DiffValue | None, p: CellParams) -> DiffValue | None:
@@ -206,26 +218,23 @@ def _tau_column(tau, n: int, default: float) -> DiffValue:
     return ad.constant(np.full((n, 1), t))
 
 
-def sas_step(H: DiffValue, a, p: CellParams, tau=None,
+def sas_step(H: DiffValue, a, p: CellParams, weights, tau=None,
              edge_term: DiffValue | None = None) -> DiffValue:
-    """One Euler step of the antisymmetric/symmetric cell.
+    """One Euler step of the antisymmetric/symmetric cell; weights is
+    cell_weights(p, "sas"), built once per forward.
 
     tau may be a scalar, an n x 1 array, or an n x 1 DiffValue (the adaptive
     per-node step). Rows with tau == 0 come back bit-identical to their input,
     not merely numerically close.
     """
-    if p.omega_raw is None or p.w_raw is None:
-        raise ValueError("sas_step requires omega_raw and w_raw")
-    if H.shape[1] != p.omega_raw.shape[0]:
-        raise ValueError(
-            f"feature width {H.shape[1]} does not match cell width {p.omega_raw.shape[0]}")
+    oas, ws = weights
+    if H.shape[1] != oas.shape[0]:
+        raise ValueError(f"feature width {H.shape[1]} does not match cell width {oas.shape[0]}")
     if p.edge_mode == "zero":
         if edge_term is not None:
             raise ValueError("edge_term supplied but edge_mode is zero")
     elif edge_term is None:
         raise ValueError(f"edge_mode {p.edge_mode!r} requires an edge_term")
-    oas = antisymmetrize(p.omega_raw)
-    ws = symmetrize(p.w_raw)
     # sigma1(-sigma2(H Oas) [+ edge term] + A H Ws)
     terms = (ad.dspmm(a, H, W=ws),)
     if edge_term is not None:
@@ -235,9 +244,9 @@ def sas_step(H: DiffValue, a, p: CellParams, tau=None,
     return ad.add_scaled_rows(H, upd, tcol)
 
 
-def baseline_step(H: DiffValue, a, p: CellParams, kind: str,
+def baseline_step(H: DiffValue, a, p: CellParams, kind: str, weights,
                   layer: int = 0) -> DiffValue:
-    """One layer of a reference cell.
+    """One layer of a reference cell; weights is cell_weights(p, kind).
 
     gcn: sigma(Anorm @ H @ W_layer), independent weights per layer, no
     residual. graff: residual Euler step with both matrices symmetrized.
@@ -248,17 +257,15 @@ def baseline_step(H: DiffValue, a, p: CellParams, kind: str,
         if not 0 <= layer < len(p.gcn_ws):
             raise ValueError(f"no gcn weight for layer {layer}")
         return ad.activation_apply(ad.dspmm(a, H, W=p.gcn_ws[layer]), p.sigma1)
-    if p.omega_raw is None or p.w_raw is None:
-        raise ValueError(f"{kind} step requires omega_raw and w_raw")
+    coupling, diffusion = weights
     if kind == "graff":
-        inner = ad.add(ad.matmul_add(H, symmetrize(p.omega_raw)),
-                       ad.dspmm(a, H, W=symmetrize(p.w_raw)))
+        inner = ad.add(ad.matmul_add(H, coupling), ad.dspmm(a, H, W=diffusion))
         return ad.add(H, ad.smul(ad.activation_apply(inner, p.sigma1), p.tau))
     if kind == "adgn":
         if p.adgn_b is None:
             raise ValueError("adgn step requires adgn_b")
-        inner = ad.matmul_add(H, antisymmetrize(p.omega_raw), p.adgn_b)
-        inner = ad.add(inner, ad.dspmm(a, H, W=p.w_raw))
+        inner = ad.matmul_add(H, coupling, p.adgn_b)
+        inner = ad.add(inner, ad.dspmm(a, H, W=diffusion))
         return ad.add(H, ad.smul(ad.activation_apply(inner, "tanh"), p.tau))
     raise ValueError(f"unknown baseline kind {kind!r}")
 
@@ -273,13 +280,14 @@ def propagate(H: DiffValue, ops: Operators, params: CellParams, kind: str,
     kind runs its own loop, exits.eegnn_forward_node.
     """
     states = [H]
+    weights = cell_weights(params, kind)
     if kind == "sas":
         et = edge_term(ops.be, params)
         for _ in range(depth):
-            states.append(sas_step(states[-1], ops.a, params, tau=tau, edge_term=et))
+            states.append(sas_step(states[-1], ops.a, params, weights, tau=tau, edge_term=et))
     else:
         for l in range(depth):
-            states.append(baseline_step(states[-1], ops.a, params, kind, layer=l))
+            states.append(baseline_step(states[-1], ops.a, params, kind, weights, layer=l))
     return states
 
 

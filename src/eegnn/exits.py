@@ -33,9 +33,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import DiffValue
-from .cells import (CellParams, Operators, _check_leaf_names, _glorot, edge_term,
-                    encode, sas_step)
-from .graphs import spmm
+from .cells import (CellParams, Operators, _check_leaf_names, _glorot, cell_weights,
+                    edge_term, encode, sas_step)
 
 __all__ = [
     "ExitState",
@@ -150,7 +149,7 @@ def make_exit_heads(rng: np.random.Generator, kind: str, in_dim: int,
                      fnu_layers=fnu_layers, fnu_out=fnu_out, nu0=nu0)
 
 
-def _backbone_forward(H: DiffValue, layers, out_pair, ma, agg=None) -> DiffValue:
+def _backbone_forward(H: DiffValue, layers, out_pair, ma, mh) -> DiffValue:
     cur = H
     for i, (w_agg, w, b) in enumerate(layers):
         if i:                       # the last layer's relu is fused into the readout
@@ -161,28 +160,23 @@ def _backbone_forward(H: DiffValue, layers, out_pair, ma, agg=None) -> DiffValue
                 raise ValueError("mean_gnn heads need the mean-adjacency operator")
             # (M cur) w_agg + (cur w + b): the self term rides in as matmul_add's
             # addend, one node fewer than an add of two products, same sums
-            mixed = ad.matmul_add(ad.dspmm(ma, cur, agg), w_agg, mixed)
-            agg = None              # agg is H's product; deeper layers make their own
+            agg = mh if i == 0 and mh is not None else ad.dspmm(ma, cur)
+            mixed = ad.matmul_add(agg, w_agg, mixed)
     return ad.act_matmul_add(mixed, "relu", out_pair[0], out_pair[1])
 
 
-def confidence_logits(H: DiffValue, heads: ExitHeads, ma=None,
-                      agg=None) -> DiffValue:
-    """Two-way continue/exit logits per agent row.
-
-    agg, when given, is spmm(ma, H.value) computed already; both heads read it
-    in their first mean_gnn layer.
-    """
-    return _backbone_forward(H, heads.fc_layers, heads.fc_out, ma, agg)
+def confidence_logits(H: DiffValue, heads: ExitHeads, ma=None, mh=None) -> DiffValue:
+    """Two-way continue/exit logits per agent row. mh, when given, is the
+    node ad.dspmm(ma, H), which both heads' first mean_gnn layer then read:
+    one transposed product in backward for the two. Deeper layers make their
+    own."""
+    return _backbone_forward(H, heads.fc_layers, heads.fc_out, ma, mh)
 
 
-def inv_temperature(H: DiffValue, heads: ExitHeads, ma=None, agg=None) -> DiffValue:
+def inv_temperature(H: DiffValue, heads: ExitHeads, ma=None, mh=None) -> DiffValue:
     """Per-agent inverse temperature softplus(f_nu(H)) + heads.nu0; always
-    >= nu0.
-
-    agg is as in confidence_logits.
-    """
-    raw = _backbone_forward(H, heads.fnu_layers, heads.fnu_out, ma, agg)
+    >= nu0. mh is as in confidence_logits."""
+    raw = _backbone_forward(H, heads.fnu_layers, heads.fnu_out, ma, mh)
     return ad.add_scalar(ad.activation_apply(raw, "softplus"), heads.nu0)
 
 
@@ -254,9 +248,8 @@ def eegnn_forward_node(ops: Operators, params: CellParams, heads: ExitHeads,
     if seg is not None:
         if heads.kind != "mlp":
             raise ValueError("graph-level exits use mlp heads on pooled features")
-        sizes = np.diff(seg.offsets)
-        members = np.repeat(np.arange(sizes.size), sizes)     # each node's graph
-    et = edge_term(ops.be, params)
+        members = np.repeat(np.arange(seg.offsets.size - 1), np.diff(seg.offsets))
+    et, weights = edge_term(ops.be, params), cell_weights(params, "eegnn")
     H = encode(ad.constant(ops.X), params)
     if capture is not None:
         capture.append(H.value.copy())
@@ -272,9 +265,9 @@ def eegnn_forward_node(ops: Operators, params: CellParams, heads: ExitHeads,
     exit_time = np.zeros(n)
     records = []
     for l in range(L):
-        agg = None if ops.ma is None else spmm(ops.ma, H.value)
-        logits = confidence_logits(agents, heads, ops.ma, agg)
-        inv_nu = inv_temperature(agents, heads, ops.ma, agg=agg)
+        mh = None if ops.ma is None else ad.dspmm(ops.ma, H)
+        logits = confidence_logits(agents, heads, ops.ma, mh)
+        inv_nu = inv_temperature(agents, heads, ops.ma, mh)
         smp = noise[l] if mode == "train_sample" else None
         c_soft, hard = gumbel_softmax_st(logits, inv_nu, smp, mode)
         tau_col = ad.col_slice(c_soft, 0)
@@ -291,7 +284,7 @@ def eegnn_forward_node(ops: Operators, params: CellParams, heads: ExitHeads,
         if capture is None and exited.all():
             break
         step = tau_col if seg is None else ad.gather_rows(tau_col, members)
-        H = sas_step(H, ops.a, params, tau=step, edge_term=et)
+        H = sas_step(H, ops.a, params, weights, tau=step, edge_term=et)
         agents = H if seg is None else ad.segment_mean(H, seg)
         if capture is not None:
             capture.append(H.value.copy())

@@ -24,7 +24,7 @@ from .cells import (CellParams, EDGE_KINDS, EDGE_MODES, MODEL_KINDS, TASKS,
                     propagate)
 from .exits import (ExitHeads, ExitState, eegnn_forward_node, exit_distribution,
                     make_exit_heads)
-from .graphs import Graph, degrees, disjoint_union, load_graph_fields
+from .graphs import Graph, Segments, degrees, disjoint_union, load_graph_fields
 
 __all__ = [
     "ConfigError",
@@ -512,9 +512,8 @@ def operators_for(model: Model, data) -> Operators:
     if not isinstance(data, GraphSet):
         return build_operators(data, model.params, model.heads)
     _reject_isolated_nodes(data)
-    seg = np.repeat(np.arange(len(data.graphs)), [g.n for g in data.graphs])
-    return build_operators(disjoint_union(data.graphs), model.params, model.heads,
-                           seg=seg)
+    seg = Segments.from_offsets(np.cumsum([0] + [g.n for g in data.graphs]))
+    return build_operators(disjoint_union(data.graphs), model.params, model.heads, seg)
 
 
 def forward_node(model: Model, ops: Operators, mode: str = "eval_argmax",

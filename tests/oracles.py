@@ -162,16 +162,6 @@ def energy_loop(H, W_s, arcs, deg):
     return total
 
 
-def mean_pool_loop(H, mask=None):
-    """Row mean by explicit accumulation."""
-    H = np.asarray(H, dtype=float)
-    idx = [i for i in range(H.shape[0]) if mask is None or mask[i]]
-    acc = np.zeros(H.shape[1])
-    for i in idx:
-        acc = acc + H[i]
-    return acc / len(idx)
-
-
 # -------------------------------------------------------- numerical oracles
 
 def fd_gradient(f, x, h=1e-5):
@@ -278,8 +268,8 @@ def graph_set_forward_per_graph(model, graphs, mode="eval_argmax", noise=None):
     None for fixed-depth kinds. Forward only: nothing is taped.
     """
     from eegnn import autodiff as ad
-    from eegnn.cells import build_operators, edge_term, encode, propagate, \
-        sas_step
+    from eegnn.cells import build_operators, cell_weights, edge_term, encode, \
+        propagate, sas_step
     from eegnn.exits import confidence_logits, \
         gumbel_softmax_st, inv_temperature
 
@@ -296,7 +286,7 @@ def graph_set_forward_per_graph(model, graphs, mode="eval_argmax", noise=None):
                 H = propagate(H, ops, p, cfg.model, cfg.depth)[-1]
                 pool = mean(H.value)
             else:
-                et = edge_term(ops.be, p)
+                et, w = edge_term(ops.be, p), cell_weights(p, "eegnn")
                 layer, t = cfg.depth, 0.0
                 for l in range(cfg.depth):
                     pool = mean(H.value)
@@ -312,7 +302,7 @@ def graph_set_forward_per_graph(model, graphs, mode="eval_argmax", noise=None):
                         layer = l
                         break
                     t += float(tau)
-                    H = sas_step(H, ops.a, p, tau=ad.constant(np.full((g.n, 1), tau)),
+                    H = sas_step(H, ops.a, p, w, tau=ad.constant(np.full((g.n, 1), tau)),
                                  edge_term=et)
                 else:
                     pool = mean(H.value)

@@ -14,7 +14,7 @@ import pytest
 
 import oracles
 from eegnn import autodiff as ad
-from eegnn.cells import make_cell_params, param_count, sas_step
+from eegnn.cells import cell_weights, make_cell_params, param_count, sas_step
 from eegnn.cli import main as cli_main
 from eegnn.diagnostics import (descent_suite, dirichlet_traces,
                                oracle_exit_eval, spectrum_suite)
@@ -167,7 +167,7 @@ def test_criterion_07_early_exit_semantics():
     tau = rng.uniform(0.2, 1.0, size=(g.n, 1))
     frozen_rows = [0, 3, 4, 11]
     tau[frozen_rows, 0] = 0.0
-    out = sas_step(H, norm_adj(g), params, tau=tau).value
+    out = sas_step(H, norm_adj(g), params, cell_weights(params, "sas"), tau=tau).value
     for i in frozen_rows:
         assert np.array_equal(out[i], H.value[i])
 

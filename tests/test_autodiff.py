@@ -9,6 +9,7 @@ import pytest
 
 import oracles
 from eegnn import autodiff as ad
+from eegnn.cells import Operators, make_cell_params, propagate
 from eegnn.graphs import arc_list, canonicalize, degrees, norm_adj
 
 
@@ -610,8 +611,6 @@ def test_fused_ops_reject_bad_shapes_and_kinds():
     with pytest.raises(ValueError):
         ad.dspmm(a, H, W=ad.leaf(np.ones((3, 4))))
     with pytest.raises(ValueError):
-        ad.dspmm(a, H, product=np.zeros((7, 4)), W=W)
-    with pytest.raises(ValueError):
         ad.act_update(H, W, [ad.leaf(np.ones((7, 3)))], "relu", "tanh")
     with pytest.raises(ValueError):
         ad.act_update(H, W, [E], "relu", "gelu")
@@ -670,6 +669,53 @@ def test_release_sweep_keeps_no_cached_factor(monkeypatch):
         out, _ = _update_tape(1, "tanh", "softplus", False)
         ad.backward(out, seed=seed, release=True)           # one-shot sweep
         assert made and all(r() is None for r in made)
+    finally:
+        gc.enable()
+
+
+def _baseline_tape(kind, act):
+    a, H, _, _, _ = _fused_inputs(7, 13, 6)
+    p = make_cell_params(np.random.default_rng(7), kind, 6, 6, 2, depth=2, sigma1=act,
+                         tau=0.5)
+    out = propagate(H, Operators(X=H.value, a=a), p, kind, 2)[-1]
+    return out, [H] + [leaf for _, leaf in p.parameters()]
+
+
+@pytest.mark.parametrize("kind", ["gcn", "graff", "adgn"])
+def test_activation_apply_resweeps_equal_fresh_tapes_bit_for_bit(kind):
+    seeds = np.random.default_rng(12).normal(size=(3, 13, 6))
+    for act in ad.ACTIVATION_KINDS:
+        out, leaves = _baseline_tape(kind, act)
+        again = [_seeded_sweep(out, leaves, s) for s in seeds]
+        fresh = [_seeded_sweep(*_baseline_tape(kind, act), s) for s in seeds]
+        for got, want in zip(again, fresh):
+            assert _bits_equal(got, want), (kind, act)
+
+
+def test_activation_apply_release_sweep_keeps_no_derivative(monkeypatch):
+    made = []
+    original = ad._act_derivative
+
+    def tracked(x, kind):
+        d = original(x, kind)
+        made.append(weakref.ref(d))
+        return d
+
+    monkeypatch.setattr(ad, "_act_derivative", tracked)
+    _, H, _, _, _ = _fused_inputs(2, 13, 6)
+    seed = np.ones((13, 6))
+    gc.disable()
+    try:
+        out = ad.activation_apply(H, "tanh")
+        ad.backward(out, seed=seed)
+        assert made and all(r() is None for r in made)    # first run keeps none
+        ad.backward(out, seed=seed)
+        assert sum(r() is not None for r in made) == 1    # the second keeps it
+        ad.backward(out, seed=seed, release=True)
+        assert all(r() is None for r in made)
+        made.clear()
+        ad.backward(ad.activation_apply(H, "softplus"), seed=seed, release=True)
+        assert made and all(r() is None for r in made)    # one-shot sweep
     finally:
         gc.enable()
 

@@ -5,8 +5,8 @@ import pytest
 
 import oracles
 from eegnn import autodiff as ad
-from eegnn.cells import (CellParams, antisymmetrize, baseline_step, decode,
-                         encode, make_cell_params, param_count, sas_step,
+from eegnn.cells import (CellParams, antisymmetrize, baseline_step, cell_weights,
+                         decode, encode, make_cell_params, param_count, sas_step,
                          symmetrize)
 from eegnn.graphs import canonicalize, gen_sbm, norm_adj, spmm
 
@@ -102,7 +102,7 @@ def test_sas_step_zero_tau_is_identity():
     g = small_graph()
     p = basic_params(rng, 4)
     H = ad.constant(rng.normal(size=(10, 4)))
-    out = sas_step(H, norm_adj(g), p, tau=np.zeros((10, 1)))
+    out = sas_step(H, norm_adj(g), p, cell_weights(p, "sas"), tau=np.zeros((10, 1)))
     assert np.array_equal(out.value, H.value)
 
 
@@ -114,7 +114,7 @@ def test_sas_step_zero_tau_rows_bit_exact():
     H = ad.constant(rng.normal(size=(10, 4)))
     tau = rng.uniform(0.2, 1.0, size=(10, 1))
     tau[[1, 5, 7], 0] = 0.0
-    out = sas_step(H, norm_adj(g), p, tau=tau).value
+    out = sas_step(H, norm_adj(g), p, cell_weights(p, "sas"), tau=tau).value
     for i in (1, 5, 7):
         assert np.array_equal(out[i], H.value[i])
     assert not np.array_equal(out, H.value)   # the step as a whole moved
@@ -124,7 +124,8 @@ def test_sas_step_origin_fixed_point():
     rng = np.random.default_rng(5)
     g = small_graph()
     p = basic_params(rng, 4)
-    out = sas_step(ad.constant(np.zeros((10, 4))), norm_adj(g), p, tau=0.5)
+    out = sas_step(ad.constant(np.zeros((10, 4))), norm_adj(g), p, cell_weights(p, "sas"),
+                   tau=0.5)
     assert not out.value.any()
 
 
@@ -133,10 +134,11 @@ def test_sas_step_rejects_bad_per_node_tau():
     g = small_graph()
     p = basic_params(rng, 4)
     H = ad.constant(np.zeros((10, 4)))
+    w = cell_weights(p, "sas")
     with pytest.raises(ValueError):
-        sas_step(H, norm_adj(g), p, tau=np.full((10, 1), 1.5))
+        sas_step(H, norm_adj(g), p, w, tau=np.full((10, 1), 1.5))
     with pytest.raises(ValueError):
-        sas_step(H, norm_adj(g), p, tau=np.full((10, 1), -0.1))
+        sas_step(H, norm_adj(g), p, w, tau=np.full((10, 1), -0.1))
 
 
 def test_sas_step_rejects_shape_mismatch():
@@ -144,7 +146,7 @@ def test_sas_step_rejects_shape_mismatch():
     g = small_graph()
     p = basic_params(rng, 4)
     with pytest.raises(ValueError):
-        sas_step(ad.constant(np.zeros((9, 4))), norm_adj(g), p)
+        sas_step(ad.constant(np.zeros((9, 4))), norm_adj(g), p, cell_weights(p, "sas"))
 
 
 def test_sas_step_per_node_tau_matches_scalar_rowwise():
@@ -153,10 +155,11 @@ def test_sas_step_per_node_tau_matches_scalar_rowwise():
     p = basic_params(rng, 4)
     H = ad.constant(rng.normal(size=(10, 4)))
     a = norm_adj(g)
-    full = sas_step(H, a, p, tau=0.3).value
+    w = cell_weights(p, "sas")
+    full = sas_step(H, a, p, w, tau=0.3).value
     tau = np.full((10, 1), 0.7)
     tau[2, 0] = 0.3
-    mixed = sas_step(H, a, p, tau=tau).value
+    mixed = sas_step(H, a, p, w, tau=tau).value
     assert np.array_equal(mixed[2], full[2])
 
 
@@ -168,9 +171,9 @@ def test_sas_step_three_layer_gradients_match_fd():
     X = ad.constant(rng.normal(size=(10, 4)))
 
     def loss():
-        H = X
+        H, w = X, cell_weights(p, "sas")
         for _ in range(3):
-            H = sas_step(H, a, p, tau=0.1)
+            H = sas_step(H, a, p, w, tau=0.1)
         return ad.sum_all(ad.mul(H, ad.mul(H, H)))
 
     assert ad.fd_check(loss, [p.omega_raw, p.w_raw]) <= 1e-4
@@ -185,7 +188,7 @@ def test_graff_closed_form():
     p.omega_raw.value[...] = 0.0
     p.w_raw.value[...] = np.eye(m)
     H = rng.normal(size=(10, m))
-    out = baseline_step(ad.constant(H), norm_adj(g), p, "graff")
+    out = baseline_step(ad.constant(H), norm_adj(g), p, "graff", cell_weights(p, "graff"))
     want = H + spmm(norm_adj(g), H)
     assert np.abs(out.value - want).max() <= 1e-14
 
@@ -197,7 +200,7 @@ def test_gcn_closed_form():
     p = make_cell_params(rng, "gcn", m, m, 2, depth=2, sigma1="identity")
     p.gcn_ws[0].value[...] = np.eye(m)
     H = rng.normal(size=(10, m))
-    out = baseline_step(ad.constant(H), norm_adj(g), p, "gcn", layer=0)
+    out = baseline_step(ad.constant(H), norm_adj(g), p, "gcn", None, layer=0)
     assert np.abs(out.value - spmm(norm_adj(g), H)).max() <= 1e-14
 
 
@@ -209,9 +212,9 @@ def test_adgn_step_gradients_match_fd():
     X = ad.constant(rng.normal(size=(8, 3)))
 
     def loss():
-        H = X
+        H, w = X, cell_weights(p, "adgn")
         for _ in range(2):
-            H = baseline_step(H, a, p, "adgn")
+            H = baseline_step(H, a, p, "adgn", w)
         return ad.sum_all(ad.mul(H, H))
 
     params = [p.omega_raw, p.w_raw, p.adgn_b]
@@ -324,9 +327,9 @@ def test_weight_sharing_equals_sum_of_unshared_copies():
     X = rng.normal(size=(8, 4))
     p = basic_params(rng, 4, tau=0.2)
 
-    H = ad.constant(X)
+    H, w = ad.constant(X), cell_weights(p, "sas")
     for _ in range(3):
-        H = sas_step(H, a, p, tau=0.2)
+        H = sas_step(H, a, p, w, tau=0.2)
     ad.backward(ad.sum_all(H))
     shared_go = p.omega_raw.grad.copy()
     shared_gw = p.w_raw.grad.copy()
@@ -338,7 +341,7 @@ def test_weight_sharing_equals_sum_of_unshared_copies():
         q.omega_raw.value[...] = p.omega_raw.value
         q.w_raw.value[...] = p.w_raw.value
         copies.append(q)
-        H = sas_step(H, a, q, tau=0.2)
+        H = sas_step(H, a, q, cell_weights(q, "sas"), tau=0.2)
     ad.backward(ad.sum_all(H))
     sum_go = sum(q.omega_raw.grad for q in copies)
     sum_gw = sum(q.w_raw.grad for q in copies)
@@ -359,9 +362,9 @@ def test_map_norm_bounded_over_fifty_steps():
     def forward(h_row):
         H = H0.copy()
         H[node] = h_row
-        Hd = ad.constant(H)
+        Hd, w = ad.constant(H), cell_weights(p, "sas")
         for _ in range(50):
-            Hd = sas_step(Hd, a, p, tau=0.1)
+            Hd = sas_step(Hd, a, p, w, tau=0.1)
         return Hd.value[node]
 
     J = oracles.fd_jacobian(forward, H0[node].copy())

@@ -5,7 +5,7 @@ import pytest
 
 import oracles
 from eegnn import autodiff as ad
-from eegnn.cells import make_cell_params, sas_step, encode
+from eegnn.cells import cell_weights, make_cell_params, sas_step, encode
 from eegnn.diagnostics import (SpectrumReport, Trace, depth_retention,
                                descent_suite, descent_trace, dirichlet_energy,
                                dirichlet_traces, emit_trace, energy_functional,
@@ -248,9 +248,9 @@ def test_sensitivity_matches_fd_jacobian():
     a = norm_adj(g)
 
     def from_layer(x):
-        H = ad.constant(x.reshape(hl.shape))
+        H, w = ad.constant(x.reshape(hl.shape)), cell_weights(model.params, "sas")
         for _ in range(cfg.depth - layer):
-            H = sas_step(H, a, model.params, tau=model.params.tau)
+            H = sas_step(H, a, model.params, w, tau=model.params.tau)
         return H.value.ravel()
 
     J = oracles.fd_jacobian(from_layer, hl.ravel().copy())

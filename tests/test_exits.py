@@ -7,11 +7,11 @@ import pytest
 
 import oracles
 from eegnn import autodiff as ad
-from eegnn.cells import build_operators, make_cell_params, sas_step, encode
+from eegnn.cells import build_operators, cell_weights, make_cell_params, sas_step, encode
 from eegnn.exits import (ExitHeads, ExitState, eegnn_forward_node,
                          exit_distribution, gumbel_softmax_st, inv_temperature,
                          confidence_logits, make_exit_heads, sample_gumbel)
-from eegnn.graphs import disjoint_union, gen_sbm, mean_adj, norm_adj
+from eegnn.graphs import Segments, disjoint_union, gen_sbm, mean_adj, norm_adj
 
 EULER_MASCHERONI = 0.5772156649015329
 
@@ -198,13 +198,13 @@ def test_never_exit_returns_final_layer_states():
     assert state.exit_time == pytest.approx(np.full(g.n, taus.sum()), abs=1e-9)
 
     a, ma = norm_adj(g), mean_adj(g)
-    H = encode(ad.constant(g.X), params)
+    H, w = encode(ad.constant(g.X), params), cell_weights(params, "eegnn")
     for r in recs:
         logits = confidence_logits(H, heads, ma=ma)
         inv_nu = inv_temperature(H, heads, ma=ma)
         smp = np.zeros((g.n, 2))
         c_soft, _ = gumbel_softmax_st(logits, inv_nu, g=smp)
-        H = sas_step(H, a, params, tau=ad.col_slice(c_soft, 0))
+        H = sas_step(H, a, params, w, tau=ad.col_slice(c_soft, 0))
     assert np.abs(Z.value - H.value).max() <= 1e-12
 
 
@@ -338,7 +338,7 @@ def test_exit_state_validates_consistency():
 def graph_agents(members, params, heads):
     """The operator bundle of the union of member graphs, whose agents are
     the members."""
-    seg = np.repeat(np.arange(len(members)), [g.n for g in members])
+    seg = Segments.from_offsets(np.cumsum([0] + [g.n for g in members]))
     return build_operators(disjoint_union(members), params, heads, seg=seg)
 
 

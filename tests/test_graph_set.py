@@ -87,7 +87,7 @@ GOLDEN = {
         [
             '(0, 0.9445274638179835, 0.6666666666666666, 0.0, 3.0)',
             '(1, 0.8228545352249613, 0.0, 0.0, 3.0)',
-            '(2, 0.720007804888054, 0.0, 0.0, 3.0)',
+            '(2, 0.7200078048880542, 0.0, 0.0, 3.0)',
         ],
         '0.0'),
     ('graph_class', 'eegnn'): (
@@ -172,7 +172,7 @@ EEGNN_NODE_GOLDEN = {
             '(0, 1.2408497283256088, 0.5, 0.5, 0.4583333333333333)',
             '(1, 1.2527687975772324, 0.5, 0.3333333333333333, 0.25)',
             '(2, 1.1763452731111688, 0.5, 0.3333333333333333, 0.3333333333333333)',
-            '(3, 1.101224822180533, 0.5, 0.3333333333333333, 0.125)',
+            '(3, 1.1012248221805327, 0.5, 0.3333333333333333, 0.125)',
         ],
         "{'split': 'test', 'mode': 'eval_argmax', 'metric': 'accuracy', "
         "'value': 0.5, 'loss': 0.9465597592747974, "
@@ -356,6 +356,25 @@ def edge_graph_set() -> GraphSet:
 
 ORACLE_CASES = [(m, "zero") for m in ("sas", "gcn", "graff", "adgn", "eegnn")] \
     + [("sas", "linear"), ("eegnn", "neg_relu")]
+
+
+def test_union_bundle_pools_members_of_unequal_size():
+    members = [gen_minesweeper_grid(r, c, 0.2, seed=r * c)
+               for r, c in [(2, 3), (3, 3), (2, 2), (4, 3)]]
+    for g in members:
+        g.y, g.masks = None, None
+    idx = np.arange(len(members))
+    ds = GraphSet(graphs=members, y=(idx % 2).reshape(-1, 1).astype(float),
+                  masks={"train": idx < 2, "val": idx == 2, "test": idx == 3})
+    width = members[0].X.shape[1]
+    model = build_model(cfg_for("graph_class", "sas"), width, 2, np.random.default_rng(0))
+    ops = operators_for(model, ds)
+    H = np.random.default_rng(1).normal(size=(ops.X.shape[0], 3))
+    start = np.cumsum([0] + [g.n for g in members])
+    want = [oracles.segment_sum_loop(H[lo:hi], [0, hi - lo])[0] / (hi - lo)
+            for lo, hi in zip(start, start[1:])]
+    assert ad.segment_mean(ad.constant(H), ops.seg).value.tobytes() \
+        == np.array(want).tobytes()
 
 
 @pytest.mark.parametrize("mode", ["eval_argmax", "train_sample"])

@@ -593,6 +593,56 @@ def test_sampled_forward_tapes_only_what_the_loss_reads(monkeypatch):
     assert [n for n in taped if id(n) not in reached] == []
 
 
+@pytest.mark.parametrize("exit_depth", [1, 2])
+def test_node_exit_training_step_runs_one_transposed_head_product_per_layer(
+        monkeypatch, exit_depth):
+    from eegnn import exits
+    g = sbm(seed=18)
+    model = model_for(quick_cfg(model="eegnn", depth=6, exit_depth=exit_depth), g,
+                      np.random.default_rng(2))
+    # no node exits, so every layer's heads reach the loss through tau
+    model.heads.fc_out[1].value[...] = [[50.0, -50.0]]
+    ops = operators_for(model, g)
+    layers, products = [], []
+    spmm, heads = ad._spmm_value, exits.confidence_logits
+
+    def spy_spmm(a, H, transpose=False):
+        products.append((a is ops.ma, transpose))
+        return spmm(a, H, transpose)
+
+    def spy_heads(*args, **kwargs):
+        layers.append(1)
+        return heads(*args, **kwargs)
+
+    monkeypatch.setattr(ad, "_spmm_value", spy_spmm)
+    monkeypatch.setattr(exits, "confidence_logits", spy_heads)
+    logits, _ = forward_node(model, ops, "train_sample", np.random.default_rng(3))
+    ad.backward(loss_eval(logits, g.y, "ce", mask=g.masks["train"]), release=True)
+    # the first head layer's product is shared by both heads; a deeper head
+    # layer of each head makes its own
+    assert len(layers) == 6
+    assert products.count((True, True)) == 6 * (2 * exit_depth - 1)
+
+
+@pytest.mark.parametrize("kind,built", [("sas", (1, 1)), ("eegnn", (1, 1)),
+                                        ("graff", (0, 2)), ("adgn", (1, 0))])
+def test_constrained_weights_are_built_once_per_forward(monkeypatch, kind, built):
+    from eegnn import cells
+    g = sbm(seed=19)
+    model = model_for(quick_cfg(model=kind, depth=5), g, np.random.default_rng(4))
+    ops = operators_for(model, g)
+    calls = {"antisymmetrize": 0, "symmetrize": 0}
+    for name in calls:
+        def counted(m, name=name, original=getattr(cells, name)):
+            calls[name] += 1
+            return original(m)
+        monkeypatch.setattr(cells, name, counted)
+    for mode in ("train_sample", "eval_argmax"):
+        calls.update(antisymmetrize=0, symmetrize=0)
+        forward_node(model, ops, mode, np.random.default_rng(5))
+        assert (calls["antisymmetrize"], calls["symmetrize"]) == built, mode
+
+
 # ------------------------------------------------------------------- artefacts
 
 def test_history_csv_format():
