@@ -306,16 +306,13 @@ def softmax_rows(X: DiffValue) -> DiffValue:
     return _node(s, (X,), rule)
 
 
-def segment_mean(H: DiffValue, seg) -> DiffValue:
+def segment_mean(H: DiffValue, seg: Segments) -> DiffValue:
     """Mean of each segment's rows, one output row per segment.
 
-    seg is a graphs.Segments over H's rows, as a graph-set bundle carries,
-    or each row's segment label, ascending from 0; no segment may be empty.
-    Each mean is the segment's sum under the Segments rule divided by its
-    row count.
+    seg is a graphs.Segments over H's rows, as a graph-set bundle carries;
+    no segment may be empty. Each mean is the segment's sum under the
+    Segments rule divided by its row count.
     """
-    if not isinstance(seg, Segments):
-        seg = Segments.from_ids(seg)
     if seg.offsets[-1] != H.shape[0] or seg.empty.size:
         raise ValueError(f"segments must cover the {H.shape[0]} rows and none "
                          f"may be empty")

@@ -41,7 +41,6 @@ __all__ = [
     "encode",
     "decode",
     "make_cell_params",
-    "param_count",
     "MODEL_KINDS",
     "EDGE_MODES",
     "EDGE_KINDS",
@@ -210,8 +209,6 @@ def _tau_column(tau, n: int, default: float) -> DiffValue:
         if (tv < 0.0).any() or (tv > 1.0).any():
             raise ValueError("per-node tau outside [0, 1]")
         return tau
-    if isinstance(tau, np.ndarray):
-        return _tau_column(ad.constant(tau.reshape(n, 1)), n, default)
     t = float(tau)
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"tau outside [0, 1]: {t}")
@@ -223,8 +220,8 @@ def sas_step(H: DiffValue, a, p: CellParams, weights, tau=None,
     """One Euler step of the antisymmetric/symmetric cell; weights is
     cell_weights(p, "sas"), built once per forward.
 
-    tau may be a scalar, an n x 1 array, or an n x 1 DiffValue (the adaptive
-    per-node step). Rows with tau == 0 come back bit-identical to their input,
+    tau may be a scalar or an n x 1 DiffValue (the adaptive per-node
+    step). Rows with tau == 0 come back bit-identical to their input,
     not merely numerically close.
     """
     oas, ws = weights
@@ -318,12 +315,6 @@ def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     return rng.normal(0.0, std, size=(fan_in, fan_out))
 
 
-def _require_edge_term(kind: str) -> None:
-    if kind not in EDGE_KINDS:
-        raise ValueError(f"a non-zero edge_mode needs a kind in {EDGE_KINDS}; "
-                         f"{kind} has no edge term")
-
-
 def make_cell_params(rng: np.random.Generator, kind: str, feat_dim: int,
                      hidden: int, out_dim: int, *, depth: int = 1,
                      tau: float = 1.0, sigma1: str = "relu_tanh",
@@ -345,7 +336,9 @@ def make_cell_params(rng: np.random.Generator, kind: str, feat_dim: int,
                   for i in range(depth)]
     w_e = None
     if edge_mode != "zero":
-        _require_edge_term(kind)
+        if kind not in EDGE_KINDS:
+            raise ValueError(f"a non-zero edge_mode needs a kind in {EDGE_KINDS}; "
+                             f"{kind} has no edge term")
         if edge_dim <= 0:
             raise ValueError(f"edge_mode {edge_mode!r} requires edge_dim > 0")
         w_e = ad.leaf(_glorot(rng, edge_dim, hidden), "w_e")
@@ -368,57 +361,3 @@ def make_cell_params(rng: np.random.Generator, kind: str, feat_dim: int,
         adgn_b=ad.leaf(np.zeros((1, hidden)), "adgn_b") if kind == "adgn" else None,
         gcn_ws=gcn_ws,
     )
-
-
-def _affine_chain(dims: tuple[int, ...]) -> int:
-    return sum((dims[i] + 1) * dims[i + 1] for i in range(len(dims) - 1))
-
-
-def _backbone_count(task: str, in_dim: int, hidden: int, depth: int,
-                    out_dim: int) -> int:
-    # node-task heads aggregate neighbor means, so each hidden layer carries
-    # two matrices (aggregate + self) plus a bias; pooled heads are plain MLPs
-    mats = 2 if task == "node_class" else 1
-    total = 0
-    d = in_dim
-    for _ in range(depth):
-        total += mats * d * hidden + hidden
-        d = hidden
-    return total + hidden * out_dim + out_dim
-
-
-def param_count(kind: str, task: str, depth: int, feat_dim: int, hidden: int,
-                out_dim: int, *, edge_mode: str = "zero", edge_dim: int = 0,
-                dec_hidden: tuple[int, ...] = (), exit_hidden: int = 16,
-                exit_depth: int = 1) -> dict[str, int]:
-    """Exact scalar-parameter count, broken down by component.
-
-    The shared-cell kinds (sas, eegnn, graff, adgn) have a core count that
-    does not depend on depth; gcn's core is depth * hidden^2. The raw storage
-    is what is counted: the symmetrized diffusion matrix stores hidden^2
-    scalars even though only hidden*(hidden+1)/2 of its derived entries are
-    unique.
-    """
-    if kind not in MODEL_KINDS:
-        raise ValueError(f"unknown model kind {kind!r}")
-    if task not in TASKS:
-        raise ValueError(f"unknown task {task!r}")
-    encoder = feat_dim * hidden + hidden
-    if kind == "gcn":
-        core = depth * hidden * hidden
-    elif kind == "adgn":
-        core = 2 * hidden * hidden + hidden
-    else:
-        core = 2 * hidden * hidden
-    if edge_mode != "zero":
-        _require_edge_term(kind)
-        core += edge_dim * hidden
-    decoder = _affine_chain((hidden, *dec_hidden, out_dim))
-    heads = 0
-    if kind == "eegnn":
-        heads = (_backbone_count(task, hidden, exit_hidden, exit_depth, 2)
-                 + _backbone_count(task, hidden, exit_hidden, exit_depth, 1))
-    counts = {"encoder": encoder, "core": core, "decoder": decoder,
-              "exit_heads": heads}
-    counts["total"] = sum(counts.values())
-    return counts

@@ -27,12 +27,11 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad, diagnostics
-from .cells import param_count
 from .diagnostics import ToleranceError
 from .graphs import degrees, edge_homophily, gen_minesweeper_grid, gen_sbm, \
     save_graph
-from .training import ConfigError, GraphSet, RunConfig, coerce_keys, \
-    evaluate, exit_csv, forward_node, history_csv, load_checkpoint, \
+from .training import ConfigError, GraphSet, RunConfig, build_model, \
+    coerce_keys, evaluate, exit_csv, forward_node, history_csv, load_checkpoint, \
     load_dataset, metric_eval, model_for, node_record, operators_for, \
     save_checkpoint, train_run
 
@@ -318,13 +317,11 @@ def cmd_param_count(args) -> None:
         (dims["edge_dim"] >= edge_lo, f"edge_dim must be >= {edge_lo} under "
          f"edge_mode {cfg.edge_mode!r}, got {dims['edge_dim']}"),
     ])
-    counts = param_count(cfg.model, cfg.task, cfg.depth, dims["feat_dim"],
-                         cfg.hidden, dims["out_dim"],
-                         edge_mode=cfg.edge_mode, edge_dim=dims["edge_dim"],
-                         dec_hidden=cfg.dec_hidden, exit_hidden=cfg.exit_hidden,
-                         exit_depth=cfg.exit_depth)
+    model = build_model(cfg, dims["feat_dim"], dims["out_dim"],
+                        np.random.Generator(np.random.PCG64(cfg.seed)),
+                        edge_dim=dims["edge_dim"])
     doc = {"model": cfg.model, "depth": cfg.depth, "hidden": cfg.hidden,
-           **dims, **counts}
+           **dims, **model.param_counts()}
     out = _out_dir(args)
     _write_json(doc, out / "counts.json")
     print(json.dumps(doc, sort_keys=True, indent=2))

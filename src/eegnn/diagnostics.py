@@ -17,8 +17,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import _act_derivative, _act_forward
-from .cells import CellParams, build_operators, decode, encode, make_cell_params, \
-    propagate
+from .cells import CellParams, build_operators, cell_weights, decode, encode, \
+    make_cell_params, propagate
 from .eig import eigvals
 from .graphs import Graph, arc_rows, degrees, disjoint_union, gen_sbm, pair_index
 from .training import ConfigError, Model, RunConfig, classes_from_logits, \
@@ -141,8 +141,7 @@ def descent_trace(g: Graph, params: CellParams, H0, steps: int, tau: float) -> T
     H0 = _finite_matrix(H0, g.n)
     states = propagate(ad.constant(H0), build_operators(g, params), params, "sas",
                        steps, tau)
-    w = params.w_raw.value
-    ws = 0.5 * (w + w.T)
+    ws = cell_weights(params, "sas")[1].value
     values = [energy_functional(h.value, ws, g) for h in states]
     violations = []
     for t in range(1, steps + 1):

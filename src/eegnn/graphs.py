@@ -101,17 +101,6 @@ class Segments:
         return cls(offsets=offsets, rows=rows, order=order,
                    bounds=tuple(bounds.tolist()), empty=np.flatnonzero(length == 0))
 
-    @classmethod
-    def from_ids(cls, ids) -> "Segments":
-        """Segment i holds the rows labelled i; the labels ascend from 0."""
-        ids = np.asarray(ids)
-        if ids.ndim != 1 or ids.dtype.kind not in "iu":
-            raise ValueError("segment labels must be a 1-D integer array")
-        ids = ids.astype(np.int64)
-        if (np.diff(ids) < 0).any() or (ids.size and ids[0] < 0):
-            raise ValueError("segment labels must ascend from 0")
-        return cls.from_offsets(np.concatenate([[0], np.cumsum(np.bincount(ids))]))
-
     def sum(self, term, width: int) -> np.ndarray:
         """One row per segment: the sum of its terms by the rule above.
 

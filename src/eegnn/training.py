@@ -263,6 +263,21 @@ class Model:
             out += [(f"heads.{n}", p) for n, p in self.heads.parameters()]
         return out
 
+    def param_counts(self) -> dict[str, int]:
+        """Scalar parameters of parameters(), by component: encoder (enc_w,
+        enc_b), decoder (the dec pairs), exit_heads (every heads leaf), core
+        (every other cell leaf), and their total. The raw storage is what is
+        counted, so the shared kinds' core does not grow with depth."""
+        counts = dict.fromkeys(("encoder", "core", "decoder", "exit_heads"), 0)
+        for name, leaf in self.parameters():
+            owner, key = name.split(".", 1)
+            part = ("exit_heads" if owner == "heads" else
+                    "encoder" if key in ("enc_w", "enc_b") else
+                    "decoder" if key.startswith("dec") else "core")
+            counts[part] += leaf.value.size
+        counts["total"] = sum(counts.values())
+        return counts
+
 
 # ------------------------------------------------------------------- losses
 

@@ -14,7 +14,7 @@ import pytest
 
 import oracles
 from eegnn import autodiff as ad
-from eegnn.cells import cell_weights, make_cell_params, param_count, sas_step
+from eegnn.cells import cell_weights, make_cell_params, sas_step
 from eegnn.cli import main as cli_main
 from eegnn.diagnostics import (descent_suite, dirichlet_traces,
                                oracle_exit_eval, spectrum_suite)
@@ -133,16 +133,15 @@ def test_criterion_05_depth_retention(grid900):
 
 def test_criterion_06_parameter_invariance():
     t0 = time.time()
-    dims = dict(feat_dim=10, hidden=32, out_dim=2)
+
+    def counts(kind, depth):
+        # the model train builds: feat 10, hidden 32, out 2
+        cfg = RunConfig.from_dict(dict(model=kind, depth=depth, hidden=32))
+        return build_model(cfg, 10, 2, np.random.default_rng(6)).param_counts()
+
     for kind in ("sas", "eegnn"):
-        c10 = param_count(kind, "node_class", 10, dims["feat_dim"],
-                          dims["hidden"], dims["out_dim"])
-        c20 = param_count(kind, "node_class", 20, dims["feat_dim"],
-                          dims["hidden"], dims["out_dim"])
-        assert c10 == c20
-    gcn = [param_count("gcn", "node_class", L, dims["feat_dim"],
-                       dims["hidden"], dims["out_dim"])["total"]
-           for L in (1, 5, 10, 20)]
+        assert counts(kind, 10) == counts(kind, 20)
+    gcn = [counts("gcn", L)["total"] for L in (1, 5, 10, 20)]
     assert all(a < b for a, b in zip(gcn, gcn[1:]))
     verdict(6, "parameter invariance", time.time() - t0, 1,
             f"sas/eegnn totals depth-free, gcn totals {gcn}")
@@ -167,7 +166,8 @@ def test_criterion_07_early_exit_semantics():
     tau = rng.uniform(0.2, 1.0, size=(g.n, 1))
     frozen_rows = [0, 3, 4, 11]
     tau[frozen_rows, 0] = 0.0
-    out = sas_step(H, norm_adj(g), params, cell_weights(params, "sas"), tau=tau).value
+    out = sas_step(H, norm_adj(g), params, cell_weights(params, "sas"),
+                   tau=ad.constant(tau)).value
     for i in frozen_rows:
         assert np.array_equal(out[i], H.value[i])
 

@@ -10,7 +10,7 @@ import pytest
 import oracles
 from eegnn import autodiff as ad
 from eegnn.cells import Operators, make_cell_params, propagate
-from eegnn.graphs import arc_list, canonicalize, degrees, norm_adj
+from eegnn.graphs import Segments, arc_list, canonicalize, degrees, norm_adj
 
 
 def rand_leaf(rng, shape):
@@ -151,19 +151,19 @@ def test_log_softmax_gradient():
 
 
 def test_mean_pool_identical_rows():
-    out = ad.segment_mean(ad.leaf([[2.0, 3.0], [2.0, 3.0]]), [0, 0])
+    out = ad.segment_mean(ad.leaf([[2.0, 3.0], [2.0, 3.0]]), Segments.from_offsets([0, 2]))
     assert np.array_equal(out.value, [[2.0, 3.0]])
 
 
 def test_mean_pool_arithmetic_mean():
-    out = ad.segment_mean(ad.leaf([[0.0], [2.0], [5.0]]), [0, 0, 1])
+    out = ad.segment_mean(ad.leaf([[0.0], [2.0], [5.0]]), Segments.from_offsets([0, 2, 3]))
     assert out.value.tolist() == [[1.0], [5.0]]
 
 
 def test_mean_pool_permutation_invariant():
     rng = np.random.default_rng(5)
     H = rng.normal(size=(7, 3))
-    seg = [0, 0, 0, 1, 1, 1, 1]
+    seg = Segments.from_offsets([0, 3, 7])
     perm = np.concatenate([rng.permutation(3), 3 + rng.permutation(4)])
     a = ad.segment_mean(ad.leaf(H), seg).value
     b = ad.segment_mean(ad.leaf(H[perm]), seg).value
@@ -174,9 +174,10 @@ def test_mean_pool_permutation_invariant():
 
 def test_mean_pool_empty_selection_rejected():
     H = ad.leaf(np.ones((3, 2)))
-    for seg in ([0, 2, 2], [1, 1, 1], [1, 0, 0], [0, 0]):
+    # an empty segment inside or first, and segments that miss a row
+    for offsets in ([0, 1, 1, 3], [0, 0, 3], [0, 2]):
         with pytest.raises(ValueError):
-            ad.segment_mean(H, seg)
+            ad.segment_mean(H, Segments.from_offsets(offsets))
 
 
 def test_gather_rows_copies_rows_and_sums_gradients_back():
@@ -206,7 +207,7 @@ def test_every_public_op_returns_a_diff_value():
         "activation_apply": lambda: ad.activation_apply(A, "tanh"),
         "row_log_softmax": lambda: ad.row_log_softmax(A),
         "softmax_rows": lambda: ad.softmax_rows(A),
-        "segment_mean": lambda: ad.segment_mean(A, [0, 0, 1]),
+        "segment_mean": lambda: ad.segment_mean(A, Segments.from_offsets([0, 2, 3])),
         "add": lambda: ad.add(A, B),
         "sub": lambda: ad.sub(A, B),
         "neg": lambda: ad.neg(A),
@@ -330,8 +331,9 @@ def _one_op_cases(rng):
     probek = ad.constant(draw(n, k))
     probe_col = ad.constant(draw(n, 1))
     rows = rng.integers(0, n, size=n)       # with repeats, so sums back
-    seg = np.unique(np.sort(rng.integers(0, n, size=n)), return_inverse=True)[1]
-    probe_seg = ad.constant(probe.value[:seg.max() + 1])
+    ids = np.unique(np.sort(rng.integers(0, n, size=n)), return_inverse=True)[1]
+    seg = Segments.from_offsets(np.concatenate([[0], np.cumsum(np.bincount(ids))]))
+    probe_seg = ad.constant(probe.value[:ids.max() + 1])
 
     def score(x, w=probe):
         return ad.sum_all(ad.mul(x, w))

@@ -6,9 +6,9 @@ import pytest
 import oracles
 from eegnn import autodiff as ad
 from eegnn.cells import (CellParams, antisymmetrize, baseline_step, cell_weights,
-                         decode, encode, make_cell_params, param_count, sas_step,
-                         symmetrize)
+                         decode, encode, make_cell_params, sas_step, symmetrize)
 from eegnn.graphs import canonicalize, gen_sbm, norm_adj, spmm
+from eegnn.training import RunConfig, build_model
 
 
 def small_graph(n=10, seed=0):
@@ -102,7 +102,8 @@ def test_sas_step_zero_tau_is_identity():
     g = small_graph()
     p = basic_params(rng, 4)
     H = ad.constant(rng.normal(size=(10, 4)))
-    out = sas_step(H, norm_adj(g), p, cell_weights(p, "sas"), tau=np.zeros((10, 1)))
+    out = sas_step(H, norm_adj(g), p, cell_weights(p, "sas"),
+                   tau=ad.constant(np.zeros((10, 1))))
     assert np.array_equal(out.value, H.value)
 
 
@@ -114,7 +115,7 @@ def test_sas_step_zero_tau_rows_bit_exact():
     H = ad.constant(rng.normal(size=(10, 4)))
     tau = rng.uniform(0.2, 1.0, size=(10, 1))
     tau[[1, 5, 7], 0] = 0.0
-    out = sas_step(H, norm_adj(g), p, cell_weights(p, "sas"), tau=tau).value
+    out = sas_step(H, norm_adj(g), p, cell_weights(p, "sas"), tau=ad.constant(tau)).value
     for i in (1, 5, 7):
         assert np.array_equal(out[i], H.value[i])
     assert not np.array_equal(out, H.value)   # the step as a whole moved
@@ -136,9 +137,9 @@ def test_sas_step_rejects_bad_per_node_tau():
     H = ad.constant(np.zeros((10, 4)))
     w = cell_weights(p, "sas")
     with pytest.raises(ValueError):
-        sas_step(H, norm_adj(g), p, w, tau=np.full((10, 1), 1.5))
+        sas_step(H, norm_adj(g), p, w, tau=ad.constant(np.full((10, 1), 1.5)))
     with pytest.raises(ValueError):
-        sas_step(H, norm_adj(g), p, w, tau=np.full((10, 1), -0.1))
+        sas_step(H, norm_adj(g), p, w, tau=ad.constant(np.full((10, 1), -0.1)))
 
 
 def test_sas_step_rejects_shape_mismatch():
@@ -159,7 +160,7 @@ def test_sas_step_per_node_tau_matches_scalar_rowwise():
     full = sas_step(H, a, p, w, tau=0.3).value
     tau = np.full((10, 1), 0.7)
     tau[2, 0] = 0.3
-    mixed = sas_step(H, a, p, w, tau=tau).value
+    mixed = sas_step(H, a, p, w, tau=ad.constant(tau)).value
     assert np.array_equal(mixed[2], full[2])
 
 
@@ -286,36 +287,31 @@ def test_decode_gradients_match_fd():
     assert ad.fd_check(loss, params) <= 1e-6
 
 
+def built_counts(kind, depth):
+    """param_counts of the model train builds: feat 10, hidden 32, out 2."""
+    cfg = RunConfig.from_dict({"model": kind, "depth": depth, "hidden": 32})
+    return build_model(cfg, 10, 2, np.random.default_rng(0)).param_counts()
+
+
 def test_param_count_depth_invariance_sas_and_eegnn():
     for kind in ("sas", "eegnn"):
-        ten = param_count(kind, "node_class", 10, 10, 32, 2)
-        twenty = param_count(kind, "node_class", 20, 10, 32, 2)
-        assert ten == twenty
+        ten = built_counts(kind, 10)
+        assert ten == built_counts(kind, 20)
         assert ten["total"] == sum(
             ten[k] for k in ("encoder", "core", "decoder", "exit_heads"))
 
 
 def test_param_count_eegnn_adds_heads():
-    sas = param_count("sas", "node_class", 10, 10, 32, 2)
-    ee = param_count("eegnn", "node_class", 10, 10, 32, 2)
+    sas = built_counts("sas", 10)
+    ee = built_counts("eegnn", 10)
     assert sas["exit_heads"] == 0
     assert ee["exit_heads"] > 0
     assert ee["total"] > sas["total"]
 
 
 def test_param_count_gcn_strictly_increasing_in_depth():
-    counts = [param_count("gcn", "node_class", L, 10, 32, 2)["total"]
-              for L in (1, 5, 10, 20)]
+    counts = [built_counts("gcn", L)["total"] for L in (1, 5, 10, 20)]
     assert all(a < b for a, b in zip(counts, counts[1:]))
-
-
-def test_param_count_matches_live_model():
-    rng = np.random.default_rng(19)
-    for kind in ("sas", "gcn", "adgn"):
-        p = make_cell_params(rng, kind, 7, 5, 3, depth=4, dec_hidden=(6,))
-        live = sum(v.value.size for _, v in p.parameters())
-        counted = param_count(kind, "node_class", 4, 7, 5, 3, dec_hidden=(6,))
-        assert live == counted["total"] - counted["exit_heads"]
 
 
 def test_weight_sharing_equals_sum_of_unshared_copies():

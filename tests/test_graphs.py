@@ -5,11 +5,11 @@ import pytest
 
 import oracles
 from eegnn import autodiff as ad
-from eegnn.graphs import (ArcMatrix, Graph, arc_list, arc_rows, canonicalize,
-                          degrees, edge_homophily, gen_minesweeper_grid,
-                          gen_sbm, incidence_aggregate, make_graph, mean_adj,
-                          norm_adj, pair_index, save_graph, spmm,
-                          validate_graph)
+from eegnn.graphs import (ArcMatrix, Graph, Segments, arc_list, arc_rows,
+                          canonicalize, degrees, edge_homophily,
+                          gen_minesweeper_grid, gen_sbm, incidence_aggregate,
+                          make_graph, mean_adj, norm_adj, pair_index,
+                          save_graph, spmm, validate_graph)
 from eegnn.training import ConfigError, load_dataset
 
 
@@ -193,7 +193,7 @@ def test_segment_mean_and_incidence_bits_match_the_rule():
     rng = np.random.default_rng(7)
     sizes = [1, 2, 3, 9, 70, 5]             # one segment per length class, and a hub
     offsets = np.concatenate([[0], np.cumsum(sizes)])
-    seg = np.repeat(np.arange(len(sizes)), sizes)
+    seg = Segments.from_offsets(offsets)
     for width in (1, 2, 16):
         for H in (hard_input(rng, offsets[-1], width),
                   rng.normal(size=(offsets[-1], width))):

@@ -9,7 +9,7 @@ import pytest
 
 import oracles
 from eegnn import autodiff as ad
-from eegnn.cells import EDGE_MODES, MODEL_KINDS, param_count
+from eegnn.cells import EDGE_MODES, MODEL_KINDS
 from eegnn.exits import ExitState, eegnn_forward_node
 from eegnn.graphs import arc_rows, gen_minesweeper_grid, gen_sbm, save_graph
 from eegnn.training import (ConfigError, GraphSet, OptimState,
@@ -130,13 +130,43 @@ def test_every_accepted_config_allocates_what_param_count_counts():
                 accepted.append((model, edge_mode))
                 built = build_model(cfg, 7, 3, np.random.default_rng(0), edge_dim=2)
                 allocated = sum(p.value.size for _, p in built.parameters())
-                counted = param_count(model, task, 3, 7, 6, 3, edge_mode=edge_mode,
-                                      edge_dim=2, dec_hidden=(4,), exit_hidden=5,
-                                      exit_depth=2)
-                assert allocated == counted["total"], (task, model, edge_mode)
+                assert allocated == built.param_counts()["total"], (task, model, edge_mode)
     assert sorted(set(accepted)) == sorted(
         [(m, "zero") for m in MODEL_KINDS]
         + [(m, e) for m in ("sas", "eegnn") for e in ("linear", "neg_relu")])
+
+
+# (model, task, edge_mode, dec_hidden, exit_depth) and the counts of its
+# encoder, core, decoder, exit heads and total, at depth 3, feat 7, hidden 6,
+# out 3, edge_dim 2 under an edge term, and exit heads 5 wide
+PARAM_COUNTS = [
+    ("sas", "node_class", "zero", (), 1, 48, 72, 21, 0, 141),
+    ("sas", "graph_class", "linear", (4,), 1, 48, 84, 43, 0, 175),
+    ("sas", "graph_reg", "neg_relu", (3, 4), 1, 48, 84, 52, 0, 184),
+    ("eegnn", "node_class", "zero", (4,), 3, 48, 72, 43, 368, 531),
+    ("eegnn", "node_class", "neg_relu", (), 1, 48, 84, 21, 148, 301),
+    ("eegnn", "graph_class", "linear", (), 2, 48, 84, 21, 148, 301),
+    ("eegnn", "graph_reg", "zero", (3, 4), 3, 48, 72, 52, 208, 380),
+    ("gcn", "node_class", "zero", (), 1, 48, 108, 21, 0, 177),
+    ("gcn", "graph_class", "zero", (4,), 1, 48, 108, 43, 0, 199),
+    ("graff", "node_class", "zero", (3, 4), 1, 48, 72, 52, 0, 172),
+    ("graff", "graph_reg", "zero", (), 1, 48, 72, 21, 0, 141),
+    ("adgn", "node_class", "zero", (4,), 1, 48, 78, 43, 0, 169),
+    ("adgn", "graph_class", "zero", (), 1, 48, 78, 21, 0, 147),
+]
+
+
+def test_param_counts_match_the_pinned_table():
+    for model, task, edge_mode, dec_hidden, exit_depth, *want in PARAM_COUNTS:
+        cfg = RunConfig.from_dict(
+            {"model": model, "task": task, "edge_mode": edge_mode, "depth": 3,
+             "hidden": 6, "exit_hidden": 5, "exit_depth": exit_depth,
+             "dec_hidden": list(dec_hidden)})
+        built = build_model(cfg, 7, 3, np.random.default_rng(0),
+                            edge_dim=0 if edge_mode == "zero" else 2)
+        counts = built.param_counts()
+        got = [counts[k] for k in ("encoder", "core", "decoder", "exit_heads", "total")]
+        assert got == want, (model, task, edge_mode, dec_hidden, exit_depth)
 
 
 def test_graph_set_validates_shapes():
