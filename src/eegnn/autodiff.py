@@ -31,8 +31,10 @@ forward is freed as soon as the caller drops it. backward(root,
 release=True) frees each node's gradient, rule and parent links once its
 rule has run, so a one-shot training sweep gives the tape back as it goes.
 
-No broadcasting beyond the row-vector bias in matmul_add, no higher-order
-derivatives, and float64 only; those limits are deliberate.
+segment_mean and segment_spread's gradient sum a graph's rows by the one
+graphs.Segments rule. No broadcasting beyond matmul_add's row-vector bias and
+segment_spread's copies, no higher-order derivatives, and float64 only; those
+limits are deliberate.
 """
 
 from __future__ import annotations
@@ -52,6 +54,7 @@ __all__ = [
     "row_log_softmax",
     "softmax_rows",
     "segment_mean",
+    "segment_spread",
     "add",
     "sub",
     "neg",
@@ -63,7 +66,6 @@ __all__ = [
     "scale_rows",
     "add_scaled_rows",
     "transpose",
-    "gather_rows",
     "col_slice",
     "where_rows",
     "sum_all",
@@ -316,13 +318,25 @@ def segment_mean(H: DiffValue, seg: Segments) -> DiffValue:
     if seg.offsets[-1] != H.shape[0] or seg.empty.size:
         raise ValueError(f"segments must cover the {H.shape[0]} rows and none "
                          f"may be empty")
-    counts = np.diff(seg.offsets)
-    val = seg.sum_rows(H.value) / counts[:, None]
+    counts = np.diff(seg.offsets)[:, None]
+    val = seg.sum_rows(H.value) / counts
 
     def rule(G):
-        H.grad += np.repeat(G / counts[:, None], counts, axis=0)
+        H.grad += seg.spread(G / counts)
 
     return _node(val, (H,), rule)
+
+
+def segment_spread(A: DiffValue, seg: Segments) -> DiffValue:
+    """Row i of A copied over the rows of segment i, as a member graph's tau
+    over its nodes; the gradient sums them back by the Segments rule."""
+    if A.shape[0] != seg.offsets.size - 1:
+        raise ValueError(f"{A.shape[0]} rows for {seg.offsets.size - 1} segments")
+
+    def rule(G):
+        A.grad += seg.sum_rows(G)
+
+    return _node(seg.spread(A.value), (A,), rule)
 
 
 # ------------------------------------------------------------- elementwise ops
@@ -452,18 +466,6 @@ def transpose(A: DiffValue) -> DiffValue:
         A.grad += G.T
 
     return _node(A.value.T.copy(), (A,), rule)
-
-
-def gather_rows(A: DiffValue, idx) -> DiffValue:
-    """out[i] = A[idx[i]]; the gradient sums back over the copies of a row."""
-    idx = np.asarray(idx)
-    if idx.ndim != 1 or ((idx < 0) | (idx >= A.shape[0])).any():
-        raise ValueError(f"row index must be 1-D within [0, {A.shape[0]})")
-
-    def rule(G):
-        np.add.at(A.grad, idx, G)
-
-    return _node(A.value[idx], (A,), rule)
 
 
 def col_slice(A: DiffValue, j: int) -> DiffValue:

@@ -24,8 +24,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ACTIVATION_KINDS, DiffValue
-from .graphs import ArcMatrix, Graph, NormAdj, Segments, incidence_aggregate, mean_adj, \
-    norm_adj
+from .graphs import ArcMatrix, Graph, Segments, incidence_aggregate, mean_adj, norm_adj
 
 __all__ = [
     "CellParams",
@@ -129,7 +128,7 @@ class Operators:
     """
 
     X: np.ndarray
-    a: NormAdj
+    a: ArcMatrix
     ma: ArcMatrix | None = None
     be: DiffValue | None = None
     seg: Segments | None = None
@@ -142,18 +141,17 @@ def build_operators(g: Graph, params: CellParams, heads=None,
 
     Build it once per graph and pass it down: nothing here depends on the
     trainable values, only on g and on the cell's edge mode and head kind.
-    The row layout of norm_adj serves mean_adj and the incidence aggregate
-    too, as they share its rows.
+    norm_adj, mean_adj and the incidence aggregate all read g.arc_segments.
     """
     a = norm_adj(g)
     ma = None
     if heads is not None and heads.kind == "mean_gnn":
-        ma = mean_adj(g, a.segments)
+        ma = mean_adj(g)
     be = None
     if params.edge_mode != "zero":
         if g.E_feat is None:
             raise ValueError(f"edge_mode {params.edge_mode!r} needs edge features")
-        be = ad.constant(incidence_aggregate(g, g.E_feat, a.segments))
+        be = ad.constant(incidence_aggregate(g, g.E_feat))
     return Operators(X=g.X, a=a, ma=ma, be=be, seg=seg)
 
 

@@ -226,8 +226,8 @@ def eegnn_forward_node(ops: Operators, params: CellParams, heads: ExitHeads,
     the agent's state at its exit layer (before that layer's update), or the
     final state if it never exits; gradients flow into each frozen row from
     the layer where it froze. A graph's state is the segment mean of its
-    nodes' states, read by mlp heads, and its tau is gathered to its nodes
-    for the step.
+    nodes' states, read by mlp heads, and its tau is spread over its nodes
+    for the step, so its gradient sums back by the Segments rule.
 
     An agent exiting at layer l has spent exit_time = sum of its tau over
     layers 0..l-1; the deciding layer's tau is not counted.
@@ -248,7 +248,6 @@ def eegnn_forward_node(ops: Operators, params: CellParams, heads: ExitHeads,
     if seg is not None:
         if heads.kind != "mlp":
             raise ValueError("graph-level exits use mlp heads on pooled features")
-        members = np.repeat(np.arange(seg.offsets.size - 1), np.diff(seg.offsets))
     et, weights = edge_term(ops.be, params), cell_weights(params, "eegnn")
     H = encode(ad.constant(ops.X), params)
     if capture is not None:
@@ -283,7 +282,7 @@ def eegnn_forward_node(ops: Operators, params: CellParams, heads: ExitHeads,
                         "mean_inv_nu": float(inv_nu.value.mean())})
         if capture is None and exited.all():
             break
-        step = tau_col if seg is None else ad.gather_rows(tau_col, members)
+        step = tau_col if seg is None else ad.segment_spread(tau_col, seg)
         H = sas_step(H, ops.a, params, weights, tau=step, edge_term=et)
         agents = H if seg is None else ad.segment_mean(H, seg)
         if capture is not None:

@@ -9,6 +9,7 @@ the normalized adjacency product and the incidence aggregation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 import json
 
 import numpy as np
@@ -17,7 +18,6 @@ __all__ = [
     "Graph",
     "Segments",
     "ArcMatrix",
-    "NormAdj",
     "canonicalize",
     "make_graph",
     "validate_graph",
@@ -59,6 +59,11 @@ class Graph:
     def n_arcs(self) -> int:
         return int(self.col_indices.shape[0])
 
+    @cached_property
+    def arc_segments(self) -> "Segments":
+        """Each row's arcs as Segments, built once: every arc operator's layout."""
+        return Segments.from_offsets(self.row_offsets)
+
 
 @dataclass(frozen=True)
 class Segments:
@@ -67,8 +72,8 @@ class Segments:
     Segment i holds terms offsets[i]:offsets[i + 1]. It sums them as
     a_0 + (((a_1 + a_2) + a_3) + ...): its first term plus the rest, added
     left to right; an empty segment sums to 0. Every graph reduction of the
-    kit follows this rule: spmm over a row's arcs, segment_mean over a
-    graph's nodes, incidence_aggregate over a node's arcs.
+    kit follows it: spmm and incidence_aggregate over Graph.arc_segments,
+    segment_mean and segment_spread's gradient over a graph set's members.
 
     sum runs it over jagged diagonals: rows holds the non-empty segments by
     falling length, and diagonal k, positions bounds[k]:bounds[k + 1] of
@@ -126,21 +131,24 @@ class Segments:
         """The sum of each segment of X's rows."""
         return self.sum(lambda lo, hi: X.take(self.order[lo:hi], axis=0), X.shape[1])
 
+    def spread(self, X: np.ndarray) -> np.ndarray:
+        """Row i of X copied over each term of segment i; sum_rows is its gradient."""
+        return np.repeat(X, np.diff(self.offsets), axis=0)
+
 
 @dataclass
 class ArcMatrix:
     """Sparse matrix living on a symmetric CSR arc pattern.
 
     values[k] weights arc k in the forward product; values_t[k] weights arc k
-    in the transposed product (equal to values for symmetric matrices).
+    in the transposed product (the same array for a symmetric matrix).
 
-    segments is the Segments of the rows' arcs (row_offsets), built here
-    unless given. sweep_cols, sweep_values and sweep_values_t are
-    col_indices, values and values_t in its diagonal order. spmm keeps, per
-    width it was called with, the swept values repeated across that many
-    columns (as much memory as one product's gathered rows), because a
-    product with a full-width operand runs several times faster than one
-    broadcast down a column.
+    segments is the graph's arc_segments; sweep_cols and sweep_values(_t)
+    are col_indices and values(_t) in its diagonal order, one swept array
+    for a symmetric matrix. spmm keeps each swept array repeated across
+    every width it was called with (as much memory as one product's
+    gathered rows): a full-width operand multiplies several times faster
+    than one broadcast down a column.
     """
 
     n: int
@@ -148,7 +156,7 @@ class ArcMatrix:
     col_indices: np.ndarray
     values: np.ndarray
     values_t: np.ndarray
-    segments: Segments | None = field(default=None, repr=False, compare=False)
+    segments: Segments = field(repr=False, compare=False)
     sweep_cols: np.ndarray = field(init=False, repr=False)
     sweep_values: np.ndarray = field(init=False, repr=False)
     sweep_values_t: np.ndarray = field(init=False, repr=False)
@@ -156,20 +164,11 @@ class ArcMatrix:
                               default_factory=dict)
 
     def __post_init__(self):
-        if self.segments is None:
-            self.segments = Segments.from_offsets(self.row_offsets)
         order = self.segments.order
         self.sweep_cols = self.col_indices[order]
         self.sweep_values = self.values[order]
-        self.sweep_values_t = self.values_t[order]
-
-
-@dataclass
-class NormAdj(ArcMatrix):
-    """Symmetric degree-normalized adjacency: values[k] = (d_u * d_v)^-0.5.
-
-    Zero diagonal (the pattern has no self-loops); all values in (0, 1].
-    """
+        self.sweep_values_t = self.sweep_values if self.values_t is self.values \
+            else self.values_t[order]
 
 
 def canonicalize(edges, n: int) -> Graph:
@@ -303,8 +302,9 @@ def validate_graph(g: Graph) -> None:
                 raise ValueError(f"mask '{name}' must have length n")
 
 
-def norm_adj(g: Graph) -> NormAdj:
-    """Degree-normalized adjacency of a canonical graph.
+def norm_adj(g: Graph) -> ArcMatrix:
+    """Symmetric degree-normalized adjacency of a canonical graph:
+    values[k] = (d_u * d_v)^-0.5 for arc (u,v), all in (0, 1], zero diagonal.
 
     Isolated nodes are a hard error: the normalization is undefined at degree
     zero and silently adding self-loops would break the no-self-loop premise
@@ -316,16 +316,12 @@ def norm_adj(g: Graph) -> NormAdj:
         raise ValueError(f"isolated node {bad} has degree 0; drop it before norm_adj")
     rows = arc_rows(g)
     vals = 1.0 / np.sqrt(d[rows] * d[g.col_indices])
-    return NormAdj(n=g.n, row_offsets=g.row_offsets, col_indices=g.col_indices,
-                   values=vals, values_t=vals)
+    return ArcMatrix(n=g.n, row_offsets=g.row_offsets, col_indices=g.col_indices,
+                     values=vals, values_t=vals, segments=g.arc_segments)
 
 
-def mean_adj(g: Graph, segments: Segments | None = None) -> ArcMatrix:
-    """Row-stochastic neighbor-mean operator: values[k] = 1/d_u for arc (u,v).
-
-    segments, when given, is Segments.from_offsets(g.row_offsets) built
-    already, as norm_adj(g).segments is.
-    """
+def mean_adj(g: Graph) -> ArcMatrix:
+    """Row-stochastic neighbor-mean operator: values[k] = 1/d_u for arc (u,v)."""
     d = degrees(g)
     if np.any(d == 0):
         bad = int(np.flatnonzero(d == 0)[0])
@@ -334,7 +330,7 @@ def mean_adj(g: Graph, segments: Segments | None = None) -> ArcMatrix:
     vals = 1.0 / d[rows].astype(np.float64)
     vals_t = vals[pair_index(g)]
     return ArcMatrix(n=g.n, row_offsets=g.row_offsets, col_indices=g.col_indices,
-                     values=vals, values_t=vals_t, segments=segments)
+                     values=vals, values_t=vals_t, segments=g.arc_segments)
 
 
 def spmm(a, H: np.ndarray, transpose: bool = False) -> np.ndarray:
@@ -350,10 +346,11 @@ def spmm(a, H: np.ndarray, transpose: bool = False) -> np.ndarray:
     H = np.asarray(H, dtype=np.float64)
     if H.shape[0] != a.n:
         raise ValueError(f"H has {H.shape[0]} rows, expected {a.n}")
-    vals = a.wide_values.get((H.shape[1], transpose))
+    v = a.sweep_values_t if transpose else a.sweep_values
+    # keyed by the swept array (a holds it): a symmetric matrix's products share one
+    vals = a.wide_values.get((H.shape[1], id(v)))
     if vals is None:
-        v = a.sweep_values_t if transpose else a.sweep_values
-        vals = a.wide_values[H.shape[1], transpose] = np.repeat(v[:, None], H.shape[1], axis=1)
+        vals = a.wide_values[H.shape[1], id(v)] = np.repeat(v[:, None], H.shape[1], axis=1)
 
     def scaled_arcs(lo, hi):
         rows = H.take(a.sweep_cols[lo:hi], axis=0)
@@ -363,21 +360,17 @@ def spmm(a, H: np.ndarray, transpose: bool = False) -> np.ndarray:
     return a.segments.sum(scaled_arcs, H.shape[1])
 
 
-def incidence_aggregate(g: Graph, E_feat: np.ndarray,
-                        segments: Segments | None = None) -> np.ndarray:
+def incidence_aggregate(g: Graph, E_feat: np.ndarray) -> np.ndarray:
     """Per-node sum of incident edge features (each edge counted once per endpoint).
 
-    Implemented as a sum over each node's stored arcs, by the Segments rule,
-    which equals the dense incidence product because paired arcs carry
-    identical rows. segments, when given, is
-    Segments.from_offsets(g.row_offsets) built already.
+    Implemented as a sum over each node's stored arcs, by the Segments rule
+    on g.arc_segments, which equals the dense incidence product because
+    paired arcs carry identical rows.
     """
     E_feat = np.asarray(E_feat, dtype=np.float64)
     if E_feat.shape[0] != g.n_arcs:
         raise ValueError(f"E_feat has {E_feat.shape[0]} rows, expected {g.n_arcs}")
-    if segments is None:
-        segments = Segments.from_offsets(g.row_offsets)
-    return segments.sum_rows(E_feat)
+    return g.arc_segments.sum_rows(E_feat)
 
 
 def edge_homophily(g: Graph) -> float:
@@ -415,9 +408,7 @@ def gen_minesweeper_grid(rows: int, cols: int, mine_prob: float, seed: int,
         u = np.flatnonzero((r + dr < rows) & (0 <= c + dc) & (c + dc < cols))
         edges.append(np.stack([u, u + dr * cols + dc], axis=1))
     g = canonicalize(np.concatenate(edges), n)      # adds the reverse arcs, sorts
-    counts = np.zeros(n, dtype=np.int64)
-    rws = arc_rows(g)
-    np.add.at(counts, rws, mines[g.col_indices].astype(np.int64))
+    counts = g.arc_segments.sum_rows(mines[g.col_indices, None] * 1.0)[:, 0].astype(np.int64)
     unknown = rng.random(n) < unknown_frac
     X = np.zeros((n, 10))
     known = ~unknown

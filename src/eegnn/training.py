@@ -619,7 +619,9 @@ def _check_data(cfg: RunConfig, data, splits, model: Model | None = None):
     classes, and none above 1 under an auroc or ap metric, which score two
     classes; with a trained model, labels below its output width and its
     node and edge feature widths (the edge width only when its cell has an
-    edge term)."""
+    edge term). Each scored split (every given split but a training run's
+    train split) must hold both classes under auroc and a positive under
+    ap, as those metrics are undefined otherwise."""
     node_task = cfg.task == "node_class"
     if node_task and not isinstance(data, Graph):
         raise ConfigError(["node_class task needs a single Graph dataset"])
@@ -675,6 +677,13 @@ def _check_data(cfg: RunConfig, data, splits, model: Model | None = None):
             if bad.size:
                 problems.append(f"bce_logits labels must be 0 or 1; the {name!r} "
                                 f"split has label {float(bad[0])!r}")
+        scored = model is not None or name != "train"
+        if mask.any() and scored and cfg.metric in ("auroc", "ap"):
+            pos = np.asarray(data.y)[mask].reshape(-1).astype(np.int64) == 1
+            if not pos.any() or (cfg.metric == "auroc" and pos.all()):
+                need = "both classes" if cfg.metric == "auroc" else "a label 1"
+                problems.append(f"metric {cfg.metric!r} needs {need} in each scored split; "
+                                f"the {name!r} split has {'only' if pos.any() else 'no'} label 1")
     if problems:
         raise ConfigError(problems)
 

@@ -180,14 +180,27 @@ def test_mean_pool_empty_selection_rejected():
             ad.segment_mean(H, Segments.from_offsets(offsets))
 
 
-def test_gather_rows_copies_rows_and_sums_gradients_back():
-    A = ad.leaf([[1.0, 2.0], [3.0, 4.0]])
-    out = ad.gather_rows(A, [1, 0, 1])
-    assert out.value.tolist() == [[3.0, 4.0], [1.0, 2.0], [3.0, 4.0]]
+def test_segment_spread_copies_rows_and_sums_gradients_back():
+    A = ad.leaf([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+    seg = Segments.from_offsets([0, 1, 1, 4])       # segment 1 is empty
+    out = ad.segment_spread(A, seg)
+    assert out.value.tolist() == [[1.0, 2.0], [5.0, 6.0], [5.0, 6.0], [5.0, 6.0]]
     ad.backward(ad.sum_all(out))
-    assert A.grad.tolist() == [[1.0, 1.0], [2.0, 2.0]]
+    assert A.grad.tolist() == [[1.0, 1.0], [0.0, 0.0], [3.0, 3.0]]
     with pytest.raises(ValueError):
-        ad.gather_rows(A, [2])
+        ad.segment_spread(A, Segments.from_offsets([0, 1, 4]))
+
+
+def test_segment_spread_gradient_sums_by_the_segments_rule():
+    rng = np.random.default_rng(11)
+    sizes = [1, 2, 3, 9, 70, 5]
+    offsets = np.concatenate([[0], np.cumsum(sizes)])
+    A = ad.leaf(rng.normal(size=(len(sizes), 3)))
+    probe = rng.normal(size=(offsets[-1], 3)) * 10.0 ** rng.integers(-8, 8, size=(offsets[-1], 3))
+    ad.backward(ad.sum_all(ad.mul_const(ad.segment_spread(A, Segments.from_offsets(offsets)),
+                                        probe)))
+    want = oracles.segment_sum_loop(probe, offsets)
+    assert np.array_equal(A.grad.view(np.int64), want.view(np.int64))
 
 
 # bench/layers.py wraps every other public name of autodiff as a tape op and
@@ -208,6 +221,7 @@ def test_every_public_op_returns_a_diff_value():
         "row_log_softmax": lambda: ad.row_log_softmax(A),
         "softmax_rows": lambda: ad.softmax_rows(A),
         "segment_mean": lambda: ad.segment_mean(A, Segments.from_offsets([0, 2, 3])),
+        "segment_spread": lambda: ad.segment_spread(A, Segments.from_offsets([0, 2, 2, 5])),
         "add": lambda: ad.add(A, B),
         "sub": lambda: ad.sub(A, B),
         "neg": lambda: ad.neg(A),
@@ -219,7 +233,6 @@ def test_every_public_op_returns_a_diff_value():
         "scale_rows": lambda: ad.scale_rows(A, t),
         "add_scaled_rows": lambda: ad.add_scaled_rows(A, B, t),
         "transpose": lambda: ad.transpose(A),
-        "gather_rows": lambda: ad.gather_rows(A, [2, 0]),
         "col_slice": lambda: ad.col_slice(A, 1),
         "where_rows": lambda: ad.where_rows([True, False, True], A, B),
         "sum_all": lambda: ad.sum_all(A),
@@ -330,10 +343,14 @@ def _one_op_cases(rng):
     probe = ad.constant(draw(n, m))
     probek = ad.constant(draw(n, k))
     probe_col = ad.constant(draw(n, 1))
-    rows = rng.integers(0, n, size=n)       # with repeats, so sums back
+    # the segment of each of n rows, with repeats, so sums back, and gaps,
+    # so some segments are empty
+    rows = rng.integers(0, n, size=n)
+    spread = Segments.from_offsets(np.concatenate([[0], np.cumsum(np.bincount(rows))]))
     ids = np.unique(np.sort(rng.integers(0, n, size=n)), return_inverse=True)[1]
     seg = Segments.from_offsets(np.concatenate([[0], np.cumsum(np.bincount(ids))]))
     probe_seg = ad.constant(probe.value[:ids.max() + 1])
+    S = ad.leaf(draw(spread.offsets.size - 1, m))
 
     def score(x, w=probe):
         return ad.sum_all(ad.mul(x, w))
@@ -356,7 +373,7 @@ def _one_op_cases(rng):
         ("transpose", [A],
          lambda: ad.sum_all(ad.mul(ad.transpose(A),
                                    ad.constant(probe.value.T)))),
-        ("gather_rows", [A], lambda: score(ad.gather_rows(A, rows))),
+        ("segment_spread", [S], lambda: score(ad.segment_spread(S, spread))),
         ("col_slice", [A],
          lambda: ad.sum_all(ad.mul(ad.col_slice(A, m - 1), probe_col))),
         ("where_rows", [A, B], lambda: score(ad.where_rows(mask, A, B))),

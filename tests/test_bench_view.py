@@ -1,14 +1,17 @@
 """The benchmark's view of the package: bench/layers.py traces eegnn names by
 module attribute and reads the kept eegnn_forward_node result as
 (Z, ExitState, records). A rename here would only surface as a failed
-`bench/run.py --trace 1`; this test runs the tracer on a small eegnn run.
+`bench/run.py --trace 1`; these tests run the tracer on a small eegnn run
+and on one graph-set eegnn epoch.
 """
 
 from pathlib import Path
 
+import numpy as np
+
 import eegnn
 from eegnn import training
-from eegnn.graphs import gen_minesweeper_grid
+from eegnn.graphs import degrees, gen_minesweeper_grid, gen_sbm
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -54,3 +57,30 @@ def test_benchmark_tracer_wraps_and_reads_an_eegnn_run(monkeypatch):
                 "exits.gumbel_softmax_st", "training.forward_node.train",
                 "training.forward_node.eval", "training.evaluate", "cells.sas_step"}
     assert expected <= fired
+
+
+def test_benchmark_tracer_sees_a_graph_set_eegnn_epoch(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    import layers
+    import workloads
+    from spans import Tracer
+
+    members = [g for g in (gen_sbm((3, 3), 0.9, 0.4, seed=s, feature_dim=4)
+                           for s in range(12)) if degrees(g).min() > 0][:6]
+    idx = np.arange(len(members))
+    ds = training.GraphSet(graphs=members, y=(idx % 2).reshape(-1, 1).astype(float),
+                           masks={"train": idx < 2, "val": (idx >= 2) & (idx < 4),
+                                  "test": idx >= 4})
+    cfg = training.RunConfig.from_dict({"task": "graph_class", "model": "eegnn",
+                                        "depth": 3, "hidden": 4, "epochs": 1,
+                                        "metric": "accuracy"})
+    tracer = Tracer(workloads.PACKAGE_MODULES)
+    layers.install_all(tracer, eegnn)
+    try:
+        training.train_run(cfg, ds)
+    finally:
+        tracer.restore()
+    # each member's tau reaches its nodes through one traced op
+    for name in ("autodiff.segment_spread", "autodiff.segment_mean",
+                 "exits.eegnn_forward_node", "training.forward_node.train"):
+        assert _spans(tracer, name) >= 1, name

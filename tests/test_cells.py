@@ -5,9 +5,11 @@ import pytest
 
 import oracles
 from eegnn import autodiff as ad
-from eegnn.cells import (CellParams, antisymmetrize, baseline_step, cell_weights,
-                         decode, encode, make_cell_params, sas_step, symmetrize)
-from eegnn.graphs import canonicalize, gen_sbm, norm_adj, spmm
+from eegnn.cells import (CellParams, antisymmetrize, baseline_step, build_operators,
+                         cell_weights, decode, encode, make_cell_params, sas_step,
+                         symmetrize)
+from eegnn.exits import make_exit_heads
+from eegnn.graphs import Segments, arc_rows, canonicalize, gen_sbm, mean_adj, norm_adj, spmm
 from eegnn.training import RunConfig, build_model
 
 
@@ -366,3 +368,25 @@ def test_map_norm_bounded_over_fifty_steps():
     J = oracles.fd_jacobian(forward, H0[node].copy())
     norm = float(np.abs(J).sum(axis=0).max())   # induced L1 norm
     assert 1e-3 <= norm <= 1e3
+
+
+def test_a_graphs_operators_share_one_arc_layout_built_once(monkeypatch):
+    g = small_graph(seed=4)
+    assert norm_adj(g).segments is mean_adj(g).segments is g.arc_segments
+    g = small_graph(seed=5)
+    g.E_feat = np.ones((g.n_arcs, 2)) * (arc_rows(g) + g.col_indices)[:, None]
+    built = []
+    from_offsets = Segments.from_offsets.__func__
+
+    def counted(cls, offsets):
+        built.append(np.array_equal(offsets, g.row_offsets))
+        return from_offsets(cls, offsets)
+
+    monkeypatch.setattr(Segments, "from_offsets", classmethod(counted))
+    rng = np.random.default_rng(0)
+    params = make_cell_params(rng, "sas", 3, 4, 2, edge_mode="linear", edge_dim=2)
+    g.X = rng.normal(size=(g.n, 3))
+    ops = build_operators(g, params, make_exit_heads(rng, "mean_gnn", 4, 4, 1))
+    assert ops.ma is not None and ops.be is not None
+    assert built == [True]
+    assert ops.a.segments is ops.ma.segments is g.arc_segments

@@ -288,6 +288,13 @@ def _set_labels(doc, split, value, first_only=True):
         doc["y"][i] = value
 
 
+def _label_split(doc, split, value):
+    """Give every row of one split the label value."""
+    for i, m in enumerate(doc["masks"][split]):
+        if m:
+            doc["y"][i] = value
+
+
 def _one_member_set(doc, label):
     """Turn a graph document into a one-graph set labelled label."""
     member = {k: doc[k] for k in ("n", "edges", "x")}
@@ -310,6 +317,12 @@ EDGES_SHOWN = "edges must be a list of [u, v] pairs of 64-bit integers"
     ("edge_term_without_edges", "edge_mode 'linear' needs edge features; the "
                                 "dataset has none"),
     ("three_class_auroc", "metric 'auroc' scores two classes, but a label is 2.0"),
+    ("one_class_val_auroc", "metric 'auroc' needs both classes in each scored "
+                            "split; the 'val' split has no label 1"),
+    ("positive_test_auroc", "metric 'auroc' needs both classes in each scored "
+                            "split; the 'test' split has only label 1"),
+    ("no_positive_test_ap", "metric 'ap' needs a label 1 in each scored split; "
+                            "the 'test' split has no label 1"),
     ("ce_mae", "metric 'mae' scores values, but loss 'ce' gives class logits"),
     ("two_column_bce", "bce_logits takes one label column; the dataset has 2"),
     ("y_string", "field 'y' must hold numbers"),
@@ -339,6 +352,9 @@ def test_train_rejects_an_empty_split_or_labels_that_are_not_classes(
             "three_class_bce": lambda d: _set_labels(d, "train", 2),
             "edge_term_without_edges": lambda d: None,
             "three_class_auroc": lambda d: _set_labels(d, "train", 2),
+            "one_class_val_auroc": lambda d: _label_split(d, "val", 0),
+            "positive_test_auroc": lambda d: _label_split(d, "test", 1),
+            "no_positive_test_ap": lambda d: _label_split(d, "test", 0),
             "ce_mae": lambda d: None,
             "two_column_bce": lambda d: d.update(y=[[v, v] for v in d["y"]]),
             "y_string": lambda d: d.update(y="abc"),
@@ -362,6 +378,9 @@ def test_train_rejects_an_empty_split_or_labels_that_are_not_classes(
     extra = {"three_class_bce": {"loss": "bce_logits"},
              "edge_term_without_edges": {"edge_mode": "linear"},
              "three_class_auroc": {"metric": "auroc"},
+             "one_class_val_auroc": {"metric": "auroc"},
+             "positive_test_auroc": {"metric": "auroc"},
+             "no_positive_test_ap": {"metric": "ap"},
              "ce_mae": {"metric": "mae"},
              "two_column_bce": {"loss": "bce_logits"},
              "graph_set_y_nan": {"task": "graph_reg", "loss": "mse",
@@ -380,13 +399,18 @@ def test_train_rejects_an_empty_split_or_labels_that_are_not_classes(
     ("label_at_out_dim", "ce labels must be class indices below the model's 2 "
                          "classes; the 'test' split has label 2.0"),
     ("no_edges", "dataset has no edge features; the model's edge term reads 2"),
-    ("edge_width", "dataset has 3 edge features; the model's edge term reads 2")])
+    ("edge_width", "dataset has 3 edge features; the model's edge term reads 2"),
+    ("one_class_test_auroc", "metric 'auroc' needs both classes in each scored "
+                             "split; the 'test' split has no label 1")])
 def test_evaluate_rejects_data_that_does_not_fit_the_checkpoint(tmp_path, capsys,
                                                                 case, shown):
     if case in ("no_edges", "edge_width"):
         data, path = edge_checkpoint(tmp_path)
     else:
-        data, path, _ = trained_checkpoint(tmp_path)
+        data, path, payload = trained_checkpoint(tmp_path)
+        if case == "one_class_test_auroc":
+            payload["config"]["metric"] = "auroc"
+            path.write_text(json.dumps(payload))
     if case == "graph_set":
         data = graph_set_file(tmp_path)
     else:
@@ -395,12 +419,22 @@ def test_evaluate_rejects_data_that_does_not_fit_the_checkpoint(tmp_path, capsys
                 "label_at_out_dim": lambda d: _set_labels(d, "test", 2),
                 "no_edges": lambda d: d.pop("edge_attr"),
                 "edge_width": lambda d: d.update(
-                    edge_attr=[row + [0.0] for row in d["edge_attr"]])}[case]
+                    edge_attr=[row + [0.0] for row in d["edge_attr"]]),
+                "one_class_test_auroc": lambda d: _label_split(d, "test", 0)}[case]
         data = edited_graph(tmp_path, data, edit)
     assert run(["evaluate", "--checkpoint", str(path), "--data", str(data),
                 "--out", str(tmp_path / "eval")]) == 1
     assert shown in capsys.readouterr().err
     assert not (tmp_path / "eval").exists()
+
+
+def test_a_training_split_of_one_class_is_not_scored(tmp_path):
+    # auroc scores val and test; the train split only feeds the loss
+    data = edited_graph(tmp_path, gen_sbm_data(tmp_path, seed=12),
+                        lambda d: _label_split(d, "train", 0))
+    cfg = write_cfg(tmp_path, dict(TRAIN_CFG, epochs=1, metric="auroc"), name="t.json")
+    assert run(["train", "--config", cfg, "--data", data,
+                "--out", str(tmp_path / "run")]) == 0
 
 
 @pytest.mark.parametrize("graph_set", [False, True])

@@ -445,3 +445,47 @@ def test_isolated_node_is_named_by_member_and_local_index(tmp_path, capsys):
                      "--out", str(tmp_path / "run")]) == 1
     assert "graph 5: isolated node 3 " in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
+
+
+def test_graph_set_step_sums_each_members_tau_gradient_by_the_rule(monkeypatch):
+    # members of 3 to 15 nodes: each member's tau reaches all its nodes, and
+    # its gradient sums theirs back by the kit's rule, bit for bit
+    members, seed = [], 0
+    while len(members) < 24:
+        a = 1 + len(members) % 7
+        g = gen_sbm((a, a + 1), 0.9, 0.4, seed=300 + seed, feature_dim=4)
+        seed += 1
+        if degrees(g).min() > 0:
+            g.y, g.masks = None, None
+            members.append(g)
+    idx = np.arange(len(members))
+    ds = GraphSet(graphs=members, y=(idx % 2).reshape(-1, 1).astype(float),
+                  masks={"train": idx % 3 == 0, "val": idx % 3 == 1, "test": idx % 3 == 2})
+    cfg = cfg_for("graph_class", "eegnn", depth=4, hidden=8)
+    trained = build_model(cfg, 4, 2, np.random.default_rng(0))
+    ops = operators_for(trained, ds)
+    sizes = np.diff(ops.seg.offsets)
+    assert sizes.min() == 3 and sizes.max() == 15
+    spreads = []
+
+    def recorded(A, seg):
+        out = spread(A, seg)
+        spreads.append((A, out))
+        return out
+
+    spread = ad.segment_spread
+    monkeypatch.setattr(ad, "segment_spread", recorded)
+    logits, _ = forward_node(trained, ops, "train_sample",
+                             noise=[np.zeros((len(members), 2))] * cfg.depth)
+    ad.backward(loss_eval(logits, ds.y, "ce", mask=ds.masks["train"]))
+    assert len(spreads) == cfg.depth
+    node_member = np.repeat(idx, sizes)
+    moved = 0
+    for tau, step in spreads:
+        want = oracles.segment_sum_loop(step.grad, ops.seg.offsets)
+        assert tau.grad.view(np.int64).tolist() == want.view(np.int64).tolist()
+        # node by node into zeros, as a scatter-add sums, rounds differently
+        scattered = np.zeros_like(want)
+        np.add.at(scattered, node_member, step.grad)
+        moved += int((scattered != want).sum())
+    assert moved

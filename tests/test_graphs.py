@@ -184,7 +184,8 @@ def test_spmm_bits_match_reduceat_with_empty_rows():
     cols = np.concatenate([[1, 4], [0, 2, 7], [3], np.arange(10) % 9, [0, 4, 5],
                            rng.integers(0, 9, size=70)])
     a = ArcMatrix(n=9, row_offsets=row_offsets, col_indices=cols,
-                  values=rng.normal(size=89), values_t=rng.normal(size=89))
+                  values=rng.normal(size=89), values_t=rng.normal(size=89),
+                  segments=Segments.from_offsets(row_offsets))
     assert_spmm_bits_match(a, seed=6)
     assert not spmm(a, np.ones((9, 3)))[[1, 3, 6]].any()
 
@@ -215,6 +216,16 @@ def test_mean_adj_transpose_uses_transposed_values():
     dense = np.zeros((4, 4))
     dense[arc_rows(g), g.col_indices] = a.values
     assert np.allclose(spmm(a, H, transpose=True), dense.T @ H)
+
+
+def test_a_symmetric_operator_widens_one_value_array_per_width():
+    g = gen_minesweeper_grid(4, 4, 0.2, seed=0)
+    H = np.ones((g.n, 3))
+    for a, arrays in ((norm_adj(g), 1), (mean_adj(g), 2)):
+        spmm(a, H)
+        spmm(a, H, transpose=True)
+        assert len(a.wide_values) == arrays
+        assert all(v.shape == (g.n_arcs, 3) for v in a.wide_values.values())
 
 
 def test_mean_adj_rows_average_neighbors():
