@@ -26,6 +26,7 @@ __all__ = [
     "arc_rows",
     "pair_index",
     "disjoint_union",
+    "norm_arc_weights",
     "norm_adj",
     "mean_adj",
     "spmm",
@@ -302,9 +303,17 @@ def validate_graph(g: Graph) -> None:
                 raise ValueError(f"mask '{name}' must have length n")
 
 
+def norm_arc_weights(g: Graph) -> np.ndarray:
+    """(d_u * d_v)^-0.5 for each arc (u,v), in CSR order, all in (0, 1]. No
+    arc touches an isolated node, so a graph with one still has finite
+    weights on every arc."""
+    d = degrees(g)
+    return 1.0 / np.sqrt(d[arc_rows(g)] * d[g.col_indices])
+
+
 def norm_adj(g: Graph) -> ArcMatrix:
-    """Symmetric degree-normalized adjacency of a canonical graph:
-    values[k] = (d_u * d_v)^-0.5 for arc (u,v), all in (0, 1], zero diagonal.
+    """Symmetric degree-normalized adjacency of a canonical graph: values are
+    norm_arc_weights, zero diagonal.
 
     Isolated nodes are a hard error: the normalization is undefined at degree
     zero and silently adding self-loops would break the no-self-loop premise
@@ -314,8 +323,7 @@ def norm_adj(g: Graph) -> ArcMatrix:
     if np.any(d == 0):
         bad = int(np.flatnonzero(d == 0)[0])
         raise ValueError(f"isolated node {bad} has degree 0; drop it before norm_adj")
-    rows = arc_rows(g)
-    vals = 1.0 / np.sqrt(d[rows] * d[g.col_indices])
+    vals = norm_arc_weights(g)
     return ArcMatrix(n=g.n, row_offsets=g.row_offsets, col_indices=g.col_indices,
                      values=vals, values_t=vals, segments=g.arc_segments)
 
@@ -476,9 +484,10 @@ def save_graph(g: Graph, path) -> None:
         doc["y"] = g.y.tolist()
     if g.masks is not None:
         doc["masks"] = {k: [bool(b) for b in g.masks[k]] for k in ("train", "val", "test")}
+    # json.dumps runs the C encoder; json.dump would stream the same bytes
+    # through the pure-Python one
     with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+        fh.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
 
 
 def _field(doc, name, required=True):

@@ -219,6 +219,53 @@ def match_complex_sets(a, b, tol):
     return True
 
 
+
+# ------------------------------------------------------ spectrum oracles
+
+def sas_jacobian_single(params, h_point, neighbor_term=None):
+    """diagnostics.sas_jacobian as it ran before it took stacks: one
+    CellParams, one linearization point, one eigensolver call. Returns
+    (eigenvalues, max_re, skew_residual)."""
+    from eegnn.autodiff import _act_derivative, _act_forward
+
+    ov = params.omega_raw.value
+    m = ov.shape[0]
+    h = np.asarray(h_point, dtype=np.float64).reshape(-1)
+    phi = np.zeros(m) if neighbor_term is None else \
+        np.asarray(neighbor_term, dtype=np.float64).reshape(-1)
+    oas = ov - ov.T
+    v = h @ oas
+    u = -_act_forward(v, params.sigma2) + phi
+    dfac = _act_derivative(u, params.sigma1) * _act_derivative(v, params.sigma2)
+    J = -(dfac[:, None] * oas)
+    dtil = np.sqrt(np.abs(dfac))
+    M = np.outer(dtil, dtil) * oas
+    residual = float(np.abs(M + M.T).max()) if m else 0.0
+    lam = np.linalg.eigvals(J).astype(np.complex128)
+    return lam, float(np.abs(lam.real).max()) if m else 0.0, residual
+
+
+def spectrum_suite_loop(n_configs, width_lo, width_hi, seed):
+    """diagnostics.spectrum_suite with one sas_jacobian_single call per
+    config, in draw order."""
+    from eegnn.cells import make_cell_params
+
+    rng = np.random.default_rng(seed)
+    worst_re = 0.0
+    worst_skew = 0.0
+    for _ in range(n_configs):
+        m = int(rng.integers(width_lo, width_hi + 1))
+        params = make_cell_params(rng, "sas", m, m, m)
+        h = rng.normal(size=m)
+        phi = rng.normal(size=m)
+        _, max_re, skew = sas_jacobian_single(params, h, neighbor_term=phi)
+        worst_re = max(worst_re, max_re)
+        worst_skew = max(worst_skew, skew)
+    return {"configs": n_configs, "max_re_lambda": worst_re,
+            "max_skew_residual": worst_skew,
+            "pass": worst_re <= 1e-8 and worst_skew <= 1e-12}
+
+
 # ---------------------------------------------------- sensitivity oracle
 
 def sensitivity_single_seed(model, g, layer):

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 
 import eegnn
-from eegnn import training
+from eegnn import diagnostics, training
 from eegnn.graphs import degrees, gen_minesweeper_grid, gen_sbm
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -84,3 +84,29 @@ def test_benchmark_tracer_sees_a_graph_set_eegnn_epoch(monkeypatch):
     for name in ("autodiff.segment_spread", "autodiff.segment_mean",
                  "exits.eegnn_forward_node", "training.forward_node.train"):
         assert _spans(tracer, name) >= 1, name
+
+
+def test_benchmark_tracer_sees_every_expected_span_of_sensitivity_and_spectrum(
+        monkeypatch):
+    # the names bench/layers.py requires of the diag-sens-spec workload,
+    # fired by a small sensitivity call and a batched spectrum suite
+    monkeypatch.syspath_prepend(str(BENCH))
+    import layers
+    import workloads
+    from spans import Tracer
+
+    g = gen_sbm((3, 3), 0.9, 0.4, seed=0, feature_dim=4)
+    cfg = training.RunConfig.from_dict({"depth": 3, "hidden": 4})
+    model = training.build_model(cfg, 4, 2, np.random.default_rng(0))
+    tracer = Tracer(workloads.PACKAGE_MODULES)
+    layers.install_all(tracer, eegnn)
+    try:
+        diagnostics.sensitivity(model, g, 1)
+        diagnostics.spectrum_suite(20, 2, 4, seed=0)
+    finally:
+        tracer.restore()
+    missing = {name for name in layers.EXPECTED["diag-sens-spec"]
+               if _spans(tracer, name) == 0}
+    assert not missing
+    # one eigensolver call per width drawn
+    assert _spans(tracer, "eig.eigvals") == _spans(tracer, "diagnostics.sas_jacobian") == 3

@@ -282,9 +282,10 @@ def edited_graph(tmp_path, data, edit):
     return str(path)
 
 
-def _set_labels(doc, split, value, first_only=True):
+def _set_labels(doc, split, value):
+    """Give the first row of one split the label value."""
     rows = [i for i, m in enumerate(doc["masks"][split]) if m]
-    for i in rows[:1] if first_only else range(len(doc["y"])):
+    for i in rows[:1]:
         doc["y"][i] = value
 
 
@@ -346,7 +347,7 @@ def test_train_rejects_an_empty_split_or_labels_that_are_not_classes(
         tmp_path, capsys, case, shown):
     data = gen_sbm_data(tmp_path, seed=12)
     edit = {"empty_train": lambda d: d["masks"].update(train=[False] * d["n"]),
-            "half_labels": lambda d: _set_labels(d, "train", 0.5, first_only=False),
+            "half_labels": lambda d: _label_split(d, "train", 0.5),
             "negative_label": lambda d: _set_labels(d, "train", -1),
             "all_zero_ce": lambda d: d.update(y=[0] * d["n"]),
             "three_class_bce": lambda d: _set_labels(d, "train", 2),

@@ -103,6 +103,19 @@ def test_energy_functional_matches_arc_loop_oracle():
         assert energy_functional(H, ws, g) == pytest.approx(want, rel=1e-12)
 
 
+
+def test_energy_functional_accepts_an_isolated_node():
+    # norm_adj refuses this graph; the functional reads the same arc weights,
+    # and node 4 has no arc to weigh
+    rng = np.random.default_rng(4)
+    g = make_graph([(0, 1), (1, 2), (0, 2), (2, 3)], 5, X=rng.normal(size=(5, 3)))
+    with pytest.raises(ValueError, match="isolated node 4"):
+        norm_adj(g)
+    w = rng.normal(size=(3, 3))
+    ws = 0.5 * (w + w.T)
+    want = oracles.energy_loop(g.X, ws, arc_list(g), degrees(g))
+    assert energy_functional(g.X, ws, g) == pytest.approx(want, rel=1e-12)
+
 # ------------------------------------------------------------------- descent
 
 def test_descent_trace_zero_state_is_flat():
@@ -168,7 +181,7 @@ def test_jacobian_all_dead_gate_is_zero_matrix():
     rng = np.random.default_rng(5)
     params = make_cell_params(rng, "sas", 4, 4, 2)
     h = rng.normal(size=4)
-    rep = sas_jacobian(params, h, neighbor_term=np.full(4, -100.0))
+    rep = sas_jacobian(params.omega_raw.value, h, neighbor_term=np.full(4, -100.0))
     assert np.abs(rep.eigenvalues).max() == 0.0
     assert rep.skew_residual == 0.0
 
@@ -177,8 +190,8 @@ def test_jacobian_identity_activations_give_pure_rotation():
     rng = np.random.default_rng(6)
     params = make_cell_params(rng, "sas", 4, 4, 2,
                               sigma1="identity", sigma2="identity")
-    rep = sas_jacobian(params, rng.normal(size=4))
     ov = params.omega_raw.value
+    rep = sas_jacobian(ov, rng.normal(size=4), sigma1="identity", sigma2="identity")
     want = oracles.eigvals_oracle(-(ov - ov.T))
     assert oracles.match_complex_sets(rep.eigenvalues, want, tol=1e-10)
     assert rep.max_re <= 1e-12
@@ -190,7 +203,7 @@ def test_jacobian_random_widths_stay_on_imaginary_axis():
     for _ in range(30):
         m = int(rng.integers(2, 17))
         params = make_cell_params(rng, "sas", m, m, m)
-        rep = sas_jacobian(params, rng.normal(size=m),
+        rep = sas_jacobian(params.omega_raw.value, rng.normal(size=m),
                            neighbor_term=rng.normal(size=m))
         assert rep.max_re <= 1e-8
         assert rep.skew_residual == 0.0
@@ -200,7 +213,59 @@ def test_jacobian_width_budget_enforced():
     rng = np.random.default_rng(8)
     params = make_cell_params(rng, "sas", 33, 33, 2)
     with pytest.raises(ValueError, match="32"):
-        sas_jacobian(params, np.zeros(33))
+        sas_jacobian(params.omega_raw.value, np.zeros(33))
+
+
+def _bits(x) -> bytes:
+    return np.asarray(x).tobytes()
+
+
+@pytest.mark.parametrize("sigma1, sigma2", [("relu_tanh", "relu"),
+                                            ("identity", "identity"),
+                                            ("tanh", "softplus")])
+def test_jacobian_stack_equals_one_call_per_matrix_bit_for_bit(sigma1, sigma2):
+    # the stack's first matrix has an all-dead gate (u far below zero)
+    rng = np.random.default_rng(9)
+    for m in range(1, 33):
+        params = [make_cell_params(rng, "sas", m, m, m, sigma1=sigma1, sigma2=sigma2)
+                  for _ in range(4)]
+        hs = rng.normal(size=(4, m))
+        phis = rng.normal(size=(4, m))
+        phis[0] = -100.0
+        rep = sas_jacobian(np.stack([p.omega_raw.value for p in params]), hs, phis,
+                           sigma1=sigma1, sigma2=sigma2)
+        assert rep.eigenvalues.shape == (4, m)
+        for k, p in enumerate(params):
+            lam, max_re, skew = oracles.sas_jacobian_single(p, hs[k], phis[k])
+            one = sas_jacobian(p.omega_raw.value, hs[k], phis[k],
+                               sigma1=sigma1, sigma2=sigma2)
+            assert isinstance(one.max_re, float) and isinstance(one.skew_residual, float)
+            for got in (rep.eigenvalues[k], one.eigenvalues):
+                assert _bits(got) == _bits(lam), (m, k)
+            for got in (rep.max_re[k], one.max_re):
+                assert _bits(got) == _bits(max_re), (m, k)
+            for got in (rep.skew_residual[k], one.skew_residual):
+                assert _bits(got) == _bits(skew), (m, k)
+
+
+def test_jacobian_rejects_mismatched_shapes():
+    with pytest.raises(ValueError, match="square"):
+        sas_jacobian(np.zeros((3, 4)), np.zeros(3))
+    with pytest.raises(ValueError, match="h_point must have length 3"):
+        sas_jacobian(np.zeros((2, 3, 3)), np.zeros(3))
+    with pytest.raises(ValueError, match="neighbor_term must have length 3"):
+        sas_jacobian(np.zeros((2, 3, 3)), np.zeros((2, 3)), np.zeros(4))
+
+
+@pytest.mark.parametrize("n_configs, lo, hi, seed", [(300, 16, 32, 0), (100, 2, 16, 0),
+                                                     (10, 2, 16, 2), (200, 2, 32, 7),
+                                                     (50, 1, 32, 3)])
+def test_spectrum_suite_equals_the_per_config_loop(n_configs, lo, hi, seed):
+    got = spectrum_suite(n_configs, lo, hi, seed=seed)
+    want = oracles.spectrum_suite_loop(n_configs, lo, hi, seed)
+    assert got == want
+    assert {k: _bits(v) for k, v in got.items()} == \
+        {k: _bits(v) for k, v in want.items()}
 
 
 @pytest.mark.parametrize("n_configs", [0, -1])

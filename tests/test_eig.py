@@ -65,3 +65,14 @@ def test_eigenvalue_count_matches_dimension():
     rng = np.random.default_rng(2)
     for n in (1, 2, 3, 7, 12):
         assert eigvals(rng.normal(size=(n, n))).shape == (n,)
+
+
+def test_stack_equals_one_call_per_matrix_bit_for_bit():
+    rng = np.random.default_rng(3)
+    for m in range(1, 33):
+        stack = rng.normal(size=(2, 3, m, m))
+        lam = eigvals(stack)
+        assert lam.shape == (2, 3, m) and lam.dtype == np.complex128
+        for i in range(2):
+            for j in range(3):
+                assert lam[i, j].tobytes() == eigvals(stack[i, j]).tobytes(), m
