@@ -11,9 +11,8 @@ does not add parameters, and one Oas and one Ws per forward (cell_weights).
 Baseline cells (gcn, graff, adgn) share the encoder/decoder plumbing but use
 their own update rules; gcn keeps one weight matrix per layer and no residual.
 
-Every forward pass reads its graph through one Operators bundle, and every
-fixed-depth stack runs through propagate; only the adaptive exit loop in
-exits steps layer by layer itself.
+Every forward pass reads its graph through one Operators bundle and steps
+through propagate, the one layer loop; exits gives eegnn's step sizes and stop.
 """
 
 from __future__ import annotations
@@ -48,7 +47,7 @@ __all__ = [
 
 MODEL_KINDS = ("sas", "eegnn", "gcn", "graff", "adgn")
 EDGE_MODES = ("zero", "linear", "neg_relu")
-EDGE_KINDS = ("sas", "eegnn")   # the kinds whose step has an edge term
+EDGE_KINDS = ("sas", "eegnn")   # the kinds of the sas step, which has an edge term
 TASKS = ("node_class", "graph_class", "graph_reg")
 
 
@@ -204,7 +203,7 @@ def _tau_column(tau, n: int, default: float) -> DiffValue:
         if tau.shape != (n, 1):
             raise ValueError(f"per-node tau must be {n} x 1, got {tau.shape}")
         tv = tau.value
-        if (tv < 0.0).any() or (tv > 1.0).any():
+        if not ((tv >= 0.0) & (tv <= 1.0)).all():
             raise ValueError("per-node tau outside [0, 1]")
         return tau
     t = float(tau)
@@ -266,23 +265,31 @@ def baseline_step(H: DiffValue, a, p: CellParams, kind: str, weights,
 
 
 def propagate(H: DiffValue, ops: Operators, params: CellParams, kind: str,
-              depth: int, tau=None) -> list[DiffValue]:
-    """The fixed-depth stack: depth steps of one cell kind from state H.
+              depth: int, tau=None, capture: list | None = None) -> list[DiffValue]:
+    """The one layer loop: up to depth steps of a cell kind from state H.
 
-    Returns the depth + 1 states H_0 = H, ..., H_depth, all on the tape.
-    Kind sas takes the sas step with step size tau (the cell's own when
-    None); the baseline kinds take their own step and ignore tau. The eegnn
-    kind runs its own loop, exits.eegnn_forward_node.
+    Returns the states H_0 = H, ..., H_l of the l layers run, all on the tape,
+    and copies their values into capture when given. sas and eegnn take the
+    sas step at step size tau: the cell's own when None, a scalar or an n x 1
+    column, or a function of (layer, state) returning one, or None to stop; as
+    it sees each state, only H_l is kept without capture. The baseline kinds
+    read tau only to stop.
     """
     states = [H]
     weights = cell_weights(params, kind)
-    if kind == "sas":
-        et = edge_term(ops.be, params)
-        for _ in range(depth):
-            states.append(sas_step(states[-1], ops.a, params, weights, tau=tau, edge_term=et))
-    else:
-        for l in range(depth):
+    et = edge_term(ops.be, params) if kind in EDGE_KINDS else None
+    for l in range(depth):
+        step = tau(l, states[-1]) if callable(tau) else tau
+        if callable(tau) and step is None:
+            break
+        if kind in EDGE_KINDS:
+            states.append(sas_step(states[-1], ops.a, params, weights, tau=step, edge_term=et))
+        else:
             states.append(baseline_step(states[-1], ops.a, params, kind, weights, layer=l))
+        if callable(tau) and capture is None:   # a tape-free run holds one state at a time
+            del states[:-1]
+    if capture is not None:
+        capture.extend(h.value.copy() for h in states)
     return states
 
 

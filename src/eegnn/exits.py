@@ -1,4 +1,4 @@
-"""Adaptive-depth early exit: Gumbel sampling, exit heads, and the loop.
+"""Adaptive-depth early exit: Gumbel sampling, exit heads, and the exit model.
 
 Each layer, shared heads read the current agent states and produce two-way
 logits (continue vs exit) plus an inverse temperature. A Gumbel-Softmax
@@ -7,18 +7,18 @@ one-hot of its argmax; the soft probability doubles as that agent's Euler
 step size tau for the layer, so an agent close to exiting also moves in
 smaller steps.
 
-An agent is a node, or for a graph set (a disjoint union of its member
-graphs) a whole member graph: its state is the mean of its nodes' states,
-and its tau steps all of its nodes. The loop freezes an agent's output row
-at its first hard exit. States of exited agents keep updating while any
-agent is still active (a frozen row only pins what the decoder sees), and
-the loop stops at the layer where the last agent exits: the remaining layers
-could not change the output. The hard decision is a plain array that only
-picks the rows to freeze, through a constant mask, so no gradient passes
-through it: the heads train through tau alone. With every head parameter
-zero both exit logits are equal, c_soft is exactly [0.5, 0.5] and the argmax
-continues, so the loop is plain sas at tau 0.5 bit for bit (the ablation
-tests check this).
+An agent is a node, or for a graph set (a disjoint union of its member graphs)
+a whole member graph: its state is the mean of its nodes' states, and its tau
+steps all of its nodes. The layers run through cells.propagate, the heads
+giving each layer's step size and the stop. An agent's output row freezes at
+its first hard exit. States of exited agents keep updating while any agent is
+still active (a frozen row only pins what the decoder sees), and the loop
+stops at the layer where the last agent exits: the remaining layers could not
+change the output. The hard decision is a plain array that only picks the rows
+to freeze, through a constant mask, so no gradient passes through it: the
+heads train through tau alone. With every head parameter zero both exit logits
+are equal, c_soft is exactly [0.5, 0.5] and the argmax continues, so the loop
+is plain sas at tau 0.5 bit for bit (the ablation tests check this).
 
 The loop's inputs are ready before its first layer: one cells.Operators
 bundle, node features included, and for a sampled forward every layer's
@@ -33,8 +33,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import DiffValue
-from .cells import (CellParams, Operators, _check_leaf_names, _glorot, cell_weights,
-                    edge_term, encode, sas_step)
+from .cells import CellParams, Operators, _check_leaf_names, _glorot, encode, propagate
 
 __all__ = [
     "ExitState",
@@ -232,66 +231,64 @@ def eegnn_forward_node(ops: Operators, params: CellParams, heads: ExitHeads,
     An agent exiting at layer l has spent exit_time = sum of its tau over
     layers 0..l-1; the deciding layer's tau is not counted.
 
-    A train_sample run without given noise draws all L layers' noise from
-    rng in one (L, agents, 2) block before the first layer, the same stream
-    as L successive (agents, 2) draws. Once every agent has exited, at layer
-    l, the loop stops before that layer's update: Z and the ExitState are
-    those of a full-depth run, the records end at layer l, and rng is left
-    where a full-depth run leaves it. With capture given, all L layers run
-    and capture receives all L + 1 node states.
+    A train_sample run without given noise draws all L layers' noise from rng
+    in one (L, agents, 2) block first, the stream of L successive (agents, 2)
+    draws. The layers run through cells.propagate, the heads giving each
+    layer's step size and, once every agent has exited at layer l, the stop
+    before its update: Z and the ExitState are those of a full-depth run, the
+    records end at layer l, and rng is where a full-depth run leaves it. With
+    capture, all L layers run and capture gets all L + 1 node states.
     """
     if L < 1:
         raise ValueError(f"depth must be >= 1, got {L}")
     if heads is None:
         raise ValueError("the early-exit forward needs exit heads")
     seg = ops.seg
-    if seg is not None:
-        if heads.kind != "mlp":
-            raise ValueError("graph-level exits use mlp heads on pooled features")
-    et, weights = edge_term(ops.be, params), cell_weights(params, "eegnn")
+    if seg is not None and heads.kind != "mlp":
+        raise ValueError("graph-level exits use mlp heads on pooled features")
+    pool = lambda H: H if seg is None else ad.segment_mean(H, seg)
+    n = len(ops.X) if seg is None else len(seg.offsets) - 1
     H = encode(ad.constant(ops.X), params)
-    if capture is not None:
-        capture.append(H.value.copy())
-    agents = H if seg is None else ad.segment_mean(H, seg)
-    n = agents.shape[0]
     if mode == "train_sample" and noise is None:
         if rng is None:
             raise ValueError("a train_sample forward needs noise or a generator rng")
         noise = sample_gumbel((L, n, 2), rng)
-    Z_cur = ad.constant(np.zeros_like(agents.value))
-    exited = np.zeros(n, dtype=bool)
-    exit_layer = np.full(n, L, dtype=np.int64)
-    exit_time = np.zeros(n)
+    exit_layer, exit_time = np.full(n, L, dtype=np.int64), np.zeros(n)
+    Z_cur = ad.constant(np.zeros((n, params.hidden)))
     records = []
-    for l in range(L):
+    agents = seen = None
+
+    def step_size(l, H):
+        nonlocal agents, seen, Z_cur
+        agents, seen = pool(H), H
         mh = None if ops.ma is None else ad.dspmm(ops.ma, H)
         logits = confidence_logits(agents, heads, ops.ma, mh)
         inv_nu = inv_temperature(agents, heads, ops.ma, mh)
         smp = noise[l] if mode == "train_sample" else None
         c_soft, hard = gumbel_softmax_st(logits, inv_nu, smp, mode)
         tau_col = ad.col_slice(c_soft, 0)
-        new_exit = (hard[:, 1] == 1.0) & ~exited
+        new_exit = (hard[:, 1] == 1.0) & (exit_layer == L)
         if new_exit.any():
             Z_cur = ad.where_rows(new_exit, agents, Z_cur)
             exit_layer[new_exit] = l
-            exited |= new_exit
-        active = ~exited
+        active = exit_layer == L
         exit_time[active] += tau_col.value[active, 0]
         records.append({"layer": l, "mean_tau": float(tau_col.value.mean()),
                         "new_exits": int(new_exit.sum()),
                         "mean_inv_nu": float(inv_nu.value.mean())})
-        if capture is None and exited.all():
-            break
-        step = tau_col if seg is None else ad.segment_spread(tau_col, seg)
-        H = sas_step(H, ops.a, params, weights, tau=step, edge_term=et)
-        agents = H if seg is None else ad.segment_mean(H, seg)
-        if capture is not None:
-            capture.append(H.value.copy())
+        if capture is None and not active.any():
+            return None
+        return tau_col if seg is None else ad.segment_spread(tau_col, seg)
+
+    H = propagate(H, ops, params, "eegnn", L, step_size, capture)[-1]
+    if H is not seen:       # full depth: step_size has not pooled the last state
+        agents = pool(H)
+    state = ExitState(exit_layer=exit_layer, exit_time=exit_time, L=L)
     # after a stop every row comes from Z_cur; the row select stays on the
     # tape all the same, so backward visits the layers in the order it visits
     # them after a full-depth run and sums every gradient in the same order
-    Z = ad.where_rows(exited, Z_cur, agents) if exited.any() else agents
-    return Z, ExitState(exit_layer=exit_layer, exit_time=exit_time, L=L), records
+    Z = ad.where_rows(state.exited, Z_cur, agents) if state.exited.any() else agents
+    return Z, state, records
 
 
 def exit_distribution(state: ExitState, rows) -> dict:

@@ -97,7 +97,7 @@ def _coerce(v, default):
                 or (math.isfinite(v) and float(v).is_integer())):
             return None
         return int(v)
-    return float(v)
+    return float(v) if math.isfinite(v) else None
 
 
 def _type_name(default) -> str:
@@ -538,9 +538,9 @@ def forward_node(model: Model, ops: Operators, mode: str = "eval_argmax",
     None for the fixed-depth kinds.
 
     ops is the bundle operators_for built from the data: one row per node
-    of a Graph, one per member graph of a GraphSet. capture, when given,
-    receives a copy of every layer's node states. The per-layer exit records
-    come from exits.eegnn_forward_node itself.
+    of a Graph, one per member graph of a GraphSet. Every kind steps through
+    cells.propagate, eegnn with the step sizes and stop of its exit model;
+    capture, when given, receives a copy of every layer's node states.
     """
     cfg = model.cfg
     if cfg.model == "eegnn":
@@ -548,13 +548,9 @@ def forward_node(model: Model, ops: Operators, mode: str = "eval_argmax",
             ops, model.params, model.heads, cfg.depth, rng, mode,
             noise=noise, capture=capture)
     else:
-        states = propagate(encode(ad.constant(ops.X), model.params), ops,
-                           model.params, cfg.model, cfg.depth)
-        if capture is not None:
-            capture.extend(h.value.copy() for h in states)
-        Z, state = states[-1], None
-        if ops.seg is not None:
-            Z = ad.segment_mean(Z, ops.seg)
+        H = propagate(encode(ad.constant(ops.X), model.params), ops, model.params,
+                      cfg.model, cfg.depth, capture=capture)[-1]
+        Z, state = (H if ops.seg is None else ad.segment_mean(H, ops.seg)), None
     return decode(Z, model.params), state
 
 

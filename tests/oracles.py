@@ -508,3 +508,94 @@ def save_graph_loop(g, path):
     with open(path, "w") as fh:
         json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
         fh.write("\n")
+
+
+# ------------------------------------------------------- layer-loop oracles
+#
+# The two layer loops the package ran before the exit forward stepped
+# through cells.propagate, kept verbatim: the fixed-depth propagate and the
+# exit loop of exits.eegnn_forward_node.
+
+def propagate_two_loops(H, ops, params, kind, depth, tau=None):
+    """The fixed-depth stack: depth steps of one cell kind from state H.
+
+    Returns the depth + 1 states H_0 = H, ..., H_depth, all on the tape.
+    Kind sas takes the sas step with step size tau (the cell's own when
+    None); the baseline kinds take their own step and ignore tau. The eegnn
+    kind runs its own loop, exits.eegnn_forward_node.
+    """
+    from eegnn.cells import baseline_step, cell_weights, edge_term, sas_step
+
+    states = [H]
+    weights = cell_weights(params, kind)
+    if kind == "sas":
+        et = edge_term(ops.be, params)
+        for _ in range(depth):
+            states.append(sas_step(states[-1], ops.a, params, weights, tau=tau, edge_term=et))
+    else:
+        for l in range(depth):
+            states.append(baseline_step(states[-1], ops.a, params, kind, weights, layer=l))
+    return states
+
+
+def eegnn_forward_two_loops(ops, params, heads, L, rng=None, mode="train_sample", *,
+                            noise=None, capture=None):
+    """exits.eegnn_forward_node with its own layer loop; returns
+    (Z, ExitState, per-layer records)."""
+    from eegnn import autodiff as ad
+    from eegnn.cells import cell_weights, edge_term, encode, sas_step
+    from eegnn.exits import (ExitState, confidence_logits, gumbel_softmax_st,
+                             inv_temperature, sample_gumbel)
+
+    if L < 1:
+        raise ValueError(f"depth must be >= 1, got {L}")
+    if heads is None:
+        raise ValueError("the early-exit forward needs exit heads")
+    seg = ops.seg
+    if seg is not None:
+        if heads.kind != "mlp":
+            raise ValueError("graph-level exits use mlp heads on pooled features")
+    et, weights = edge_term(ops.be, params), cell_weights(params, "eegnn")
+    H = encode(ad.constant(ops.X), params)
+    if capture is not None:
+        capture.append(H.value.copy())
+    agents = H if seg is None else ad.segment_mean(H, seg)
+    n = agents.shape[0]
+    if mode == "train_sample" and noise is None:
+        if rng is None:
+            raise ValueError("a train_sample forward needs noise or a generator rng")
+        noise = sample_gumbel((L, n, 2), rng)
+    Z_cur = ad.constant(np.zeros_like(agents.value))
+    exited = np.zeros(n, dtype=bool)
+    exit_layer = np.full(n, L, dtype=np.int64)
+    exit_time = np.zeros(n)
+    records = []
+    for l in range(L):
+        mh = None if ops.ma is None else ad.dspmm(ops.ma, H)
+        logits = confidence_logits(agents, heads, ops.ma, mh)
+        inv_nu = inv_temperature(agents, heads, ops.ma, mh)
+        smp = noise[l] if mode == "train_sample" else None
+        c_soft, hard = gumbel_softmax_st(logits, inv_nu, smp, mode)
+        tau_col = ad.col_slice(c_soft, 0)
+        new_exit = (hard[:, 1] == 1.0) & ~exited
+        if new_exit.any():
+            Z_cur = ad.where_rows(new_exit, agents, Z_cur)
+            exit_layer[new_exit] = l
+            exited |= new_exit
+        active = ~exited
+        exit_time[active] += tau_col.value[active, 0]
+        records.append({"layer": l, "mean_tau": float(tau_col.value.mean()),
+                        "new_exits": int(new_exit.sum()),
+                        "mean_inv_nu": float(inv_nu.value.mean())})
+        if capture is None and exited.all():
+            break
+        step = tau_col if seg is None else ad.segment_spread(tau_col, seg)
+        H = sas_step(H, ops.a, params, weights, tau=step, edge_term=et)
+        agents = H if seg is None else ad.segment_mean(H, seg)
+        if capture is not None:
+            capture.append(H.value.copy())
+    # after a stop every row comes from Z_cur; the row select stays on the
+    # tape all the same, so backward visits the layers in the order it visits
+    # them after a full-depth run and sums every gradient in the same order
+    Z = ad.where_rows(exited, Z_cur, agents) if exited.any() else agents
+    return Z, ExitState(exit_layer=exit_layer, exit_time=exit_time, L=L), records

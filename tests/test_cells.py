@@ -6,8 +6,8 @@ import pytest
 import oracles
 from eegnn import autodiff as ad
 from eegnn.cells import (CellParams, antisymmetrize, baseline_step, build_operators,
-                         cell_weights, decode, encode, make_cell_params, sas_step,
-                         symmetrize)
+                         cell_weights, decode, encode, make_cell_params, propagate,
+                         sas_step, symmetrize)
 from eegnn.exits import make_exit_heads
 from eegnn.graphs import Segments, arc_rows, canonicalize, gen_sbm, mean_adj, norm_adj, spmm
 from eegnn.training import RunConfig, build_model
@@ -142,6 +142,10 @@ def test_sas_step_rejects_bad_per_node_tau():
         sas_step(H, norm_adj(g), p, w, tau=ad.constant(np.full((10, 1), 1.5)))
     with pytest.raises(ValueError):
         sas_step(H, norm_adj(g), p, w, tau=ad.constant(np.full((10, 1), -0.1)))
+    nan_col = np.full((10, 1), 0.5)
+    nan_col[3] = np.nan
+    with pytest.raises(ValueError, match="outside"):
+        sas_step(H, norm_adj(g), p, w, tau=ad.constant(nan_col))
 
 
 def test_sas_step_rejects_shape_mismatch():
@@ -180,6 +184,62 @@ def test_sas_step_three_layer_gradients_match_fd():
         return ad.sum_all(ad.mul(H, ad.mul(H, H)))
 
     assert ad.fd_check(loss, [p.omega_raw, p.w_raw]) <= 1e-4
+
+
+# (kind, step size, edge mode): sas at the cell's own tau, at a scalar tau as
+# diagnostics.descent_trace passes, and with an edge term; each baseline kind
+PROPAGATE_CASES = [("sas", None, "zero"), ("sas", 0.05, "zero"), ("sas", None, "neg_relu"),
+                   ("gcn", None, "zero"), ("graff", None, "zero"), ("adgn", None, "zero")]
+
+
+@pytest.mark.parametrize("kind, tau, edge_mode", PROPAGATE_CASES)
+def test_propagate_matches_its_fixed_depth_oracle(kind, tau, edge_mode):
+    """Each fixed kind through the one layer loop against the fixed-depth
+    loop it ran before, frozen in oracles: states, captured values and every
+    leaf gradient, byte for byte."""
+    g = gen_sbm([5, 5], 0.8, 0.3, seed=3, feature_dim=3)
+    edge_dim = 0 if edge_mode == "zero" else 2
+    if edge_dim:
+        g.E_feat = np.random.default_rng(3).normal(size=(g.n_arcs, edge_dim))
+    runs = []
+    for loop in (propagate, oracles.propagate_two_loops):
+        p = make_cell_params(np.random.default_rng(4), kind, 3, 4, 2, depth=4, tau=0.6,
+                             edge_mode=edge_mode, edge_dim=edge_dim)
+        captured = []
+        args = (encode(ad.constant(g.X), p), build_operators(g, p), p, kind, 4, tau)
+        states = propagate(*args, captured) if loop is propagate else loop(*args)
+        w = np.random.default_rng(5).normal(size=states[-1].shape)
+        ad.backward(ad.sum_all(ad.mul_const(states[-1], w)))
+        runs.append(([h.value.tobytes() for h in states], captured,
+                     [leaf.grad.tobytes() for _, leaf in p.parameters()]))
+    (states, captured, grads), (want_states, _, want_grads) = runs
+    assert len(states) == 5 and states == want_states
+    assert [h.tobytes() for h in captured] == want_states
+    assert grads == want_grads
+
+
+def test_propagate_stops_where_its_step_size_says():
+    """A step-size function sees each state and stops the loop with None;
+    without capture, propagate keeps only the last state."""
+    g = gen_sbm([5, 5], 0.8, 0.3, seed=3, feature_dim=3)
+    p = make_cell_params(np.random.default_rng(4), "sas", 3, 4, 2)
+    H, ops = encode(ad.constant(g.X), p), build_operators(g, p)
+    seen = []
+
+    def step_size(layer, state):
+        seen.append((layer, state))
+        return None if layer == 2 else 0.5
+
+    captured = []
+    states = propagate(H, ops, p, "sas", 6, step_size, captured)
+    assert [l for l, _ in seen] == [0, 1, 2]
+    assert all(state is h for (_, state), h in zip(seen, states))
+    fixed = [h.value.tobytes() for h in propagate(H, ops, p, "sas", 2, 0.5)]
+    assert [h.value.tobytes() for h in states] == fixed
+    assert [h.tobytes() for h in captured] == fixed
+    seen.clear()
+    (last,) = propagate(H, ops, p, "sas", 6, step_size)
+    assert last is seen[-1][1] and last.value.tobytes() == fixed[-1]
 
 
 def test_graff_closed_form():

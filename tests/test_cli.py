@@ -109,6 +109,15 @@ def test_generate_refuses_isolated_nodes(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_generate_non_finite_number_is_validation_error(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, {"dataset": "sbm", "feature_shift": float("inf")})
+    assert "Infinity" in Path(cfg).read_text()
+    assert run(["generate", "--config", cfg, "--out", str(out)]) == 1
+    assert "feature_shift" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ------------------------------------------------------------------ train
 
 def test_train_writes_all_artifacts(tmp_path):

@@ -216,6 +216,64 @@ STOP_CASES = {"all_at_0": (4, 50.0, 0.0, "zero"), "never": (4, -50.0, 0.0, "zero
               "staggered": (0, None, -0.2, "zero"),
               "staggered_edge": (0, None, -0.2, "linear"),
               "partial": (4, None, 0.0, "zero"), "coin": (4, 0.5, 0.0, "zero")}
+# The same for a set of six two-block graphs as agents, with mlp heads: all
+# exit at layer 0; none exits; graphs exit at staggered layers and both modes
+# stop mid-depth, without and with an edge term.
+SET_CASES = {"set_all_at_0": (4, 50.0, 0.0, "zero"), "set_never": (4, -50.0, 0.0, "zero"),
+             "set_staggered": (6, None, -0.2, "zero"),
+             "set_staggered_edge": (6, None, -0.2, "linear")}
+
+
+def _exit_case(case):
+    """Fresh (ops, params, heads, seed) of a STOP_CASES or SET_CASES case."""
+    if case in STOP_CASES:
+        seed, exit_bias, shift, edge_mode = STOP_CASES[case]
+        g, params, heads, _ = graph_and_params(seed=seed)
+        members = [g]
+    else:
+        seed, exit_bias, shift, edge_mode = SET_CASES[case]
+        rng = np.random.default_rng(seed)
+        members = [gen_sbm([4, 4], 1.0, 0.1 * i, seed=seed + i, feature_dim=5)
+                   for i in range(6)]
+        params = make_cell_params(rng, "eegnn", 5, 5, 2)
+        heads = make_exit_heads(rng, "mlp", 5, 8, 1)
+    if edge_mode != "zero":
+        for i, g in enumerate(members):
+            g.E_feat = np.random.default_rng(seed + i).normal(size=(g.n_arcs, 2))
+        params = make_cell_params(np.random.default_rng(seed), "eegnn", 5, 5, 2,
+                                  edge_mode=edge_mode, edge_dim=2)
+    if exit_bias is not None:
+        force_heads(heads, exit_bias)
+    heads.fc_out[1].value[...] += [[-shift, shift]]
+    ops = (build_operators(members[0], params, heads) if case in STOP_CASES
+           else graph_agents(members, params, heads))
+    return ops, params, heads, seed
+
+
+def _run_exit_case(forward, case, mode, capture, L=8):
+    """One forward of a case, on fresh parameters and its own generator,
+    then one backward of a weighted sum of Z; returns (Z, state, records,
+    rng, every leaf gradient)."""
+    ops, params, heads, seed = _exit_case(case)
+    rng = np.random.default_rng(40 + seed) if mode == "train_sample" else None
+    Z, state, recs = forward(ops, params, heads, L=L, rng=rng, mode=mode,
+                             capture=capture)
+    w = np.random.default_rng(41).normal(size=Z.shape)
+    ad.backward(ad.sum_all(ad.mul_const(Z, w)))
+    grads = [p.grad.copy() for _, p in params.parameters() + heads.parameters()]
+    return Z.value, state, recs, rng, grads
+
+
+def _assert_same_run(a, b):
+    (Z, st, recs, rng, grads), (Zb, stb, recsb, rngb, gradsb) = a, b
+    assert Z.tobytes() == Zb.tobytes()
+    for field in ("exit_layer", "exit_time"):
+        assert getattr(st, field).tobytes() == getattr(stb, field).tobytes()
+    assert st.L == stb.L
+    if rng is not None:                      # every layer's noise is drawn up front
+        assert rng.bit_generator.state == rngb.bit_generator.state
+    assert len(grads) == len(gradsb)
+    assert all(g.tobytes() == gb.tobytes() for g, gb in zip(grads, gradsb))
 
 
 def _forward_pair(case, mode, L=8):
@@ -223,27 +281,8 @@ def _forward_pair(case, mode, L=8):
     each on fresh parameters and its own copy of one generator, then one
     backward of a weighted sum of Z through each; returns (Z, state,
     records, rng, every leaf gradient) per run."""
-    seed, exit_bias, shift, edge_mode = STOP_CASES[case]
-    out = []
-    for capture in (None, []):
-        g, params, heads, _ = graph_and_params(seed=seed)
-        if edge_mode != "zero":
-            g.E_feat = np.random.default_rng(seed).normal(size=(g.n_arcs, 2))
-            params = make_cell_params(np.random.default_rng(seed), "eegnn", 5, 5, 2,
-                                      edge_mode=edge_mode, edge_dim=2)
-        if exit_bias is not None:
-            force_heads(heads, exit_bias)
-        heads.fc_out[1].value[...] += [[-shift, shift]]
-        rng = np.random.default_rng(40 + seed) if mode == "train_sample" else None
-        ops = build_operators(g, params, heads)
-        Z, state, recs = eegnn_forward_node(ops, params, heads, L=L, rng=rng,
-                                            mode=mode, capture=capture)
-        w = np.random.default_rng(41).normal(size=Z.shape)
-        ad.backward(ad.sum_all(ad.mul_const(Z, w)))
-        leaves = params.parameters() + heads.parameters()
-        grads = [p.grad.copy() for _, p in leaves]
-        out.append((Z.value, state, recs, rng, grads))
-    return out
+    return [_run_exit_case(eegnn_forward_node, case, mode, capture, L)
+            for capture in (None, [])]
 
 
 @pytest.mark.parametrize("mode", ["eval_argmax", "train_sample"])
@@ -333,6 +372,31 @@ def test_exit_state_validates_consistency():
         ExitState(exit_layer=np.array([3]), exit_time=np.array([4.5]), L=3)
     with pytest.raises(ValueError, match="one length"):
         ExitState(exit_layer=np.array([3, 3]), exit_time=np.array([1.0]), L=3)
+
+
+@pytest.mark.parametrize("capture", [False, True])
+@pytest.mark.parametrize("mode", ["eval_argmax", "train_sample"])
+@pytest.mark.parametrize("case", sorted(STOP_CASES) + sorted(SET_CASES))
+def test_exit_forward_matches_its_own_loop_oracle(case, mode, capture):
+    """The exit forward stepping through cells.propagate against the loop it
+    ran before, frozen in oracles: Z, exit state, records, generator state,
+    captured states and every leaf gradient, byte for byte."""
+    caps = ([], []) if capture else (None, None)
+    new = _run_exit_case(eegnn_forward_node, case, mode, caps[0])
+    old = _run_exit_case(oracles.eegnn_forward_two_loops, case, mode, caps[1])
+    _assert_same_run(new, old)
+    assert new[2] == old[2]
+    if capture:
+        assert len(caps[0]) == 9
+        assert [h.tobytes() for h in caps[0]] == [h.tobytes() for h in caps[1]]
+    layers, recs = new[1].exit_layer, new[2]
+    if "all_at_0" in case:
+        assert len(recs) == 1 or capture
+    elif "staggered" in case:                # a stop short of full depth
+        assert layers.max() < 8 and len(layers) > 1 and layers.min() < layers.max()
+        assert len(recs) == (8 if capture else layers.max() + 1)
+    elif "never" in case:
+        assert len(recs) == 8 and not new[1].exited.any()
 
 
 def graph_agents(members, params, heads):

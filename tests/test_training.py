@@ -60,7 +60,8 @@ def test_config_coercion_failure_reported_by_key():
 @pytest.mark.parametrize("key, value", [
     ("decoupled_wd", "false"), ("decoupled_wd", 0), ("depth", 2.7),
     ("depth", True), ("epochs", True), ("tau", False), ("lr", "0.01"),
-    ("hidden", "16"), ("depth", float("inf")), ("model", 3)])
+    ("hidden", "16"), ("depth", float("inf")), ("model", 3), ("nu0", float("inf")),
+    ("lr", float("inf")), ("weight_decay", float("inf")), ("tau", float("nan"))])
 def test_config_rejects_lossy_or_mistyped_values(key, value):
     with pytest.raises(ConfigError) as exc:
         RunConfig.from_dict({key: value})
@@ -671,6 +672,33 @@ def test_constrained_weights_are_built_once_per_forward(monkeypatch, kind, built
         calls.update(antisymmetrize=0, symmetrize=0)
         forward_node(model, ops, mode, np.random.default_rng(5))
         assert (calls["antisymmetrize"], calls["symmetrize"]) == built, mode
+
+
+@pytest.mark.parametrize("kind", [*MODEL_KINDS, "eegnn_stop"])
+def test_every_kind_takes_one_step_call_per_layer_run(monkeypatch, kind):
+    """cells.propagate is the one layer loop: counting the step functions
+    it calls counts every layer of a forward, eegnn's included; a forward
+    whose agents all exit at layer 0 takes none."""
+    from eegnn import cells
+    g = sbm(seed=20)
+    model = model_for(quick_cfg(model=kind.split("_")[0], depth=4), g,
+                      np.random.default_rng(6))
+    if kind == "eegnn_stop":
+        model.heads.fc_out[1].value[...] = [[-50.0, 50.0]]
+    calls = []
+    for name in ("sas_step", "baseline_step"):
+        def counted(*args, original=getattr(cells, name), **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+        monkeypatch.setattr(cells, name, counted)
+    for mode in ("train_sample", "eval_argmax"):
+        calls.clear()
+        _, state = forward_node(model, operators_for(model, g), mode,
+                                np.random.default_rng(7))
+        # a stop comes at the layer where the last agent exits
+        run = 4 if state is None else int(state.exit_layer.max())
+        assert len(calls) == run, mode
+        assert run == 0 or kind != "eegnn_stop"
 
 
 # ------------------------------------------------------------------- artefacts
