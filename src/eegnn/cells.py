@@ -265,32 +265,32 @@ def baseline_step(H: DiffValue, a, p: CellParams, kind: str, weights,
 
 
 def propagate(H: DiffValue, ops: Operators, params: CellParams, kind: str,
-              depth: int, tau=None, capture: list | None = None) -> list[DiffValue]:
+              depth: int, tau=None, capture: list | None = None) -> DiffValue:
     """The one layer loop: up to depth steps of a cell kind from state H.
 
-    Returns the states H_0 = H, ..., H_l of the l layers run, all on the tape,
-    and copies their values into capture when given. sas and eegnn take the
-    sas step at step size tau: the cell's own when None, a scalar or an n x 1
-    column, or a function of (layer, state) returning one, or None to stop; as
-    it sees each state, only H_l is kept without capture. The baseline kinds
-    read tau only to stop.
+    Returns the state H_l after the l layers run, on the tape. The loop
+    holds one state at a time: capture, when given, receives the states
+    H_0 = H, ..., H_l themselves, the same DiffValues the tape holds, and is
+    the only way to read an earlier one. sas and eegnn take the sas step at
+    step size tau: the cell's own when None, a scalar or an n x 1 column, or
+    a function of (layer, state) returning one, or None to stop. The
+    baseline kinds read tau only to stop.
     """
-    states = [H]
     weights = cell_weights(params, kind)
     et = edge_term(ops.be, params) if kind in EDGE_KINDS else None
+    if capture is not None:
+        capture.append(H)
     for l in range(depth):
-        step = tau(l, states[-1]) if callable(tau) else tau
+        step = tau(l, H) if callable(tau) else tau
         if callable(tau) and step is None:
             break
         if kind in EDGE_KINDS:
-            states.append(sas_step(states[-1], ops.a, params, weights, tau=step, edge_term=et))
+            H = sas_step(H, ops.a, params, weights, tau=step, edge_term=et)
         else:
-            states.append(baseline_step(states[-1], ops.a, params, kind, weights, layer=l))
-        if callable(tau) and capture is None:   # a tape-free run holds one state at a time
-            del states[:-1]
-    if capture is not None:
-        capture.extend(h.value.copy() for h in states)
-    return states
+            H = baseline_step(H, ops.a, params, kind, weights, layer=l)
+        if capture is not None:
+            capture.append(H)
+    return H
 
 
 def encode(X: DiffValue, p: CellParams) -> DiffValue:

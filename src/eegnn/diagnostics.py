@@ -140,20 +140,17 @@ def descent_trace(g: Graph, params: CellParams, H0, steps: int, tau: float) -> T
     0.05, and no linear edge term). Premise-violating configurations still
     run; their violations are data, not errors.
     """
-    H0 = _finite_matrix(H0, g.n)
-    states = propagate(ad.constant(H0), build_operators(g, params), params, "sas",
-                       steps, tau)
+    states: list = []
+    propagate(ad.constant(_finite_matrix(H0, g.n)), build_operators(g, params), params,
+              "sas", steps, tau, states)
     ws = cell_weights(params, "sas")[1].value
-    values = [energy_functional(h.value, ws, g) for h in states]
-    violations = []
-    for t in range(1, steps + 1):
-        rise = values[t] - values[t - 1]
-        if rise > DESCENT_SLACK:
-            violations.append([t, float(rise)])
+    values = np.array([energy_functional(h.value, ws, g) for h in states])
+    violations = [[t + 1, float(rise)] for t, rise in enumerate(np.diff(values))
+                  if rise > DESCENT_SLACK]
     return Trace(
         name="energy_functional",
         layers=np.arange(steps + 1),
-        values=np.array(values),
+        values=values,
         metadata={"tau": tau, "edge_mode": params.edge_mode,
                   "sigma1": params.sigma1, "sigma2": params.sigma2,
                   "premises_hold": _premises_hold(params, tau),
@@ -265,9 +262,10 @@ def _sensitivities(model: Model, g: Graph, layers) -> list[float]:
     union = disjoint_union([g] * _SWEEP_COPIES)
     params = _constant_view(model.params)
     h0 = ad.leaf(encode(ad.constant(union.X), params).value)
-    taped = propagate(h0, build_operators(union, params), params, cfg.model,
-                      cfg.depth)
-    root, probes = taped[-1], [taped[layer] for layer in layers]
+    states: list = []
+    root = propagate(h0, build_operators(union, params), params, cfg.model,
+                     cfg.depth, capture=states)
+    probes = [states[layer] for layer in layers]
     nbrs = [g.col_indices[g.row_offsets[v]:g.row_offsets[v + 1]] for v in range(n)]
     seeds = [(v, c) for v in range(n) for c in range(width)]
     totals = [0.0] * len(probes)
@@ -299,6 +297,14 @@ def depth_retention(data, kinds, depths, base_cfg) -> list[dict]:
     return rows
 
 
+def _layer_states(model: Model, g: Graph) -> list:
+    """Every layer's node states of one tape-free eval forward of model on g."""
+    hs: list = []
+    with ad.no_grad():
+        forward_node(model, operators_for(model, g), "eval_argmax", capture=hs)
+    return hs
+
+
 def oracle_exit_eval(model: Model, g: Graph) -> tuple[float, float]:
     """Counterfactual best-exit accuracy vs plain final-layer accuracy.
 
@@ -312,15 +318,12 @@ def oracle_exit_eval(model: Model, g: Graph) -> tuple[float, float]:
         raise ConfigError(["oracle exit analysis is defined for node tasks"])
     if g.y is None:
         raise ValueError("dataset has no labels")
-    hs: list = []
-    with ad.no_grad():
-        forward_node(model, operators_for(model, g), "eval_argmax", capture=hs)
+    hs = _layer_states(model, g)
     y = np.asarray(g.y, dtype=np.int64).reshape(-1)
     sel = np.ones(g.n, dtype=bool)
     if g.masks is not None and "test" in g.masks:
         sel = g.masks["test"]
-    per_layer = [classes_from_logits(
-        decode(ad.constant(h), model.params).value) for h in hs]
+    per_layer = [classes_from_logits(decode(h, model.params).value) for h in hs]
     final_classes = per_layer[-1]
     correct_any = np.zeros(g.n, dtype=bool)
     for classes in per_layer:
@@ -333,10 +336,8 @@ def oracle_exit_eval(model: Model, g: Graph) -> tuple[float, float]:
 
 def dirichlet_traces(model: Model, g: Graph) -> tuple[Trace, Trace]:
     """Per-layer Dirichlet energy of a forward pass, as sum and per-arc mean."""
-    hs: list = []
-    with ad.no_grad():
-        forward_node(model, operators_for(model, g), "eval_argmax", capture=hs)
-    sums = np.array([dirichlet_energy(h, g) for h in hs])
+    hs = _layer_states(model, g)
+    sums = np.array([dirichlet_energy(h.value, g) for h in hs])
     arcs = max(g.n_arcs, 1)
     layers = np.arange(len(hs))
     meta = {"model": model.cfg.model, "depth": model.cfg.depth}
@@ -383,7 +384,6 @@ def descent_suite(n_cases: int = 100, steps: int = 50, tau: float = 0.05,
                          f"got {n_cases}, {steps} and {tuple(edge_modes)}")
     rng = np.random.default_rng(seed)
     total = 0
-    cases = 0
     for mode in edge_modes:
         done = 0
         while done < n_cases:
@@ -405,9 +405,8 @@ def descent_suite(n_cases: int = 100, steps: int = 50, tau: float = 0.05,
             H0 = rng.normal(size=(g.n, m))
             tr = descent_trace(g, params, H0, steps, tau)
             total += len(tr.metadata["violations"])
-            cases += 1
-    return {"cases": cases, "violations": total, "steps": steps, "tau": tau,
-            "pass": total == 0}
+    return {"cases": n_cases * len(edge_modes), "violations": total, "steps": steps,
+            "tau": tau, "pass": total == 0}
 
 
 # ------------------------------------------------------------------- trace io

@@ -237,7 +237,8 @@ def eegnn_forward_node(ops: Operators, params: CellParams, heads: ExitHeads,
     layer's step size and, once every agent has exited at layer l, the stop
     before its update: Z and the ExitState are those of a full-depth run, the
     records end at layer l, and rng is where a full-depth run leaves it. With
-    capture, all L layers run and capture gets all L + 1 node states.
+    capture, all L layers run and capture gets all L + 1 node states, the
+    DiffValues on the tape.
     """
     if L < 1:
         raise ValueError(f"depth must be >= 1, got {L}")
@@ -280,7 +281,7 @@ def eegnn_forward_node(ops: Operators, params: CellParams, heads: ExitHeads,
             return None
         return tau_col if seg is None else ad.segment_spread(tau_col, seg)
 
-    H = propagate(H, ops, params, "eegnn", L, step_size, capture)[-1]
+    H = propagate(H, ops, params, "eegnn", L, step_size, capture)
     if H is not seen:       # full depth: step_size has not pooled the last state
         agents = pool(H)
     state = ExitState(exit_layer=exit_layer, exit_time=exit_time, L=L)

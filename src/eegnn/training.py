@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import sys
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 
@@ -97,7 +98,8 @@ def _coerce(v, default):
                 or (math.isfinite(v) and float(v).is_integer())):
             return None
         return int(v)
-    return float(v) if math.isfinite(v) else None
+    # false for NaN, an infinity and an integer beyond the float range alike
+    return float(v) if abs(v) <= sys.float_info.max else None
 
 
 def _type_name(default) -> str:
@@ -231,7 +233,7 @@ class GraphSet:
     def __post_init__(self):
         if not self.graphs:
             raise ValueError("a graph set needs at least one graph")
-        if len(self.graphs) != self.y.shape[0]:
+        if self.y.ndim == 0 or len(self.graphs) != self.y.shape[0]:
             raise ValueError("one label row per graph required")
         for name in ("train", "val", "test"):
             if name not in self.masks:
@@ -540,7 +542,8 @@ def forward_node(model: Model, ops: Operators, mode: str = "eval_argmax",
     ops is the bundle operators_for built from the data: one row per node
     of a Graph, one per member graph of a GraphSet. Every kind steps through
     cells.propagate, eegnn with the step sizes and stop of its exit model;
-    capture, when given, receives a copy of every layer's node states.
+    capture, when given, receives every layer's node states, the DiffValues
+    propagate steps through.
     """
     cfg = model.cfg
     if cfg.model == "eegnn":
@@ -549,7 +552,7 @@ def forward_node(model: Model, ops: Operators, mode: str = "eval_argmax",
             noise=noise, capture=capture)
     else:
         H = propagate(encode(ad.constant(ops.X), model.params), ops, model.params,
-                      cfg.model, cfg.depth, capture=capture)[-1]
+                      cfg.model, cfg.depth, capture=capture)
         Z, state = (H if ops.seg is None else ad.segment_mean(H, ops.seg)), None
     return decode(Z, model.params), state
 
@@ -809,8 +812,8 @@ def _require(payload, keys=()) -> None:
 
 def load_checkpoint(path) -> Model:
     """The model a checkpoint file holds; a malformed one (missing key,
-    unknown format, parameters that do not fit its config) raises
-    ConfigError naming the problem."""
+    unknown format, parameters that do not fit its config or are not
+    finite) raises ConfigError naming the problem."""
     with open(path) as fh, _reading("checkpoint", path):
         payload = json.load(fh)
         _require(payload, ("format", "config", "feat_dim", "out_dim", "edge_dim",
@@ -835,6 +838,8 @@ def load_checkpoint(path) -> Model:
             if arr.shape != p.value.shape:
                 raise ValueError(f"parameter {name} has shape {arr.shape}, "
                                  f"expected {p.value.shape}")
+            if not np.isfinite(arr).all():
+                raise ValueError(f"parameter {name} must be finite")
             p.value[...] = arr
         return model
 

@@ -278,10 +278,11 @@ def sensitivity_single_seed(model, g, layer):
 
     cfg = model.cfg
     n, width = g.n, cfg.hidden
-    taped = propagate(encode(ad.constant(g.X), model.params),
-                      build_operators(g, model.params), model.params, cfg.model,
-                      cfg.depth)
-    root, probe = taped[-1], taped[layer]
+    taped = []
+    root = propagate(encode(ad.constant(g.X), model.params),
+                     build_operators(g, model.params), model.params, cfg.model,
+                     cfg.depth, capture=taped)
+    probe = taped[layer]
     total = 0.0
     seed = np.zeros((n, width))
     for v in range(n):
@@ -330,7 +331,7 @@ def graph_set_forward_per_graph(model, graphs, mode="eval_argmax", noise=None):
             ops = build_operators(g, p, model.heads)
             H = encode(ad.constant(g.X), p)
             if cfg.model != "eegnn":
-                H = propagate(H, ops, p, cfg.model, cfg.depth)[-1]
+                H = propagate(H, ops, p, cfg.model, cfg.depth)
                 pool = mean(H.value)
             else:
                 et, w = edge_term(ops.be, p), cell_weights(p, "eegnn")

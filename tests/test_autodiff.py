@@ -696,7 +696,7 @@ def _baseline_tape(kind, act):
     a, H, _, _, _ = _fused_inputs(7, 13, 6)
     p = make_cell_params(np.random.default_rng(7), kind, 6, 6, 2, depth=2, sigma1=act,
                          tau=0.5)
-    out = propagate(H, Operators(X=H.value, a=a), p, kind, 2)[-1]
+    out = propagate(H, Operators(X=H.value, a=a), p, kind, 2)
     return out, [H] + [leaf for _, leaf in p.parameters()]
 
 

@@ -207,20 +207,25 @@ def test_propagate_matches_its_fixed_depth_oracle(kind, tau, edge_mode):
                              edge_mode=edge_mode, edge_dim=edge_dim)
         captured = []
         args = (encode(ad.constant(g.X), p), build_operators(g, p), p, kind, 4, tau)
-        states = propagate(*args, captured) if loop is propagate else loop(*args)
+        if loop is propagate:
+            last = propagate(*args, captured)
+            assert last is captured[-1]
+            states = captured
+        else:
+            states = loop(*args)
         w = np.random.default_rng(5).normal(size=states[-1].shape)
         ad.backward(ad.sum_all(ad.mul_const(states[-1], w)))
         runs.append(([h.value.tobytes() for h in states], captured,
                      [leaf.grad.tobytes() for _, leaf in p.parameters()]))
     (states, captured, grads), (want_states, _, want_grads) = runs
     assert len(states) == 5 and states == want_states
-    assert [h.tobytes() for h in captured] == want_states
+    assert [h.value.tobytes() for h in captured] == want_states
     assert grads == want_grads
 
 
 def test_propagate_stops_where_its_step_size_says():
     """A step-size function sees each state and stops the loop with None;
-    without capture, propagate keeps only the last state."""
+    propagate returns the last state, and capture holds every state it saw."""
     g = gen_sbm([5, 5], 0.8, 0.3, seed=3, feature_dim=3)
     p = make_cell_params(np.random.default_rng(4), "sas", 3, 4, 2)
     H, ops = encode(ad.constant(g.X), p), build_operators(g, p)
@@ -231,14 +236,16 @@ def test_propagate_stops_where_its_step_size_says():
         return None if layer == 2 else 0.5
 
     captured = []
-    states = propagate(H, ops, p, "sas", 6, step_size, captured)
+    last = propagate(H, ops, p, "sas", 6, step_size, captured)
     assert [l for l, _ in seen] == [0, 1, 2]
-    assert all(state is h for (_, state), h in zip(seen, states))
-    fixed = [h.value.tobytes() for h in propagate(H, ops, p, "sas", 2, 0.5)]
-    assert [h.value.tobytes() for h in states] == fixed
-    assert [h.tobytes() for h in captured] == fixed
+    assert all(state is h for (_, state), h in zip(seen, captured))
+    assert last is captured[-1]
+    fixed_states = []
+    propagate(H, ops, p, "sas", 2, 0.5, fixed_states)
+    fixed = [h.value.tobytes() for h in fixed_states]
+    assert [h.value.tobytes() for h in captured] == fixed
     seen.clear()
-    (last,) = propagate(H, ops, p, "sas", 6, step_size)
+    last = propagate(H, ops, p, "sas", 6, step_size)
     assert last is seen[-1][1] and last.value.tobytes() == fixed[-1]
 
 

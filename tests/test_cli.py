@@ -1,5 +1,6 @@
 """Command-line behavior: artifacts, exit codes, precedence, reproducibility."""
 
+import hashlib
 import json
 import re
 from pathlib import Path
@@ -230,6 +231,19 @@ def test_train_graph_set_without_labels_is_validation_error(tmp_path, capsys):
     assert "'y'" in capsys.readouterr().err
 
 
+def test_train_graph_set_with_scalar_labels_is_validation_error(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, dict(TRAIN_CFG, task="graph_reg", loss="mse",
+                                   metric="mae"), name="gs.json")
+    data = graph_set_file(tmp_path)
+    doc = json.loads(Path(data).read_text())
+    doc["y"] = 3
+    Path(data).write_text(json.dumps(doc))
+    assert run(["train", "--config", cfg, "--data", data,
+                "--out", str(tmp_path / "run")]) == 1
+    assert "one label row per graph required" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_train_graph_set_mask_of_wrong_length_is_validation_error(tmp_path, capsys):
     cfg = write_cfg(tmp_path, dict(TRAIN_CFG, task="graph_reg", loss="mse",
                                    metric="mae"), name="gs.json")
@@ -279,6 +293,17 @@ def test_evaluate_checkpoint_of_unknown_format_is_validation_error(tmp_path, cap
     assert run(["evaluate", "--checkpoint", str(path), "--data", str(data),
                 "--out", str(tmp_path / "eval")]) == 1
     assert "format 99" in capsys.readouterr().err
+    assert not (tmp_path / "eval").exists()
+
+
+def test_evaluate_checkpoint_with_a_non_finite_parameter_is_validation_error(
+        tmp_path, capsys):
+    data, path, payload = trained_checkpoint(tmp_path)
+    payload["params"]["cell.enc_b"][0][1] = float("nan")
+    path.write_text(json.dumps(payload))
+    assert run(["evaluate", "--checkpoint", str(path), "--data", str(data),
+                "--out", str(tmp_path / "eval")]) == 1
+    assert "parameter cell.enc_b must be finite" in capsys.readouterr().err
     assert not (tmp_path / "eval").exists()
 
 
@@ -634,6 +659,39 @@ def test_diagnose_oracle_exit_dominates(tmp_path):
     assert report["gain"] >= 0.0
 
 
+# sha256 of every file but resolved_config.json that these diagnostics write;
+# each reads every layer's state of one forward through capture
+DIAG_DIGESTS = {
+    "dirichlet-sas": ("dirichlet", {"depth": 4, "hidden": 6}, {
+        "dirichlet_mean.csv": "10a0114550f9124f2c0b74b035301b5b4984f4af0aa102183a90bfbba9113765",
+        "dirichlet_sum.csv": "9941382ced41686c487f7ddae515bfca4b7cb81f051492a3041d8d9a5950d08b",
+        "report.json": "47cd1cb4ce145ce4dc14e016a679ccf81a9553c71564376ec49b9b2aab3dd028"}),
+    "dirichlet-eegnn": ("dirichlet", {"model": "eegnn", "depth": 3, "hidden": 6}, {
+        "dirichlet_mean.csv": "196fa70cdb1afe26b3d383bab127f70babf62960233c4fe82242de0efb6da6a3",
+        "dirichlet_sum.csv": "57adfa0e631f2d5bf01327e09d71252dad099d7bd249b21537b349921a1ea8c6",
+        "report.json": "e69535aa8b640cc19979128c8ca5a50807fdc933cb5d47c91b05fb8c29164277"}),
+    "oracle_exit-eegnn": ("oracle_exit", {"model": "eegnn", "depth": 3, "hidden": 6,
+                                          "epochs": 5, "metric": "accuracy"}, {
+        "report.json": "87a69bbded552be07631c39f69dbe5f0b92e1ef3a0e5a2452af3c6bd017c7bef"}),
+    "oracle_exit-sas": ("oracle_exit", {"depth": 3, "hidden": 6, "epochs": 5,
+                                        "metric": "accuracy"}, {
+        "report.json": "89aaece880482bd0f701493ce780fe1ce27189e15ee36d057147b5c83a34dd38"}),
+    "energy_descent": ("energy_descent", {"cases": 4, "steps": 20}, {
+        "report.json": "42996201e950237431e0734cb69326eab4bc6b04e2cd7d11f8df3c7d7bbe1ea8"}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DIAG_DIGESTS))
+def test_diagnose_layer_state_outputs_keep_their_bytes(tmp_path, case):
+    name, doc, want = DIAG_DIGESTS[case]
+    out = tmp_path / "d"
+    assert run(["diagnose", name, "--config", write_cfg(tmp_path, doc),
+                "--out", str(out)]) == 0
+    got = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+           for f in out.iterdir() if f.name != "resolved_config.json"}
+    assert got == want
+
+
 def test_diagnose_honest_failure_exits_3_with_report(tmp_path):
     # deliberately undertrained retention run lands outside tolerance
     out = tmp_path / "d"
@@ -784,9 +842,13 @@ def test_param_count_out_of_range_dims_are_validation_errors(tmp_path, capsys,
     (["diagnose", "dirichlet"], {"data": 99999}, ["'data'"]),
     (["param-count"], {"feat_dim": 3.7, "edge_dim": True},
      ["'feat_dim'", "'edge_dim'"]),
-    (["evaluate"], {"checkpoint": ["a.json"]}, ["'checkpoint'"])],
+    (["evaluate"], {"checkpoint": ["a.json"]}, ["'checkpoint'"]),
+    (["train"], {"lr": 10**400}, ["'lr'", "cannot coerce"]),
+    (["generate"], {"dataset": "sbm", "feature_shift": 10**400},
+     ["'feature_shift'", "cannot coerce"])],
     ids=["descent-counts", "generate-rows", "generate-sizes", "descent-step-tau",
-         "dirichlet-data", "param-count-dims", "evaluate-checkpoint"])
+         "dirichlet-data", "param-count-dims", "evaluate-checkpoint",
+         "train-lr-beyond-float", "generate-shift-beyond-float"])
 def test_mistyped_command_keys_are_validation_errors(tmp_path, capsys, argv,
                                                      doc, shown):
     cfg = write_cfg(tmp_path, doc)

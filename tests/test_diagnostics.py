@@ -309,7 +309,7 @@ def test_sensitivity_matches_fd_jacobian():
     hs: list = []
     from eegnn.training import forward_node, operators_for
     forward_node(model, operators_for(model, g), capture=hs)
-    hl = hs[layer]
+    hl = hs[layer].value
     a = norm_adj(g)
 
     def from_layer(x):

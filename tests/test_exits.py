@@ -360,7 +360,7 @@ def test_frozen_rows_never_change_after_exit():
     for i in range(g.n):
         if state.exited[i]:
             li = int(state.exit_layer[i])
-            assert np.array_equal(Z.value[i], captured[li][i])
+            assert np.array_equal(Z.value[i], captured[li].value[i])
 
 
 def test_exit_state_validates_consistency():
@@ -388,7 +388,7 @@ def test_exit_forward_matches_its_own_loop_oracle(case, mode, capture):
     assert new[2] == old[2]
     if capture:
         assert len(caps[0]) == 9
-        assert [h.tobytes() for h in caps[0]] == [h.tobytes() for h in caps[1]]
+        assert [h.value.tobytes() for h in caps[0]] == [h.tobytes() for h in caps[1]]
     layers, recs = new[1].exit_layer, new[2]
     if "all_at_0" in case:
         assert len(recs) == 1 or capture
@@ -430,7 +430,7 @@ def test_graph_forward_never_exit_pools_final_state():
     assert state.exit_layer.tolist() == [L]
     assert not state.exited[0]
     assert len(recs) == L
-    final = captured[-1]
+    final = captured[-1].value
     assert np.array_equal(pooled.value,
                           oracles.segment_sum_loop(final, [0, len(final)]) / len(final))
 

@@ -400,7 +400,7 @@ def test_union_forward_matches_the_per_graph_oracle(model, edge_mode, mode):
     if model != "eegnn":
         # the union's rows are its members' rows, bit for bit
         union = np.vstack(states)
-        assert captured[-1].tobytes() == union.tobytes()
+        assert captured[-1].value.tobytes() == union.tobytes()
         assert ad.segment_mean(ad.constant(union), ops.seg).value.tobytes() \
             == pooled.tobytes()
         return

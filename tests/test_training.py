@@ -701,6 +701,31 @@ def test_every_kind_takes_one_step_call_per_layer_run(monkeypatch, kind):
         assert run == 0 or kind != "eegnn_stop"
 
 
+@pytest.mark.parametrize("kind", ["sas", "graff", "eegnn"])
+def test_a_tape_free_forward_holds_one_state_at_a_time(monkeypatch, kind):
+    """Without capture and without a tape, a layer's state is freed once the
+    next one is made: when a step runs, every earlier step's output but the
+    state it steps from is already dead."""
+    import weakref
+    from eegnn import cells
+    g = sbm(seed=20)
+    model = model_for(quick_cfg(model=kind, depth=5), g, np.random.default_rng(6))
+    if kind == "eegnn":         # no agent exits, so every layer runs
+        model.heads.fc_out[1].value[...] = [[50.0, -50.0]]
+    made = []
+    for name in ("sas_step", "baseline_step"):
+        def watched(H, *args, original=getattr(cells, name), **kwargs):
+            assert all(ref() is None for ref in made[:-1])
+            assert not made or made[-1]() is H
+            out = original(H, *args, **kwargs)
+            made.append(weakref.ref(out))
+            return out
+        monkeypatch.setattr(cells, name, watched)
+    with ad.no_grad():
+        forward_node(model, operators_for(model, g), "eval_argmax")
+    assert len(made) == 5
+
+
 # ------------------------------------------------------------------- artefacts
 
 def test_history_csv_format():
