@@ -46,7 +46,7 @@ __all__ = [
 DESCENT_SLACK = 1e-8
 SKEW_TOL = 1e-12
 MAX_RE_TOL = 1e-8
-_SWEEP_COPIES = 8      # seeds per reverse sweep in sensitivity
+_SWEEP_COPIES = 16     # seeds per reverse sweep in sensitivity
 
 
 class ToleranceError(RuntimeError):
@@ -217,11 +217,11 @@ def sensitivity(model: Model, g: Graph, layer: int) -> float:
 
     S_l = sum over directed arcs (v,u) of ||d h_v^L / d h_u^l||_1, computed by
     seeding final-state coordinates in reverse sweeps. The forward is taped
-    once on a disjoint union of _SWEEP_COPIES = 8 copies of g, and each sweep
-    seeds one coordinate per copy. The copies share no arc, so each copy's
-    gradient is exactly that of a single-seed sweep on g, and the result does
-    not depend on the copy count. Cost is ceil(n * width / 8) sweeps over the
-    8-copy union, whatever the layer; instances are capped at
+    once on a disjoint union of _SWEEP_COPIES = 16 copies of g, and each
+    sweep seeds one coordinate per copy. The copies share no arc, so each
+    copy's gradient is exactly that of a single-seed sweep on g, and the
+    result does not depend on the copy count. Cost is ceil(n * width / 16)
+    sweeps over the 16-copy union, whatever the layer; instances are capped at
     n * width <= 2000. The tape holds the cell's arrays as constants and the
     encoder's output as its only leaf, so each sweep runs only the state
     path from the last layer down to layer 0, the sas step computes its
@@ -359,7 +359,10 @@ def spectrum_suite(n_configs: int = 100, width_lo: int = 2, width_hi: int = 16,
     by_width: dict[int, list] = {}
     for _ in range(n_configs):
         m = int(rng.integers(width_lo, width_hi + 1))
-        omega = make_cell_params(rng, "sas", m, m, m).omega_raw.value
+        # make_cell_params(rng, "sas", m, m, m)'s draws: omega_raw, then three
+        # more m x m Glorot blocks of the same scale (2 / (m + m) = 1 / m),
+        # which are dropped
+        omega = rng.normal(0.0, np.sqrt(1.0 / m), size=(4, m, m))[0].copy()
         h = rng.normal(size=m)
         phi = rng.normal(size=m)
         by_width.setdefault(m, []).append((omega, h, phi))

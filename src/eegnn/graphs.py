@@ -139,37 +139,30 @@ class Segments:
 
 @dataclass
 class ArcMatrix:
-    """Sparse matrix living on a symmetric CSR arc pattern.
+    """diag(row_scale) . A . diag(col_scale) on a symmetric CSR arc pattern A
+    of 0/1 entries; a scale of None is the identity. Its transpose is
+    diag(col_scale) . A . diag(row_scale), on the same pattern.
 
-    values[k] weights arc k in the forward product; values_t[k] weights arc k
-    in the transposed product (the same array for a symmetric matrix).
-
-    segments is the graph's arc_segments; sweep_cols and sweep_values(_t)
-    are col_indices and values(_t) in its diagonal order, one swept array
-    for a symmetric matrix. spmm keeps each swept array repeated across
-    every width it was called with (as much memory as one product's
-    gathered rows): a full-width operand multiplies several times faster
-    than one broadcast down a column.
+    values[k] is the entry on arc k = (u, v), row_scale[u] * col_scale[v],
+    computed once for readers; spmm never reads it. segments is the graph's
+    arc_segments and sweep_cols its col_indices in their diagonal order,
+    which both directions of spmm sweep.
     """
 
     n: int
     row_offsets: np.ndarray
     col_indices: np.ndarray
-    values: np.ndarray
-    values_t: np.ndarray
+    row_scale: np.ndarray | None
+    col_scale: np.ndarray | None
     segments: Segments = field(repr=False, compare=False)
+    values: np.ndarray = field(init=False)
     sweep_cols: np.ndarray = field(init=False, repr=False)
-    sweep_values: np.ndarray = field(init=False, repr=False)
-    sweep_values_t: np.ndarray = field(init=False, repr=False)
-    wide_values: dict = field(init=False, repr=False, compare=False,
-                              default_factory=dict)
 
     def __post_init__(self):
-        order = self.segments.order
-        self.sweep_cols = self.col_indices[order]
-        self.sweep_values = self.values[order]
-        self.sweep_values_t = self.sweep_values if self.values_t is self.values \
-            else self.values_t[order]
+        ones = np.ones(self.n)
+        r, c = (ones if s is None else s for s in (self.row_scale, self.col_scale))
+        self.values = np.repeat(r, np.diff(self.row_offsets)) * c[self.col_indices]
+        self.sweep_cols = self.col_indices[self.segments.order]
 
 
 def canonicalize(edges, n: int) -> Graph:
@@ -312,8 +305,8 @@ def norm_arc_weights(g: Graph) -> np.ndarray:
 
 
 def norm_adj(g: Graph) -> ArcMatrix:
-    """Symmetric degree-normalized adjacency of a canonical graph: values are
-    norm_arc_weights, zero diagonal.
+    """Symmetric degree-normalized adjacency of a canonical graph,
+    D^-1/2 A D^-1/2: both scales are d^-1/2, zero diagonal.
 
     Isolated nodes are a hard error: the normalization is undefined at degree
     zero and silently adding self-loops would break the no-self-loop premise
@@ -323,49 +316,43 @@ def norm_adj(g: Graph) -> ArcMatrix:
     if np.any(d == 0):
         bad = int(np.flatnonzero(d == 0)[0])
         raise ValueError(f"isolated node {bad} has degree 0; drop it before norm_adj")
-    vals = norm_arc_weights(g)
+    s = 1.0 / np.sqrt(d)
     return ArcMatrix(n=g.n, row_offsets=g.row_offsets, col_indices=g.col_indices,
-                     values=vals, values_t=vals, segments=g.arc_segments)
+                     row_scale=s, col_scale=s, segments=g.arc_segments)
 
 
 def mean_adj(g: Graph) -> ArcMatrix:
-    """Row-stochastic neighbor-mean operator: values[k] = 1/d_u for arc (u,v)."""
+    """Row-stochastic neighbor-mean operator D^-1 A: entry 1/d_u on arc (u,v)."""
     d = degrees(g)
     if np.any(d == 0):
         bad = int(np.flatnonzero(d == 0)[0])
         raise ValueError(f"isolated node {bad} has degree 0; drop it before mean_adj")
-    rows = arc_rows(g)
-    vals = 1.0 / d[rows].astype(np.float64)
-    vals_t = vals[pair_index(g)]
     return ArcMatrix(n=g.n, row_offsets=g.row_offsets, col_indices=g.col_indices,
-                     values=vals, values_t=vals_t, segments=g.arc_segments)
+                     row_scale=1.0 / d, col_scale=None, segments=g.arc_segments)
 
 
 def spmm(a, H: np.ndarray, transpose: bool = False) -> np.ndarray:
-    """Sparse arc-matrix times dense matrix.
+    """Sparse arc-matrix times dense matrix, diag(r) . A . diag(c) . H, with
+    r, c = a.row_scale, a.col_scale (swapped when transpose).
 
-    out[u] = sum over arcs (u,v) of values[k] * H[v], summed by the Segments
-    rule over the row's arcs in CSR order: the first term plus the rest,
-    left to right. Each diagonal of a.segments gathers its rows of H and
-    scales them in one new array, so no temporary outgrows n x width; a
-    row of degree d, such as a hub of a heterophilic graph, costs d such
+    H's rows are scaled by c once; out[u] = the sum over arcs (u,v) of those
+    rows v, by the Segments rule over the row's arcs in CSR order (the first
+    term plus the rest, left to right); then out's rows are scaled by r.
+    Each diagonal of a.segments gathers its rows in one new array and adds
+    it, with no multiply, so no temporary outgrows n x width; a row of
+    degree d, such as a hub of a heterophilic graph, costs d such
     vectorised adds.
     """
     H = np.asarray(H, dtype=np.float64)
     if H.shape[0] != a.n:
         raise ValueError(f"H has {H.shape[0]} rows, expected {a.n}")
-    v = a.sweep_values_t if transpose else a.sweep_values
-    # keyed by the swept array (a holds it): a symmetric matrix's products share one
-    vals = a.wide_values.get((H.shape[1], id(v)))
-    if vals is None:
-        vals = a.wide_values[H.shape[1], id(v)] = np.repeat(v[:, None], H.shape[1], axis=1)
-
-    def scaled_arcs(lo, hi):
-        rows = H.take(a.sweep_cols[lo:hi], axis=0)
-        rows *= vals[lo:hi]
-        return rows
-
-    return a.segments.sum(scaled_arcs, H.shape[1])
+    r, c = (a.col_scale, a.row_scale) if transpose else (a.row_scale, a.col_scale)
+    if c is not None:
+        H = H * c[:, None]
+    out = a.segments.sum(lambda lo, hi: H.take(a.sweep_cols[lo:hi], axis=0), H.shape[1])
+    if r is not None:
+        out *= r[:, None]
+    return out
 
 
 def incidence_aggregate(g: Graph, E_feat: np.ndarray) -> np.ndarray:

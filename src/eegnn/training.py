@@ -102,6 +102,12 @@ def _coerce(v, default):
     return float(v) if abs(v) <= sys.float_info.max else None
 
 
+def _shown(v) -> str:
+    """repr(v), cut to its first 40 characters."""
+    text = repr(v)
+    return text if len(text) <= 40 else text[:37] + "..."
+
+
 def _type_name(default) -> str:
     if isinstance(default, list):
         return f"non-empty list of {type(default[0]).__name__}"
@@ -125,7 +131,7 @@ def coerce_keys(defaults: dict, d: dict) -> tuple[dict, list[str]]:
             continue
         v = _coerce(d[key], default)
         if v is None:
-            errors.append(f"config key {key!r}: cannot coerce {d[key]!r} "
+            errors.append(f"config key {key!r}: cannot coerce {_shown(d[key])} "
                           f"to {_type_name(default)}")
         else:
             values[key] = v
@@ -825,9 +831,14 @@ def load_checkpoint(path) -> Model:
         # eval_sample was a config key that nothing read; older checkpoints carry it
         config.pop("eval_sample", None)
         cfg = RunConfig.from_dict(config)
+        dims = {k: _coerce(payload[k], 0) for k in ("feat_dim", "out_dim", "edge_dim")}
+        for key, v in dims.items():
+            if v is None or v < 0:
+                raise ValueError(f"key {key!r} must be a non-negative integer, "
+                                 f"got {_shown(payload[key])}")
         rng = np.random.Generator(np.random.PCG64(cfg.seed))
-        model = build_model(cfg, int(payload["feat_dim"]), int(payload["out_dim"]),
-                            rng, edge_dim=int(payload["edge_dim"]))
+        model = build_model(cfg, dims["feat_dim"], dims["out_dim"], rng,
+                            edge_dim=dims["edge_dim"])
         stored = payload["params"]
         names = [name for name, _ in model.parameters()]
         if set(names) != set(stored):

@@ -266,6 +266,23 @@ def spectrum_suite_loop(n_configs, width_lo, width_hi, seed):
             "pass": worst_re <= 1e-8 and worst_skew <= 1e-12}
 
 
+def spectrum_draws_loop(n_configs, width_lo, width_hi, seed):
+    """The configs spectrum_suite draws, each omega_raw from a whole
+    make_cell_params call: a list of (omega, h, phi) stacks, one per width
+    in the order the widths first come up."""
+    from eegnn.cells import make_cell_params
+
+    rng = np.random.default_rng(seed)
+    by_width = {}
+    for _ in range(n_configs):
+        m = int(rng.integers(width_lo, width_hi + 1))
+        omega = make_cell_params(rng, "sas", m, m, m).omega_raw.value
+        h = rng.normal(size=m)
+        phi = rng.normal(size=m)
+        by_width.setdefault(m, []).append((omega, h, phi))
+    return [tuple(np.stack(x) for x in zip(*drawn)) for drawn in by_width.values()]
+
+
 # ---------------------------------------------------- sensitivity oracle
 
 def sensitivity_single_seed(model, g, layer):

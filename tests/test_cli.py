@@ -307,6 +307,29 @@ def test_evaluate_checkpoint_with_a_non_finite_parameter_is_validation_error(
     assert not (tmp_path / "eval").exists()
 
 
+@pytest.mark.parametrize("key, text", [("feat_dim", "1e400"), ("feat_dim", '"10"'),
+                                       ("out_dim", "10.7"), ("edge_dim", "true")],
+                         ids=["beyond-float", "string", "fraction", "bool"])
+def test_evaluate_checkpoint_with_a_non_integer_dimension_is_validation_error(
+        tmp_path, capsys, key, text):
+    data, path, payload = trained_checkpoint(tmp_path)
+    payload[key] = "DIM"
+    path.write_text(json.dumps(payload).replace('"DIM"', text))
+    assert run(["evaluate", "--checkpoint", str(path), "--data", str(data),
+                "--out", str(tmp_path / "eval")]) == 1
+    assert f"key '{key}' must be a non-negative integer" in capsys.readouterr().err
+    assert not (tmp_path / "eval").exists()
+
+
+def test_a_long_rejected_value_is_cut_in_the_message(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, {"lr": int("9" * 400)})
+    assert run(["train", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    line = next(x for x in err.splitlines() if "'lr'" in x)
+    assert "cannot coerce 99999" in line and "9" * 41 not in line
+    assert len(line) < 120
+
+
 def edited_graph(tmp_path, data, edit):
     """A copy of a graph file with edit applied to its JSON document."""
     doc = json.loads(Path(data).read_text())

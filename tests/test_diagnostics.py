@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
-from eegnn import autodiff as ad
+from eegnn import autodiff as ad, diagnostics
 from eegnn.cells import cell_weights, make_cell_params, sas_step, encode
 from eegnn.diagnostics import (SpectrumReport, Trace, depth_retention,
                                descent_suite, descent_trace, dirichlet_energy,
@@ -259,13 +259,30 @@ def test_jacobian_rejects_mismatched_shapes():
 
 @pytest.mark.parametrize("n_configs, lo, hi, seed", [(300, 16, 32, 0), (100, 2, 16, 0),
                                                      (10, 2, 16, 2), (200, 2, 32, 7),
-                                                     (50, 1, 32, 3)])
+                                                     (50, 1, 32, 3), (300, 2, 32, 5)])
 def test_spectrum_suite_equals_the_per_config_loop(n_configs, lo, hi, seed):
     got = spectrum_suite(n_configs, lo, hi, seed=seed)
     want = oracles.spectrum_suite_loop(n_configs, lo, hi, seed)
     assert got == want
     assert {k: _bits(v) for k, v in got.items()} == \
         {k: _bits(v) for k, v in want.items()}
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_spectrum_suite_draws_what_make_cell_params_drew(monkeypatch, seed):
+    stacks = []
+    check = diagnostics.sas_jacobian
+
+    def recorded(*args):
+        stacks.append(args)
+        return check(*args)
+
+    monkeypatch.setattr(diagnostics, "sas_jacobian", recorded)
+    spectrum_suite(300, 2, 32, seed=seed)
+    want = oracles.spectrum_draws_loop(300, 2, 32, seed)
+    assert len(stacks) == len(want)
+    for drawn, expected in zip(stacks, want):
+        assert [x.tobytes() for x in drawn] == [x.tobytes() for x in expected]
 
 
 @pytest.mark.parametrize("n_configs", [0, -1])
@@ -388,7 +405,8 @@ def test_sensitivity_work_does_not_depend_on_layer(monkeypatch):
         sensitivity(model, g, layer)
         per_layer.append(dict(counts))
     assert per_layer[0] == per_layer[1]
-    assert per_layer[0]["backward"] == -(-g.n * model.cfg.hidden // 8)
+    copies = diagnostics._SWEEP_COPIES
+    assert per_layer[0]["backward"] == -(-g.n * model.cfg.hidden // copies)
 
 
 def test_sensitivity_update_arguments_do_not_grow_with_the_sweeps(monkeypatch):
@@ -410,7 +428,8 @@ def test_sensitivity_update_arguments_do_not_grow_with_the_sweeps(monkeypatch):
     monkeypatch.setattr(ad, "backward", sweeping)
     sensitivity(model, g, 0)
     depth = model.cfg.depth
-    assert -(-g.n * model.cfg.hidden // 8) > 2                # several sweeps
+    # several sweeps
+    assert -(-g.n * model.cfg.hidden // diagnostics._SWEEP_COPIES) > 2
     # once in the forward; in the sweeps, once in the first run, which keeps
     # nothing, and once in the second, which keeps the derivatives
     assert calls == {False: depth, True: 2 * depth}

@@ -80,20 +80,21 @@ def cfg_for(task, model, **kw):
 
 # repr of every history row, and of evaluate(model, data)["value"], at the
 # reference revision; the graph-set rows since graph sets run as one
-# disjoint union, which drew eegnn's exit noise in a new order, and since
-# pooling sums each graph's nodes by the kit's summation rule
+# disjoint union, which drew eegnn's exit noise in a new order, since
+# pooling sums each graph's nodes by the kit's summation rule, and since spmm
+# scales rows by the degree factors instead of weighting arcs
 GOLDEN = {
     ('graph_class', 'sas'): (
         [
-            '(0, 0.9445274638179835, 0.6666666666666666, 0.0, 3.0)',
-            '(1, 0.8228545352249613, 0.0, 0.0, 3.0)',
-            '(2, 0.7200078048880542, 0.0, 0.0, 3.0)',
+            '(0, 0.9445274638179836, 0.6666666666666666, 0.0, 3.0)',
+            '(1, 0.8228545352249614, 0.0, 0.0, 3.0)',
+            '(2, 0.7200078048880539, 0.0, 0.0, 3.0)',
         ],
         '0.0'),
     ('graph_class', 'eegnn'): (
         [
             '(0, 0.568644355926256, 0.6666666666666666, 0.0, 2.0)',
-            '(1, 0.5317181999547937, 0.0, 0.0, 2.3333333333333335)',
+            '(1, 0.5317181999547936, 0.0, 0.0, 2.3333333333333335)',
             '(2, 0.7115622682896874, 0.0, 0.0, 2.0)',
         ],
         '0.0'),
@@ -152,20 +153,21 @@ def test_node_edge_term_training_is_pinned():
 
 
 # repr of every history row, and of the whole evaluate(model, g) record, at
-# the reference revision; the grid has degrees 3, 5 and 8, the block model
-# mixes rows of degree up to 8 with rows of higher degree
+# the reference revision (the grid's since spmm scales rows by the degree
+# factors); the grid has degrees 3, 5 and 8, the block model mixes rows of
+# degree up to 8 with rows of higher degree
 EEGNN_NODE_GOLDEN = {
     "grid": (
         [
             '(0, 0.5839041636615268, 0.7083333333333334, 0.32142857142857145, 1.1875)',
-            '(1, 0.5426220377686737, 0.3645833333333333, 0.35714285714285715, 2.125)',
+            '(1, 0.5426220377686738, 0.3645833333333333, 0.35714285714285715, 2.125)',
             '(2, 0.6025201479982406, 0.4479166666666667, 0.35714285714285715, 2.4375)',
             '(3, 0.5800344873743111, 0.34375, 0.35714285714285715, 2.125)',
         ],
         "{'split': 'test', 'mode': 'eval_argmax', 'metric': 'auroc', "
         "'value': 0.32142857142857145, 'loss': 0.5622768289911602, "
         "'mean_exit_layer': 1.1875, 'exit': {'min_layer': 0, 'median_layer': 0.0, "
-        "'max_layer': 4, 'mean_time': 0.7183877188931485, "
+        "'max_layer': 4, 'mean_time': 0.7183877188931483, "
         "'histogram': [45, 0, 0, 0, 19]}}"),
     "sbm": (
         [
@@ -199,8 +201,9 @@ def test_node_eegnn_training_is_pinned(name):
     assert got == EEGNN_NODE_GOLDEN[name]
 
 
-# Captured before node-mode exits stopped at the last exit; in every training
-# forward of this run all nodes exit before the last layer.
+# Captured before node-mode exits stopped at the last exit, and the
+# train_sample mean_time since spmm scales rows by the degree factors; in
+# every training forward of this run all nodes exit before the last layer.
 EARLY_STOP_GOLDEN = (
     [
         '(0, 0.5748682147145374, 1.0, 0.625, 0.0)',
@@ -215,7 +218,7 @@ EARLY_STOP_GOLDEN = (
     "{'split': 'test', 'mode': 'train_sample', 'metric': 'auroc', 'value': 0.625, "
     "'loss': 0.9862575054118363, 'mean_exit_layer': 0.16666666666666666, "
     "'exit': {'min_layer': 0, 'median_layer': 0.0, 'max_layer': 1, "
-    "'mean_time': 0.10270339696253648, 'histogram': [20, 4, 0, 0, 0, 0, 0]}}",
+    "'mean_time': 0.10270339696253646, 'histogram': [20, 4, 0, 0, 0, 0, 0]}}",
 )
 
 

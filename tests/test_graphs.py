@@ -118,11 +118,15 @@ def test_spmm_matches_dense_oracle():
 
 
 def rule_spmm(a, H, transpose=False):
-    """spmm's bit-level reference: every row's products values[k] * H[v]
-    summed by oracles.segment_sum_loop, one row at a time."""
-    vals = a.values_t if transpose else a.values
-    return oracles.segment_sum_loop(vals[:, None] * np.asarray(H)[a.col_indices],
-                                    a.row_offsets)
+    """spmm's bit-level reference: the rows H[v] * c[v] gathered per arc,
+    summed by oracles.segment_sum_loop one row at a time, each sum then
+    times r[u]; r and c are the row and column scales, swapped transposed."""
+    r, c = (a.col_scale, a.row_scale) if transpose else (a.row_scale, a.col_scale)
+    H = np.asarray(H)
+    if c is not None:
+        H = H * c[:, None]
+    out = oracles.segment_sum_loop(H[a.col_indices], a.row_offsets)
+    return out if r is None else out * r[:, None]
 
 
 def hard_input(rng, n, width):
@@ -184,7 +188,7 @@ def test_spmm_bits_match_reduceat_with_empty_rows():
     cols = np.concatenate([[1, 4], [0, 2, 7], [3], np.arange(10) % 9, [0, 4, 5],
                            rng.integers(0, 9, size=70)])
     a = ArcMatrix(n=9, row_offsets=row_offsets, col_indices=cols,
-                  values=rng.normal(size=89), values_t=rng.normal(size=89),
+                  row_scale=rng.normal(size=9), col_scale=rng.normal(size=9),
                   segments=Segments.from_offsets(row_offsets))
     assert_spmm_bits_match(a, seed=6)
     assert not spmm(a, np.ones((9, 3)))[[1, 3, 6]].any()
@@ -211,21 +215,47 @@ def test_segment_mean_and_incidence_bits_match_the_rule():
 def test_mean_adj_transpose_uses_transposed_values():
     g = canonicalize([(0, 1), (0, 2), (1, 2), (0, 3)], 4)
     a = mean_adj(g)
-    assert not np.array_equal(a.values, a.values_t)
     H = np.arange(8.0).reshape(4, 2)
     dense = np.zeros((4, 4))
     dense[arc_rows(g), g.col_indices] = a.values
+    assert not np.array_equal(dense, dense.T)
     assert np.allclose(spmm(a, H, transpose=True), dense.T @ H)
 
 
-def test_a_symmetric_operator_widens_one_value_array_per_width():
+def test_mean_adj_transpose_bits_match_the_weighted_arcs():
+    """Transposed, mean_adj forms the products H[v] * (1/d_v) that weighting
+    arc (u,v) by the reverse arc's entry did, summed in the same order."""
+    rng = np.random.default_rng(9)
+    for seed, g in enumerate((gen_minesweeper_grid(30, 30, 0.2, seed=0),
+                              gen_sbm((15, 15), 0.75, 0.25, seed=12),
+                              canonicalize(hub_edges(), 84))):
+        a = mean_adj(g)
+        weights = (1.0 / degrees(g)[arc_rows(g)].astype(np.float64))[pair_index(g)]
+        for width in (1, 2, 16, 32):
+            for H in (hard_input(rng, g.n, width), rng.normal(size=(g.n, width))):
+                want = oracles.segment_sum_loop(weights[:, None] * H[g.col_indices],
+                                                g.row_offsets)
+                assert_bits_equal(spmm(a, H, transpose=True), want, seed, width)
+
+
+def arrays_held(a):
+    """Every array an ArcMatrix holds, directly or in a dict."""
+    held = []
+    for v in vars(a).values():
+        held += [x for x in (v.values() if isinstance(v, dict) else [v])
+                 if isinstance(x, np.ndarray)]
+    return held
+
+
+def test_spmm_leaves_no_per_width_array_on_the_matrix():
     g = gen_minesweeper_grid(4, 4, 0.2, seed=0)
-    H = np.ones((g.n, 3))
-    for a, arrays in ((norm_adj(g), 1), (mean_adj(g), 2)):
-        spmm(a, H)
-        spmm(a, H, transpose=True)
-        assert len(a.wide_values) == arrays
-        assert all(v.shape == (g.n_arcs, 3) for v in a.wide_values.values())
+    for a in (norm_adj(g), mean_adj(g)):
+        before = [id(x) for x in arrays_held(a)]
+        for width in (1, 3, 32):
+            spmm(a, np.ones((g.n, width)))
+            spmm(a, np.ones((g.n, width)), transpose=True)
+        assert [id(x) for x in arrays_held(a)] == before
+        assert all(x.ndim == 1 for x in arrays_held(a))
 
 
 def test_mean_adj_rows_average_neighbors():
