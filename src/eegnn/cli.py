@@ -29,7 +29,7 @@ import numpy as np
 from . import autodiff as ad, diagnostics
 from .diagnostics import ToleranceError
 from .graphs import degrees, edge_homophily, gen_minesweeper_grid, gen_sbm, \
-    save_graph
+    json_text, save_graph, write_output
 from .training import ConfigError, GraphSet, RunConfig, build_model, \
     coerce_keys, evaluate, exit_csv, forward_node, history_csv, load_checkpoint, \
     load_dataset, metric_eval, model_for, node_record, operators_for, \
@@ -67,12 +67,6 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError([message])
 
 
-def _write_json(doc, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-
-
 def _read_config(path) -> dict:
     if path is None:
         return {}
@@ -88,9 +82,14 @@ def _read_config(path) -> dict:
     return doc
 
 
-def _out_dir(args) -> Path:
+def _out_dir(args, resolved: dict | None) -> Path:
+    """Create --out and record the command's resolved settings in it as
+    resolved_config.json; param-count passes None, as its counts.json carries
+    them."""
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    if resolved is not None:
+        write_output(out / "resolved_config.json", json_text(resolved))
     return out
 
 
@@ -147,7 +146,7 @@ def cmd_generate(args) -> None:
         raise ConfigError([f"the generated graph has {isolated.size} isolated "
                            f"nodes (first: node {isolated[0]}), which training "
                            f"rejects; raise p_in or p_out"])
-    out = _out_dir(args)
+    out = _out_dir(args, cfg)
     save_graph(g, out / "graph.json")
     labels, counts = np.unique(g.y, return_counts=True)
     stats = {
@@ -158,8 +157,7 @@ def cmd_generate(args) -> None:
                           for l, c in zip(labels, counts)},
         "edge_homophily": edge_homophily(g),
     }
-    _write_json(stats, out / "stats.json")
-    _write_json(cfg, out / "resolved_config.json")
+    write_output(out / "stats.json", json_text(stats))
     print(f"wrote graph.json ({g.n} nodes, {g.n_arcs // 2} edges) and stats.json to {out}")
 
 
@@ -195,15 +193,14 @@ def cmd_train(args) -> None:
     opts, cfg = _config(args, {"data": None}, run=True)
     data = _load_data(opts["data"])
     model, history = train_run(cfg, data)
-    out = _out_dir(args)
-    _write_json({**cfg.to_dict(), **opts}, out / "resolved_config.json")
-    (out / "history.csv").write_text(history_csv(history))
+    out = _out_dir(args, {**cfg.to_dict(), **opts})
+    write_output(out / "history.csv", history_csv(history))
     save_checkpoint(model, out / "checkpoint.json")
     bundle, state = _metric_bundle(model, data)
-    _write_json(bundle, out / "metrics.json")
+    write_output(out / "metrics.json", json_text(bundle))
     if state is not None:
         test_ids = np.flatnonzero(data.masks["test"])
-        (out / "exits.csv").write_text(exit_csv(state, agent_ids=test_ids))
+        write_output(out / "exits.csv", exit_csv(state, agent_ids=test_ids))
     print(f"trained {cfg.model} for {len(history)} epochs; "
           f"test {bundle['metric']} = {bundle['value']}")
 
@@ -216,10 +213,8 @@ def cmd_evaluate(args) -> None:
     data = _load_data(opts["data"])
     mode = "train_sample" if args.mode == "train" else "eval_argmax"
     rec = evaluate(model, data, "test", mode=mode)
-    out = _out_dir(args)
-    _write_json({**model.cfg.to_dict(), **opts, "mode": mode},
-                out / "resolved_config.json")
-    _write_json(rec, out / "metrics.json")
+    out = _out_dir(args, {**model.cfg.to_dict(), **opts, "mode": mode})
+    write_output(out / "metrics.json", json_text(rec))
     print(f"test {rec['metric']} = {rec['value']}")
 
 
@@ -295,12 +290,10 @@ def cmd_diagnose(args) -> None:
         report.update({"oracle_accuracy": oracle, "final_accuracy": final,
                        "gain": oracle - final, "pass": oracle >= final})
 
-    out = _out_dir(args)
-    _write_json({**cfg.to_dict(), **diag, "diagnostic": args.name},
-                out / "resolved_config.json")
+    out = _out_dir(args, {**cfg.to_dict(), **diag, "diagnostic": args.name})
     for fname, trace in traces.items():
         diagnostics.emit_trace(trace, out / fname)
-    _write_json(report, out / "report.json")
+    write_output(out / "report.json", json_text(report))
     status = "pass" if report["pass"] else "FAIL"
     print(f"{args.name}: {status} (report.json in {out})")
     if not report["pass"]:
@@ -322,9 +315,9 @@ def cmd_param_count(args) -> None:
                         edge_dim=dims["edge_dim"])
     doc = {"model": cfg.model, "depth": cfg.depth, "hidden": cfg.hidden,
            **dims, **model.param_counts()}
-    out = _out_dir(args)
-    _write_json(doc, out / "counts.json")
-    print(json.dumps(doc, sort_keys=True, indent=2))
+    out = _out_dir(args, None)
+    write_output(out / "counts.json", json_text(doc))
+    print(json_text(doc), end="")
 
 
 # ------------------------------------------------------------------ parser

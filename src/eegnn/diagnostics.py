@@ -3,9 +3,14 @@
 Four families: energy accounting (the quadratic edge functional and the
 degree-normalized Dirichlet energy), spectral stability of the step's
 Jacobian, layer-wise sensitivity of deep stacks, and counterfactual exit
-quality. Each check reports numbers; tolerance judgments live with the
-callers (test suite and CLI), except ToleranceError which the CLI maps to
-its own exit code.
+quality. Each check reports numbers. The two suites also judge themselves:
+`spectrum_suite` returns its own "pass" from MAX_RE_TOL and SKEW_TOL, and
+`descent_suite` from the violations `descent_trace` logs past
+DESCENT_SLACK; `energy_functional` refuses a W_s further than SKEW_TOL from
+symmetric. The other diagnostics (Dirichlet traces, sensitivity, depth
+retention, oracle exits) leave the verdict to their callers: the CLI's
+`diagnose` sets their "pass" and the test suite its own bounds. The CLI
+maps a failed verdict to ToleranceError and its own exit code.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from .cells import CellParams, build_operators, cell_weights, decode, encode, \
     make_cell_params, propagate
 from .eig import eigvals
 from .graphs import Graph, arc_rows, degrees, disjoint_union, gen_sbm, \
-    norm_arc_weights, pair_index
+    norm_arc_weights, pair_index, write_output
 from .training import ConfigError, Model, RunConfig, classes_from_logits, \
     evaluate, forward_node, metric_eval, operators_for, train_run
 
@@ -422,8 +427,7 @@ def emit_trace(trace: Trace, path) -> None:
     lines.append("layer,value")
     for l, v in zip(trace.layers, trace.values):
         lines.append(f"{int(l)},{float(v)!r}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_output(path, "\n".join(lines) + "\n")
 
 
 def read_trace(path) -> Trace:

@@ -25,7 +25,8 @@ from .cells import (CellParams, EDGE_KINDS, EDGE_MODES, MODEL_KINDS, TASKS,
                     propagate)
 from .exits import (ExitHeads, ExitState, eegnn_forward_node, exit_distribution,
                     make_exit_heads)
-from .graphs import Graph, Segments, degrees, disjoint_union, load_graph_fields
+from .graphs import Graph, Segments, degrees, disjoint_union, json_text, \
+    load_graph_fields, read_mask, write_output
 
 __all__ = [
     "ConfigError",
@@ -88,7 +89,10 @@ def _coerce(v, default):
     if kind is bool:
         return v if isinstance(v, bool) else None
     if kind is tuple:
-        return tuple(v) if isinstance(v, (list, tuple)) else None
+        if not isinstance(v, (list, tuple)):
+            return None
+        items = [_coerce(x, 0) for x in v]
+        return None if any(x is None for x in items) else tuple(items)
     if kind is str:
         return v if isinstance(v, str) else None
     if isinstance(v, bool) or not isinstance(v, numbers.Real):
@@ -111,7 +115,7 @@ def _shown(v) -> str:
 def _type_name(default) -> str:
     if isinstance(default, list):
         return f"non-empty list of {type(default[0]).__name__}"
-    names = {type(None): "path string", tuple: "list"}
+    names = {type(None): "path string", tuple: "list of int"}
     return names.get(type(default), type(default).__name__)
 
 
@@ -121,8 +125,9 @@ def coerce_keys(defaults: dict, d: dict) -> tuple[dict, list[str]]:
 
     A bool takes only a bool, a str only a str, an int an int or an integral
     float, a float any number; a bool is never taken as a number. A tuple
-    default takes any list, a list default a non-empty list of its first
-    item's type, and a None default a path string.
+    default takes a list of ints by that rule, empty included, a list
+    default a non-empty list of its first item's type, and a None default a
+    path string.
     """
     errors = [f"unknown config key {k!r}" for k in sorted(set(d) - set(defaults))]
     values = {}
@@ -174,7 +179,6 @@ class RunConfig:
         return cfg
 
     def _check(self) -> list[str]:
-        e = []
         checks = [
             (self.task in TASKS, f"task must be one of {TASKS}, got {self.task!r}"),
             (self.model in MODEL_KINDS,
@@ -204,13 +208,10 @@ class RunConfig:
             (self.lr >= 0.0, f"lr must be >= 0, got {self.lr}"),
             (self.weight_decay >= 0.0,
              f"weight_decay must be >= 0, got {self.weight_decay}"),
+            (all(h >= 1 for h in self.dec_hidden),
+             f"dec_hidden must be a tuple of widths >= 1, got {self.dec_hidden!r}"),
         ]
-        e += [msg for ok, msg in checks if not ok]
-        if not (isinstance(self.dec_hidden, tuple)
-                and all(isinstance(h, int) and not isinstance(h, bool) and h >= 1
-                        for h in self.dec_hidden)):
-            e.append(f"dec_hidden must be a tuple of widths >= 1, got {self.dec_hidden!r}")
-        return e
+        return [msg for ok, msg in checks if not ok]
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -788,9 +789,7 @@ def save_checkpoint(model: Model, path) -> None:
         "edge_dim": model.edge_dim,
         "params": {name: p.value.tolist() for name, p in model.parameters()},
     }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_output(path, json_text(payload))
 
 
 @contextmanager
@@ -818,8 +817,9 @@ def _require(payload, keys=()) -> None:
 
 def load_checkpoint(path) -> Model:
     """The model a checkpoint file holds; a malformed one (missing key,
-    unknown format, parameters that do not fit its config or are not
-    finite) raises ConfigError naming the problem."""
+    unknown format, a config or params that is not an object, parameters
+    that do not fit its config or are not finite numbers) raises
+    ConfigError naming the problem."""
     with open(path) as fh, _reading("checkpoint", path):
         payload = json.load(fh)
         _require(payload, ("format", "config", "feat_dim", "out_dim", "edge_dim",
@@ -827,6 +827,10 @@ def load_checkpoint(path) -> Model:
         if payload["format"] != CHECKPOINT_FORMAT:
             raise ValueError(f"format {payload['format']!r} is unknown; this "
                              f"version reads format {CHECKPOINT_FORMAT}")
+        for key in ("config", "params"):
+            if not isinstance(payload[key], dict):
+                raise ValueError(f"key {key!r} must be a JSON object, "
+                                 f"got {_shown(payload[key])}")
         config = dict(payload["config"])
         # eval_sample was a config key that nothing read; older checkpoints carry it
         config.pop("eval_sample", None)
@@ -845,7 +849,10 @@ def load_checkpoint(path) -> Model:
             missing = sorted(set(names) ^ set(stored))
             raise ValueError(f"parameters do not match config: {missing}")
         for name, p in model.parameters():
-            arr = np.asarray(stored[name], dtype=np.float64)
+            entries = np.asarray(stored[name], dtype=object)
+            if not set(map(type, entries.flat)) <= {int, float}:
+                raise ValueError(f"parameter {name} must hold numbers")
+            arr = entries.astype(np.float64)
             if arr.shape != p.value.shape:
                 raise ValueError(f"parameter {name} has shape {arr.shape}, "
                                  f"expected {p.value.shape}")
@@ -870,8 +877,7 @@ def load_dataset(path):
             y = np.asarray(payload["y"], dtype=np.float64)
             if not np.isfinite(y).all():
                 raise ValueError("key 'y' must be finite")
-            masks = {k: np.asarray(v, dtype=bool)
-                     for k, v in dict(payload["masks"]).items()}
+            masks = {k: read_mask(k, v) for k, v in dict(payload["masks"]).items()}
             data = GraphSet(graphs=graphs, y=y, masks=masks)
         _reject_isolated_nodes(data)
         return data

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 import re
 from pathlib import Path
 
@@ -149,6 +150,36 @@ def test_train_rerun_byte_identical(tmp_path):
     for name in ("resolved_config.json", "history.csv", "checkpoint.json",
                  "metrics.json", "exits.csv"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+def test_a_rerun_into_the_same_out_replaces_every_output_with_its_bytes(tmp_path):
+    data = gen_sbm_data(tmp_path, seed=4)
+    cfg = write_cfg(tmp_path, dict(TRAIN_CFG, model="eegnn"), name="t.json")
+    gen = write_cfg(tmp_path, {"dataset": "sbm", "sizes": [8, 8], "seed": 2},
+                    name="g.json")
+    commands = {
+        "generate": ["generate", "--config", gen],
+        "train": ["train", "--config", cfg, "--data", str(data)],
+        "evaluate": ["evaluate", "--data", str(data), "--checkpoint",
+                     str(tmp_path / "train" / "checkpoint.json")],
+        "diagnose": ["diagnose", "dirichlet", "--data", str(data)],
+        "param-count": ["param-count"],
+    }
+    links = tmp_path / "links"
+    links.mkdir()
+    kept = []
+    for rerun in (False, True):
+        for name, argv in commands.items():
+            assert run(argv + ["--out", str(tmp_path / name)]) == 0
+            if not rerun:
+                for path in sorted((tmp_path / name).iterdir()):
+                    kept.append((path, links / f"{name}-{path.name}"))
+                    os.link(*kept[-1])
+    assert len(kept) == 15
+    for path, link in kept:
+        # the link still holds the first run's file; the rerun made a new one
+        assert path.read_bytes() == link.read_bytes(), path
+        assert not os.path.samefile(link, path), path
 
 
 def test_train_eegnn_exit_rows_cover_test_split(tmp_path):
@@ -321,6 +352,37 @@ def test_evaluate_checkpoint_with_a_non_integer_dimension_is_validation_error(
     assert not (tmp_path / "eval").exists()
 
 
+@pytest.mark.parametrize("key, text, shown", [
+    ("config", "[]", "key 'config' must be a JSON object, got []"),
+    ("config", "null", "key 'config' must be a JSON object, got None"),
+    ("config", '"ab"', "key 'config' must be a JSON object, got 'ab'"),
+    ("params", "[]", "key 'params' must be a JSON object, got []"),
+    ("params", "null", "key 'params' must be a JSON object, got None"),
+    ("params", '"ab"', "key 'params' must be a JSON object, got 'ab'")])
+def test_evaluate_checkpoint_with_a_config_or_params_not_an_object_is_validation_error(
+        tmp_path, capsys, key, text, shown):
+    data, path, payload = trained_checkpoint(tmp_path)
+    payload[key] = "VALUE"
+    path.write_text(json.dumps(payload).replace('"VALUE"', text))
+    assert run(["evaluate", "--checkpoint", str(path), "--data", str(data),
+                "--out", str(tmp_path / "eval")]) == 1
+    assert shown in capsys.readouterr().err
+    assert not (tmp_path / "eval").exists()
+
+
+@pytest.mark.parametrize("value", ["1", True, None, [1.0]],
+                         ids=["string", "bool", "null", "list"])
+def test_evaluate_checkpoint_with_a_parameter_entry_not_a_number_is_validation_error(
+        tmp_path, capsys, value):
+    data, path, payload = trained_checkpoint(tmp_path)
+    payload["params"]["cell.enc_b"][0][1] = value
+    path.write_text(json.dumps(payload))
+    assert run(["evaluate", "--checkpoint", str(path), "--data", str(data),
+                "--out", str(tmp_path / "eval")]) == 1
+    assert "parameter cell.enc_b must hold numbers" in capsys.readouterr().err
+    assert not (tmp_path / "eval").exists()
+
+
 def test_a_long_rejected_value_is_cut_in_the_message(tmp_path, capsys):
     cfg = write_cfg(tmp_path, {"lr": int("9" * 400)})
     assert run(["train", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
@@ -353,15 +415,16 @@ def _label_split(doc, split, value):
             doc["y"][i] = value
 
 
-def _one_member_set(doc, label):
+def _one_member_set(doc, label, val_mask=(True,)):
     """Turn a graph document into a one-graph set labelled label."""
     member = {k: doc[k] for k in ("n", "edges", "x")}
     doc.clear()
     doc.update(graphs=[member], y=[[label]],
-               masks={k: [True] for k in ("train", "val", "test")})
+               masks={"train": [True], "val": list(val_mask), "test": [True]})
 
 
 EDGES_SHOWN = "edges must be a list of [u, v] pairs of 64-bit integers"
+MASK_SHOWN = "mask '{}' must hold true/false or 0/1"
 
 
 @pytest.mark.parametrize("case, shown", [
@@ -399,7 +462,15 @@ EDGES_SHOWN = "edges must be a list of [u, v] pairs of 64-bit integers"
     ("edges_triple", EDGES_SHOWN),
     ("edges_ragged", EDGES_SHOWN),
     ("edge_beyond_int64", EDGES_SHOWN),
-    ("n_boolean", "field 'n' must be a non-negative integer")])
+    ("n_boolean", "field 'n' must be a non-negative integer"),
+    ("mask_string", MASK_SHOWN.format("train")),
+    ("mask_two", MASK_SHOWN.format("val")),
+    ("mask_null", MASK_SHOWN.format("test")),
+    ("mask_fraction", MASK_SHOWN.format("train")),
+    ("mask_nested", MASK_SHOWN.format("train")),
+    ("graph_set_mask_string", MASK_SHOWN.format("val")),
+    ("graph_set_mask_two", MASK_SHOWN.format("val")),
+    ("graph_set_mask_null", MASK_SHOWN.format("val"))])
 def test_train_rejects_an_empty_split_or_labels_that_are_not_classes(
         tmp_path, capsys, case, shown):
     data = gen_sbm_data(tmp_path, seed=12)
@@ -432,7 +503,15 @@ def test_train_rejects_an_empty_split_or_labels_that_are_not_classes(
             "edges_triple": lambda d: d.update(edges=[0, 1, 2]),
             "edges_ragged": lambda d: d["edges"].append([1]),
             "edge_beyond_int64": lambda d: d["edges"][0].__setitem__(1, 10**30),
-            "n_boolean": lambda d: d.update(n=True)}[case]
+            "n_boolean": lambda d: d.update(n=True),
+            "mask_string": lambda d: d["masks"]["train"].__setitem__(0, "no"),
+            "mask_two": lambda d: d["masks"]["val"].__setitem__(0, 2),
+            "mask_null": lambda d: d["masks"]["test"].__setitem__(0, None),
+            "mask_fraction": lambda d: d["masks"]["train"].__setitem__(0, 1.0),
+            "mask_nested": lambda d: d["masks"]["train"].__setitem__(0, [True]),
+            "graph_set_mask_string": lambda d: _one_member_set(d, 1.0, ["no"]),
+            "graph_set_mask_two": lambda d: _one_member_set(d, 1.0, [2]),
+            "graph_set_mask_null": lambda d: _one_member_set(d, 1.0, [None])}[case]
     extra = {"three_class_bce": {"loss": "bce_logits"},
              "edge_term_without_edges": {"edge_mode": "linear"},
              "three_class_auroc": {"metric": "auroc"},
@@ -440,9 +519,9 @@ def test_train_rejects_an_empty_split_or_labels_that_are_not_classes(
              "positive_test_auroc": {"metric": "auroc"},
              "no_positive_test_ap": {"metric": "ap"},
              "ce_mae": {"metric": "mae"},
-             "two_column_bce": {"loss": "bce_logits"},
-             "graph_set_y_nan": {"task": "graph_reg", "loss": "mse",
-                                 "metric": "mae"}}.get(case, {})
+             "two_column_bce": {"loss": "bce_logits"}}.get(case, {})
+    if case.startswith("graph_set"):
+        extra = {"task": "graph_reg", "loss": "mse", "metric": "mae"}
     cfg = write_cfg(tmp_path, {**TRAIN_CFG, **extra}, name="t.json")
     assert run(["train", "--config", cfg, "--data", edited_graph(tmp_path, data, edit),
                 "--out", str(tmp_path / "run")]) == 1

@@ -1,5 +1,7 @@
 """Graph container, normalization, generators, and file round trips."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from eegnn.graphs import (ArcMatrix, Graph, Segments, arc_list, arc_rows,
                           canonicalize, degrees, edge_homophily,
                           gen_minesweeper_grid, gen_sbm, incidence_aggregate,
                           make_graph, mean_adj, norm_adj, pair_index,
-                          save_graph, spmm, validate_graph)
+                          save_graph, spmm, validate_graph, write_output)
 from eegnn.training import ConfigError, load_dataset
 
 
@@ -419,6 +421,22 @@ def test_save_load_round_trip(tmp_path):
     assert np.array_equal(back.y, g.y)
     for k in g.masks:
         assert np.array_equal(back.masks[k], g.masks[k])
+
+
+def test_write_output_creates_and_replaces_but_not_a_directory(tmp_path):
+    p = tmp_path / "out.txt"
+    write_output(p, "first\n")
+    assert p.read_text() == "first\n"
+    link = tmp_path / "link.txt"
+    os.link(p, link)
+    write_output(p, "second\n")
+    # a new file takes the name; the old one lives on under its other link
+    assert p.read_text() == "second\n" and link.read_text() == "first\n"
+    assert not os.path.samefile(p, link)
+    (tmp_path / "dir").mkdir()
+    with pytest.raises(OSError):
+        write_output(tmp_path / "dir", "text")
+    assert (tmp_path / "dir").is_dir()
 
 
 def test_load_missing_edges_field_named(tmp_path):

@@ -49,6 +49,9 @@ def test_config_collects_every_error_at_once():
     assert sum("unknown config key" in m for m in msgs) == 2
     assert any("tau" in m for m in msgs)
     assert any("lr" in m for m in msgs)
+    with pytest.raises(ConfigError) as exc:
+        RunConfig.from_dict({"dec_hidden": [4, 0]})
+    assert exc.value.messages == ["dec_hidden must be a tuple of widths >= 1, got (4, 0)"]
 
 
 def test_config_coercion_failure_reported_by_key():
@@ -61,7 +64,9 @@ def test_config_coercion_failure_reported_by_key():
     ("decoupled_wd", "false"), ("decoupled_wd", 0), ("depth", 2.7),
     ("depth", True), ("epochs", True), ("tau", False), ("lr", "0.01"),
     ("hidden", "16"), ("depth", float("inf")), ("model", 3), ("nu0", float("inf")),
-    ("lr", float("inf")), ("weight_decay", float("inf")), ("tau", float("nan"))])
+    ("lr", float("inf")), ("weight_decay", float("inf")), ("tau", float("nan")),
+    ("dec_hidden", [2.5]), ("dec_hidden", [True]), ("dec_hidden", ["2"]),
+    ("dec_hidden", [[1]]), ("dec_hidden", 4)])
 def test_config_rejects_lossy_or_mistyped_values(key, value):
     with pytest.raises(ConfigError) as exc:
         RunConfig.from_dict({key: value})
@@ -77,9 +82,11 @@ def test_config_collects_every_type_error_at_once():
 
 def test_config_takes_integral_floats_and_ints_for_floats():
     cfg = RunConfig.from_dict({"depth": 3.0, "epochs": np.int64(5), "tau": 1,
-                               "lr": np.float64(0.01), "decoupled_wd": True})
+                               "lr": np.float64(0.01), "decoupled_wd": True,
+                               "dec_hidden": [2.0, np.int64(3)]})
     assert (cfg.depth, cfg.epochs, cfg.tau, cfg.lr) == (3, 5, 1.0, 0.01)
     assert type(cfg.depth) is int and type(cfg.epochs) is int
+    assert cfg.dec_hidden == (2, 3) and {type(h) for h in cfg.dec_hidden} == {int}
     assert type(cfg.tau) is float and cfg.decoupled_wd is True
 
 
