@@ -29,7 +29,7 @@ import numpy as np
 from . import autodiff as ad, diagnostics
 from .diagnostics import ToleranceError
 from .graphs import degrees, edge_homophily, gen_minesweeper_grid, gen_sbm, \
-    json_text, save_graph, write_output
+    json_text, read_object, save_graph, write_output
 from .training import ConfigError, GraphSet, RunConfig, build_model, \
     coerce_keys, evaluate, exit_csv, forward_node, history_csv, load_checkpoint, \
     load_dataset, metric_eval, model_for, node_record, operators_for, \
@@ -72,14 +72,13 @@ def _read_config(path) -> dict:
         return {}
     try:
         with open(path) as fh:
-            doc = json.load(fh)
+            return read_object("config file", json.load(fh))
     except OSError as exc:
         raise ConfigError([f"cannot read config file: {exc}"])
     except json.JSONDecodeError as exc:
         raise ConfigError([f"malformed JSON in config file: {exc}"])
-    if not isinstance(doc, dict):
-        raise ConfigError(["config file must hold a JSON object"])
-    return doc
+    except ValueError as exc:
+        raise ConfigError([str(exc)])
 
 
 def _out_dir(args, resolved: dict | None) -> Path:
@@ -129,8 +128,11 @@ def _require(checks) -> None:
 
 def cmd_generate(args) -> None:
     cfg, _ = _config(args, GEN_DEFAULTS)
-    if cfg["dataset"] not in ("minesweeper", "sbm"):
-        raise ConfigError([f"dataset must be 'minesweeper' or 'sbm', got {cfg['dataset']!r}"])
+    _require([
+        (cfg["dataset"] in ("minesweeper", "sbm"),
+         f"dataset must be 'minesweeper' or 'sbm', got {cfg['dataset']!r}"),
+        (cfg["seed"] >= 0, f"seed must be >= 0, got {cfg['seed']}"),
+    ])
     try:
         if cfg["dataset"] == "minesweeper":
             g = gen_minesweeper_grid(cfg["rows"], cfg["cols"], cfg["mine_prob"],

@@ -42,7 +42,6 @@ __all__ = [
     "depth_retention",
     "oracle_exit_eval",
     "emit_trace",
-    "read_trace",
     "dirichlet_traces",
     "spectrum_suite",
     "descent_suite",
@@ -428,39 +427,3 @@ def emit_trace(trace: Trace, path) -> None:
     for l, v in zip(trace.layers, trace.values):
         lines.append(f"{int(l)},{float(v)!r}")
     write_output(path, "\n".join(lines) + "\n")
-
-
-def read_trace(path) -> Trace:
-    """Inverse of emit_trace; layer/value arrays round-trip exactly."""
-    name = ""
-    metadata = {}
-    layers = []
-    values = []
-    with open(path) as fh:
-        body = False
-        for raw in fh:
-            line = raw.rstrip("\n")
-            if not line:
-                continue
-            if line.startswith("# "):
-                key, _, val = line[2:].partition(": ")
-                if key == "name":
-                    name = val
-                else:
-                    try:
-                        metadata[key] = json.loads(val)
-                    except json.JSONDecodeError:
-                        metadata[key] = val
-                continue
-            if not body:
-                if line != "layer,value":
-                    raise ValueError(f"unexpected trace header {line!r}")
-                body = True
-                continue
-            l, _, v = line.partition(",")
-            layers.append(int(l))
-            values.append(float(v))
-    if not body:
-        raise ValueError("trace file has no column header")
-    return Trace(name=name, layers=np.array(layers, dtype=np.int64),
-                 values=np.array(values), metadata=metadata)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 import json
 from pathlib import Path
 
@@ -39,9 +40,14 @@ __all__ = [
     "write_output",
     "json_text",
     "save_graph",
-    "read_mask",
+    "read_object",
+    "read_count",
+    "read_numbers",
+    "read_masks",
     "load_graph_fields",
 ]
+
+SPLITS = ("train", "val", "test")
 
 
 @dataclass
@@ -294,7 +300,7 @@ def validate_graph(g: Graph) -> None:
     if g.y is not None and g.y.ndim == 1 and g.y.shape[0] != g.n:
         raise ValueError("node-level y must have length n")
     if g.masks is not None:
-        for name in ("train", "val", "test"):
+        for name in SPLITS:
             if name not in g.masks:
                 raise ValueError(f"masks missing split '{name}'")
             if g.masks[name].shape != (g.n,):
@@ -424,11 +430,12 @@ def gen_minesweeper_grid(rows: int, cols: int, mine_prob: float, seed: int,
 def gen_sbm(sizes, p_in: float, p_out: float, seed: int,
             feature_dim: int = 8, feature_shift: float = 1.0) -> Graph:
     """Stochastic block model with block labels and mean-shifted Gaussian features."""
-    for p in (p_in, p_out):
-        if not (0 <= p <= 1):
-            raise ValueError("probabilities must lie in [0, 1]")
-    rng = np.random.Generator(np.random.PCG64(seed))
     sizes = [int(s) for s in sizes]
+    if not (0 <= p_in <= 1 and 0 <= p_out <= 1):
+        raise ValueError("p_in and p_out must lie in [0, 1]")
+    if min(sizes, default=0) < 0 or feature_dim < 0:
+        raise ValueError("sizes and feature_dim must be >= 0")
+    rng = np.random.Generator(np.random.PCG64(seed))
     n = sum(sizes)
     labels = np.repeat(np.arange(len(sizes)), sizes)
     edges = [np.zeros((0, 2), dtype=np.int64)]
@@ -454,7 +461,7 @@ def _random_split(n, rng, frac_train=0.5, frac_val=0.25):
     perm = rng.permutation(n)
     n_train = int(round(frac_train * n))
     n_val = int(round(frac_val * n))
-    masks = {k: np.zeros(n, dtype=bool) for k in ("train", "val", "test")}
+    masks = {k: np.zeros(n, dtype=bool) for k in SPLITS}
     masks["train"][perm[:n_train]] = True
     masks["val"][perm[n_train:n_train + n_val]] = True
     masks["test"][perm[n_train + n_val:]] = True
@@ -494,77 +501,108 @@ def save_graph(g: Graph, path) -> None:
     if g.y is not None:
         doc["y"] = g.y.tolist()
     if g.masks is not None:
-        doc["masks"] = {k: [bool(b) for b in g.masks[k]] for k in ("train", "val", "test")}
+        doc["masks"] = {k: [bool(b) for b in g.masks[k]] for k in SPLITS}
     # compact, unlike json_text: json.dumps without indent runs the C encoder
     write_output(path, json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
 
 
-def _field(doc, name, required=True):
-    if name not in doc:
-        if required:
-            raise ValueError(f"graph document missing field '{name}'")
-        return None
-    return doc[name]
+def _shown(v) -> str:
+    """repr(v), cut to its first 40 characters."""
+    text = repr(v)
+    return text if len(text) <= 40 else text[:37] + "..."
 
 
-def _finite(name, values: np.ndarray) -> np.ndarray:
-    if not np.isfinite(values).all():
-        raise ValueError(f"field '{name}' must be finite")
-    return values
+# One reader per kind of value an input file holds; each raises a ValueError
+# naming the value by name, as "field 'x'", "key 'feat_dim'" or "parameter
+# cell.enc_b".
+
+def read_object(name: str, value, keys=()) -> dict:
+    """value, a JSON object holding every key of keys."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{name} must be a JSON object, got {_shown(value)}")
+    missing = [k for k in keys if k not in value]
+    if missing:
+        raise ValueError(f"{name} is missing key " + ", ".join(map(repr, missing)))
+    return value
 
 
-def read_mask(name: str, values) -> np.ndarray:
-    """A split mask read from JSON as a bool array: each element true, false,
-    0 or 1 (checked by type, so 1.0, "no" and null are refused). Its shape is
-    the caller's to check."""
-    items = values if isinstance(values, list) else [values]
-    if not ({type(v) for v in items} <= {bool, int} and set(items) <= {0, 1}):
-        raise ValueError(f"mask '{name}' must hold true/false or 0/1")
-    return np.asarray(values, dtype=bool)
+def read_count(name: str, value) -> int:
+    """value, a non-negative integer under the config keys' integer rule: a
+    JSON integer or an integral float such as 3.0, never true or false."""
+    if type(value) is float and value.is_integer():
+        value = int(value)
+    if type(value) is not int or value < 0:
+        raise ValueError(f"{name} must be a non-negative integer, got {_shown(value)}")
+    return value
+
+
+def read_numbers(name: str, values, shape: tuple, want: str) -> np.ndarray:
+    """values, a JSON array of finite numbers, as a float64 array of the
+    given shape: None there takes any length, and a last ... any further
+    axes; want says that shape in words. Only JSON integers and floats count
+    as numbers, so a string such as "1.5" and true or false are refused.
+
+    Each element's type is read in one pass over the array, after numpy has
+    converted it and checked that its rows are of equal length.
+    """
+    not_numbers = f"{name} must hold numbers, in rows of equal length"
+    try:
+        a = np.array(values, dtype=np.float64)
+    except OverflowError:                      # an integer beyond the float range
+        raise ValueError(f"{name} must be finite") from None
+    except (TypeError, ValueError):            # ragged rows, or not numbers
+        raise ValueError(not_numbers) from None
+    more = shape[-1] is ...
+    dims = shape[:-1] if more else shape
+    if a.ndim < len(dims) or (a.ndim > len(dims) and not more) or \
+            any(d not in (None, size) for d, size in zip(dims, a.shape)):
+        raise ValueError(f"{name} must {want}")
+    flat = values
+    for _ in range(a.ndim - 1):
+        flat = chain.from_iterable(flat)
+    if not set(map(type, flat)) <= {int, float}:
+        raise ValueError(not_numbers)
+    if not np.isfinite(a).all():
+        raise ValueError(f"{name} must be finite")
+    return a
+
+
+def read_masks(value, n: int) -> dict:
+    """The train, val and test masks of a JSON object, n elements each (one
+    per node or per graph), read as bool arrays: each element true, false, 0
+    or 1, checked by type, so 1.0, "no" and null are refused."""
+    value = read_object("field 'masks'", value, SPLITS)
+    masks = {}
+    for name in SPLITS:
+        items = value[name] if isinstance(value[name], list) else [value[name]]
+        if not ({type(v) for v in items} <= {bool, int} and set(items) <= {0, 1}):
+            raise ValueError(f"mask '{name}' must hold true/false or 0/1")
+        masks[name] = np.asarray(value[name], dtype=bool)
+        if masks[name].shape != (n,):
+            raise ValueError(f"mask '{name}' must have length {n}")
+    return masks
 
 
 def load_graph_fields(doc) -> Graph:
-    """Build a validated Graph from an already-parsed JSON object; edge_attr
-    rows align with the canonical CSR arc order. x, edge_attr and y must be
-    finite numbers, y one row per node, kept in the dtype it reads as."""
-    if not isinstance(doc, dict):
-        raise ValueError("graph document must be a JSON object")
-    n = _field(doc, "n")
-    if isinstance(n, bool) or not isinstance(n, int) or n < 0:
-        raise ValueError("field 'n' must be a non-negative integer")
-    edges = _field(doc, "edges")
-    X = np.asarray(_field(doc, "x"), dtype=np.float64)
+    """Build a Graph from an already-parsed JSON object, through the readers
+    above: x, edge_attr and y finite numbers, x and y one row per node, and
+    edge_attr one row per arc, in the canonical CSR arc order, equal on the
+    two arcs of an edge. A null edge_attr, y or masks counts as absent."""
+    doc = read_object("graph document", doc, ("n", "edges", "x"))
+    n = read_count("field 'n'", doc["n"])
     # x first: its rows bound n, so canonicalize never sizes arrays by an n
     # that no data backs
-    if X.ndim != 2 or X.shape[0] != n:
-        raise ValueError(f"field 'x' must be an {n}-row matrix")
-    g = canonicalize(edges, n)
-    g.X = _finite("x", X)
-    ea = _field(doc, "edge_attr", required=False)
-    if ea is not None:
-        E = np.asarray(ea, dtype=np.float64)
-        if E.ndim != 2 or E.shape[0] != g.n_arcs:
-            raise ValueError(
-                f"field 'edge_attr' must carry one row per arc ({g.n_arcs}), got {E.shape[0]}")
-        g.E_feat = _finite("edge_attr", E)
-    yv = _field(doc, "y", required=False)
-    if yv is not None:
-        y = np.asarray(yv)
-        if y.dtype.kind not in "biuf":
-            raise ValueError("field 'y' must hold numbers")
-        if y.ndim == 0 or y.shape[0] != n:
-            raise ValueError(f"field 'y' must have one row per node (n={n})")
-        g.y = _finite("y", y)
-    mv = _field(doc, "masks", required=False)
-    if mv is not None:
-        masks = {}
-        for name in ("train", "val", "test"):
-            if name not in mv:
-                raise ValueError(f"field 'masks' missing split '{name}'")
-            m = read_mask(name, mv[name])
-            if m.shape != (n,):
-                raise ValueError(f"mask '{name}' must have length n={n}")
-            masks[name] = m
-        g.masks = masks
-    validate_graph(g)
+    X = read_numbers("field 'x'", doc["x"], (n, None), f"be an {n}-row matrix")
+    g = canonicalize(doc["edges"], n)
+    g.X = X
+    if doc.get("edge_attr") is not None:
+        g.E_feat = read_numbers("field 'edge_attr'", doc["edge_attr"], (g.n_arcs, None),
+                                f"carry one row per arc of 'edges' ({g.n_arcs})")
+        if not np.array_equal(g.E_feat, g.E_feat[pair_index(g)]):
+            raise ValueError("field 'edge_attr' must carry equal rows on the two "
+                             "arcs of an edge")
+    if doc.get("y") is not None:
+        g.y = read_numbers("field 'y'", doc["y"], (n, ...), f"have one row per node (n={n})")
+    if doc.get("masks") is not None:
+        g.masks = read_masks(doc["masks"], n)
     return g

@@ -25,8 +25,9 @@ from .cells import (CellParams, EDGE_KINDS, EDGE_MODES, MODEL_KINDS, TASKS,
                     propagate)
 from .exits import (ExitHeads, ExitState, eegnn_forward_node, exit_distribution,
                     make_exit_heads)
-from .graphs import Graph, Segments, degrees, disjoint_union, json_text, \
-    load_graph_fields, read_mask, write_output
+from .graphs import SPLITS, Graph, Segments, _shown, degrees, disjoint_union, \
+    json_text, load_graph_fields, read_count, read_masks, read_numbers, \
+    read_object, write_output
 
 __all__ = [
     "ConfigError",
@@ -104,12 +105,6 @@ def _coerce(v, default):
         return int(v)
     # false for NaN, an infinity and an integer beyond the float range alike
     return float(v) if abs(v) <= sys.float_info.max else None
-
-
-def _shown(v) -> str:
-    """repr(v), cut to its first 40 characters."""
-    text = repr(v)
-    return text if len(text) <= 40 else text[:37] + "..."
 
 
 def _type_name(default) -> str:
@@ -205,6 +200,7 @@ class RunConfig:
             (0.0 < self.tau <= 1.0, f"tau must lie in (0, 1], got {self.tau}"),
             (self.nu0 >= 0.0, f"nu0 must be >= 0, got {self.nu0}"),
             (self.epochs >= 0, f"epochs must be >= 0, got {self.epochs}"),
+            (self.seed >= 0, f"seed must be >= 0, got {self.seed}"),
             (self.lr >= 0.0, f"lr must be >= 0, got {self.lr}"),
             (self.weight_decay >= 0.0,
              f"weight_decay must be >= 0, got {self.weight_decay}"),
@@ -242,7 +238,7 @@ class GraphSet:
             raise ValueError("a graph set needs at least one graph")
         if self.y.ndim == 0 or len(self.graphs) != self.y.shape[0]:
             raise ValueError("one label row per graph required")
-        for name in ("train", "val", "test"):
+        for name in SPLITS:
             if name not in self.masks:
                 raise ValueError(f"missing split mask {name!r}")
             if np.shape(self.masks[name]) != (len(self.graphs),):
@@ -635,7 +631,7 @@ def _check_data(cfg: RunConfig, data, splits, model: Model | None = None):
         raise ConfigError([f"{cfg.task} task needs a GraphSet dataset"])
     problems = [] if data.y is not None else ["dataset has no labels"]
     problems += [f"dataset is missing the {name!r} split mask"
-                 for name in ("train", "val", "test")
+                 for name in SPLITS
                  if data.masks is None or name not in data.masks]
     if problems:
         raise ConfigError(problems)
@@ -700,7 +696,7 @@ def train_run(cfg: RunConfig, data):
     History rows are (epoch, train_loss, val_metric, test_metric,
     mean_exit_layer). Aborts with TrainDivergenceError on a non-finite loss.
     """
-    _check_data(cfg, data, ("train", "val", "test"))
+    _check_data(cfg, data, SPLITS)
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     model = model_for(cfg, data, rng)
     named = model.parameters()
@@ -795,24 +791,16 @@ def save_checkpoint(model: Model, path) -> None:
 @contextmanager
 def _reading(what: str, path):
     """Reports anything malformed met while reading a file's content (bad
-    JSON, a missing key, a wrong shape) as a ConfigError naming the file; an
-    unreadable file still raises OSError."""
+    JSON, a missing key, a wrong shape, a number too large to build with) as
+    a ConfigError naming the file; an unreadable file still raises OSError."""
     try:
         yield
     except ConfigError:
         raise
     except json.JSONDecodeError as exc:
         raise ConfigError([f"{what} {path}: malformed JSON: {exc}"]) from exc
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise ConfigError([f"{what} {path}: {exc}"]) from exc
-
-
-def _require(payload, keys=()) -> None:
-    if not isinstance(payload, dict):
-        raise ValueError("the file must hold a JSON object")
-    missing = [k for k in keys if k not in payload]
-    if missing:
-        raise ValueError("missing key " + ", ".join(map(repr, missing)))
 
 
 def load_checkpoint(path) -> Model:
@@ -821,63 +809,54 @@ def load_checkpoint(path) -> Model:
     that do not fit its config or are not finite numbers) raises
     ConfigError naming the problem."""
     with open(path) as fh, _reading("checkpoint", path):
-        payload = json.load(fh)
-        _require(payload, ("format", "config", "feat_dim", "out_dim", "edge_dim",
-                           "params"))
+        payload = read_object("the file", json.load(fh), (
+            "format", "config", "feat_dim", "out_dim", "edge_dim", "params"))
         if payload["format"] != CHECKPOINT_FORMAT:
-            raise ValueError(f"format {payload['format']!r} is unknown; this "
+            raise ValueError(f"format {_shown(payload['format'])} is unknown; this "
                              f"version reads format {CHECKPOINT_FORMAT}")
-        for key in ("config", "params"):
-            if not isinstance(payload[key], dict):
-                raise ValueError(f"key {key!r} must be a JSON object, "
-                                 f"got {_shown(payload[key])}")
-        config = dict(payload["config"])
+        config = dict(read_object("key 'config'", payload["config"]))
         # eval_sample was a config key that nothing read; older checkpoints carry it
         config.pop("eval_sample", None)
         cfg = RunConfig.from_dict(config)
-        dims = {k: _coerce(payload[k], 0) for k in ("feat_dim", "out_dim", "edge_dim")}
-        for key, v in dims.items():
-            if v is None or v < 0:
-                raise ValueError(f"key {key!r} must be a non-negative integer, "
-                                 f"got {_shown(payload[key])}")
+        dims = {k: read_count(f"key {k!r}", payload[k])
+                for k in ("feat_dim", "out_dim", "edge_dim")}
         rng = np.random.Generator(np.random.PCG64(cfg.seed))
         model = build_model(cfg, dims["feat_dim"], dims["out_dim"], rng,
                             edge_dim=dims["edge_dim"])
-        stored = payload["params"]
+        stored = read_object("key 'params'", payload["params"])
         names = [name for name, _ in model.parameters()]
         if set(names) != set(stored):
             missing = sorted(set(names) ^ set(stored))
-            raise ValueError(f"parameters do not match config: {missing}")
+            raise ValueError(f"key 'params' does not match the config: {missing}")
         for name, p in model.parameters():
-            entries = np.asarray(stored[name], dtype=object)
-            if not set(map(type, entries.flat)) <= {int, float}:
-                raise ValueError(f"parameter {name} must hold numbers")
-            arr = entries.astype(np.float64)
-            if arr.shape != p.value.shape:
-                raise ValueError(f"parameter {name} has shape {arr.shape}, "
-                                 f"expected {p.value.shape}")
-            if not np.isfinite(arr).all():
-                raise ValueError(f"parameter {name} must be finite")
-            p.value[...] = arr
+            p.value[...] = read_numbers(f"parameter {name}", stored[name], p.value.shape,
+                                        f"have the config's shape {p.value.shape}")
         return model
 
 
 def load_dataset(path):
     """Graph JSON or graph-set JSON, decided by the top-level keys; a
     malformed file, or one with an isolated node, raises ConfigError naming
-    the problem."""
+    the problem, and the member of a graph set it is in."""
     with open(path) as fh, _reading("dataset", path):
-        payload = json.load(fh)
-        _require(payload)
+        payload = read_object("the file", json.load(fh))
         if "graphs" not in payload:
             data = load_graph_fields(payload)
         else:
-            _require(payload, ("y", "masks"))
-            graphs = [load_graph_fields(entry) for entry in payload["graphs"]]
-            y = np.asarray(payload["y"], dtype=np.float64)
-            if not np.isfinite(y).all():
-                raise ValueError("key 'y' must be finite")
-            masks = {k: read_mask(k, v) for k, v in dict(payload["masks"]).items()}
-            data = GraphSet(graphs=graphs, y=y, masks=masks)
+            read_object("the file", payload, ("y", "masks"))
+            members = payload["graphs"]
+            if not (isinstance(members, list) and members):
+                raise ValueError(f"field 'graphs' must be a non-empty list, "
+                                 f"got {_shown(members)}")
+            graphs = []
+            for i, doc in enumerate(members):
+                try:
+                    graphs.append(load_graph_fields(doc))
+                except ValueError as exc:
+                    raise ValueError(f"graph {i}: {exc}") from exc
+            k = len(graphs)
+            y = read_numbers("field 'y'", payload["y"], (k, ...),
+                             f"have one label row per graph ({k})")
+            data = GraphSet(graphs=graphs, y=y, masks=read_masks(payload["masks"], k))
         _reject_isolated_nodes(data)
         return data

@@ -9,7 +9,7 @@ from eegnn.cells import cell_weights, make_cell_params, sas_step, encode
 from eegnn.diagnostics import (SpectrumReport, Trace, depth_retention,
                                descent_suite, descent_trace, dirichlet_energy,
                                dirichlet_traces, emit_trace, energy_functional,
-                               oracle_exit_eval, read_trace, sas_jacobian,
+                               oracle_exit_eval, sas_jacobian,
                                sensitivity, spectrum_suite)
 from eegnn.graphs import arc_list, degrees, gen_minesweeper_grid, gen_sbm, make_graph, \
     norm_adj
@@ -524,18 +524,6 @@ def test_dirichlet_traces_shapes_and_mean_relation():
     assert total.metadata["depth"] == 4
 
 
-def test_trace_round_trip_exact(tmp_path):
-    tr = Trace("demo", np.arange(3), np.array([1.0, 1.0 / 3.0, 2e-17]),
-               {"tau": 0.05, "violations": [[2, 3.5e-9]], "mode": "zero"})
-    path = tmp_path / "trace.csv"
-    emit_trace(tr, path)
-    back = read_trace(path)
-    assert back.name == tr.name
-    assert np.array_equal(back.layers, tr.layers)
-    assert np.array_equal(back.values, tr.values)
-    assert back.metadata == tr.metadata
-
-
 def test_trace_file_layout(tmp_path):
     tr = Trace("flat", np.arange(2), np.array([0.5, 0.25]), {"k": 1})
     path = tmp_path / "trace.csv"
@@ -546,3 +534,10 @@ def test_trace_file_layout(tmp_path):
     assert lines[2] == "layer,value"
     assert lines[3] == "0,0.5"
     assert lines[4] == "1,0.25"
+    # every value in its shortest exact form, metadata as sorted JSON
+    tr = Trace("demo", np.arange(3), np.array([1.0, 1.0 / 3.0, 2e-17]),
+               {"tau": 0.05, "violations": [[2, 3.5e-9]], "mode": "zero"})
+    emit_trace(tr, path)
+    assert path.read_text().splitlines() == [
+        "# name: demo", '# mode: "zero"', "# tau: 0.05", "# violations: [[2, 3.5e-09]]",
+        "layer,value", "0,1.0", "1,0.3333333333333333", "2,2e-17"]
