@@ -846,7 +846,7 @@ def load_dataset(path):
             read_object("the file", payload, ("y", "masks"))
             members = payload["graphs"]
             if not (isinstance(members, list) and members):
-                raise ValueError(f"field 'graphs' must be a non-empty list, "
+                raise ValueError(f"key 'graphs' must be a non-empty list, "
                                  f"got {_shown(members)}")
             graphs = []
             for i, doc in enumerate(members):
@@ -855,7 +855,7 @@ def load_dataset(path):
                 except ValueError as exc:
                     raise ValueError(f"graph {i}: {exc}") from exc
             k = len(graphs)
-            y = read_numbers("field 'y'", payload["y"], (k, ...),
+            y = read_numbers("key 'y'", payload["y"], (k, ...),
                              f"have one label row per graph ({k})")
             data = GraphSet(graphs=graphs, y=y, masks=read_masks(payload["masks"], k))
         _reject_isolated_nodes(data)

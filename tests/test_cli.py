@@ -271,7 +271,7 @@ def test_train_graph_set_with_scalar_labels_is_validation_error(tmp_path, capsys
     Path(data).write_text(json.dumps(doc))
     assert run(["train", "--config", cfg, "--data", data,
                 "--out", str(tmp_path / "run")]) == 1
-    assert "field 'y' must have one label row per graph (2)" in capsys.readouterr().err
+    assert "key 'y' must have one label row per graph (2)" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
 
 
@@ -454,7 +454,7 @@ MASK_SHOWN = "mask '{}' must hold true/false or 0/1"
     ("y_nan", "field 'y' must be finite"),
     ("x_nan", "field 'x' must be finite"),
     ("edge_attr_inf", "field 'edge_attr' must be finite"),
-    ("graph_set_y_nan", "field 'y' must be finite"),
+    ("graph_set_y_nan", "key 'y' must be finite"),
     ("edge_fraction", EDGES_SHOWN),
     ("edge_string", EDGES_SHOWN),
     ("edges_object", EDGES_SHOWN),
