@@ -7,9 +7,12 @@ outside its tolerance.
 
 Every command resolves its settings in one place, `_config`: defaults, then
 command-line flags, then the --config file; the file is the run's
-authoritative record, so its values win over flags. A key takes the type of
-its default under `training.coerce_keys`, the rule `RunConfig` uses, so an
-unknown or mistyped key exits 1 from any command. Every output is
+authoritative record, so its values win over flags. Every key has one row
+in `training.KEYS`: its default, whose type `training.coerce_keys` reads it
+as (the rule `RunConfig` uses), its range, and the model kinds, datasets or
+diagnostics that read it. An unknown, mistyped or out-of-range key exits 1
+from any command, and so does a key the run's kind does not read; the
+run's resolved_config.json records only the keys it reads. Every output is
 byte-reproducible for a fixed config and seed: JSON is written with sorted
 keys, floats keep their shortest round-trip form, and nothing timestamps
 itself.
@@ -21,7 +24,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -30,10 +32,10 @@ from . import autodiff as ad, diagnostics
 from .diagnostics import ToleranceError
 from .graphs import degrees, edge_homophily, gen_minesweeper_grid, gen_sbm, \
     json_text, read_object, save_graph, write_output
-from .training import ConfigError, GraphSet, RunConfig, build_model, \
-    coerce_keys, evaluate, exit_csv, forward_node, history_csv, load_checkpoint, \
-    load_dataset, metric_eval, model_for, node_record, operators_for, \
-    save_checkpoint, train_run
+from .training import DATASETS, KEYS, MODEL_KINDS, RUN_KEYS, ConfigError, \
+    GraphSet, RunConfig, build_model, coerce_keys, evaluate, exit_csv, \
+    forward_node, history_csv, load_checkpoint, load_dataset, metric_eval, \
+    model_for, node_record, operators_for, reads, save_checkpoint, train_run
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -42,23 +44,6 @@ EXIT_TOLERANCE = 3
 
 DIAG_NAMES = ("dirichlet", "energy_descent", "spectrum", "sensitivity",
               "depth_retention", "oracle_exit")
-
-GEN_DEFAULTS = {
-    "dataset": "minesweeper",
-    "rows": 30, "cols": 30, "mine_prob": 0.2, "unknown_frac": 0.5,
-    "sizes": [50, 50], "p_in": 0.7, "p_out": 0.1,
-    "feature_dim": 8, "feature_shift": 1.0,
-    "seed": 0,
-}
-
-DIAG_DEFAULTS = {
-    "data": None,       # dataset path; a built-in block-model graph otherwise
-    "steps": 50,        # energy_descent trajectory length
-    "cases": 25,        # random instances for the suite diagnostics
-    "step_tau": 0.05,   # step size used by energy_descent
-    "depths": [2, 6],   # depth_retention grid
-    "kinds": ["sas"],   # depth_retention model kinds
-}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -92,47 +77,54 @@ def _out_dir(args, resolved: dict | None) -> Path:
     return out
 
 
-def _config(args, own: dict, run: bool = False) -> tuple[dict, RunConfig | None]:
-    """One command's settings: its own keys, and a RunConfig when run is set.
+def _config(args, run: bool = False,
+            diagnostic: str | None = None) -> tuple[dict, RunConfig | None]:
+    """One command's settings: the own keys its run reads, and a RunConfig
+    when run is set.
 
-    Defaults, then the flags named like a key, then the --config file; each
-    key is routed to the command's own keys or to RunConfig and coerced to
-    its default's type. Every problem is raised together in one ConfigError.
+    Defaults, then the flags named like a key, then the --config file. The
+    training keys go to RunConfig.from_dict; the command's own keys, its
+    rows of KEYS, are coerced to their default's type and checked against
+    their range. A key given to a run that does not read it, by its model
+    kind, its dataset or the diagnostic, is refused. Every problem is
+    raised together in one ConfigError.
     """
-    run_defaults = asdict(RunConfig()) if run else {}
-    defaults = {**run_defaults, **own}
-    given = {k: getattr(args, k) for k in defaults
-             if getattr(args, k, None) is not None}
+    own = [k for k, row in KEYS.items() if args.command in row.commands]
+    keys = [*RUN_KEYS, *own] if run else own
+    given = {k: getattr(args, k) for k in keys if getattr(args, k, None) is not None}
     given.update(_read_config(args.config))
-    values, errors = coerce_keys(defaults, given)
+    training = {k: v for k, v in given.items() if run and k in RUN_KEYS}
+    values, errors = coerce_keys({k: KEYS[k].default for k in own},
+                                 {k: v for k, v in given.items() if k not in training})
     cfg = None
     if run:
         try:
-            cfg = RunConfig.from_dict({k: values[k] for k in run_defaults
-                                       if k in values})
+            cfg = RunConfig.from_dict(training)
         except ConfigError as exc:
             errors += exc.messages
+    # the defaults of the keys not given; a refused key has no value
+    values.update({k: KEYS[k].default for k in own if k not in given})
+    # the values each selector takes; a refused one, or one the command
+    # lacks, takes all; depth_retention trains each of kinds as the model
+    model = training.get("model", KEYS["model"].default)
+    kinds = values.get("kinds", MODEL_KINDS) if diagnostic == "depth_retention" else None
+    chosen = {"model": kinds or ([model] if model in MODEL_KINDS else MODEL_KINDS),
+              "dataset": [values["dataset"]] if "dataset" in values else DATASETS,
+              "diagnostic": [diagnostic] if diagnostic else DIAG_NAMES}
+    for k in keys:
+        if k in given and not reads(k, chosen):
+            by = KEYS[k].readers[0]
+            of = f"kinds {kinds}" if kinds and by == "model" else f"{by} {chosen[by][0]!r}"
+            errors.append(f"config key {k!r} is not read by {of}")
     if errors:
         raise ConfigError(errors)
-    return {k: values.get(k, d) for k, d in own.items()}, cfg
-
-
-def _require(checks) -> None:
-    """Raise one ConfigError naming every (ok, message) check that fails."""
-    errors = [msg for ok, msg in checks if not ok]
-    if errors:
-        raise ConfigError(errors)
+    return {k: values[k] for k in own if reads(k, chosen)}, cfg
 
 
 # ---------------------------------------------------------------- commands
 
 def cmd_generate(args) -> None:
-    cfg, _ = _config(args, GEN_DEFAULTS)
-    _require([
-        (cfg["dataset"] in ("minesweeper", "sbm"),
-         f"dataset must be 'minesweeper' or 'sbm', got {cfg['dataset']!r}"),
-        (cfg["seed"] >= 0, f"seed must be >= 0, got {cfg['seed']}"),
-    ])
+    cfg, _ = _config(args)
     try:
         if cfg["dataset"] == "minesweeper":
             g = gen_minesweeper_grid(cfg["rows"], cfg["cols"], cfg["mine_prob"],
@@ -192,10 +184,10 @@ def _load_data(path):
 
 
 def cmd_train(args) -> None:
-    opts, cfg = _config(args, {"data": None}, run=True)
+    opts, cfg = _config(args, run=True)
     data = _load_data(opts["data"])
     model, history = train_run(cfg, data)
-    out = _out_dir(args, {**cfg.to_dict(), **opts})
+    out = _out_dir(args, {**cfg.read_dict(), **opts})
     write_output(out / "history.csv", history_csv(history))
     save_checkpoint(model, out / "checkpoint.json")
     bundle, state = _metric_bundle(model, data)
@@ -208,14 +200,14 @@ def cmd_train(args) -> None:
 
 
 def cmd_evaluate(args) -> None:
-    opts, _ = _config(args, {"data": None, "checkpoint": None})
+    opts, _ = _config(args)
     if opts["checkpoint"] is None:
         raise ConfigError(["no checkpoint given: pass --checkpoint or config key 'checkpoint'"])
     model = load_checkpoint(opts["checkpoint"])
     data = _load_data(opts["data"])
     mode = "train_sample" if args.mode == "train" else "eval_argmax"
     rec = evaluate(model, data, "test", mode=mode)
-    out = _out_dir(args, {**model.cfg.to_dict(), **opts, "mode": mode})
+    out = _out_dir(args, {**model.cfg.read_dict(), **opts, "mode": mode})
     write_output(out / "metrics.json", json_text(rec))
     print(f"test {rec['metric']} = {rec['value']}")
 
@@ -237,13 +229,7 @@ def cmd_diagnose(args) -> None:
     if args.name is None or args.name not in DIAG_NAMES:
         raise ConfigError([f"unknown diagnostic {args.name!r}; valid names: "
                            + ", ".join(DIAG_NAMES)])
-    diag, cfg = _config(args, DIAG_DEFAULTS, run=True)
-    _require([
-        (diag["cases"] >= 1, f"cases must be >= 1, got {diag['cases']}"),
-        (diag["steps"] >= 1, f"steps must be >= 1, got {diag['steps']}"),
-        (0.0 < diag["step_tau"] <= 1.0,
-         f"step_tau must lie in (0, 1], got {diag['step_tau']}"),
-    ])
+    diag, cfg = _config(args, run=True, diagnostic=args.name)
     # as in train, nothing is written until the run is done
     report = {"diagnostic": args.name, "seed": cfg.seed}
     traces = {}
@@ -257,12 +243,10 @@ def cmd_diagnose(args) -> None:
                        "final_over_initial": final / initial if initial else None,
                        "pass": True})
     elif args.name == "energy_descent":
-        rep = diagnostics.descent_suite(diag["cases"], diag["steps"],
-                                        diag["step_tau"], seed=cfg.seed)
-        report.update(rep)
+        report.update(diagnostics.descent_suite(diag["cases"], diag["steps"],
+                                                diag["step_tau"], seed=cfg.seed))
     elif args.name == "spectrum":
-        rep = diagnostics.spectrum_suite(diag["cases"], seed=cfg.seed)
-        report.update(rep)
+        report.update(diagnostics.spectrum_suite(diag["cases"], seed=cfg.seed))
     elif args.name == "sensitivity":
         g = _diag_graph(diag, cfg)
         model = _fresh_model(cfg, g)
@@ -292,7 +276,8 @@ def cmd_diagnose(args) -> None:
         report.update({"oracle_accuracy": oracle, "final_accuracy": final,
                        "gain": oracle - final, "pass": oracle >= final})
 
-    out = _out_dir(args, {**cfg.to_dict(), **diag, "diagnostic": args.name})
+    out = _out_dir(args, {**cfg.read_dict(diag.get("kinds")), **diag,
+                          "diagnostic": args.name})
     for fname, trace in traces.items():
         diagnostics.emit_trace(trace, out / fname)
     write_output(out / "report.json", json_text(report))
@@ -303,15 +288,10 @@ def cmd_diagnose(args) -> None:
 
 
 def cmd_param_count(args) -> None:
-    dims, cfg = _config(args, {"feat_dim": 10, "out_dim": 2, "edge_dim": 0},
-                        run=True)
-    edge_lo = 0 if cfg.edge_mode == "zero" else 1  # make_cell_params's rule
-    _require([
-        (dims["feat_dim"] >= 1, f"feat_dim must be >= 1, got {dims['feat_dim']}"),
-        (dims["out_dim"] >= 1, f"out_dim must be >= 1, got {dims['out_dim']}"),
-        (dims["edge_dim"] >= edge_lo, f"edge_dim must be >= {edge_lo} under "
-         f"edge_mode {cfg.edge_mode!r}, got {dims['edge_dim']}"),
-    ])
+    dims, cfg = _config(args, run=True)
+    if cfg.edge_mode != "zero" and dims["edge_dim"] < 1:  # make_cell_params's rule
+        raise ConfigError([f"edge_dim must be >= 1 under edge_mode "
+                           f"{cfg.edge_mode!r}, got {dims['edge_dim']}"])
     model = build_model(cfg, dims["feat_dim"], dims["out_dim"],
                         np.random.Generator(np.random.PCG64(cfg.seed)),
                         edge_dim=dims["edge_dim"])

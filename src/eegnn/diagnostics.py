@@ -290,8 +290,11 @@ def depth_retention(data, kinds, depths, base_cfg) -> list[dict]:
     """Test metric for every (kind, depth) pair, each trained from scratch;
     every pair's config is validated before the first one trains."""
     base = base_cfg.to_dict()
-    cfgs = [RunConfig.from_dict({**base, "model": kind, "depth": L})
-            for kind in kinds for L in depths]
+    try:
+        cfgs = [RunConfig.from_dict({**base, "model": kind, "depth": L})
+                for kind in kinds for L in depths]
+    except ConfigError as exc:
+        raise ConfigError([f"kinds and depths: {m}" for m in exc.messages]) from None
     rows = []
     for cfg in cfgs:
         model, _ = train_run(cfg, data)

@@ -190,7 +190,10 @@ def canonicalize(edges, n: int) -> Graph:
         raise ValueError(shape_error) from exc
     if e.shape == (0,):
         e = e.reshape(0, 2).astype(np.int64)
-    if e.ndim != 2 or e.shape[1] != 2 or e.dtype.kind not in "iu":
+    # numpy reads true as 1 beside integers; refused, as read_numbers does
+    if e.ndim != 2 or e.shape[1] != 2 or e.dtype.kind not in "iu" or (
+            not isinstance(edges, np.ndarray)
+            and bool in set(map(type, chain.from_iterable(edges)))):
         raise ValueError(shape_error)
     bad = np.flatnonzero(((e < 0) | (e >= n)).any(axis=1))
     if bad.size:

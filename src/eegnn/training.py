@@ -14,7 +14,8 @@ import math
 import numbers
 import sys
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field
+from collections import namedtuple
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -34,6 +35,10 @@ __all__ = [
     "TrainDivergenceError",
     "RunConfig",
     "coerce_keys",
+    "KEYS",
+    "DATASETS",
+    "RUN_KEYS",
+    "reads",
     "GraphSet",
     "Model",
     "OptimState",
@@ -59,6 +64,7 @@ __all__ = [
 ]
 
 LOSS_KINDS = ("ce", "bce_logits", "mse", "l1")
+DATASETS = ("minesweeper", "sbm")
 METRIC_KINDS = ("accuracy", "auroc", "ap", "macro_f1", "mae")
 
 
@@ -81,21 +87,15 @@ class TrainDivergenceError(RuntimeError):
 
 def _coerce(v, default):
     """v as a value of default's type under coerce_keys' rules, or None."""
-    if isinstance(default, list):
-        if not (isinstance(v, list) and v):
-            return None
-        items = [_coerce(x, default[0]) for x in v]
-        return None if any(x is None for x in items) else items
     kind = str if default is None else type(default)
-    if kind is bool:
-        return v if isinstance(v, bool) else None
-    if kind is tuple:
-        if not isinstance(v, (list, tuple)):
+    if kind in (list, tuple):
+        # a list takes a non-empty list, a tuple (of ints) any list or tuple
+        if not isinstance(v, (list, tuple)) or not (v or kind is tuple):
             return None
-        items = [_coerce(x, 0) for x in v]
-        return None if any(x is None for x in items) else tuple(items)
-    if kind is str:
-        return v if isinstance(v, str) else None
+        items = [_coerce(x, default[0] if default else 0) for x in v]
+        return None if None in items else kind(items)
+    if kind in (bool, str):
+        return v if isinstance(v, kind) else None
     if isinstance(v, bool) or not isinstance(v, numbers.Real):
         return None
     if kind is int:
@@ -116,7 +116,8 @@ def _type_name(default) -> str:
 
 def coerce_keys(defaults: dict, d: dict) -> tuple[dict, list[str]]:
     """d's values, each coerced to the type of its key's default, and one
-    message per key that is unknown or cannot be coerced.
+    message per key that is unknown, cannot be coerced, or breaks its range
+    rule in KEYS.
 
     A bool takes only a bool, a str only a str, an int an int or an integral
     float, a float any number; a bool is never taken as a number. A tuple
@@ -130,37 +131,75 @@ def coerce_keys(defaults: dict, d: dict) -> tuple[dict, list[str]]:
         if key not in d:
             continue
         v = _coerce(d[key], default)
+        rule = KEYS[key].rule if key in KEYS else None
         if v is None:
             errors.append(f"config key {key!r}: cannot coerce {_shown(d[key])} "
                           f"to {_type_name(default)}")
+        elif rule is not None and not rule[0](v):
+            errors.append(f"{key} {rule[1]}, got {_shown(v)}")
         else:
             values[key] = v
     return values, errors
 
 
+# One config key: its default, whose type is the type coerce_keys reads it
+# as; its range rule, a (test, words) pair on the coerced value; the runs
+# that read it, a (selector, values) pair, None when every run of a command
+# that takes the key reads it; and the commands that take it, besides the
+# training commands for a RunConfig field.
+Key = namedtuple("Key", "default rule readers commands", defaults=(None, None, ()))
+
+
+def _at_least(lo):
+    return (lambda v: v >= lo), f"must be >= {lo}"
+
+
+def _one_of(choices):
+    return (lambda v: v in choices), f"must be one of {choices}"
+
+
+def _key(*row):
+    """A RunConfig field carrying its row of KEYS."""
+    return field(default=row[0], metadata={"key": Key(*row)})
+
+
+def _rows(rule, readers, commands, **defaults):
+    """Rows of KEYS that differ only in their keys and defaults."""
+    return {k: Key(v, rule, readers, commands) for k, v in defaults.items()}
+
+
+_STEP = (lambda v: 0.0 < v <= 1.0), "must lie in (0, 1]"
+_EXITS = ("model", ("eegnn",))
+
+
 @dataclass
 class RunConfig:
-    """One training run's knobs; validated all at once by from_dict."""
+    """One training run's knobs, each with its row of KEYS; validated all at
+    once by from_dict, which takes every key whatever the model kind."""
 
-    task: str = "node_class"
-    model: str = "sas"
-    depth: int = 10
-    hidden: int = 16
-    tau: float = 1.0
-    sigma1: str = "relu_tanh"
-    sigma2: str = "relu"
-    edge_mode: str = "zero"
-    exit_hidden: int = 16
-    exit_depth: int = 1
-    nu0: float = 0.05
-    dec_hidden: tuple = ()
-    epochs: int = 300
-    seed: int = 0
-    metric: str = "auroc"
-    loss: str = "ce"
-    lr: float = 3e-3
-    weight_decay: float = 0.0
-    decoupled_wd: bool = False
+    task: str = _key("node_class", _one_of(TASKS))
+    model: str = _key("sas", _one_of(MODEL_KINDS))
+    depth: int = _key(10, _at_least(1))
+    hidden: int = _key(16, _at_least(1))
+    # eegnn's exit heads set its step, and gcn takes none
+    tau: float = _key(1.0, _STEP, ("model", ("sas", "graff", "adgn")))
+    # adgn's step applies tanh, whatever sigma1 says
+    sigma1: str = _key("relu_tanh", _one_of(ACTIVATION_KINDS),
+                       ("model", ("sas", "eegnn", "gcn", "graff")))
+    sigma2: str = _key("relu", _one_of(ACTIVATION_KINDS), ("model", EDGE_KINDS))
+    edge_mode: str = _key("zero", _one_of(EDGE_MODES))
+    exit_hidden: int = _key(16, _at_least(1), _EXITS)
+    exit_depth: int = _key(1, _one_of((1, 2, 3)), _EXITS)
+    nu0: float = _key(0.05, _at_least(0), _EXITS)
+    dec_hidden: tuple = _key((), ((lambda v: all(h >= 1 for h in v)),
+                                  "must be a tuple of widths >= 1"))
+    epochs: int = _key(300, _at_least(0))
+    seed: int = _key(0, _at_least(0), None, ("generate",))
+    metric: str = _key("auroc", _one_of(METRIC_KINDS))
+    loss: str = _key("ce", _one_of(LOSS_KINDS))
+    lr: float = _key(3e-3, _at_least(0))
+    weight_decay: float = _key(0.0, _at_least(0))
+    decoupled_wd: bool = _key(False)
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
@@ -168,51 +207,73 @@ class RunConfig:
         coerce_keys; every problem lands in one ConfigError."""
         values, errors = coerce_keys(asdict(cls()), d)
         cfg = cls(**values)
-        errors += cfg._check()
+        # the rules between keys; each key's own range is in KEYS
+        errors += [msg for ok, msg in [
+            (cfg.edge_mode == "zero" or cfg.model in EDGE_KINDS,
+             f"edge_mode {cfg.edge_mode!r} needs a model in {EDGE_KINDS}; "
+             f"{cfg.model!r} has no edge term"),
+            (not (cfg.loss == "ce" and cfg.metric == "mae"),
+             "metric 'mae' scores values, but loss 'ce' gives class logits"),
+        ] if not ok]
         if errors:
             raise ConfigError(errors)
         return cfg
-
-    def _check(self) -> list[str]:
-        checks = [
-            (self.task in TASKS, f"task must be one of {TASKS}, got {self.task!r}"),
-            (self.model in MODEL_KINDS,
-             f"model must be one of {MODEL_KINDS}, got {self.model!r}"),
-            (self.edge_mode in EDGE_MODES,
-             f"edge_mode must be one of {EDGE_MODES}, got {self.edge_mode!r}"),
-            (self.edge_mode == "zero" or self.model in EDGE_KINDS,
-             f"edge_mode {self.edge_mode!r} needs a model in {EDGE_KINDS}; "
-             f"{self.model!r} has no edge term"),
-            (self.metric in METRIC_KINDS,
-             f"metric must be one of {METRIC_KINDS}, got {self.metric!r}"),
-            (self.loss in LOSS_KINDS,
-             f"loss must be one of {LOSS_KINDS}, got {self.loss!r}"),
-            (not (self.loss == "ce" and self.metric == "mae"),
-             "metric 'mae' scores values, but loss 'ce' gives class logits"),
-            (self.sigma1 in ACTIVATION_KINDS, f"sigma1 unknown: {self.sigma1!r}"),
-            (self.sigma2 in ACTIVATION_KINDS, f"sigma2 unknown: {self.sigma2!r}"),
-            (self.depth >= 1, f"depth must be >= 1, got {self.depth}"),
-            (self.hidden >= 1, f"hidden must be >= 1, got {self.hidden}"),
-            (self.exit_hidden >= 1,
-             f"exit_hidden must be >= 1, got {self.exit_hidden}"),
-            (self.exit_depth in (1, 2, 3),
-             f"exit_depth must be 1, 2 or 3, got {self.exit_depth}"),
-            (0.0 < self.tau <= 1.0, f"tau must lie in (0, 1], got {self.tau}"),
-            (self.nu0 >= 0.0, f"nu0 must be >= 0, got {self.nu0}"),
-            (self.epochs >= 0, f"epochs must be >= 0, got {self.epochs}"),
-            (self.seed >= 0, f"seed must be >= 0, got {self.seed}"),
-            (self.lr >= 0.0, f"lr must be >= 0, got {self.lr}"),
-            (self.weight_decay >= 0.0,
-             f"weight_decay must be >= 0, got {self.weight_decay}"),
-            (all(h >= 1 for h in self.dec_hidden),
-             f"dec_hidden must be a tuple of widths >= 1, got {self.dec_hidden!r}"),
-        ]
-        return [msg for ok, msg in checks if not ok]
 
     def to_dict(self) -> dict:
         d = asdict(self)
         d["dec_hidden"] = list(self.dec_hidden)
         return d
+
+    def read_dict(self, kinds=None) -> dict:
+        """to_dict's keys that the model kind reads, or any of kinds when
+        given: the config a CLI run takes and records."""
+        return {k: v for k, v in self.to_dict().items()
+                if reads(k, {"model": kinds or [self.model]})}
+
+
+RUN_KEYS = tuple(f.name for f in fields(RunConfig))
+_GEN = ("generate",)
+_DIAG = ("diagnose",)
+
+# Every config key of every command: RunConfig's fields, then the keys of
+# single commands. The selector of a training key is the model kind, of a
+# generate key the dataset, and of diagnose's own keys the diagnostic; cli
+# refuses a key given to a run that does not read it.
+KEYS = {
+    **{f.name: f.metadata["key"] for f in fields(RunConfig)},
+    "dataset": Key("minesweeper", _one_of(DATASETS), None, _GEN),
+    **_rows(None, ("dataset", ("minesweeper",)), _GEN, rows=30, cols=30,
+            mine_prob=0.2, unknown_frac=0.5),
+    **_rows(None, ("dataset", ("sbm",)), _GEN, sizes=[50, 50], p_in=0.7,
+            p_out=0.1, feature_dim=8, feature_shift=1.0),
+    # the dataset path; train and evaluate always read it, and a diagnostic
+    # without it runs on a built-in block-model graph
+    "data": Key(None, None, ("diagnostic", ("dirichlet", "sensitivity",
+                                            "depth_retention", "oracle_exit")),
+                ("train", "evaluate", "diagnose")),
+    "steps": Key(50, _at_least(1), ("diagnostic", ("energy_descent",)), _DIAG),
+    "cases": Key(25, _at_least(1), ("diagnostic", ("energy_descent", "spectrum")),
+                 _DIAG),
+    "step_tau": Key(0.05, _STEP, ("diagnostic", ("energy_descent",)), _DIAG),
+    "depths": Key([2, 6], None, ("diagnostic", ("depth_retention",)), _DIAG),
+    # depth_retention trains each of these kinds in place of the model
+    "kinds": Key(["sas"], ((lambda v: set(v) <= set(MODEL_KINDS)),
+                           f"must be model kinds, from {MODEL_KINDS}"),
+                 ("diagnostic", ("depth_retention",)), _DIAG),
+    "checkpoint": Key(None, None, None, ("evaluate",)),
+    **_rows(_at_least(1), None, ("param-count",), feat_dim=10, out_dim=2),
+    # >= 1 under a non-zero edge_mode, a rule cli.cmd_param_count keeps
+    "edge_dim": Key(0, _at_least(0), None, ("param-count",)),
+}
+
+
+def reads(key: str, chosen: dict) -> bool:
+    """Whether a run whose selectors (model, dataset, diagnostic) take the
+    values listed in chosen reads key, by any of them; a selector chosen
+    lacks limits nothing."""
+    readers = KEYS[key].readers
+    return (readers is None or readers[0] not in chosen
+            or any(v in readers[1] for v in chosen[readers[0]]))
 
 
 def _widths(g: Graph) -> str:
@@ -811,9 +872,10 @@ def load_checkpoint(path) -> Model:
     with open(path) as fh, _reading("checkpoint", path):
         payload = read_object("the file", json.load(fh), (
             "format", "config", "feat_dim", "out_dim", "edge_dim", "params"))
-        if payload["format"] != CHECKPOINT_FORMAT:
-            raise ValueError(f"format {_shown(payload['format'])} is unknown; this "
-                             f"version reads format {CHECKPOINT_FORMAT}")
+        fmt = read_count("key 'format'", payload["format"])
+        if fmt != CHECKPOINT_FORMAT:
+            raise ValueError(f"format {fmt} is unknown; this version reads "
+                             f"format {CHECKPOINT_FORMAT}")
         config = dict(read_object("key 'config'", payload["config"]))
         # eval_sample was a config key that nothing read; older checkpoints carry it
         config.pop("eval_sample", None)

@@ -253,7 +253,7 @@ def test_criterion_10_exit_distribution_reporting(tmp_path):
                      "--out", str(data_dir)]) == 0
     train_cfg = tmp_path / "train.json"
     train_cfg.write_text(json.dumps({
-        "model": "eegnn", "depth": 20, "hidden": 8, "tau": 0.5,
+        "model": "eegnn", "depth": 20, "hidden": 8,
         "epochs": 15, "lr": 1e-2, "metric": "accuracy", "seed": 0}))
     run_dir = tmp_path / "run"
     assert cli_main(["train", "--config", str(train_cfg),
@@ -287,7 +287,7 @@ def test_criterion_11_reproducibility(tmp_path):
                      "--out", str(data_dir)]) == 0
     train_cfg = tmp_path / "train.json"
     train_cfg.write_text(json.dumps({"model": "eegnn", "depth": 4, "hidden": 6,
-                                     "tau": 0.5, "epochs": 6,
+                                     "epochs": 6,
                                      "metric": "accuracy", "seed": 0}))
     pairs = []
     for tag in ("a", "b"):

@@ -37,6 +37,8 @@ def gen_sbm_data(tmp_path, seed=0, sizes=(10, 10), shift=2.0):
 
 TRAIN_CFG = {"model": "sas", "depth": 2, "hidden": 4, "tau": 0.5,
              "epochs": 4, "metric": "accuracy", "lr": 1e-2}
+# eegnn's exit heads set its step and gcn takes none, so neither reads tau
+UNSTEPPED_CFG = {k: v for k, v in TRAIN_CFG.items() if k != "tau"}
 
 
 # ------------------------------------------------------------------ generate
@@ -142,7 +144,7 @@ def test_train_writes_all_artifacts(tmp_path):
 
 def test_train_rerun_byte_identical(tmp_path):
     data = gen_sbm_data(tmp_path, seed=4)
-    cfg = write_cfg(tmp_path, dict(TRAIN_CFG, model="eegnn"), name="t.json")
+    cfg = write_cfg(tmp_path, dict(UNSTEPPED_CFG, model="eegnn"), name="t.json")
     a, b = tmp_path / "a", tmp_path / "b"
     for out in (a, b):
         assert run(["train", "--config", cfg, "--data", str(data),
@@ -154,7 +156,7 @@ def test_train_rerun_byte_identical(tmp_path):
 
 def test_a_rerun_into_the_same_out_replaces_every_output_with_its_bytes(tmp_path):
     data = gen_sbm_data(tmp_path, seed=4)
-    cfg = write_cfg(tmp_path, dict(TRAIN_CFG, model="eegnn"), name="t.json")
+    cfg = write_cfg(tmp_path, dict(UNSTEPPED_CFG, model="eegnn"), name="t.json")
     gen = write_cfg(tmp_path, {"dataset": "sbm", "sizes": [8, 8], "seed": 2},
                     name="g.json")
     commands = {
@@ -185,7 +187,7 @@ def test_a_rerun_into_the_same_out_replaces_every_output_with_its_bytes(tmp_path
 def test_train_eegnn_exit_rows_cover_test_split(tmp_path):
     data = gen_sbm_data(tmp_path, seed=5)
     out = tmp_path / "run"
-    cfg = write_cfg(tmp_path, dict(TRAIN_CFG, model="eegnn"), name="t.json")
+    cfg = write_cfg(tmp_path, dict(UNSTEPPED_CFG, model="eegnn"), name="t.json")
     assert run(["train", "--config", cfg, "--data", str(data),
                 "--out", str(out)]) == 0
     graph = json.loads(data.read_text())
@@ -217,7 +219,7 @@ def test_train_bad_config_value_is_validation_error(tmp_path, capsys):
 
 def test_train_edge_mode_on_baseline_is_validation_error(tmp_path, capsys):
     data = gen_sbm_data(tmp_path, seed=6)
-    cfg = write_cfg(tmp_path, dict(TRAIN_CFG, model="gcn", edge_mode="linear"),
+    cfg = write_cfg(tmp_path, dict(UNSTEPPED_CFG, model="gcn", edge_mode="linear"),
                     name="edge.json")
     assert run(["train", "--config", cfg, "--data", str(data),
                 "--out", str(tmp_path / "run")]) == 1
@@ -339,8 +341,10 @@ def test_evaluate_checkpoint_with_a_non_finite_parameter_is_validation_error(
 
 
 @pytest.mark.parametrize("key, text", [("feat_dim", "1e400"), ("feat_dim", '"10"'),
-                                       ("out_dim", "10.7"), ("edge_dim", "true")],
-                         ids=["beyond-float", "string", "fraction", "bool"])
+                                       ("out_dim", "10.7"), ("edge_dim", "true"),
+                                       ("format", "true")],
+                         ids=["beyond-float", "string", "fraction", "bool",
+                              "format-bool"])
 def test_evaluate_checkpoint_with_a_non_integer_dimension_is_validation_error(
         tmp_path, capsys, key, text):
     data, path, payload = trained_checkpoint(tmp_path)
@@ -649,7 +653,7 @@ def test_evaluate_roundtrip_from_checkpoint(tmp_path):
                                         lambda d: d.update(y=[0.5, 1.5])),
                            dict(TRAIN_CFG, task="graph_reg", loss="mse", metric="mae")),
              "graph_set": (graph_set_file(tmp_path),
-                           dict(TRAIN_CFG, model="eegnn", task="graph_class"))}
+                           dict(UNSTEPPED_CFG, model="eegnn", task="graph_class"))}
     for name, (data, doc) in cases.items():
         train_out, eval_out = tmp_path / f"run_{name}", tmp_path / f"eval_{name}"
         cfg = write_cfg(tmp_path, doc, name=f"{name}.json")
@@ -668,7 +672,7 @@ def test_evaluate_roundtrip_from_checkpoint(tmp_path):
 def test_evaluate_sampled_mode(tmp_path):
     data = gen_sbm_data(tmp_path, seed=8)
     train_out = tmp_path / "run"
-    cfg = write_cfg(tmp_path, dict(TRAIN_CFG, model="eegnn"), name="t.json")
+    cfg = write_cfg(tmp_path, dict(UNSTEPPED_CFG, model="eegnn"), name="t.json")
     assert run(["train", "--config", cfg, "--data", str(data),
                 "--out", str(train_out)]) == 0
     eval_out = tmp_path / "eval"

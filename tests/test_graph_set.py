@@ -278,7 +278,7 @@ def test_one_eval_forward_per_epoch_and_after_training(monkeypatch, tmp_path):
     data = tmp_path / "graph.json"
     graphs.save_graph(g, data)
     conf = tmp_path / "cfg.json"
-    conf.write_text(json.dumps(cfg.to_dict()))
+    conf.write_text(json.dumps(cfg.read_dict()))
     encodes = _count_calls(monkeypatch, cells.encode)
     assert cli.main(["train", "--config", str(conf), "--data", str(data),
                      "--out", str(tmp_path / "run")]) == 0
@@ -333,7 +333,7 @@ def graph_set_file(ds: GraphSet, path) -> str:
 def test_cli_train_then_evaluate_on_a_graph_set(tmp_path, model):
     data = graph_set_file(graph_set("graph_class"), tmp_path / "set.json")
     conf = tmp_path / "cfg.json"
-    conf.write_text(json.dumps(cfg_for("graph_class", model, epochs=4).to_dict()))
+    conf.write_text(json.dumps(cfg_for("graph_class", model, epochs=4).read_dict()))
     runs = [tmp_path / "a", tmp_path / "b"]
     for out in runs:
         assert cli.main(["train", "--config", str(conf), "--data", data,
@@ -443,7 +443,7 @@ def test_isolated_node_is_named_by_member_and_local_index(tmp_path, capsys):
         train_run(cfg_for("graph_class", "sas"), ds)
     data = graph_set_file(ds, tmp_path / "set.json")
     conf = tmp_path / "cfg.json"
-    conf.write_text(json.dumps(cfg_for("graph_class", "sas").to_dict()))
+    conf.write_text(json.dumps(cfg_for("graph_class", "sas").read_dict()))
     assert cli.main(["train", "--config", str(conf), "--data", data,
                      "--out", str(tmp_path / "run")]) == 1
     assert "graph 5: isolated node 3 " in capsys.readouterr().err

@@ -46,6 +46,14 @@ def test_canonicalize_rejects_out_of_range():
         canonicalize([(0, 1), (5, 0), (-1, 0)], 3)
 
 
+@pytest.mark.parametrize("edges", [[[0, True], [1, 2]], [[False, 1], [1, 2]],
+                                   [[True, False]]])
+def test_canonicalize_refuses_a_boolean_endpoint(edges):
+    # numpy alone would read [0, true] as the edge (0, 1)
+    with pytest.raises(ValueError, match=r"edges must be a list of \[u, v\] pairs"):
+        canonicalize(edges, 3)
+
+
 # the CLI's malformed-dataset test covers fractions, strings, objects,
 # scalars, ragged lists and endpoints beyond int64
 @pytest.mark.parametrize("edges", [[(True, False)], [(0, 1, 2)], [[]]])

@@ -6,7 +6,10 @@ graph-set file, a checkpoint, or one command's --config file), breaks one
 key of it, to depth 3, and runs the command in-process through cli.main:
 the key dropped; set to null, a string, -1, NaN, [], {}, true or an integer
 beyond the float range; and an array also shortened, made ragged, or with
-one element poisoned by each of those values. Every case must exit 0 or 1;
+one element poisoned by each of those values. A config file holds only the
+keys its run reads (training.KEYS), and one more case adds each key that
+its model kind, dataset or diagnostic does not read: that case must exit 1.
+Every case must exit 0 or 1;
 exit 1 must create no --out directory, must name what it refused (its key,
 field or parameter, and the member `graph i` inside a graph set) and must
 carry none of Python's or numpy's own conversion texts. A string where a
@@ -32,14 +35,15 @@ import shutil
 import sys
 import tempfile
 from dataclasses import asdict
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from eegnn.cli import DIAG_DEFAULTS, GEN_DEFAULTS, main
+from eegnn.cli import main
 from eegnn.graphs import make_graph, save_graph
-from eegnn.training import RunConfig
+from eegnn.training import KEYS, RunConfig, reads
 
 HUGE = 10 ** 400
 VALUES = [("null", None), ("string", "1.5"), ("minus_one", -1),
@@ -53,6 +57,15 @@ PATH_KEYS = {"data", "checkpoint"}
 # are about what the data means, so they name it in words
 ALIASES = {"edges": ("edge",), "edge_attr": ("edge features", "edge-feature"),
            "y": ("label", "labels"), "masks": ("split",), "graphs": ("graph",)}
+# the selector values each config target runs under: its model kind, its
+# dataset or its diagnostic, which decide the keys it reads
+CHOSEN = {"generate_minesweeper": {"dataset": ["minesweeper"]},
+          "generate_sbm": {"dataset": ["sbm"]},
+          "train": {"model": ["eegnn"]}, "param_count": {"model": ["eegnn"]},
+          "evaluate": {}, "diagnose": {"model": ["sas"], "diagnostic": ["dirichlet"]},
+          "diagnose_descent": {"model": ["sas"], "diagnostic": ["energy_descent"]},
+          # depth_retention trains each of its kinds in place of the model
+          "diagnose_retention": {"model": ["gcn"], "diagnostic": ["depth_retention"]}}
 FOREIGN = ("setting an array element", "could not convert", "float() argument",
            "int too large", "not iterable", "dictionary update sequence",
            "Traceback", "object has no attribute", "unhashable",
@@ -82,9 +95,10 @@ def base_inputs(root: Path) -> dict:
         members.append(json.loads((root / "member.json").read_text()))
     graph_set = {"graphs": members, "y": [[0.5], [1.0], [1.5]],
                  "masks": {"train": [1, 0, 0], "val": [0, 1, 0], "test": [0, 0, 1]}}
-    run = {**asdict(RunConfig()), "model": "eegnn", "depth": 2, "hidden": 4,
-           "exit_hidden": 4, "edge_mode": "linear", "dec_hidden": [3],
-           "epochs": 1, "metric": "accuracy", "lr": 0.01}
+    run = read_by("train", {**asdict(RunConfig()), "model": "eegnn", "depth": 2,
+                            "hidden": 4, "exit_hidden": 4, "edge_mode": "linear",
+                            "dec_hidden": [3], "epochs": 1, "metric": "accuracy",
+                            "lr": 0.01})
     ckpt_dir = root / "trained"
     write(root / "run.json", run)
     with contextlib.redirect_stdout(io.StringIO()):
@@ -94,22 +108,34 @@ def base_inputs(root: Path) -> dict:
     set_run = {**run, "task": "graph_reg", "loss": "mse", "metric": "mae",
                "edge_mode": "zero"}
     write(root / "set_run.json", set_run)
+    gen = {k: row.default for k, row in KEYS.items() if "generate" in row.commands}
     return {
         "graph": json.loads(graph.read_text()),
         "graph_set": graph_set,
         "checkpoint": json.loads(checkpoint.read_text()),
         "run": run, "set_run": set_run,
-        "generate_minesweeper": {**GEN_DEFAULTS, "rows": 3, "cols": 4},
-        "generate_sbm": {**GEN_DEFAULTS, "dataset": "sbm", "sizes": [6, 6],
-                         "p_in": 0.9, "p_out": 0.3, "feature_dim": 3},
+        "generate_minesweeper": read_by("generate_minesweeper",
+                                        {**gen, "rows": 3, "cols": 4}),
+        "generate_sbm": read_by("generate_sbm", {
+            **gen, "dataset": "sbm", "sizes": [6, 6], "p_in": 0.9, "p_out": 0.3,
+            "feature_dim": 3}),
         "train": {**run, "data": str(graph)},
         "evaluate": {"data": str(graph), "checkpoint": str(checkpoint)},
-        "diagnose": {**DIAG_DEFAULTS, **run, "data": str(graph), "model": "sas",
-                     "edge_mode": "zero", "cases": 2, "steps": 2},
+        "diagnose": read_by("diagnose", {**asdict(RunConfig()), **run,
+                                         "data": str(graph), "model": "sas",
+                                         "edge_mode": "zero"}),
+        "diagnose_descent": {"cases": 2, "steps": 2, "step_tau": 0.05},
+        "diagnose_retention": {"data": str(graph), "depths": [1, 2],
+                               "kinds": ["gcn"], "epochs": 1},
         "param_count": {**run, "feat_dim": 3, "out_dim": 2, "edge_dim": 2},
         "paths": {"graph": graph, "checkpoint": checkpoint, "run": root / "run.json",
                   "set_run": root / "set_run.json"},
     }
+
+
+def read_by(target: str, doc: dict) -> dict:
+    """The keys of doc that target's run reads."""
+    return {k: v for k, v in doc.items() if reads(k, CHOSEN[target])}
 
 
 def write(path: Path, doc) -> str:
@@ -166,6 +192,16 @@ def mutations(doc: dict, depth: int = 3, path: tuple = ()):
             yield from mutations(value, depth, p)
 
 
+def unread(target: str):
+    """(path, label, change) adding, at a value of its type, each key of
+    KEYS that target's model kind, dataset or diagnostic does not read."""
+    chosen = CHOSEN.get(target, {})
+    for key, row in KEYS.items():
+        if row.readers and row.readers[0] in chosen and not reads(key, chosen):
+            v = "graph.json" if row.default is None else row.default
+            yield (key,), "unread", lambda d, k=key, v=v: d.__setitem__(k, v)
+
+
 def _set_in(value, where, v):
     for i in where[:-1]:
         value = value[i]
@@ -198,13 +234,15 @@ def _argv(target: str, base: dict, file: str) -> list[str]:
         "train": ["train", "--config", file],
         "evaluate": ["evaluate", "--config", file],
         "diagnose": ["diagnose", "dirichlet", "--config", file],
+        "diagnose_descent": ["diagnose", "energy_descent", "--config", file],
+        "diagnose_retention": ["diagnose", "depth_retention", "--config", file],
         "param_count": ["param-count", "--config", file],
     }[target]
 
 
 TARGETS = ["graph-train", "graph-evaluate", "graph_set-train", "checkpoint-evaluate",
            "generate_minesweeper", "generate_sbm", "train", "evaluate", "diagnose",
-           "param_count"]
+           "diagnose_descent", "diagnose_retention", "param_count"]
 
 
 def _document(target: str, base: dict) -> dict:
@@ -216,7 +254,8 @@ def run_target(target: str, base: dict, root: Path):
     doc = _document(target, base)
     file = root / f"{target}.json"
     results = []
-    for i, (path, label, change) in enumerate(mutations(doc)):
+    cases = chain(mutations(doc), unread(target))
+    for i, (path, label, change) in enumerate(cases):
         write(file, mutated(doc, path, change))
         out = root / f"{target}-out{i}"
         err = io.StringIO()
@@ -237,7 +276,7 @@ def problems(path, label, code, err, created) -> list[str]:
     """Every way one case breaks the contract."""
     if label == "string" and path[-1] in PATH_KEYS:
         return [] if code == 2 and "No such file" in err else ["a missing file"]
-    if code not in (0, 1):
+    if code not in (0, 1) or (label == "unread" and code != 1):
         return [f"exit {code}"]
     if code == 0:
         return []
@@ -272,6 +311,8 @@ def test_the_mutations_reach_every_field_and_the_unbroken_inputs_run(base, tmp_p
     and each target's unbroken input exits 0."""
     paths = {p[:1] for p, *_ in mutations(base["graph"])}
     assert paths == {(k,) for k in ("n", "edges", "x", "edge_attr", "y", "masks")}
+    keys = {p[0] for target in CHOSEN for p, *_ in mutations(base[target])}
+    assert keys == set(KEYS)
     kinds = {label for _, label, _ in mutations(base["checkpoint"])}
     assert {"drop", "shorten", "ragged", "poison_huge", "poison_true"} <= kinds
     for target in TARGETS:
