@@ -17,13 +17,18 @@ fixed at construction, so the order cannot go stale); repeated seeded sweeps
 over one tape, as in diagnostics.sensitivity, traverse it once.
 
 What a rule skips and what it keeps. The product rules (matmul_add,
-act_update, dspmm with W, add_scaled_rows) write nothing into a parent that
-does not require a gradient, so a constant's .grad stays unallocated and a
-tape built on constant weights sweeps only its state path. act_update and
-activation_apply keep their activation derivatives from their second run on,
-as every later sweep of the same tape would recompute them from the forward
-alone; the first run keeps nothing, so a one-shot training sweep holds no
-more memory than a rule that never keeps. Other rules keep nothing.
+two_matmul_add, act_update, dspmm with W, add_scaled_rows) write nothing
+into a parent that does not require a gradient, so a constant's .grad stays
+unallocated and a tape built on constant weights sweeps only its state path.
+A node keeps its value and what its rule reads; the fused nodes
+(two_matmul_add, act_update, act_matmul_add) keep none of their inner sums,
+and act_update reads its outer activation's derivative from its own value.
+No rule holds its own node, so a tape kept for repeated sweeps is freed by
+reference counts alone. act_update and activation_apply keep their
+activation derivatives from their second run on, as every later sweep of
+the same tape would recompute them from the forward alone; the first run
+keeps nothing, so a one-shot training sweep holds no more memory than a
+rule that never keeps. Other rules keep nothing.
 
 Two ways to hold less of a tape. Inside `with no_grad():` ops build nodes
 with no parents and no backward rule, so every intermediate of an eval
@@ -50,6 +55,7 @@ __all__ = [
     "leaf",
     "constant",
     "matmul_add",
+    "two_matmul_add",
     "activation_apply",
     "row_log_softmax",
     "softmax_rows",
@@ -187,6 +193,44 @@ def matmul_add(A: DiffValue, B: DiffValue, C: DiffValue | None = None) -> DiffVa
     return _node(val, parents, rule)
 
 
+def two_matmul_add(A: DiffValue, B: DiffValue, X: DiffValue, W: DiffValue,
+                   b: DiffValue) -> DiffValue:
+    """A @ B + (X @ W + b), b a 1 x m bias, as one node that does not keep
+    the inner sum X @ W + b.
+
+    Values are bit for bit those of matmul_add(A, B, matmul_add(X, W, b)).
+    The rule adds A's and B's gradients, then X's, W's and b's: the pair's
+    order, but at one place in the sweep, so a node that the pair's sweep
+    visits between its two nodes and that writes into X's accumulator now
+    adds after X's term.
+    """
+    n, m = A.shape[0], B.shape[1]
+    if A.shape[1] != B.shape[0] or X.shape[1] != W.shape[0]:
+        raise ValueError(f"inner dims disagree: {A.shape} @ {B.shape}, {X.shape} @ {W.shape}")
+    if X.shape[0] != n or W.shape[1] != m or b.shape != (1, m):
+        raise ValueError(f"{X.shape} @ {W.shape} + {b.shape} does not match "
+                         f"{A.shape} @ {B.shape}")
+    inner = X.value @ W.value
+    inner += b.value
+    val = A.value @ B.value
+    val += inner
+    del inner
+
+    def rule(G):
+        if A.requires_grad:
+            A.grad += G @ B.value.T
+        if B.requires_grad:
+            B.grad += A.value.T @ G
+        if X.requires_grad:
+            X.grad += G @ W.value.T
+        if W.requires_grad:
+            W.grad += X.value.T @ G
+        if b.requires_grad:
+            b.grad += G.sum(axis=0, keepdims=True)
+
+    return _node(val, (A, B, X, W, b), rule)
+
+
 def _sigmoid(x):
     out = np.empty_like(x)
     pos = x >= 0
@@ -235,6 +279,23 @@ def _act_derivative(x, kind):
     if kind == "identity":
         return np.ones_like(x)
     raise ValueError(f"unknown activation '{kind}'")
+
+
+def _output_derivative(y, kind):
+    """_act_derivative(x, kind) read from y = _act_forward(x, kind), bit for
+    bit, for every kind but softplus: tanh is its own output, relu and
+    relu_tanh are positive exactly where x is, and sigmoid is s itself."""
+    if kind == "relu":
+        return (y > 0).astype(np.float64)
+    if kind == "tanh":
+        return 1.0 - y * y
+    if kind == "relu_tanh":
+        return (1.0 - y * y) * (y > 0)
+    if kind == "sigmoid":
+        return y * (1.0 - y)
+    if kind == "identity":
+        return np.ones_like(y)
+    raise ValueError(f"no derivative of '{kind}' from its output")
 
 
 ACTIVATION_KINDS = ("relu", "tanh", "relu_tanh", "softplus", "sigmoid", "identity")
@@ -489,8 +550,8 @@ def where_rows(mask, A: DiffValue, B: DiffValue) -> DiffValue:
     val = np.where(sel[:, None], A.value, B.value)
 
     def rule(G):
-        A.grad[sel] += G[sel]
-        B.grad[~sel] += G[~sel]
+        np.add(A.grad, G, out=A.grad, where=sel[:, None])
+        np.add(B.grad, G, out=B.grad, where=~sel[:, None])
 
     return _node(val, (A, B), rule)
 
@@ -530,67 +591,82 @@ def dspmm(a, H: DiffValue, W: DiffValue | None = None) -> DiffValue:
     return _node(_spmm_value(a, H.value @ W.value), (H, W), rule_w)
 
 
-def _update_argument(v, inner, terms):
-    out = -_act_forward(v, inner)
-    for t in terms:
-        out = out + t.value
-    return out
+def act_update(H: DiffValue, W: DiffValue, terms, inner: str, outer: str,
+               agg=None) -> DiffValue:
+    """outer(-inner(H @ W) + terms[0] + terms[1] + ... [+ a @ (H @ Ws)]),
+    summed left to right, as one node that keeps only its output.
 
-
-def act_update(H: DiffValue, W: DiffValue, terms, inner: str,
-               outer: str) -> DiffValue:
-    """outer(-inner(H @ W) + terms[0] + terms[1] + ...), summed left to
-    right, as one node that keeps only its output.
+    agg, when given, is the pair (a, Ws): the sparse aggregate a @ (H @ Ws)
+    joins as the last term. Its value is dspmm's, taken without a node, and
+    this node differentiates it itself.
 
     Values and gradients are bit for bit those of the chain of matmul_add,
-    activation_apply, neg and add nodes it replaces, and the tape is that
-    chain's with the interior nodes left out, so backward visits every other
-    node in the same order and every accumulator receives the same
-    contributions in the same order. The forward keeps neither H @ W nor
-    the argument of outer, and neither does the rule's first run, so a
-    one-shot sweep holds nothing extra. The second run, on a tape swept
-    again, keeps both activation derivatives, which depend only on the
-    forward, and later runs reuse them.
+    activation_apply, neg, add and dspmm nodes it replaces, and the tape is
+    that chain's with the interior nodes left out, so backward visits every
+    other node in the same order and every accumulator receives the same
+    contributions in the same order. The node keeps neither H @ W, nor the
+    aggregate, nor the argument of outer, except that softplus, whose
+    derivative cannot be read from its output, keeps its argument. The rule
+    reads outer's derivative from the output and recomputes H @ W for
+    inner's. Its first run keeps nothing, so a one-shot sweep holds nothing
+    extra; the second run, on a tape swept again, keeps both activation
+    derivatives, which depend only on the forward, and later runs reuse them.
     """
     if H.shape[1] != W.shape[0]:
         raise ValueError(f"inner dims disagree: {H.shape} @ {W.shape}")
     terms = tuple(terms)
+    shape = (H.shape[0], W.shape[1])
     for t in terms:
-        if t.shape != (H.shape[0], W.shape[1]):
+        if t.shape != shape:
             raise ValueError(f"term shape {t.shape} does not match H @ W")
     for kind in (inner, outer):
         if kind not in ACTIVATION_KINDS:
             raise ValueError(f"unknown activation '{kind}', expected one of {ACTIVATION_KINDS}")
-
-    kept = []       # outer'(argument) and inner'(H @ W), from the second run on
+    x = -_act_forward(H.value @ W.value, inner)
+    for t in terms:
+        x = x + t.value
+    parents = (H, W, *terms)
+    if agg is not None:
+        a, Ws = agg
+        if Ws.shape[1] != shape[1]:
+            raise ValueError(f"aggregate weight {Ws.shape} does not match H @ W")
+        with no_grad():
+            x += dspmm(a, H, W=Ws).value
+        parents += (Ws,)
+    y = _act_forward(x, outer)
+    arg = x if outer == "softplus" else None
+    del x
+    kept = []       # outer' and inner', from the second run on
     ran = False
+
+    def d_outer():
+        return _act_derivative(arg, outer) if arg is not None else _output_derivative(y, outer)
 
     def rule(G):
         nonlocal ran
         if ran and not kept:
-            v = H.value @ W.value
-            kept.extend((_act_derivative(_update_argument(v, inner, terms), outer),
-                         _act_derivative(v, inner)))
+            kept.extend((d_outer(), _act_derivative(H.value @ W.value, inner)))
         ran = True
-        if kept:
-            d_outer, d_inner = kept
-            g = G * d_outer
-        else:
-            # the first run drops each derivative as soon as it is used: a
-            # one-shot training sweep peaks no higher than with no cache
-            v = H.value @ W.value
-            g = G * _act_derivative(_update_argument(v, inner, terms), outer)
+        # the first run drops each derivative as soon as it is used
+        g = G * (kept[0] if kept else d_outer())
         for t in reversed(terms):
             if t.requires_grad:
                 t.grad += g
-        gv = -(g * (d_inner if kept else _act_derivative(v, inner)))
+        gv = -(g * (kept[1] if kept else _act_derivative(H.value @ W.value, inner)))
         if H.requires_grad:
             H.grad += gv @ W.value.T
         if W.requires_grad:
             W.grad += H.value.T @ gv
+        if agg is not None and (H.requires_grad or Ws.requires_grad):
+            # g + 0.0 sends -0.0 to +0.0, as the accumulator of a separate
+            # aggregate node would, so the transposed sums keep their zeros
+            GM = _spmm_value(a, g + 0.0, transpose=True)
+            if H.requires_grad:
+                H.grad += GM @ Ws.value.T
+            if Ws.requires_grad:
+                Ws.grad += H.value.T @ GM
 
-    val = _act_forward(_update_argument(H.value @ W.value, inner, terms), outer)
-    return _node(val, (H, W, *terms), rule)
+    return _node(y, parents, rule)
 
 
 def act_matmul_add(X: DiffValue, kind: str, W: DiffValue,

@@ -220,6 +220,12 @@ def sas_step(H: DiffValue, a, p: CellParams, weights, tau=None,
     tau may be a scalar or an n x 1 DiffValue (the adaptive per-node
     step). Rows with tau == 0 come back bit-identical to their input,
     not merely numerically close.
+
+    On the tape the step is two nodes: the update, one act_update node that
+    also takes the aggregate A H Ws and keeps only its output (and its
+    argument, when sigma1 is softplus), and the row-scaled step, which
+    keeps nothing beyond its output. propagate builds a scalar tau's n x 1
+    column once for all its layers.
     """
     oas, ws = weights
     if H.shape[1] != oas.shape[0]:
@@ -229,13 +235,10 @@ def sas_step(H: DiffValue, a, p: CellParams, weights, tau=None,
             raise ValueError("edge_term supplied but edge_mode is zero")
     elif edge_term is None:
         raise ValueError(f"edge_mode {p.edge_mode!r} requires an edge_term")
-    # sigma1(-sigma2(H Oas) [+ edge term] + A H Ws)
-    terms = (ad.dspmm(a, H, W=ws),)
-    if edge_term is not None:
-        terms = (edge_term, *terms)
-    upd = ad.act_update(H, oas, terms, p.sigma2, p.sigma1)
-    tcol = _tau_column(tau, H.shape[0], p.tau)
-    return ad.add_scaled_rows(H, upd, tcol)
+    # sigma1(-sigma2(H Oas) [+ edge term] + A H Ws), one node with the aggregate
+    terms = () if edge_term is None else (edge_term,)
+    upd = ad.act_update(H, oas, terms, p.sigma2, p.sigma1, agg=(a, ws))
+    return ad.add_scaled_rows(H, upd, _tau_column(tau, H.shape[0], p.tau))
 
 
 def baseline_step(H: DiffValue, a, p: CellParams, kind: str, weights,
@@ -278,6 +281,8 @@ def propagate(H: DiffValue, ops: Operators, params: CellParams, kind: str,
     """
     weights = cell_weights(params, kind)
     et = edge_term(ops.be, params) if kind in EDGE_KINDS else None
+    if kind in EDGE_KINDS and not callable(tau):
+        tau = _tau_column(tau, H.shape[0], params.tau)      # one column for every layer
     if capture is not None:
         capture.append(H)
     for l in range(depth):

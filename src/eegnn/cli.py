@@ -35,7 +35,8 @@ from .graphs import degrees, edge_homophily, gen_minesweeper_grid, gen_sbm, \
 from .training import DATASETS, KEYS, MODEL_KINDS, RUN_KEYS, ConfigError, \
     GraphSet, RunConfig, build_model, coerce_keys, evaluate, exit_csv, \
     forward_node, history_csv, load_checkpoint, load_dataset, metric_eval, \
-    model_for, node_record, operators_for, reads, save_checkpoint, train_run
+    model_for, node_record, operators_for, reads, refused_by, save_checkpoint, \
+    train_run
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -112,8 +113,8 @@ def _config(args, run: bool = False,
               "dataset": [values["dataset"]] if "dataset" in values else DATASETS,
               "diagnostic": [diagnostic] if diagnostic else DIAG_NAMES}
     for k in keys:
-        if k in given and not reads(k, chosen):
-            by = KEYS[k].readers[0]
+        by = refused_by(k, chosen) if k in given else None
+        if by:
             of = f"kinds {kinds}" if kinds and by == "model" else f"{by} {chosen[by][0]!r}"
             errors.append(f"config key {k!r} is not read by {of}")
     if errors:
@@ -276,7 +277,7 @@ def cmd_diagnose(args) -> None:
         report.update({"oracle_accuracy": oracle, "final_accuracy": final,
                        "gain": oracle - final, "pass": oracle >= final})
 
-    out = _out_dir(args, {**cfg.read_dict(diag.get("kinds")), **diag,
+    out = _out_dir(args, {**cfg.read_dict(diag.get("kinds"), args.name), **diag,
                           "diagnostic": args.name})
     for fname, trace in traces.items():
         diagnostics.emit_trace(trace, out / fname)

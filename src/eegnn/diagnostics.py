@@ -228,8 +228,8 @@ def sensitivity(model: Model, g: Graph, layer: int) -> float:
     sweeps over the 16-copy union, whatever the layer; instances are capped at
     n * width <= 2000. The tape holds the cell's arrays as constants and the
     encoder's output as its only leaf, so each sweep runs only the state
-    path from the last layer down to layer 0, the sas step computes its
-    activation derivatives in the first sweep alone, and the model's
+    path from the last layer down to layer 0, the sas step keeps its
+    activation derivatives from the second sweep on, and the model's
     gradient buffers are left as they were. The diagnose command reads
     every layer from one set of sweeps through _sensitivities. Only
     fixed-depth model kinds are supported; adaptive-exit stacks have no

@@ -149,18 +149,22 @@ def make_exit_heads(rng: np.random.Generator, kind: str, in_dim: int,
 
 
 def _backbone_forward(H: DiffValue, layers, out_pair, ma, mh) -> DiffValue:
+    """One head on the tape: per hidden layer, one node of its sums (an mlp
+    layer's cur w + b, or a mean_gnn layer's (M cur) w_agg + (cur w + b),
+    which does not keep the inner sum) and, between layers, one relu node;
+    the last relu rides in the readout's node. A mean_gnn layer also has its
+    aggregate M cur, the shared mh at layer 0."""
     cur = H
     for i, (w_agg, w, b) in enumerate(layers):
-        if i:                       # the last layer's relu is fused into the readout
+        if i:
             cur = ad.activation_apply(mixed, "relu")
-        mixed = ad.matmul_add(cur, w, b)
-        if w_agg is not None:
-            if ma is None:
-                raise ValueError("mean_gnn heads need the mean-adjacency operator")
-            # (M cur) w_agg + (cur w + b): the self term rides in as matmul_add's
-            # addend, one node fewer than an add of two products, same sums
-            agg = mh if i == 0 and mh is not None else ad.dspmm(ma, cur)
-            mixed = ad.matmul_add(agg, w_agg, mixed)
+        if w_agg is None:
+            mixed = ad.matmul_add(cur, w, b)
+            continue
+        if ma is None:
+            raise ValueError("mean_gnn heads need the mean-adjacency operator")
+        agg = mh if i == 0 and mh is not None else ad.dspmm(ma, cur)
+        mixed = ad.two_matmul_add(agg, w_agg, cur, w, b)
     return ad.act_matmul_add(mixed, "relu", out_pair[0], out_pair[1])
 
 

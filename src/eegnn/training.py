@@ -144,10 +144,14 @@ def coerce_keys(defaults: dict, d: dict) -> tuple[dict, list[str]]:
 
 # One config key: its default, whose type is the type coerce_keys reads it
 # as; its range rule, a (test, words) pair on the coerced value; the runs
-# that read it, a (selector, values) pair, None when every run of a command
-# that takes the key reads it; and the commands that take it, besides the
-# training commands for a RunConfig field.
-Key = namedtuple("Key", "default rule readers commands", defaults=(None, None, ()))
+# that read it, (selector, values) pairs that a run must each meet, none
+# when every run of a command that takes the key reads it; and the commands
+# that take it, besides the training commands for a RunConfig field.
+Key = namedtuple("Key", "default rule readers commands", defaults=(None, (), ()))
+
+# the diagnostics that build a model from the training keys; spectrum and
+# energy_descent draw their own configs and read only seed of them
+MODEL_DIAGS = ("dirichlet", "sensitivity", "depth_retention", "oracle_exit")
 
 
 def _at_least(lo):
@@ -158,9 +162,13 @@ def _one_of(choices):
     return (lambda v: v in choices), f"must be one of {choices}"
 
 
-def _key(*row):
-    """A RunConfig field carrying its row of KEYS."""
-    return field(default=row[0], metadata={"key": Key(*row)})
+def _key(default, rule=None, model=None, commands=(), diagnostics=MODEL_DIAGS):
+    """A RunConfig field carrying its row of KEYS: read by the kinds of the
+    ("model", kinds) pair model, by every kind when None, and of the
+    diagnostics by those in diagnostics alone."""
+    readers = (model, ("diagnostic", diagnostics) if diagnostics else None)
+    return field(default=default, metadata={"key": Key(
+        default, rule, tuple(r for r in readers if r), commands)})
 
 
 def _rows(rule, readers, commands, **defaults):
@@ -194,7 +202,7 @@ class RunConfig:
     dec_hidden: tuple = _key((), ((lambda v: all(h >= 1 for h in v)),
                                   "must be a tuple of widths >= 1"))
     epochs: int = _key(300, _at_least(0))
-    seed: int = _key(0, _at_least(0), None, ("generate",))
+    seed: int = _key(0, _at_least(0), None, ("generate",), diagnostics=None)
     metric: str = _key("auroc", _one_of(METRIC_KINDS))
     loss: str = _key("ce", _one_of(LOSS_KINDS))
     lr: float = _key(3e-3, _at_least(0))
@@ -224,11 +232,14 @@ class RunConfig:
         d["dec_hidden"] = list(self.dec_hidden)
         return d
 
-    def read_dict(self, kinds=None) -> dict:
+    def read_dict(self, kinds=None, diagnostic=None) -> dict:
         """to_dict's keys that the model kind reads, or any of kinds when
-        given: the config a CLI run takes and records."""
-        return {k: v for k, v in self.to_dict().items()
-                if reads(k, {"model": kinds or [self.model]})}
+        given, and the diagnostic when given: the config a CLI run takes
+        and records."""
+        chosen = {"model": kinds or [self.model]}
+        if diagnostic is not None:
+            chosen["diagnostic"] = [diagnostic]
+        return {k: v for k, v in self.to_dict().items() if reads(k, chosen)}
 
 
 RUN_KEYS = tuple(f.name for f in fields(RunConfig))
@@ -241,39 +252,44 @@ _DIAG = ("diagnose",)
 # refuses a key given to a run that does not read it.
 KEYS = {
     **{f.name: f.metadata["key"] for f in fields(RunConfig)},
-    "dataset": Key("minesweeper", _one_of(DATASETS), None, _GEN),
-    **_rows(None, ("dataset", ("minesweeper",)), _GEN, rows=30, cols=30,
+    "dataset": Key("minesweeper", _one_of(DATASETS), (), _GEN),
+    **_rows(None, (("dataset", ("minesweeper",)),), _GEN, rows=30, cols=30,
             mine_prob=0.2, unknown_frac=0.5),
-    **_rows(None, ("dataset", ("sbm",)), _GEN, sizes=[50, 50], p_in=0.7,
+    **_rows(None, (("dataset", ("sbm",)),), _GEN, sizes=[50, 50], p_in=0.7,
             p_out=0.1, feature_dim=8, feature_shift=1.0),
     # the dataset path; train and evaluate always read it, and a diagnostic
     # without it runs on a built-in block-model graph
-    "data": Key(None, None, ("diagnostic", ("dirichlet", "sensitivity",
-                                            "depth_retention", "oracle_exit")),
+    "data": Key(None, None, (("diagnostic", MODEL_DIAGS),),
                 ("train", "evaluate", "diagnose")),
-    "steps": Key(50, _at_least(1), ("diagnostic", ("energy_descent",)), _DIAG),
-    "cases": Key(25, _at_least(1), ("diagnostic", ("energy_descent", "spectrum")),
+    "steps": Key(50, _at_least(1), (("diagnostic", ("energy_descent",)),), _DIAG),
+    "cases": Key(25, _at_least(1), (("diagnostic", ("energy_descent", "spectrum")),),
                  _DIAG),
-    "step_tau": Key(0.05, _STEP, ("diagnostic", ("energy_descent",)), _DIAG),
-    "depths": Key([2, 6], None, ("diagnostic", ("depth_retention",)), _DIAG),
+    "step_tau": Key(0.05, _STEP, (("diagnostic", ("energy_descent",)),), _DIAG),
+    "depths": Key([2, 6], None, (("diagnostic", ("depth_retention",)),), _DIAG),
     # depth_retention trains each of these kinds in place of the model
     "kinds": Key(["sas"], ((lambda v: set(v) <= set(MODEL_KINDS)),
                            f"must be model kinds, from {MODEL_KINDS}"),
-                 ("diagnostic", ("depth_retention",)), _DIAG),
-    "checkpoint": Key(None, None, None, ("evaluate",)),
-    **_rows(_at_least(1), None, ("param-count",), feat_dim=10, out_dim=2),
+                 (("diagnostic", ("depth_retention",)),), _DIAG),
+    "checkpoint": Key(None, None, (), ("evaluate",)),
+    **_rows(_at_least(1), (), ("param-count",), feat_dim=10, out_dim=2),
     # >= 1 under a non-zero edge_mode, a rule cli.cmd_param_count keeps
-    "edge_dim": Key(0, _at_least(0), None, ("param-count",)),
+    "edge_dim": Key(0, _at_least(0), (), ("param-count",)),
 }
 
 
+def refused_by(key: str, chosen: dict) -> str | None:
+    """The first selector (model, dataset or diagnostic) whose values listed
+    in chosen all fail to read key, or None when the run reads it; a
+    selector chosen lacks limits nothing."""
+    for selector, values in KEYS[key].readers:
+        if selector in chosen and not any(v in values for v in chosen[selector]):
+            return selector
+    return None
+
+
 def reads(key: str, chosen: dict) -> bool:
-    """Whether a run whose selectors (model, dataset, diagnostic) take the
-    values listed in chosen reads key, by any of them; a selector chosen
-    lacks limits nothing."""
-    readers = KEYS[key].readers
-    return (readers is None or readers[0] not in chosen
-            or any(v in readers[1] for v in chosen[readers[0]]))
+    """Whether a run whose selectors take the values listed in chosen reads key."""
+    return refused_by(key, chosen) is None
 
 
 def _widths(g: Graph) -> str:

@@ -217,6 +217,7 @@ def test_every_public_op_returns_a_diff_value():
         "leaf": lambda: ad.leaf(np.ones((2, 2))),
         "constant": lambda: ad.constant(np.ones((2, 2))),
         "matmul_add": lambda: ad.matmul_add(A, W, b),
+        "two_matmul_add": lambda: ad.two_matmul_add(B, W, A, W, b),
         "activation_apply": lambda: ad.activation_apply(A, "tanh"),
         "row_log_softmax": lambda: ad.row_log_softmax(A),
         "softmax_rows": lambda: ad.softmax_rows(A),
@@ -237,7 +238,7 @@ def test_every_public_op_returns_a_diff_value():
         "where_rows": lambda: ad.where_rows([True, False, True], A, B),
         "sum_all": lambda: ad.sum_all(A),
         "dspmm": lambda: ad.dspmm(a, A, W=W),
-        "act_update": lambda: ad.act_update(A, W, [B], "relu", "tanh"),
+        "act_update": lambda: ad.act_update(A, W, [B], "relu", "tanh", agg=(a, W)),
         "act_matmul_add": lambda: ad.act_matmul_add(A, "relu", W, b),
     }
     assert set(calls) == set(ad.__all__) - NON_OPS
@@ -351,14 +352,21 @@ def _one_op_cases(rng):
     seg = Segments.from_offsets(np.concatenate([[0], np.cumsum(np.bincount(ids))]))
     probe_seg = ad.constant(probe.value[:ids.max() + 1])
     S = ad.leaf(draw(spread.offsets.size - 1, m))
+    Wk2 = ad.leaf(draw(m, k))
 
     def score(x, w=probe):
         return ad.sum_all(ad.mul(x, w))
+
+    # every entry positive, so no gradient of two products is a sum that
+    # cancels to near 0
+    pos = [ad.leaf(np.abs(x.value)) for x in (B, Wk2, A, Wk, bias)]
+    probe_pos = ad.constant(np.abs(probek.value))
 
     cases = [
         ("matmul_add", [A, Wk], lambda: score(ad.matmul_add(A, Wk), probek)),
         ("matmul_add_bias", [A, Wk, bias],
          lambda: score(ad.matmul_add(A, Wk, bias), probek)),
+        ("two_matmul_add", pos, lambda: score(ad.two_matmul_add(*pos), probe_pos)),
         ("add", [A, B], lambda: score(ad.add(A, B))),
         ("sub", [A, B], lambda: score(ad.sub(A, B))),
         ("neg", [A], lambda: score(ad.neg(A))),
@@ -387,6 +395,12 @@ def _one_op_cases(rng):
         ("act_matmul_add", [A, Wk, bias],
          lambda: score(ad.act_matmul_add(A, "tanh", Wk, bias), probek)),
     ]
+    if n >= 3:          # a ring of n nodes for the sparse aggregate
+        a = norm_adj(canonicalize([(i, (i + 1) % n) for i in range(n)], n))
+        Wm2 = ad.leaf(draw(m, m) / m)
+        cases.append(("act_update_agg", [A, Wm, B, Wm2],
+                      lambda: score(ad.act_update(A, Wm, [B], "tanh", "tanh",
+                                                  agg=(a, Wm2)))))
     for kind in ("relu", "tanh", "relu_tanh", "softplus", "sigmoid", "identity"):
         cases.append((f"act_{kind}", [A],
                       lambda kind=kind: score(ad.activation_apply(A, kind))))
@@ -590,22 +604,52 @@ def test_dspmm_with_w_equals_dspmm_of_matmul_bit_for_bit():
 
 
 @pytest.mark.parametrize("inner,outer", [("relu", "relu_tanh"), ("tanh", "softplus"),
-                                         ("identity", "sigmoid")])
+                                         ("identity", "sigmoid"), ("relu", "relu"),
+                                         ("sigmoid", "tanh"), ("tanh", "identity")])
 @pytest.mark.parametrize("with_e", [False, True])
 def test_act_update_equals_its_chain_bit_for_bit(inner, outer, with_e):
+    # the aggregate's weight is its own leaf, as the cell's Ws is
     for seed in range(5):
         a, H, W, E, probe = _fused_inputs(seed, 13, 6)
-        leaves = [H, W, E]
-
-        def terms():
-            d = ad.dspmm(a, H, W=W)
-            return (E, d) if with_e else (d,)
-
-        fused = _sweep(ad.act_update(H, W, terms(), inner, outer), H, probe, leaves)
+        Ws = ad.leaf(np.random.default_rng(seed + 50).normal(size=(6, 6)))
+        leaves = [H, W, E, Ws]
+        terms = (E,) if with_e else ()
+        fused = _sweep(ad.act_update(H, W, terms, inner, outer, agg=(a, Ws)), H,
+                       probe, leaves)
         x = ad.neg(ad.activation_apply(ad.matmul_add(H, W), inner))
-        for t in terms():
+        for t in (*terms, ad.dspmm(a, H, W=Ws)):
             x = ad.add(x, t)
         chain = _sweep(ad.activation_apply(x, outer), H, probe, leaves)
+        assert _bits_equal(fused, chain)
+
+
+def test_output_derivative_equals_the_input_derivative_bit_for_bit():
+    x = np.array([[5e-324, -5e-324, 1e-310, 0.0, -0.0, np.nan, np.inf, -np.inf,
+                   1e-20, -1e-20, 0.3, -0.3, 19.0, -19.0, 800.0, -800.0]])
+    x = np.vstack([x, np.random.default_rng(0).normal(scale=3.0, size=(5, 16))])
+    for kind in ad.ACTIVATION_KINDS:
+        if kind == "softplus":
+            with pytest.raises(ValueError):
+                ad._output_derivative(ad._act_forward(x, kind), kind)
+            continue
+        got = ad._output_derivative(ad._act_forward(x, kind), kind)
+        want = ad._act_derivative(x, kind)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), kind
+
+
+@pytest.mark.parametrize("shared", [False, True])
+def test_two_matmul_add_equals_its_pair_bit_for_bit(shared):
+    # shared: X also feeds the root directly, as a head layer's input does
+    for seed in range(5):
+        _, H, W, E, _ = _fused_inputs(seed, 11, 5)
+        rng = np.random.default_rng(seed)
+        B, Wx = (ad.leaf(rng.normal(size=(5, 3))) for _ in range(2))
+        b = ad.leaf(rng.normal(size=(1, 3)))
+        probe = rng.normal(size=(11, 3))
+        X = H if shared else E
+        leaves = [H, E, B, Wx, b]
+        fused = _sweep(ad.two_matmul_add(E, B, X, Wx, b), H, probe, leaves)
+        chain = _sweep(ad.matmul_add(E, B, ad.matmul_add(X, Wx, b)), H, probe, leaves)
         assert _bits_equal(fused, chain)
 
 
@@ -634,15 +678,21 @@ def test_fused_ops_reject_bad_shapes_and_kinds():
     with pytest.raises(ValueError):
         ad.act_update(H, W, [E], "relu", "gelu")
     with pytest.raises(ValueError):
+        ad.act_update(H, W, [E], "relu", "tanh", agg=(a, ad.leaf(np.ones((4, 3)))))
+    with pytest.raises(ValueError):
         ad.act_matmul_add(H, "relu", W, ad.leaf(np.ones((2, 4))))
+    with pytest.raises(ValueError):
+        ad.two_matmul_add(H, W, E, ad.leaf(np.ones((3, 4))), ad.leaf(np.ones((1, 4))))
+    with pytest.raises(ValueError):
+        ad.two_matmul_add(H, W, E, W, ad.leaf(np.ones((7, 4))))
 
 
 # ------------------------------------------- repeated sweeps, skipped parents
 
 def _update_tape(seed, inner, outer, with_e):
     a, H, W, E, _ = _fused_inputs(seed, 13, 6)
-    terms = (E, ad.dspmm(a, H, W=W)) if with_e else (ad.dspmm(a, H, W=W),)
-    return ad.act_update(H, W, terms, inner, outer), [H, W, E]
+    terms = (E,) if with_e else ()
+    return ad.act_update(H, W, terms, inner, outer, agg=(a, W)), [H, W, E]
 
 
 def _seeded_sweep(out, leaves, seed):
@@ -666,14 +716,16 @@ def test_act_update_resweeps_equal_fresh_tapes_bit_for_bit(with_e):
 
 def test_release_sweep_keeps_no_cached_factor(monkeypatch):
     made = []
-    original = ad._act_derivative
 
-    def tracked(x, kind):
-        d = original(x, kind)
-        made.append(weakref.ref(d))
-        return d
+    def tracking(original):
+        def tracked(x, kind):
+            d = original(x, kind)
+            made.append(weakref.ref(d))
+            return d
+        return tracked
 
-    monkeypatch.setattr(ad, "_act_derivative", tracked)
+    for name in ("_act_derivative", "_output_derivative"):
+        monkeypatch.setattr(ad, name, tracking(getattr(ad, name)))
     seed = np.ones((13, 6))
     gc.disable()
     try:
@@ -747,7 +799,8 @@ def test_product_rules_write_no_gradient_into_a_constant_parent():
     X, B, b, S, t, Wc, E = consts
     outs = [ad.matmul_add(X, W, b), ad.matmul_add(H, B),
             ad.add_scaled_rows(H, S, t), ad.dspmm(a, H, W=Wc),
-            ad.act_update(H, Wc, (E, ad.dspmm(a, H, W=Wc)), "relu", "relu_tanh")]
+            ad.act_update(H, Wc, (E,), "relu", "relu_tanh", agg=(a, Wc)),
+            ad.two_matmul_add(X, B, H, B, b)]
     root = outs[0]
     for out in outs[1:]:
         root = ad.add(root, out)

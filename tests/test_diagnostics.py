@@ -1,5 +1,8 @@
 """Energy functionals, spectra, sensitivity, and the diagnostic suites."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -409,30 +412,58 @@ def test_sensitivity_work_does_not_depend_on_layer(monkeypatch):
     assert per_layer[0]["backward"] == -(-g.n * model.cfg.hidden // copies)
 
 
-def test_sensitivity_update_arguments_do_not_grow_with_the_sweeps(monkeypatch):
+def test_sensitivity_update_derivatives_do_not_grow_with_the_sweeps(monkeypatch):
     g = _sens_graph("edges")
     model = _sens_model(g, "sas", 3, edge_mode="linear")
     in_sweep = [False]
     calls = {False: 0, True: 0}
-    argument, backward = ad._update_argument, ad.backward
+    backward = ad.backward
 
-    def counted_argument(*a):
-        calls[in_sweep[0]] += 1
-        return argument(*a)
+    def counting(original):
+        def counted(*a):
+            calls[in_sweep[0]] += 1
+            return original(*a)
+        return counted
 
     def sweeping(*a, **kw):
         in_sweep[0] = True
         return backward(*a, **kw)
 
-    monkeypatch.setattr(ad, "_update_argument", counted_argument)
+    for name in ("_act_derivative", "_output_derivative"):
+        monkeypatch.setattr(ad, name, counting(getattr(ad, name)))
     monkeypatch.setattr(ad, "backward", sweeping)
     sensitivity(model, g, 0)
     depth = model.cfg.depth
     # several sweeps
     assert -(-g.n * model.cfg.hidden // diagnostics._SWEEP_COPIES) > 2
-    # once in the forward; in the sweeps, once in the first run, which keeps
-    # nothing, and once in the second, which keeps the derivatives
-    assert calls == {False: depth, True: 2 * depth}
+    # none in the forward; in the sweeps, each step's two derivatives in the
+    # first run, which keeps nothing, and again in the second, which keeps
+    # them (the edge term is built on constants and is not swept)
+    assert calls == {False: 0, True: 2 * 2 * depth}
+
+
+@pytest.mark.parametrize("kw", [{}, {"edge_mode": "linear"}], ids=["sas", "sas-edges"])
+def test_sensitivity_tape_is_freed_by_reference_counts_alone(monkeypatch, kw):
+    # the sweeps keep the tape, so a backward rule that held its own node
+    # would make the tape a reference cycle, left for the cycle collector
+    g = _sens_graph("edges" if kw else "grid")
+    model = _sens_model(g, "sas", 3, **kw)
+    made = []
+    node = ad._node
+
+    def recorded(*args):
+        out = node(*args)
+        made.append(weakref.ref(out))
+        return out
+
+    monkeypatch.setattr(ad, "_node", recorded)
+    gc.collect()
+    gc.disable()
+    try:
+        sensitivity(model, g, 1)
+        assert made and [r for r in made if r() is not None] == []
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("kind,kw", [("sas", {}), ("gcn", {}), ("graff", {}),

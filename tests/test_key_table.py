@@ -61,8 +61,20 @@ def test_a_key_a_kind_reads_shapes_its_run_and_one_it_does_not_exits_1(
     (["generate"], {"sizes": [4, 4]},
      "config key 'sizes' is not read by dataset 'minesweeper'"),
     (["diagnose", "spectrum"], {"steps": 5},
-     "config key 'steps' is not read by diagnostic 'spectrum'")],
-    ids=["generate-minesweeper-sizes", "diagnose-spectrum-steps"])
+     "config key 'steps' is not read by diagnostic 'spectrum'"),
+    # spectrum and energy_descent draw their own cells: of the training
+    # keys they read seed alone
+    (["diagnose", "spectrum"], {"depth": 5},
+     "config key 'depth' is not read by diagnostic 'spectrum'"),
+    (["diagnose", "spectrum"], {"model": "sas"},
+     "config key 'model' is not read by diagnostic 'spectrum'"),
+    (["diagnose", "energy_descent"], {"epochs": 3},
+     "config key 'epochs' is not read by diagnostic 'energy_descent'"),
+    (["diagnose", "energy_descent"], {"lr": 0.1},
+     "config key 'lr' is not read by diagnostic 'energy_descent'")],
+    ids=["generate-minesweeper-sizes", "diagnose-spectrum-steps",
+         "diagnose-spectrum-depth", "diagnose-spectrum-model",
+         "diagnose-descent-epochs", "diagnose-descent-lr"])
 def test_a_command_key_its_selector_does_not_read_exits_1(tmp_path, capsys, argv,
                                                           doc, shown):
     code, err, created = run_cli(argv, tmp_path, doc, capsys)
@@ -82,6 +94,19 @@ def test_resolved_config_records_the_keys_the_run_reads(tmp_path, capsys):
     assert "tau" not in resolved and "nu0" in resolved
     checkpoint = json.loads((tmp_path / "out" / "checkpoint.json").read_text())
     assert set(checkpoint["config"]) == set(asdict(RunConfig()))
+
+
+@pytest.mark.parametrize("name, own", [("spectrum", {"cases": 2}),
+                                       ("energy_descent", {"cases": 2, "steps": 3})])
+def test_a_model_free_diagnostic_records_seed_and_its_own_keys(tmp_path, capsys,
+                                                               name, own):
+    code, _, _ = run_cli(["diagnose", name], tmp_path, {**own, "seed": 4}, capsys)
+    assert code == 0
+    resolved = json.loads((tmp_path / "out" / "resolved_config.json").read_text())
+    want = {**own, "seed": 4, "diagnostic": name}
+    if name == "energy_descent":
+        want["step_tau"] = KEYS["step_tau"].default
+    assert resolved == want
 
 
 RETENTION = {"depths": [1], "epochs": 1, "hidden": 4, "metric": "accuracy"}

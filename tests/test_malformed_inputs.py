@@ -197,7 +197,7 @@ def unread(target: str):
     KEYS that target's model kind, dataset or diagnostic does not read."""
     chosen = CHOSEN.get(target, {})
     for key, row in KEYS.items():
-        if row.readers and row.readers[0] in chosen and not reads(key, chosen):
+        if any(sel in chosen for sel, _ in row.readers) and not reads(key, chosen):
             v = "graph.json" if row.default is None else row.default
             yield (key,), "unread", lambda d, k=key, v=v: d.__setitem__(k, v)
 
