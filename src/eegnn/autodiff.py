@@ -17,9 +17,10 @@ fixed at construction, so the order cannot go stale); repeated seeded sweeps
 over one tape, as in diagnostics.sensitivity, traverse it once.
 
 What a rule skips and what it keeps. The product rules (matmul_add,
-two_matmul_add, act_update, dspmm with W, add_scaled_rows) write nothing
-into a parent that does not require a gradient, so a constant's .grad stays
-unallocated and a tape built on constant weights sweeps only its state path.
+two_matmul_add, act_update, dspmm with W, add_scaled_rows) and where_rows
+write nothing into a parent that does not require a gradient, so a
+constant's .grad stays unallocated and a tape built on constant weights
+sweeps only its state path.
 A node keeps its value and what its rule reads; the fused nodes
 (two_matmul_add, act_update, act_matmul_add) keep none of their inner sums,
 and act_update reads its outer activation's derivative from its own value.
@@ -550,8 +551,10 @@ def where_rows(mask, A: DiffValue, B: DiffValue) -> DiffValue:
     val = np.where(sel[:, None], A.value, B.value)
 
     def rule(G):
-        np.add(A.grad, G, out=A.grad, where=sel[:, None])
-        np.add(B.grad, G, out=B.grad, where=~sel[:, None])
+        if A.requires_grad:
+            np.add(A.grad, G, out=A.grad, where=sel[:, None])
+        if B.requires_grad:
+            np.add(B.grad, G, out=B.grad, where=~sel[:, None])
 
     return _node(val, (A, B), rule)
 

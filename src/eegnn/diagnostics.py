@@ -7,10 +7,13 @@ quality. Each check reports numbers. The two suites also judge themselves:
 `spectrum_suite` returns its own "pass" from MAX_RE_TOL and SKEW_TOL, and
 `descent_suite` from the violations `descent_trace` logs past
 DESCENT_SLACK; `energy_functional` refuses a W_s further than SKEW_TOL from
-symmetric. The other diagnostics (Dirichlet traces, sensitivity, depth
-retention, oracle exits) leave the verdict to their callers: the CLI's
-`diagnose` sets their "pass" and the test suite its own bounds. The CLI
-maps a failed verdict to ToleranceError and its own exit code.
+symmetric. The other diagnostics return measurements. Of those, the CLI's
+`diagnose` judges depth retention alone (a bound on the metric's spread over
+depths); Dirichlet traces, sensitivity and oracle exits carry no verdict,
+since the checks they offer hold for any model: the last layer's
+sensitivity is zero by construction, and the oracle accuracy never falls
+below the final layer's. The CLI maps a failed verdict to ToleranceError
+and its own exit code.
 """
 
 from __future__ import annotations
@@ -77,11 +80,11 @@ class Trace:
 
 @dataclass
 class SpectrumReport:
-    """sas_jacobian's result: floats for one matrix, arrays over a stack."""
+    """sas_jacobian's result, arrays over the stack's leading axes."""
 
     eigenvalues: np.ndarray
-    max_re: float | np.ndarray
-    skew_residual: float | np.ndarray
+    max_re: np.ndarray
+    skew_residual: np.ndarray
 
 
 def _finite_matrix(H, n: int) -> np.ndarray:
@@ -163,30 +166,26 @@ def descent_trace(g: Graph, params: CellParams, H0, steps: int, tau: float) -> T
 
 def sas_jacobian(omega_raw, h_point, neighbor_term=None, *, sigma1: str = "relu_tanh",
                  sigma2: str = "relu") -> SpectrumReport:
-    """Spectrum of the step map's state Jacobian at one linearization point,
-    or at one point per matrix of a stack.
+    """Spectrum of the step map's state Jacobian at one linearization point
+    per matrix of a stack.
 
-    omega_raw is an m x m array or a stack of shape (..., m, m); h_point and
-    the optional neighbor_term hold m values per matrix (shape (..., m));
-    sigma1 and sigma2 are the cell's activation kinds, as in CellParams. The
-    Jacobian is -diag(s1'(u) * s2'(v)) @ (Omega - Omega^T) with
-    v = h @ Oas and u = -s2(v) + neighbor_term. The report also carries the
-    skewness residual of D (Oas) D with D = sqrt of the absolute diagonal
-    factors: similarity to a skew matrix is what pins the eigenvalues to the
+    omega_raw is a stack of shape (..., m, m); h_point and the optional
+    neighbor_term hold m values per matrix (shape (..., m)); sigma1 and
+    sigma2 are the cell's activation kinds, as in CellParams. The Jacobian
+    is -diag(s1'(u) * s2'(v)) @ (Omega - Omega^T) with v = h @ Oas and
+    u = -s2(v) + neighbor_term. The report also carries the skewness
+    residual of D (Oas) D with D = sqrt of the absolute diagonal factors:
+    similarity to a skew matrix is what pins the eigenvalues to the
     imaginary axis, so the residual is computed in a way that makes exact
     zero achievable (shared symmetric prefactor times the exact
-    antisymmetric difference). Every Jacobian of a stack goes to one
-    eigensolver call; each matrix's results equal those of its own call bit
-    for bit. For a single matrix max_re and skew_residual are floats, for a
-    stack arrays over its leading axes.
+    antisymmetric difference). Every Jacobian of the stack goes to one
+    eigensolver call; each matrix's results equal those of a stack of one
+    bit for bit.
     """
     ov = np.asarray(omega_raw, dtype=np.float64)
-    if ov.ndim < 2 or ov.shape[-1] != ov.shape[-2]:
-        raise ValueError(f"omega_raw must be square or a stack of square matrices, "
+    if ov.ndim < 3 or ov.shape[-1] != ov.shape[-2]:
+        raise ValueError(f"omega_raw must be a stack of square matrices, "
                          f"got shape {ov.shape}")
-    single = ov.ndim == 2
-    if single:
-        ov = ov[None]
     batch, m = ov.shape[:-2], ov.shape[-1]
     if m > 32:
         raise ValueError(f"dense eigensolver budget is width <= 32, got {m}")
@@ -209,11 +208,7 @@ def sas_jacobian(omega_raw, h_point, neighbor_term=None, *, sigma1: str = "relu_
     M = (dtil[..., :, None] * dtil[..., None, :]) * oas
     residual = np.abs(M + np.swapaxes(M, -1, -2)).max(axis=(-2, -1), initial=0.0)
     lam = eigvals(J)
-    max_re = np.abs(lam.real).max(axis=-1, initial=0.0)
-    if single:
-        return SpectrumReport(eigenvalues=lam[0], max_re=float(max_re[0]),
-                              skew_residual=float(residual[0]))
-    return SpectrumReport(eigenvalues=lam, max_re=max_re, skew_residual=residual)
+    return SpectrumReport(lam, np.abs(lam.real).max(axis=-1, initial=0.0), residual)
 
 
 def sensitivity(model: Model, g: Graph, layer: int) -> float:
@@ -366,10 +361,8 @@ def spectrum_suite(n_configs: int = 100, width_lo: int = 2, width_hi: int = 16,
     by_width: dict[int, list] = {}
     for _ in range(n_configs):
         m = int(rng.integers(width_lo, width_hi + 1))
-        # make_cell_params(rng, "sas", m, m, m)'s draws: omega_raw, then three
-        # more m x m Glorot blocks of the same scale (2 / (m + m) = 1 / m),
-        # which are dropped
-        omega = rng.normal(0.0, np.sqrt(1.0 / m), size=(4, m, m))[0].copy()
+        # omega_raw at make_cell_params' Glorot scale, 2 / (m + m) = 1 / m
+        omega = rng.normal(0.0, np.sqrt(1.0 / m), size=(m, m))
         h = rng.normal(size=m)
         phi = rng.normal(size=m)
         by_width.setdefault(m, []).append((omega, h, phi))

@@ -207,6 +207,7 @@ class RunConfig:
     loss: str = _key("ce", _one_of(LOSS_KINDS))
     lr: float = _key(3e-3, _at_least(0))
     weight_decay: float = _key(0.0, _at_least(0))
+    # how a non-zero weight_decay applies; inert while weight_decay is 0
     decoupled_wd: bool = _key(False)
 
     @classmethod

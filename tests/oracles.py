@@ -222,21 +222,22 @@ def match_complex_sets(a, b, tol):
 
 # ------------------------------------------------------ spectrum oracles
 
-def sas_jacobian_single(params, h_point, neighbor_term=None):
-    """diagnostics.sas_jacobian as it ran before it took stacks: one
-    CellParams, one linearization point, one eigensolver call. Returns
+def sas_jacobian_single(omega_raw, h_point, neighbor_term=None, sigma1="relu_tanh",
+                        sigma2="relu"):
+    """diagnostics.sas_jacobian as it ran before it took stacks: one m x m
+    omega_raw, one linearization point, one eigensolver call. Returns
     (eigenvalues, max_re, skew_residual)."""
     from eegnn.autodiff import _act_derivative, _act_forward
 
-    ov = params.omega_raw.value
+    ov = np.asarray(omega_raw, dtype=np.float64)
     m = ov.shape[0]
     h = np.asarray(h_point, dtype=np.float64).reshape(-1)
     phi = np.zeros(m) if neighbor_term is None else \
         np.asarray(neighbor_term, dtype=np.float64).reshape(-1)
     oas = ov - ov.T
     v = h @ oas
-    u = -_act_forward(v, params.sigma2) + phi
-    dfac = _act_derivative(u, params.sigma1) * _act_derivative(v, params.sigma2)
+    u = -_act_forward(v, sigma2) + phi
+    dfac = _act_derivative(u, sigma1) * _act_derivative(v, sigma2)
     J = -(dfac[:, None] * oas)
     dtil = np.sqrt(np.abs(dfac))
     M = np.outer(dtil, dtil) * oas
@@ -245,20 +246,24 @@ def sas_jacobian_single(params, h_point, neighbor_term=None):
     return lam, float(np.abs(lam.real).max()) if m else 0.0, residual
 
 
+def _spectrum_draws(n_configs, width_lo, width_hi, seed):
+    """Each config spectrum_suite checks, in draw order: its width, then
+    omega_raw as one m x m block at make_cell_params' Glorot scale (variance
+    2 / (m + m)), then the point h and the neighbor term phi."""
+    rng = np.random.default_rng(seed)
+    for _ in range(n_configs):
+        m = int(rng.integers(width_lo, width_hi + 1))
+        omega = rng.normal(0.0, np.sqrt(2.0 / (m + m)), size=(m, m))
+        yield omega, rng.normal(size=m), rng.normal(size=m)
+
+
 def spectrum_suite_loop(n_configs, width_lo, width_hi, seed):
     """diagnostics.spectrum_suite with one sas_jacobian_single call per
     config, in draw order."""
-    from eegnn.cells import make_cell_params
-
-    rng = np.random.default_rng(seed)
     worst_re = 0.0
     worst_skew = 0.0
-    for _ in range(n_configs):
-        m = int(rng.integers(width_lo, width_hi + 1))
-        params = make_cell_params(rng, "sas", m, m, m)
-        h = rng.normal(size=m)
-        phi = rng.normal(size=m)
-        _, max_re, skew = sas_jacobian_single(params, h, neighbor_term=phi)
+    for omega, h, phi in _spectrum_draws(n_configs, width_lo, width_hi, seed):
+        _, max_re, skew = sas_jacobian_single(omega, h, neighbor_term=phi)
         worst_re = max(worst_re, max_re)
         worst_skew = max(worst_skew, skew)
     return {"configs": n_configs, "max_re_lambda": worst_re,
@@ -267,19 +272,11 @@ def spectrum_suite_loop(n_configs, width_lo, width_hi, seed):
 
 
 def spectrum_draws_loop(n_configs, width_lo, width_hi, seed):
-    """The configs spectrum_suite draws, each omega_raw from a whole
-    make_cell_params call: a list of (omega, h, phi) stacks, one per width
-    in the order the widths first come up."""
-    from eegnn.cells import make_cell_params
-
-    rng = np.random.default_rng(seed)
+    """The configs spectrum_suite draws: a list of (omega, h, phi) stacks,
+    one per width in the order the widths first come up."""
     by_width = {}
-    for _ in range(n_configs):
-        m = int(rng.integers(width_lo, width_hi + 1))
-        omega = make_cell_params(rng, "sas", m, m, m).omega_raw.value
-        h = rng.normal(size=m)
-        phi = rng.normal(size=m)
-        by_width.setdefault(m, []).append((omega, h, phi))
+    for drawn in _spectrum_draws(n_configs, width_lo, width_hi, seed):
+        by_width.setdefault(drawn[0].shape[0], []).append(drawn)
     return [tuple(np.stack(x) for x in zip(*drawn)) for drawn in by_width.values()]
 
 

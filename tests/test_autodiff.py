@@ -807,3 +807,16 @@ def test_product_rules_write_no_gradient_into_a_constant_parent():
     ad.backward(ad.sum_all(root))
     assert H._grad.any() and W._grad.any()
     assert [i for i, c in enumerate(consts) if c._grad is not None] == []
+
+
+@pytest.mark.parametrize("leaf_first", [True, False])
+def test_where_rows_writes_no_gradient_into_a_constant_parent(leaf_first):
+    rng = np.random.default_rng(13)
+    x = ad.leaf(rng.normal(size=(5, 3)))
+    c = ad.constant(np.zeros((5, 3)))
+    mask = [True, False, True, True, False]
+    out = ad.where_rows(mask, x, c) if leaf_first else ad.where_rows(mask, c, x)
+    ad.backward(ad.sum_all(out))
+    assert c._grad is None
+    picked = np.array(mask) if leaf_first else ~np.array(mask)
+    assert np.array_equal(x.grad, np.repeat(picked[:, None], 3, axis=1).astype(float))

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from eegnn.cli import build_parser, main
+from eegnn.cli import DIAG_NAMES, build_parser, main
 from eegnn.diagnostics import sensitivity
 from eegnn.graphs import arc_rows, gen_sbm, save_graph
 from eegnn.training import RunConfig, model_for
@@ -771,17 +771,17 @@ DIAG_DIGESTS = {
     "dirichlet-sas": ("dirichlet", {"depth": 4, "hidden": 6}, {
         "dirichlet_mean.csv": "10a0114550f9124f2c0b74b035301b5b4984f4af0aa102183a90bfbba9113765",
         "dirichlet_sum.csv": "9941382ced41686c487f7ddae515bfca4b7cb81f051492a3041d8d9a5950d08b",
-        "report.json": "47cd1cb4ce145ce4dc14e016a679ccf81a9553c71564376ec49b9b2aab3dd028"}),
+        "report.json": "ec79cc9d79d9dfecaf4c60df9154ac6d309e0b88020495f9b094240a8d0b5c8f"}),
     "dirichlet-eegnn": ("dirichlet", {"model": "eegnn", "depth": 3, "hidden": 6}, {
         "dirichlet_mean.csv": "196fa70cdb1afe26b3d383bab127f70babf62960233c4fe82242de0efb6da6a3",
         "dirichlet_sum.csv": "57adfa0e631f2d5bf01327e09d71252dad099d7bd249b21537b349921a1ea8c6",
-        "report.json": "e69535aa8b640cc19979128c8ca5a50807fdc933cb5d47c91b05fb8c29164277"}),
+        "report.json": "e647d661e81f14f210b87e4d4dcd3c994a706888aa21117534943a51e0b4c676"}),
     "oracle_exit-eegnn": ("oracle_exit", {"model": "eegnn", "depth": 3, "hidden": 6,
                                           "epochs": 5, "metric": "accuracy"}, {
-        "report.json": "87a69bbded552be07631c39f69dbe5f0b92e1ef3a0e5a2452af3c6bd017c7bef"}),
+        "report.json": "c158dceacd5700ef4b2fdd13de16f5a1efd409f888d3cbf4cd183003b24c0693"}),
     "oracle_exit-sas": ("oracle_exit", {"depth": 3, "hidden": 6, "epochs": 5,
                                         "metric": "accuracy"}, {
-        "report.json": "89aaece880482bd0f701493ce780fe1ce27189e15ee36d057147b5c83a34dd38"}),
+        "report.json": "c0dd73cfb38a6c0c586a69c724356eb0ea8fe5bec0bfe93e57237fe747e453bc"}),
     "energy_descent": ("energy_descent", {"cases": 4, "steps": 20}, {
         "report.json": "42996201e950237431e0734cb69326eab4bc6b04e2cd7d11f8df3c7d7bbe1ea8"}),
 }
@@ -806,9 +806,40 @@ def test_diagnose_honest_failure_exits_3_with_report(tmp_path):
     rc = run(["diagnose", "depth_retention", "--config", cfg,
               "--out", str(out)])
     report = json.loads((out / "report.json").read_text())
-    assert rc == (0 if report["pass"] else 3)
-    assert "sas" in report["verdicts"]
-    assert report["verdicts"]["sas"]["gap"] >= 0.0
+    assert rc == 3
+    assert report["pass"] is False
+    assert report["verdicts"]["sas"]["pass"] is False
+    assert report["verdicts"]["sas"]["gap"] > 0.05
+
+
+# small configs, one per diagnostic; only three checks can fail
+VERDICT_CASES = {
+    "dirichlet": ({"depth": 2, "hidden": 4}, False),
+    "energy_descent": ({"cases": 2, "steps": 10}, True),
+    "spectrum": ({"cases": 8}, True),
+    "sensitivity": ({"depth": 2, "hidden": 4}, False),
+    "depth_retention": ({"kinds": ["sas"], "depths": [1, 2], "epochs": 2,
+                         "hidden": 4}, True),
+    "oracle_exit": ({"model": "eegnn", "depth": 2, "hidden": 4, "epochs": 2,
+                     "metric": "accuracy"}, False),
+}
+
+
+@pytest.mark.parametrize("name", DIAG_NAMES)
+def test_diagnose_verdict_only_where_the_check_can_fail(tmp_path, capsys, name):
+    doc, judged = VERDICT_CASES[name]
+    out = tmp_path / "d"
+    rc = run(["diagnose", name, "--config", write_cfg(tmp_path, doc),
+              "--out", str(out)])
+    report = json.loads((out / "report.json").read_text())
+    printed = capsys.readouterr().out
+    if judged:
+        assert isinstance(report["pass"], bool)
+        assert rc == (0 if report["pass"] else 3)
+    else:
+        assert "pass" not in report
+        assert rc == 0
+        assert f"{name}: measured" in printed
 
 
 def test_diagnose_unknown_name_lists_valid_ones(tmp_path, capsys):

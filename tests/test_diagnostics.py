@@ -184,9 +184,10 @@ def test_jacobian_all_dead_gate_is_zero_matrix():
     rng = np.random.default_rng(5)
     params = make_cell_params(rng, "sas", 4, 4, 2)
     h = rng.normal(size=4)
-    rep = sas_jacobian(params.omega_raw.value, h, neighbor_term=np.full(4, -100.0))
+    rep = sas_jacobian(params.omega_raw.value[None], h[None],
+                       neighbor_term=np.full((1, 4), -100.0))
     assert np.abs(rep.eigenvalues).max() == 0.0
-    assert rep.skew_residual == 0.0
+    assert rep.skew_residual.tolist() == [0.0]
 
 
 def test_jacobian_identity_activations_give_pure_rotation():
@@ -194,11 +195,12 @@ def test_jacobian_identity_activations_give_pure_rotation():
     params = make_cell_params(rng, "sas", 4, 4, 2,
                               sigma1="identity", sigma2="identity")
     ov = params.omega_raw.value
-    rep = sas_jacobian(ov, rng.normal(size=4), sigma1="identity", sigma2="identity")
+    rep = sas_jacobian(ov[None], rng.normal(size=(1, 4)), sigma1="identity",
+                       sigma2="identity")
     want = oracles.eigvals_oracle(-(ov - ov.T))
-    assert oracles.match_complex_sets(rep.eigenvalues, want, tol=1e-10)
-    assert rep.max_re <= 1e-12
-    assert rep.skew_residual == 0.0
+    assert oracles.match_complex_sets(rep.eigenvalues[0], want, tol=1e-10)
+    assert rep.max_re[0] <= 1e-12
+    assert rep.skew_residual[0] == 0.0
 
 
 def test_jacobian_random_widths_stay_on_imaginary_axis():
@@ -206,17 +208,17 @@ def test_jacobian_random_widths_stay_on_imaginary_axis():
     for _ in range(30):
         m = int(rng.integers(2, 17))
         params = make_cell_params(rng, "sas", m, m, m)
-        rep = sas_jacobian(params.omega_raw.value, rng.normal(size=m),
-                           neighbor_term=rng.normal(size=m))
-        assert rep.max_re <= 1e-8
-        assert rep.skew_residual == 0.0
+        rep = sas_jacobian(params.omega_raw.value[None], rng.normal(size=(1, m)),
+                           neighbor_term=rng.normal(size=(1, m)))
+        assert rep.max_re[0] <= 1e-8
+        assert rep.skew_residual[0] == 0.0
 
 
 def test_jacobian_width_budget_enforced():
     rng = np.random.default_rng(8)
     params = make_cell_params(rng, "sas", 33, 33, 2)
     with pytest.raises(ValueError, match="32"):
-        sas_jacobian(params.omega_raw.value, np.zeros(33))
+        sas_jacobian(params.omega_raw.value[None], np.zeros((1, 33)))
 
 
 def _bits(x) -> bytes:
@@ -239,21 +241,24 @@ def test_jacobian_stack_equals_one_call_per_matrix_bit_for_bit(sigma1, sigma2):
                            sigma1=sigma1, sigma2=sigma2)
         assert rep.eigenvalues.shape == (4, m)
         for k, p in enumerate(params):
-            lam, max_re, skew = oracles.sas_jacobian_single(p, hs[k], phis[k])
-            one = sas_jacobian(p.omega_raw.value, hs[k], phis[k],
+            lam, max_re, skew = oracles.sas_jacobian_single(
+                p.omega_raw.value, hs[k], phis[k], sigma1, sigma2)
+            one = sas_jacobian(p.omega_raw.value[None], hs[k:k + 1], phis[k:k + 1],
                                sigma1=sigma1, sigma2=sigma2)
-            assert isinstance(one.max_re, float) and isinstance(one.skew_residual, float)
-            for got in (rep.eigenvalues[k], one.eigenvalues):
+            assert one.max_re.shape == one.skew_residual.shape == (1,)
+            for got in (rep.eigenvalues[k], one.eigenvalues[0]):
                 assert _bits(got) == _bits(lam), (m, k)
-            for got in (rep.max_re[k], one.max_re):
+            for got in (rep.max_re[k], one.max_re[0]):
                 assert _bits(got) == _bits(max_re), (m, k)
-            for got in (rep.skew_residual[k], one.skew_residual):
+            for got in (rep.skew_residual[k], one.skew_residual[0]):
                 assert _bits(got) == _bits(skew), (m, k)
 
 
 def test_jacobian_rejects_mismatched_shapes():
     with pytest.raises(ValueError, match="square"):
-        sas_jacobian(np.zeros((3, 4)), np.zeros(3))
+        sas_jacobian(np.zeros((1, 3, 4)), np.zeros((1, 3)))
+    with pytest.raises(ValueError, match="stack"):
+        sas_jacobian(np.zeros((3, 3)), np.zeros(3))
     with pytest.raises(ValueError, match="h_point must have length 3"):
         sas_jacobian(np.zeros((2, 3, 3)), np.zeros(3))
     with pytest.raises(ValueError, match="neighbor_term must have length 3"):
@@ -272,7 +277,8 @@ def test_spectrum_suite_equals_the_per_config_loop(n_configs, lo, hi, seed):
 
 
 @pytest.mark.parametrize("seed", [0, 5])
-def test_spectrum_suite_draws_what_make_cell_params_drew(monkeypatch, seed):
+def test_spectrum_suite_draws_one_block_per_config(monkeypatch, seed):
+    # per config: the width m, one m x m omega_raw block, then h and phi
     stacks = []
     check = diagnostics.sas_jacobian
 
@@ -285,7 +291,8 @@ def test_spectrum_suite_draws_what_make_cell_params_drew(monkeypatch, seed):
     want = oracles.spectrum_draws_loop(300, 2, 32, seed)
     assert len(stacks) == len(want)
     for drawn, expected in zip(stacks, want):
-        assert [x.tobytes() for x in drawn] == [x.tobytes() for x in expected]
+        assert [(x.shape, x.tobytes()) for x in drawn] == \
+            [(x.shape, x.tobytes()) for x in expected]
 
 
 @pytest.mark.parametrize("n_configs", [0, -1])
