@@ -17,19 +17,21 @@ fixed at construction, so the order cannot go stale); repeated seeded sweeps
 over one tape, as in diagnostics.sensitivity, traverse it once.
 
 What a rule skips and what it keeps. The product rules (matmul_add,
-two_matmul_add, act_update, dspmm with W, add_scaled_rows) and where_rows
-write nothing into a parent that does not require a gradient, so a
-constant's .grad stays unallocated and a tape built on constant weights
-sweeps only its state path.
+two_matmul_add, act_update, add_scaled_rows) and where_rows write nothing
+into a parent that does not require a gradient, so a constant's .grad
+stays unallocated and a tape built on constant weights sweeps only its
+state path.
 A node keeps its value and what its rule reads; the fused nodes
 (two_matmul_add, act_update, act_matmul_add) keep none of their inner sums,
 and act_update reads its outer activation's derivative from its own value.
 No rule holds its own node, so a tape kept for repeated sweeps is freed by
-reference counts alone. act_update and activation_apply keep their
-activation derivatives from their second run on, as every later sweep of
-the same tape would recompute them from the forward alone; the first run
-keeps nothing, so a one-shot training sweep holds no more memory than a
-rule that never keeps. Other rules keep nothing.
+reference counts alone. act_update alone keeps its activation derivatives,
+from its second run on, as every later sweep of the same tape would
+recompute them from the forward alone; the first run keeps nothing, so a
+one-shot training sweep holds no more memory than a rule that never keeps.
+Every cell step's update is one act_update node, so the repeated sweeps of
+a sensitivity probe recompute no other derivative of a layer; other rules,
+activation_apply's included, keep nothing.
 
 Two ways to hold less of a tape. Inside `with no_grad():` ops build nodes
 with no parents and no backward rule, so every intermediate of an eval
@@ -307,14 +309,9 @@ def activation_apply(X: DiffValue, kind: str) -> DiffValue:
     if kind not in ACTIVATION_KINDS:
         raise ValueError(f"unknown activation '{kind}', expected one of {ACTIVATION_KINDS}")
     x = X.value
-    kept, ran = None, False     # the derivative, kept from the second run on
 
     def rule(G):
-        nonlocal kept, ran
-        if ran and kept is None:
-            kept = _act_derivative(x, kind)
-        ran = True
-        X.grad += G * (_act_derivative(x, kind) if kept is None else kept)
+        X.grad += G * _act_derivative(x, kind)
 
     return _node(_act_forward(x, kind), (X,), rule)
 
@@ -566,75 +563,74 @@ def sum_all(A: DiffValue) -> DiffValue:
     return _node(np.array([[A.value.sum()]]), (A,), rule)
 
 
-def dspmm(a, H: DiffValue, W: DiffValue | None = None) -> DiffValue:
-    """Sparse arc-matrix times DiffValue, a @ H, or a @ (H @ W) when W is
-    given; the arc values are constants.
+def dspmm(a, H: DiffValue) -> DiffValue:
+    """Sparse arc-matrix times DiffValue, a @ H; the arc values are constants.
 
     Backward runs one transposed product per node on its readers' summed
-    gradient, so readers of one a @ H (both exit heads) share one node. With
-    W, H @ W is not kept: values and gradients are bit for bit those of
-    dspmm(a, matmul_add(H, W)), and the tape is that pair's without the
-    inner node, so backward visits every other node in the same order.
+    gradient, so readers of one a @ H (both exit heads) share one node.
     """
-    if W is None:
-        def rule(G):
-            H.grad += _spmm_value(a, G, transpose=True)
+    def rule(G):
+        H.grad += _spmm_value(a, G, transpose=True)
 
-        return _node(_spmm_value(a, H.value), (H,), rule)
-    if H.shape[1] != W.shape[0]:
-        raise ValueError(f"inner dims disagree: {H.shape} @ {W.shape}")
-
-    def rule_w(G):
-        GM = _spmm_value(a, G, transpose=True)
-        if H.requires_grad:
-            H.grad += GM @ W.value.T
-        if W.requires_grad:
-            W.grad += H.value.T @ GM
-
-    return _node(_spmm_value(a, H.value @ W.value), (H, W), rule_w)
+    return _node(_spmm_value(a, H.value), (H,), rule)
 
 
-def act_update(H: DiffValue, W: DiffValue, terms, inner: str, outer: str,
+def act_update(H: DiffValue, W: DiffValue | None, terms, inner: str | None, outer: str,
                agg=None) -> DiffValue:
-    """outer(-inner(H @ W) + terms[0] + terms[1] + ... [+ a @ (H @ Ws)]),
-    summed left to right, as one node that keeps only its output.
+    """outer(S + terms[0] + terms[1] + ... [+ a @ (H @ Ws)]), summed left to
+    right, as one node that keeps only its output.
 
-    agg, when given, is the pair (a, Ws): the sparse aggregate a @ (H @ Ws)
-    joins as the last term. Its value is dspmm's, taken without a node, and
-    this node differentiates it itself.
+    The self term S is -inner(H @ W), or H @ W when inner is None; W=None
+    leaves it out, and the node is then outer(a @ (H @ Ws)), which takes no
+    terms and no inner. A term is n x m, or a 1 x m row, a bias whose
+    gradient sums the rows. agg, when given, is the pair (a, Ws): the
+    sparse aggregate a @ (H @ Ws) joins as the last term. Its value is
+    dspmm's, taken without a node, and this node differentiates it itself.
 
-    Values and gradients are bit for bit those of the chain of matmul_add,
-    activation_apply, neg, add and dspmm nodes it replaces, and the tape is
-    that chain's with the interior nodes left out, so backward visits every
-    other node in the same order and every accumulator receives the same
-    contributions in the same order. The node keeps neither H @ W, nor the
-    aggregate, nor the argument of outer, except that softplus, whose
-    derivative cannot be read from its output, keeps its argument. The rule
-    reads outer's derivative from the output and recomputes H @ W for
-    inner's. Its first run keeps nothing, so a one-shot sweep holds nothing
-    extra; the second run, on a tape swept again, keeps both activation
-    derivatives, which depend only on the forward, and later runs reuse them.
+    Values and gradients are bit for bit those of the chain it replaces,
+    with P the aggregate dspmm(a, matmul_add(H, Ws)):
+
+    - sas: activation_apply(add(... add(neg(activation_apply(
+      matmul_add(H, W), inner)), terms[0]) ..., P), outer);
+    - graff and adgn (inner None): activation_apply(add(matmul_add(H, W, b),
+      P), outer), b the one row term of adgn's bias;
+    - gcn (W None): activation_apply(P, outer).
+
+    The tape is that chain's with the interior nodes left out, so backward
+    visits every other node in the same order and every accumulator
+    receives the same contributions in the same order. The node keeps
+    neither H @ W, nor the aggregate, nor the argument of outer, except that
+    softplus, whose derivative cannot be read from its output, keeps its
+    argument. The rule reads outer's derivative from the output and
+    recomputes H @ W for inner's. Its first run keeps nothing, so a one-shot
+    sweep holds nothing extra; the second run, on a tape swept again, keeps
+    outer's derivative and inner's, when there is an inner, which depend
+    only on the forward, and later runs reuse them.
     """
-    if H.shape[1] != W.shape[0]:
-        raise ValueError(f"inner dims disagree: {H.shape} @ {W.shape}")
     terms = tuple(terms)
-    shape = (H.shape[0], W.shape[1])
+    if W is None and (terms or inner is not None or agg is None):
+        raise ValueError("without W, act_update takes the aggregate alone")
+    if W is not None and H.shape[1] != W.shape[0]:
+        raise ValueError(f"inner dims disagree: {H.shape} @ {W.shape}")
+    m = (agg[1] if W is None else W).shape[1]
+    if agg is not None and agg[1].shape != (H.shape[1], m):
+        raise ValueError(f"aggregate weight {agg[1].shape} does not match H @ W")
     for t in terms:
-        if t.shape != shape:
+        if t.shape not in ((H.shape[0], m), (1, m)):
             raise ValueError(f"term shape {t.shape} does not match H @ W")
-    for kind in (inner, outer):
-        if kind not in ACTIVATION_KINDS:
-            raise ValueError(f"unknown activation '{kind}', expected one of {ACTIVATION_KINDS}")
-    x = -_act_forward(H.value @ W.value, inner)
+    if inner not in (None, *ACTIVATION_KINDS) or outer not in ACTIVATION_KINDS:
+        raise ValueError(f"unknown activation in {(inner, outer)}")
+    parents = (H,) if W is None else (H, W, *terms)
+    x = None if W is None else H.value @ W.value
+    if inner is not None:
+        x = -_act_forward(x, inner)
     for t in terms:
         x = x + t.value
-    parents = (H, W, *terms)
     if agg is not None:
         a, Ws = agg
-        if Ws.shape[1] != shape[1]:
-            raise ValueError(f"aggregate weight {Ws.shape} does not match H @ W")
         with no_grad():
-            x += dspmm(a, H, W=Ws).value
+            s = dspmm(a, DiffValue(H.value @ Ws.value)).value
+        x = s if x is None else np.add(x, s, out=x)
         parents += (Ws,)
     y = _act_forward(x, outer)
     arg = x if outer == "softplus" else None
@@ -645,21 +641,25 @@ def act_update(H: DiffValue, W: DiffValue, terms, inner: str, outer: str,
     def d_outer():
         return _act_derivative(arg, outer) if arg is not None else _output_derivative(y, outer)
 
+    def d_inner():
+        return None if inner is None else _act_derivative(H.value @ W.value, inner)
+
     def rule(G):
         nonlocal ran
         if ran and not kept:
-            kept.extend((d_outer(), _act_derivative(H.value @ W.value, inner)))
+            kept.extend((d_outer(), d_inner()))
         ran = True
         # the first run drops each derivative as soon as it is used
         g = G * (kept[0] if kept else d_outer())
         for t in reversed(terms):
             if t.requires_grad:
-                t.grad += g
-        gv = -(g * (kept[1] if kept else _act_derivative(H.value @ W.value, inner)))
-        if H.requires_grad:
-            H.grad += gv @ W.value.T
-        if W.requires_grad:
-            W.grad += H.value.T @ gv
+                t.grad += g if t.shape == g.shape else g.sum(axis=0, keepdims=True)
+        if W is not None:
+            gv = g if inner is None else -(g * (kept[1] if kept else d_inner()))
+            if H.requires_grad:
+                H.grad += gv @ W.value.T
+            if W.requires_grad:
+                W.grad += H.value.T @ gv
         if agg is not None and (H.requires_grad or Ws.requires_grad):
             # g + 0.0 sends -0.0 to +0.0, as the accumulator of a separate
             # aggregate node would, so the transposed sums keep their zeros

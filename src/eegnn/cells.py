@@ -10,6 +10,9 @@ of step sizes in [0, 1]. Every layer reads the same raw matrices, so depth
 does not add parameters, and one Oas and one Ws per forward (cell_weights).
 Baseline cells (gcn, graff, adgn) share the encoder/decoder plumbing but use
 their own update rules; gcn keeps one weight matrix per layer and no residual.
+Every kind's update is one autodiff.act_update node, the sparse aggregate
+included; every kind but gcn adds it to H through one add_scaled_rows node
+at an n x 1 step-size column.
 
 Every forward pass reads its graph through one Operators bundle and steps
 through propagate, the one layer loop; exits gives eegnn's step sizes and stop.
@@ -242,29 +245,31 @@ def sas_step(H: DiffValue, a, p: CellParams, weights, tau=None,
 
 
 def baseline_step(H: DiffValue, a, p: CellParams, kind: str, weights,
-                  layer: int = 0) -> DiffValue:
+                  layer: int = 0, tau=None) -> DiffValue:
     """One layer of a reference cell; weights is cell_weights(p, kind).
 
-    gcn: sigma(Anorm @ H @ W_layer), independent weights per layer, no
-    residual. graff: residual Euler step with both matrices symmetrized.
-    adgn: residual tanh step with the antisymmetrized coupling, a plain
-    (unsymmetrized) diffusion matrix, and a bias.
+    gcn: sigma1(Anorm @ H @ W_layer), independent weights per layer, no
+    residual, one act_update node. graff: H + tau * sigma1(H @ Wc +
+    Anorm @ H @ Wd), both matrices symmetrized. adgn: H + tau * tanh(H @ Oas
+    + b + Anorm @ H @ W), the antisymmetrized coupling, a plain
+    (unsymmetrized) diffusion matrix and a bias. A graff or adgn step is two
+    nodes, as a sas step is: the update, one act_update node that also takes
+    the aggregate, and the row-scaled step at tau, the cell's own when None,
+    a scalar or an n x 1 column; propagate builds the cell's column once for
+    all its layers.
     """
     if kind == "gcn":
         if not 0 <= layer < len(p.gcn_ws):
             raise ValueError(f"no gcn weight for layer {layer}")
-        return ad.activation_apply(ad.dspmm(a, H, W=p.gcn_ws[layer]), p.sigma1)
+        return ad.act_update(H, None, (), None, p.sigma1, agg=(a, p.gcn_ws[layer]))
+    if kind not in ("graff", "adgn"):
+        raise ValueError(f"unknown baseline kind {kind!r}")
+    if kind == "adgn" and p.adgn_b is None:
+        raise ValueError("adgn step requires adgn_b")
     coupling, diffusion = weights
-    if kind == "graff":
-        inner = ad.add(ad.matmul_add(H, coupling), ad.dspmm(a, H, W=diffusion))
-        return ad.add(H, ad.smul(ad.activation_apply(inner, p.sigma1), p.tau))
-    if kind == "adgn":
-        if p.adgn_b is None:
-            raise ValueError("adgn step requires adgn_b")
-        inner = ad.matmul_add(H, coupling, p.adgn_b)
-        inner = ad.add(inner, ad.dspmm(a, H, W=diffusion))
-        return ad.add(H, ad.smul(ad.activation_apply(inner, "tanh"), p.tau))
-    raise ValueError(f"unknown baseline kind {kind!r}")
+    terms, act = ((), p.sigma1) if kind == "graff" else ((p.adgn_b,), "tanh")
+    upd = ad.act_update(H, coupling, terms, None, act, agg=(a, diffusion))
+    return ad.add_scaled_rows(H, upd, _tau_column(tau, H.shape[0], p.tau))
 
 
 def propagate(H: DiffValue, ops: Operators, params: CellParams, kind: str,
@@ -276,23 +281,26 @@ def propagate(H: DiffValue, ops: Operators, params: CellParams, kind: str,
     H_0 = H, ..., H_l themselves, the same DiffValues the tape holds, and is
     the only way to read an earlier one. sas and eegnn take the sas step at
     step size tau: the cell's own when None, a scalar or an n x 1 column, or
-    a function of (layer, state) returning one, or None to stop. The
-    baseline kinds read tau only to stop.
+    a function of (layer, state) returning one, or None to stop. graff and
+    adgn step at the cell's own tau and read tau only to stop, as gcn does.
+    Every kind but gcn steps through one n x 1 step-size column built once
+    per forward, unless tau is a function for sas or eegnn.
     """
     weights = cell_weights(params, kind)
     et = edge_term(ops.be, params) if kind in EDGE_KINDS else None
-    if kind in EDGE_KINDS and not callable(tau):
-        tau = _tau_column(tau, H.shape[0], params.tau)      # one column for every layer
+    col = None
+    if kind != "gcn" and not (kind in EDGE_KINDS and callable(tau)):
+        col = _tau_column(tau if kind in EDGE_KINDS else None, H.shape[0], params.tau)
     if capture is not None:
         capture.append(H)
     for l in range(depth):
-        step = tau(l, H) if callable(tau) else tau
+        step = tau(l, H) if callable(tau) else col
         if callable(tau) and step is None:
             break
         if kind in EDGE_KINDS:
             H = sas_step(H, ops.a, params, weights, tau=step, edge_term=et)
         else:
-            H = baseline_step(H, ops.a, params, kind, weights, layer=l)
+            H = baseline_step(H, ops.a, params, kind, weights, layer=l, tau=col)
         if capture is not None:
             capture.append(H)
     return H

@@ -266,8 +266,10 @@ def cmd_diagnose(args) -> None:
             verdicts[kind] = {"gap": gap}
             if kind in ("sas", "eegnn"):
                 verdicts[kind]["pass"] = gap <= 0.05
-        report.update({"rows": rows, "verdicts": verdicts,
-                       "pass": all(v.get("pass", True) for v in verdicts.values())})
+        report.update({"rows": rows, "verdicts": verdicts})
+        judged = [v["pass"] for v in verdicts.values() if "pass" in v]
+        if judged:      # with no judged kind in kinds, a measurement
+            report["pass"] = all(judged)
     else:  # oracle_exit
         g = _diag_graph(diag, cfg)
         model, _ = train_run(cfg, g)
@@ -280,7 +282,8 @@ def cmd_diagnose(args) -> None:
     for fname, trace in traces.items():
         diagnostics.emit_trace(trace, out / fname)
     write_output(out / "report.json", json_text(report))
-    # dirichlet, sensitivity and oracle_exit report measurements, no verdict
+    # dirichlet, sensitivity, oracle_exit and a depth_retention that judges
+    # no kind report measurements, no verdict
     verdict = report.get("pass")
     status = "measured" if verdict is None else "pass" if verdict else "FAIL"
     print(f"{args.name}: {status} (report.json in {out})")

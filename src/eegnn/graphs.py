@@ -14,6 +14,7 @@ from functools import cached_property
 from itertools import chain
 import json
 from pathlib import Path
+import sys
 
 import numpy as np
 
@@ -531,11 +532,14 @@ def read_object(name: str, value, keys=()) -> dict:
 
 def read_count(name: str, value) -> int:
     """value, a non-negative integer under the config keys' integer rule: a
-    JSON integer or an integral float such as 3.0, never true or false."""
+    JSON integer or an integral float such as 3.0, never true or false, and
+    none beyond the float range."""
     if type(value) is float and value.is_integer():
         value = int(value)
     if type(value) is not int or value < 0:
         raise ValueError(f"{name} must be a non-negative integer, got {_shown(value)}")
+    if value > sys.float_info.max:
+        raise ValueError(f"{name} is an integer beyond the float range")
     return value
 
 

@@ -98,13 +98,12 @@ def _coerce(v, default):
         return v if isinstance(v, kind) else None
     if isinstance(v, bool) or not isinstance(v, numbers.Real):
         return None
-    if kind is int:
-        if not (isinstance(v, numbers.Integral)
-                or (math.isfinite(v) and float(v).is_integer())):
-            return None
-        return int(v)
-    # false for NaN, an infinity and an integer beyond the float range alike
-    return float(v) if abs(v) <= sys.float_info.max else None
+    if kind is int and not (isinstance(v, numbers.Integral)
+                            or (math.isfinite(v) and float(v).is_integer())):
+        return None
+    # false for NaN, an infinity and an integer beyond the float range alike,
+    # so an int key refuses such an integer as a float key does
+    return kind(v) if abs(v) <= sys.float_info.max else None
 
 
 def _type_name(default) -> str:
@@ -120,7 +119,8 @@ def coerce_keys(defaults: dict, d: dict) -> tuple[dict, list[str]]:
     rule in KEYS.
 
     A bool takes only a bool, a str only a str, an int an int or an integral
-    float, a float any number; a bool is never taken as a number. A tuple
+    float, a float any number, each within the float range; a bool is never
+    taken as a number. A tuple
     default takes a list of ints by that rule, empty included, a list
     default a non-empty list of its first item's type, and a None default a
     path string.

@@ -531,15 +531,34 @@ def save_graph_loop(g, path):
 # through cells.propagate, kept verbatim: the fixed-depth propagate and the
 # exit loop of exits.eegnn_forward_node.
 
+def baseline_step_chain(H, a, params, kind, weights, layer=0):
+    """One gcn, graff or adgn layer as the chain of small nodes it was
+    before it became one act_update node (plus one add_scaled_rows for
+    graff and adgn): gcn's aggregate and activation, and graff's and adgn's
+    self product, aggregate, sum, activation, scaling and residual sum,
+    each its own node. weights is cells.cell_weights(params, kind)."""
+    from eegnn import autodiff as ad
+
+    if kind == "gcn":
+        agg = ad.dspmm(a, ad.matmul_add(H, params.gcn_ws[layer]))
+        return ad.activation_apply(agg, params.sigma1)
+    coupling, diffusion = weights
+    bias, act = (None, params.sigma1) if kind == "graff" else (params.adgn_b, "tanh")
+    inner = ad.add(ad.matmul_add(H, coupling, bias),
+                   ad.dspmm(a, ad.matmul_add(H, diffusion)))
+    return ad.add(H, ad.smul(ad.activation_apply(inner, act), params.tau))
+
+
 def propagate_two_loops(H, ops, params, kind, depth, tau=None):
     """The fixed-depth stack: depth steps of one cell kind from state H.
 
     Returns the depth + 1 states H_0 = H, ..., H_depth, all on the tape.
     Kind sas takes the sas step with step size tau (the cell's own when
-    None); the baseline kinds take their own step and ignore tau. The eegnn
-    kind runs its own loop, exits.eegnn_forward_node.
+    None); the baseline kinds take their step as baseline_step_chain builds
+    it and ignore tau. The eegnn kind runs its own loop,
+    exits.eegnn_forward_node.
     """
-    from eegnn.cells import baseline_step, cell_weights, edge_term, sas_step
+    from eegnn.cells import cell_weights, edge_term, sas_step
 
     states = [H]
     weights = cell_weights(params, kind)
@@ -549,7 +568,7 @@ def propagate_two_loops(H, ops, params, kind, depth, tau=None):
             states.append(sas_step(states[-1], ops.a, params, weights, tau=tau, edge_term=et))
     else:
         for l in range(depth):
-            states.append(baseline_step(states[-1], ops.a, params, kind, weights, layer=l))
+            states.append(baseline_step_chain(states[-1], ops.a, params, kind, weights, l))
     return states
 
 

@@ -237,7 +237,7 @@ def test_every_public_op_returns_a_diff_value():
         "col_slice": lambda: ad.col_slice(A, 1),
         "where_rows": lambda: ad.where_rows([True, False, True], A, B),
         "sum_all": lambda: ad.sum_all(A),
-        "dspmm": lambda: ad.dspmm(a, A, W=W),
+        "dspmm": lambda: ad.dspmm(a, A),
         "act_update": lambda: ad.act_update(A, W, [B], "relu", "tanh", agg=(a, W)),
         "act_matmul_add": lambda: ad.act_matmul_add(A, "relu", W, b),
     }
@@ -392,6 +392,8 @@ def _one_op_cases(rng):
         ("sum_all", [A], lambda: ad.sum_all(A)),
         ("act_update", [A, Wm, B],
          lambda: score(ad.act_update(A, Wm, [B], "tanh", "softplus"))),
+        ("act_update_linear_row", [A, Wk, bias],
+         lambda: score(ad.act_update(A, Wk, [bias], None, "softplus"), probek)),
         ("act_matmul_add", [A, Wk, bias],
          lambda: score(ad.act_matmul_add(A, "tanh", Wk, bias), probek)),
     ]
@@ -400,6 +402,13 @@ def _one_op_cases(rng):
         Wm2 = ad.leaf(draw(m, m) / m)
         cases.append(("act_update_agg", [A, Wm, B, Wm2],
                       lambda: score(ad.act_update(A, Wm, [B], "tanh", "tanh",
+                                                  agg=(a, Wm2)))))
+        brow = ad.leaf(draw(1, m))
+        cases.append(("act_update_linear_row_agg", [A, Wm, brow, Wm2],
+                      lambda: score(ad.act_update(A, Wm, [brow], None, "tanh",
+                                                  agg=(a, Wm2)))))
+        cases.append(("act_update_agg_alone", [A, Wm2],
+                      lambda: score(ad.act_update(A, None, (), None, "tanh",
                                                   agg=(a, Wm2)))))
     for kind in ("relu", "tanh", "relu_tanh", "softplus", "sigmoid", "identity"):
         cases.append((f"act_{kind}", [A],
@@ -595,14 +604,6 @@ def _bits_equal(xs, ys):
                for x, y in zip(xs, ys))
 
 
-def test_dspmm_with_w_equals_dspmm_of_matmul_bit_for_bit():
-    for seed in range(5):
-        a, H, W, _, probe = _fused_inputs(seed, 13, 6)
-        fused = _sweep(ad.dspmm(a, H, W=W), H, probe, [H, W])
-        chain = _sweep(ad.dspmm(a, ad.matmul_add(H, W)), H, probe, [H, W])
-        assert _bits_equal(fused, chain)
-
-
 @pytest.mark.parametrize("inner,outer", [("relu", "relu_tanh"), ("tanh", "softplus"),
                                          ("identity", "sigmoid"), ("relu", "relu"),
                                          ("sigmoid", "tanh"), ("tanh", "identity")])
@@ -617,10 +618,32 @@ def test_act_update_equals_its_chain_bit_for_bit(inner, outer, with_e):
         fused = _sweep(ad.act_update(H, W, terms, inner, outer, agg=(a, Ws)), H,
                        probe, leaves)
         x = ad.neg(ad.activation_apply(ad.matmul_add(H, W), inner))
-        for t in (*terms, ad.dspmm(a, H, W=Ws)):
+        for t in (*terms, ad.dspmm(a, ad.matmul_add(H, Ws))):
             x = ad.add(x, t)
         chain = _sweep(ad.activation_apply(x, outer), H, probe, leaves)
         assert _bits_equal(fused, chain)
+
+
+@pytest.mark.parametrize("form", ["gcn", "graff", "adgn"])
+@pytest.mark.parametrize("outer", ["relu_tanh", "tanh", "softplus", "identity"])
+def test_act_update_baseline_forms_equal_their_chains_bit_for_bit(form, outer):
+    # gcn's form has no self term (W None); graff's adds H @ W (inner None),
+    # and adgn's a bias row to it
+    for seed in range(5):
+        a, H, W, _, probe = _fused_inputs(seed, 13, 6)
+        rng = np.random.default_rng(seed + 50)
+        Ws, b = ad.leaf(rng.normal(size=(6, 6))), ad.leaf(rng.normal(size=(1, 6)))
+        leaves = [H, W, Ws, b]
+        agg = ad.dspmm(a, ad.matmul_add(H, Ws))
+        if form == "gcn":
+            fused, x = ad.act_update(H, None, (), None, outer, agg=(a, Ws)), agg
+        else:
+            bias = b if form == "adgn" else None
+            terms = () if bias is None else (bias,)
+            fused = ad.act_update(H, W, terms, None, outer, agg=(a, Ws))
+            x = ad.add(ad.matmul_add(H, W, bias), agg)
+        chain = _sweep(ad.activation_apply(x, outer), H, probe, leaves)
+        assert _bits_equal(_sweep(fused, H, probe, leaves), chain)
 
 
 def test_output_derivative_equals_the_input_derivative_bit_for_bit():
@@ -672,9 +695,17 @@ def test_act_matmul_add_equals_its_pair_bit_for_bit(kind, with_bias):
 def test_fused_ops_reject_bad_shapes_and_kinds():
     a, H, W, E, _ = _fused_inputs(0, 7, 4)
     with pytest.raises(ValueError):
-        ad.dspmm(a, H, W=ad.leaf(np.ones((3, 4))))
-    with pytest.raises(ValueError):
         ad.act_update(H, W, [ad.leaf(np.ones((7, 3)))], "relu", "tanh")
+    with pytest.raises(ValueError):         # a row term of the wrong width
+        ad.act_update(H, W, [ad.leaf(np.ones((1, 3)))], None, "tanh")
+    with pytest.raises(ValueError):         # no self term, then only the aggregate
+        ad.act_update(H, None, [E], None, "tanh", agg=(a, W))
+    with pytest.raises(ValueError):
+        ad.act_update(H, None, (), "relu", "tanh", agg=(a, W))
+    with pytest.raises(ValueError):
+        ad.act_update(H, None, (), None, "tanh")
+    with pytest.raises(ValueError):
+        ad.act_update(H, None, (), None, "tanh", agg=(a, ad.leaf(np.ones((3, 4)))))
     with pytest.raises(ValueError):
         ad.act_update(H, W, [E], "relu", "gelu")
     with pytest.raises(ValueError):
@@ -753,7 +784,7 @@ def _baseline_tape(kind, act):
 
 
 @pytest.mark.parametrize("kind", ["gcn", "graff", "adgn"])
-def test_activation_apply_resweeps_equal_fresh_tapes_bit_for_bit(kind):
+def test_baseline_resweeps_equal_fresh_tapes_bit_for_bit(kind):
     seeds = np.random.default_rng(12).normal(size=(3, 13, 6))
     for act in ad.ACTIVATION_KINDS:
         out, leaves = _baseline_tape(kind, act)
@@ -763,34 +794,6 @@ def test_activation_apply_resweeps_equal_fresh_tapes_bit_for_bit(kind):
             assert _bits_equal(got, want), (kind, act)
 
 
-def test_activation_apply_release_sweep_keeps_no_derivative(monkeypatch):
-    made = []
-    original = ad._act_derivative
-
-    def tracked(x, kind):
-        d = original(x, kind)
-        made.append(weakref.ref(d))
-        return d
-
-    monkeypatch.setattr(ad, "_act_derivative", tracked)
-    _, H, _, _, _ = _fused_inputs(2, 13, 6)
-    seed = np.ones((13, 6))
-    gc.disable()
-    try:
-        out = ad.activation_apply(H, "tanh")
-        ad.backward(out, seed=seed)
-        assert made and all(r() is None for r in made)    # first run keeps none
-        ad.backward(out, seed=seed)
-        assert sum(r() is not None for r in made) == 1    # the second keeps it
-        ad.backward(out, seed=seed, release=True)
-        assert all(r() is None for r in made)
-        made.clear()
-        ad.backward(ad.activation_apply(H, "softplus"), seed=seed, release=True)
-        assert made and all(r() is None for r in made)    # one-shot sweep
-    finally:
-        gc.enable()
-
-
 def test_product_rules_write_no_gradient_into_a_constant_parent():
     a, H, W, _, _ = _fused_inputs(12, 7, 3)
     rng = np.random.default_rng(12)
@@ -798,8 +801,10 @@ def test_product_rules_write_no_gradient_into_a_constant_parent():
               [(7, 3), (3, 3), (1, 3), (7, 3), (7, 1), (3, 3), (7, 3)]]
     X, B, b, S, t, Wc, E = consts
     outs = [ad.matmul_add(X, W, b), ad.matmul_add(H, B),
-            ad.add_scaled_rows(H, S, t), ad.dspmm(a, H, W=Wc),
+            ad.add_scaled_rows(H, S, t),
             ad.act_update(H, Wc, (E,), "relu", "relu_tanh", agg=(a, Wc)),
+            ad.act_update(H, Wc, (b,), None, "tanh", agg=(a, Wc)),
+            ad.act_update(H, None, (), None, "softplus", agg=(a, Wc)),
             ad.two_matmul_add(X, B, H, B, b)]
     root = outs[0]
     for out in outs[1:]:

@@ -110,3 +110,27 @@ def test_benchmark_tracer_sees_every_expected_span_of_sensitivity_and_spectrum(
     assert not missing
     # one eigensolver call per width drawn
     assert _spans(tracer, "eig.eigvals") == _spans(tracer, "diagnostics.sas_jacobian") == 3
+
+
+def test_benchmark_tracer_runs_a_gcn_and_an_adgn_epoch(monkeypatch):
+    # no benchmark workload runs a baseline kind; every step of one is an
+    # act_update node, whose bytes the tracer reads as for any op
+    monkeypatch.syspath_prepend(str(BENCH))
+    import layers
+    import workloads
+    from spans import Tracer, self_times
+
+    g = gen_minesweeper_grid(5, 5, 0.2, seed=0, unknown_frac=0.5)
+    for kind in ("gcn", "adgn"):
+        cfg = training.RunConfig.from_dict({"model": kind, "depth": 3, "hidden": 4,
+                                            "epochs": 1, "metric": "accuracy"})
+        tracer = Tracer(workloads.PACKAGE_MODULES)
+        layers.install_all(tracer, eegnn)
+        try:
+            training.train_run(cfg, g)
+        finally:
+            tracer.restore()
+        selfs = self_times(tracer.start, tracer.end, tracer.parent)
+        _, fired = layers.round_metrics(tracer, eegnn, 0, len(tracer), selfs, None, None)
+        assert {"cells.baseline_step", "autodiff.act_update"} <= fired, kind
+        assert "cells.sas_step" not in fired, kind

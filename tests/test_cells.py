@@ -223,6 +223,42 @@ def test_propagate_matches_its_fixed_depth_oracle(kind, tau, edge_mode):
     assert grads == want_grads
 
 
+# gcn and graff with each sigma1 the ledger's kinds of derivative cover;
+# adgn's step applies a fixed tanh
+BASELINE_CASES = ([(kind, sigma1) for kind in ("gcn", "graff")
+                   for sigma1 in ("relu_tanh", "tanh", "softplus", "identity")]
+                  + [("adgn", "tanh")])
+
+
+@pytest.mark.parametrize("kind, sigma1", BASELINE_CASES)
+def test_baseline_steps_match_their_frozen_chains_bit_for_bit(kind, sigma1):
+    """gcn, graff and adgn through propagate against the chains of small
+    nodes they stepped through before, frozen in oracles: the states, one
+    backward's leaf gradients, then three seeded sweeps of the same tape,
+    whose update nodes keep their derivatives from the second run on."""
+    g = gen_sbm([5, 5], 0.8, 0.3, seed=3, feature_dim=3)
+    seeds = np.random.default_rng(5).normal(size=(3, g.n, 4))
+    runs = []
+    for loop in (propagate, oracles.propagate_two_loops):
+        p = make_cell_params(np.random.default_rng(4), kind, 3, 4, 2, depth=4, tau=0.6,
+                             sigma1=sigma1)
+        leaves = [leaf for _, leaf in p.parameters()]
+        states = []
+        args = (encode(ad.constant(g.X), p), build_operators(g, p), p, kind, 4)
+        if loop is propagate:
+            propagate(*args, capture=states)
+        else:
+            states = loop(*args)
+        ad.backward(ad.sum_all(ad.mul_const(states[-1], seeds[0])))
+        sweeps = [[leaf.grad.tobytes() for leaf in leaves]]
+        for seed in seeds:
+            ad.zero_grads(leaves)
+            ad.backward(states[-1], seed=seed)
+            sweeps.append([leaf.grad.tobytes() for leaf in leaves])
+        runs.append(([h.value.tobytes() for h in states], sweeps))
+    assert runs[0] == runs[1]
+
+
 def test_propagate_stops_where_its_step_size_says():
     """A step-size function sees each state and stops the loop with None;
     propagate returns the last state, and capture holds every state it saw."""

@@ -356,6 +356,18 @@ def test_evaluate_checkpoint_with_a_non_integer_dimension_is_validation_error(
     assert not (tmp_path / "eval").exists()
 
 
+@pytest.mark.parametrize("key", ["feat_dim", "out_dim", "edge_dim"])
+def test_evaluate_checkpoint_with_a_dimension_beyond_the_float_range_is_refused(
+        tmp_path, capsys, key):
+    data, path, payload = trained_checkpoint(tmp_path)
+    payload[key] = 10 ** 400
+    path.write_text(json.dumps(payload))
+    assert run(["evaluate", "--checkpoint", str(path), "--data", str(data),
+                "--out", str(tmp_path / "eval")]) == 1
+    assert f"key '{key}' is an integer beyond the float range" in capsys.readouterr().err
+    assert not (tmp_path / "eval").exists()
+
+
 @pytest.mark.parametrize("key, text, shown", [
     ("config", "[]", "key 'config' must be a JSON object, got []"),
     ("config", "null", "key 'config' must be a JSON object, got None"),
@@ -842,6 +854,26 @@ def test_diagnose_verdict_only_where_the_check_can_fail(tmp_path, capsys, name):
         assert f"{name}: measured" in printed
 
 
+@pytest.mark.parametrize("kinds", [["gcn"], ["sas", "gcn"]])
+def test_depth_retention_judges_only_sas_and_eegnn(tmp_path, capsys, kinds):
+    """Only a sas or eegnn row carries a verdict: kinds naming neither make
+    a measurement, with no pass key and exit 0, and with sas among them the
+    run is judged on sas alone."""
+    doc = {"kinds": kinds, "depths": [1, 2], "epochs": 2, "hidden": 4}
+    out = tmp_path / "d"
+    rc = run(["diagnose", "depth_retention", "--config", write_cfg(tmp_path, doc),
+              "--out", str(out)])
+    report = json.loads((out / "report.json").read_text())
+    assert "pass" not in report["verdicts"]["gcn"]
+    assert report["verdicts"]["gcn"]["gap"] >= 0.0
+    if kinds == ["gcn"]:
+        assert "pass" not in report and rc == 0
+        assert "depth_retention: measured" in capsys.readouterr().out
+    else:
+        assert report["pass"] is report["verdicts"]["sas"]["pass"]
+        assert rc == (0 if report["pass"] else 3)
+
+
 def test_diagnose_unknown_name_lists_valid_ones(tmp_path, capsys):
     assert run(["diagnose", "entropy", "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err
@@ -982,10 +1014,12 @@ def test_param_count_out_of_range_dims_are_validation_errors(tmp_path, capsys,
     (["evaluate"], {"checkpoint": ["a.json"]}, ["'checkpoint'"]),
     (["train"], {"lr": 10**400}, ["'lr'", "cannot coerce"]),
     (["generate"], {"dataset": "sbm", "feature_shift": 10**400},
-     ["'feature_shift'", "cannot coerce"])],
+     ["'feature_shift'", "cannot coerce"]),
+    (["param-count"], {"feat_dim": 10**400}, ["'feat_dim'", "cannot coerce"])],
     ids=["descent-counts", "generate-rows", "generate-sizes", "descent-step-tau",
          "dirichlet-data", "param-count-dims", "evaluate-checkpoint",
-         "train-lr-beyond-float", "generate-shift-beyond-float"])
+         "train-lr-beyond-float", "generate-shift-beyond-float",
+         "param-count-dim-beyond-float"])
 def test_mistyped_command_keys_are_validation_errors(tmp_path, capsys, argv,
                                                      doc, shown):
     cfg = write_cfg(tmp_path, doc)

@@ -15,9 +15,9 @@ field or parameter, and the member `graph i` inside a graph set) and must
 carry none of Python's or numpy's own conversion texts. A string where a
 file path goes names a missing file, the one documented exit 2.
 
-Size keys (depth, epochs, widths, counts, checkpoint dimensions) never get
-the huge integer: those keys allocate or loop by their value, so a huge one
-is a resource limit, not a malformed file.
+Size keys (depth, epochs, widths, counts, checkpoint dimensions) get the
+huge integer too: an integer beyond the float range is refused by name
+before any key allocates or loops by its value.
 
     python tests/test_malformed_inputs.py
 
@@ -49,9 +49,6 @@ HUGE = 10 ** 400
 VALUES = [("null", None), ("string", "1.5"), ("minus_one", -1),
           ("nan", float("nan")), ("list", []), ("object", {}), ("true", True),
           ("huge", HUGE)]
-SIZE_KEYS = {"depth", "epochs", "hidden", "exit_hidden", "dec_hidden", "rows",
-             "cols", "sizes", "feature_dim", "cases", "steps", "depths",
-             "feat_dim", "out_dim", "edge_dim", "n"}
 PATH_KEYS = {"data", "checkpoint"}
 # what a message may say for a key, besides the key itself: these rules
 # are about what the data means, so they name it in words
@@ -173,19 +170,16 @@ def mutations(doc: dict, depth: int = 3, path: tuple = ()):
     items = doc.items() if isinstance(doc, dict) else [(1, doc[1])]
     for key, value in items:
         p = path + (key,)
-        sized = key in SIZE_KEYS
         yield p, "drop", lambda d, k=key: d.pop(k)
         for label, v in VALUES:
-            if not (label == "huge" and sized):
-                yield p, label, lambda d, k=key, v=v: d.__setitem__(k, v)
+            yield p, label, lambda d, k=key, v=v: d.__setitem__(k, v)
         if isinstance(value, list) and value:
             yield p, "shorten", lambda d, k=key: d.__setitem__(k, d[k][:-1])
             yield p, "ragged", lambda d, k=key: d.__setitem__(k, _ragged(d[k]))
             where = _poison_at(value)
             for label, v in VALUES:
-                if not (label == "huge" and sized):
-                    yield p, f"poison_{label}", \
-                        lambda d, k=key, v=v, w=where: _set_in(d[k], w, v)
+                yield p, f"poison_{label}", \
+                    lambda d, k=key, v=v, w=where: _set_in(d[k], w, v)
         nested = isinstance(value, dict) or (
             isinstance(value, list) and len(value) > 1 and isinstance(value[1], dict))
         if nested and len(p) < depth:

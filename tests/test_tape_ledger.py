@@ -63,6 +63,25 @@ LEDGERS = {
               rule("col_slice"): (4, 1152), "constant": (6, 7488), "leaf": (16, 6632)},
 }
 
+# the baselines on the same grid: a gcn layer is one act_update node, a
+# graff or adgn layer an act_update and an add_scaled_rows node, as a sas
+# layer is, reading one n x 1 step-size constant for every layer; the add,
+# smul, sub and transpose nodes left build the cell weights once per forward
+# and the one activation_apply is the encoder's relu
+ENDS = {rule("matmul_add"): (2, 2880), rule("activation_apply"): (1, 2304),
+        rule("mul_const"): (1, 576), rule("row_log_softmax"): (1, 576),
+        rule("sum_all"): (1, 8), rule("neg"): (1, 8)}
+STEPS = {rule("act_update"): (4, 9216), rule("add_scaled_rows"): (4, 9216),
+         "constant": (2, 3168)}
+LEDGERS.update({
+    "gcn": {**ENDS, rule("act_update"): (4, 9216), "constant": (1, 2880),
+            "leaf": (8, 2896)},
+    "graff": {**ENDS, **STEPS, rule("add"): (2, 1024), rule("smul"): (2, 1024),
+              rule("transpose"): (2, 1024), "leaf": (6, 1872)},
+    "adgn": {**ENDS, **STEPS, rule("sub"): (1, 512), rule("transpose"): (1, 512),
+             "leaf": (7, 1936)},
+})
+
 
 @pytest.mark.parametrize("model", sorted(LEDGERS))
 def test_training_tape_ledger_is_pinned(monkeypatch, model):
