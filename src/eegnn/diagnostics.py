@@ -203,7 +203,7 @@ def sas_jacobian(omega_raw, h_point, neighbor_term=None, *, sigma1: str = "relu_
     v = (h.reshape(*batch, 1, m) @ oas).reshape(*batch, m)
     u = -_act_forward(v, sigma2) + phi.reshape(v.shape)
     dfac = _act_derivative(u, sigma1) * _act_derivative(v, sigma2)
-    J = -(dfac[..., :, None] * oas)
+    J = -dfac[..., :, None] * oas
     dtil = np.sqrt(np.abs(dfac))
     M = (dtil[..., :, None] * dtil[..., None, :]) * oas
     residual = np.abs(M + np.swapaxes(M, -1, -2)).max(axis=(-2, -1), initial=0.0)
@@ -257,7 +257,7 @@ def _sensitivities(model: Model, g: Graph, layers) -> list[float]:
             raise ValueError(f"layer must lie in 0..{cfg.depth}, got {layer}")
     n, width = g.n, cfg.hidden
     if n * width > 2000:
-        raise ValueError(f"instance too large: n * width = {n * width} > 2000")
+        raise ConfigError([f"instance too large: n * width = {n * width} > 2000"])
     union = disjoint_union([g] * _SWEEP_COPIES)
     params = _constant_view(model.params)
     h0 = ad.leaf(encode(ad.constant(union.X), params).value)
@@ -352,24 +352,24 @@ def dirichlet_traces(model: Model, g: Graph) -> tuple[Trace, Trace]:
 def spectrum_suite(n_configs: int = 100, width_lo: int = 2, width_hi: int = 16,
                    seed: int = 0) -> dict:
     """Jacobian spectra at random params/points; returns the worst residuals.
-    Configs are drawn one after another, then checked by one sas_jacobian
-    call per width. Fewer than one config would check nothing and raises
-    ValueError."""
+    All n_configs widths are drawn in one call. Then, for each width present
+    in ascending order, its k configs are drawn as three blocks (omega_raw
+    (k, m, m), the points h (k, m), the neighbor terms phi (k, m)) and
+    checked by one sas_jacobian call. Fewer than one config would check
+    nothing and raises ValueError."""
     if n_configs < 1:
         raise ValueError(f"n_configs must be >= 1, got {n_configs}")
     rng = np.random.default_rng(seed)
-    by_width: dict[int, list] = {}
-    for _ in range(n_configs):
-        m = int(rng.integers(width_lo, width_hi + 1))
-        # omega_raw at make_cell_params' Glorot scale, 2 / (m + m) = 1 / m
-        omega = rng.normal(0.0, np.sqrt(1.0 / m), size=(m, m))
-        h = rng.normal(size=m)
-        phi = rng.normal(size=m)
-        by_width.setdefault(m, []).append((omega, h, phi))
+    widths, counts = np.unique(rng.integers(width_lo, width_hi + 1, size=n_configs),
+                               return_counts=True)
     worst_re = 0.0
     worst_skew = 0.0
-    for drawn in by_width.values():
-        rep = sas_jacobian(*(np.stack(x) for x in zip(*drawn)))
+    for m, k in zip(widths.tolist(), counts.tolist()):
+        # omega_raw at make_cell_params' Glorot scale, 2 / (m + m) = 1 / m
+        omega = rng.normal(0.0, np.sqrt(1.0 / m), size=(k, m, m))
+        h = rng.normal(size=(k, m))
+        phi = rng.normal(size=(k, m))
+        rep = sas_jacobian(omega, h, phi)
         worst_re = max(worst_re, float(rep.max_re.max()))
         worst_skew = max(worst_skew, float(rep.skew_residual.max()))
     return {"configs": n_configs, "max_re_lambda": worst_re,

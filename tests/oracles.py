@@ -247,14 +247,19 @@ def sas_jacobian_single(omega_raw, h_point, neighbor_term=None, sigma1="relu_tan
 
 
 def _spectrum_draws(n_configs, width_lo, width_hi, seed):
-    """Each config spectrum_suite checks, in draw order: its width, then
-    omega_raw as one m x m block at make_cell_params' Glorot scale (variance
-    2 / (m + m)), then the point h and the neighbor term phi."""
+    """Each config spectrum_suite checks, in draw order, one value at a time:
+    every config's width first; then, for each width m present in ascending
+    order, each of its configs' omega_raw as one m x m block at
+    make_cell_params' Glorot scale (variance 2 / (m + m)), then each of their
+    points h, then each of their neighbor terms phi. Yields (omega, h, phi)."""
     rng = np.random.default_rng(seed)
-    for _ in range(n_configs):
-        m = int(rng.integers(width_lo, width_hi + 1))
-        omega = rng.normal(0.0, np.sqrt(2.0 / (m + m)), size=(m, m))
-        yield omega, rng.normal(size=m), rng.normal(size=m)
+    widths = [int(rng.integers(width_lo, width_hi + 1)) for _ in range(n_configs)]
+    for m in sorted(set(widths)):
+        k = widths.count(m)
+        omegas = [rng.normal(0.0, np.sqrt(2.0 / (m + m)), size=(m, m)) for _ in range(k)]
+        hs = [rng.normal(size=m) for _ in range(k)]
+        phis = [rng.normal(size=m) for _ in range(k)]
+        yield from zip(omegas, hs, phis)
 
 
 def spectrum_suite_loop(n_configs, width_lo, width_hi, seed):
@@ -273,7 +278,7 @@ def spectrum_suite_loop(n_configs, width_lo, width_hi, seed):
 
 def spectrum_draws_loop(n_configs, width_lo, width_hi, seed):
     """The configs spectrum_suite draws: a list of (omega, h, phi) stacks,
-    one per width in the order the widths first come up."""
+    one per width in ascending order."""
     by_width = {}
     for drawn in _spectrum_draws(n_configs, width_lo, width_hi, seed):
         by_width.setdefault(drawn[0].shape[0], []).append(drawn)

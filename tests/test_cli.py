@@ -4,11 +4,14 @@ import hashlib
 import json
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import eegnn
 from eegnn.cli import DIAG_NAMES, build_parser, main
 from eegnn.diagnostics import sensitivity
 from eegnn.graphs import arc_rows, gen_sbm, save_graph
@@ -31,6 +34,14 @@ def gen_sbm_data(tmp_path, seed=0, sizes=(10, 10), shift=2.0):
         "dataset": "sbm", "sizes": list(sizes), "p_in": 0.8, "p_out": 0.15,
         "feature_dim": 5, "feature_shift": shift, "seed": seed,
     }, name=f"gen{seed}.json")
+    assert run(["generate", "--config", cfg, "--out", str(out)]) == 0
+    return out / "graph.json"
+
+
+def grid900_data(tmp_path):
+    """The default 30 x 30 minesweeper grid, written by generate."""
+    out = tmp_path / "grid900"
+    cfg = write_cfg(tmp_path, {"seed": 0}, name="grid900.json")
     assert run(["generate", "--config", cfg, "--out", str(out)]) == 0
     return out / "graph.json"
 
@@ -152,6 +163,37 @@ def test_train_rerun_byte_identical(tmp_path):
     for name in ("resolved_config.json", "history.csv", "checkpoint.json",
                  "metrics.json", "exits.csv"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+# run in a child process, so OPENBLAS_NUM_THREADS is read as numpy loads
+TRAIN_THEN_EVALUATE = """
+import sys
+from eegnn.cli import main
+data, cfg, out = sys.argv[1:]
+rc = main(["train", "--config", cfg, "--data", data, "--out", out + "/run"])
+sys.exit(rc or main(["evaluate", "--checkpoint", out + "/run/checkpoint.json",
+                     "--data", data, "--out", out + "/eval"]))
+"""
+
+
+def test_train_and_evaluate_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # OpenBLAS runs small products on one thread whatever the setting, so the
+    # run needs the 900-node grid's products to use a second thread at all
+    data = grid900_data(tmp_path)
+    cfg = write_cfg(tmp_path, {"model": "eegnn", "depth": 4, "hidden": 32,
+                               "epochs": 2}, name="t.json")
+    path = [str(Path(eegnn.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    written = {}
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, path)))
+        subprocess.run([sys.executable, "-c", TRAIN_THEN_EVALUATE, str(data), cfg, str(out)],
+                       env=env, check=True, timeout=300)
+        written[threads] = {name: (out / name).read_bytes() for name in
+                            ("run/history.csv", "run/checkpoint.json", "run/metrics.json",
+                             "run/exits.csv", "eval/metrics.json")}
+    assert written["1"] == written["2"]
 
 
 def test_a_rerun_into_the_same_out_replaces_every_output_with_its_bytes(tmp_path):
@@ -777,8 +819,10 @@ def test_diagnose_oracle_exit_dominates(tmp_path):
     assert report["gain"] >= 0.0
 
 
-# sha256 of every file but resolved_config.json that these diagnostics write;
-# each reads every layer's state of one forward through capture
+# sha256 of every file but resolved_config.json that these diagnostics write.
+# dirichlet and oracle_exit read every layer's state of one forward through
+# capture; energy_descent and spectrum pin their random draws, so a change to
+# the draws shows up here as a re-pin
 DIAG_DIGESTS = {
     "dirichlet-sas": ("dirichlet", {"depth": 4, "hidden": 6}, {
         "dirichlet_mean.csv": "10a0114550f9124f2c0b74b035301b5b4984f4af0aa102183a90bfbba9113765",
@@ -796,11 +840,15 @@ DIAG_DIGESTS = {
         "report.json": "c0dd73cfb38a6c0c586a69c724356eb0ea8fe5bec0bfe93e57237fe747e453bc"}),
     "energy_descent": ("energy_descent", {"cases": 4, "steps": 20}, {
         "report.json": "42996201e950237431e0734cb69326eab4bc6b04e2cd7d11f8df3c7d7bbe1ea8"}),
+    "spectrum": ("spectrum", {}, {
+        "report.json": "bfec9a23d5907073983fcc306d09baf4c2f82053757d6a883262ab922fdca5d7"}),
+    "spectrum-300": ("spectrum", {"cases": 300}, {
+        "report.json": "e7085ef15094994e2712bfd6956f3a0eb25df1b1ae587af069798ee7d44950ad"}),
 }
 
 
 @pytest.mark.parametrize("case", sorted(DIAG_DIGESTS))
-def test_diagnose_layer_state_outputs_keep_their_bytes(tmp_path, case):
+def test_diagnose_outputs_keep_their_bytes(tmp_path, case):
     name, doc, want = DIAG_DIGESTS[case]
     out = tmp_path / "d"
     assert run(["diagnose", name, "--config", write_cfg(tmp_path, doc),
@@ -895,6 +943,20 @@ def test_diagnose_sensitivity_on_adaptive_model_is_validation_error(tmp_path, ca
     assert run(["diagnose", "sensitivity", "--config", cfg,
                 "--out", str(tmp_path / "d")]) == 1
     assert "fixed-depth" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc, grid, product", [({"hidden": 51}, False, 2040),
+                                                ({"hidden": 4}, True, 3600)],
+                         ids=["builtin-hidden-51", "grid900-hidden-4"])
+def test_diagnose_sensitivity_over_the_size_cap_is_validation_error(
+        tmp_path, capsys, doc, grid, product):
+    argv = ["diagnose", "sensitivity", "--config", write_cfg(tmp_path, doc),
+            "--out", str(tmp_path / "d")]
+    if grid:
+        argv += ["--data", str(grid900_data(tmp_path))]
+    assert run(argv) == 1
+    assert f"instance too large: n * width = {product} > 2000" in capsys.readouterr().err
+    assert not (tmp_path / "d").exists()
 
 
 @pytest.mark.parametrize("doc, shown", [

@@ -277,8 +277,9 @@ def test_spectrum_suite_equals_the_per_config_loop(n_configs, lo, hi, seed):
 
 
 @pytest.mark.parametrize("seed", [0, 5])
-def test_spectrum_suite_draws_one_block_per_config(monkeypatch, seed):
-    # per config: the width m, one m x m omega_raw block, then h and phi
+def test_spectrum_suite_draws_one_block_per_width(monkeypatch, seed):
+    # every width first; then per width, ascending, its k configs as a
+    # (k, m, m) omega_raw block, a (k, m) h block and a (k, m) phi block
     stacks = []
     check = diagnostics.sas_jacobian
 
@@ -293,6 +294,27 @@ def test_spectrum_suite_draws_one_block_per_config(monkeypatch, seed):
     for drawn, expected in zip(stacks, want):
         assert [(x.shape, x.tobytes()) for x in drawn] == \
             [(x.shape, x.tobytes()) for x in expected]
+
+
+@pytest.mark.parametrize("position", ["first", "middle", "last"])
+def test_spectrum_verdict_reads_every_config_of_every_width(monkeypatch, position):
+    # a real part of 1e-6 on one matrix of one width's stack fails the suite
+    assert spectrum_suite(300, 2, 32, seed=5)["pass"]
+    solve = diagnostics.eigvals
+    for omegas, _, _ in oracles.spectrum_draws_loop(300, 2, 32, 5):
+        k, m = omegas.shape[:2]
+        target = {"first": 0, "middle": k // 2, "last": k - 1}[position]
+
+        def shifted(J):
+            lam = solve(J)
+            if J.shape[-1] == m:        # one eigensolver call per width
+                lam[target] += 1e-6
+            return lam
+
+        monkeypatch.setattr(diagnostics, "eigvals", shifted)
+        rep = spectrum_suite(300, 2, 32, seed=5)
+        assert rep["pass"] is False, (m, target)
+        assert rep["max_re_lambda"] >= 1e-6, (m, target)
 
 
 @pytest.mark.parametrize("n_configs", [0, -1])
