@@ -57,6 +57,7 @@ __all__ = [
     "DiffValue",
     "leaf",
     "constant",
+    "step_column",
     "matmul_add",
     "two_matmul_add",
     "activation_apply",
@@ -143,6 +144,23 @@ def leaf(value, name="") -> DiffValue:
 
 def constant(value, name="") -> DiffValue:
     return DiffValue(value, requires_grad=False, name=name)
+
+
+class _StepColumn(DiffValue):
+    """A constant n x 1 column with one value, step, in every row."""
+
+    __slots__ = ("step",)
+
+    def __init__(self, step: float, n: int):
+        super().__init__(np.full((n, 1), step))
+        self.step = step
+
+
+def step_column(t: float, n: int) -> DiffValue:
+    """The constant n x 1 column of step size t. add_scaled_rows multiplies
+    by it as the Python float t: the column's products bit for bit, without
+    the broadcast of an n x 1 operand."""
+    return _StepColumn(float(t), n)
 
 
 _taping = True
@@ -497,15 +515,16 @@ def add_scaled_rows(H: DiffValue, S: DiffValue, t: DiffValue) -> DiffValue:
     """out[i] = H[i] + t[i,0] * S[i], with t[i,0] == 0 copying row i verbatim.
 
     The zero-step row is copied, not recomputed as H + 0*S, so gating a row off
-    preserves it bit for bit (including signed zeros).
+    preserves it bit for bit (including signed zeros). A step_column
+    multiplies as its one float.
     """
     if H.shape != S.shape:
         raise ValueError(f"shape mismatch {H.shape} vs {S.shape}")
     if t.shape != (H.shape[0], 1):
         raise ValueError(f"t must be {H.shape[0]} x 1, got {t.shape}")
-    tv = t.value
+    tv = t.step if isinstance(t, _StepColumn) else t.value
     val = H.value + tv * S.value
-    frozen = (tv[:, 0] == 0.0)
+    frozen = (t.value[:, 0] == 0.0)
     if frozen.any():
         val[frozen] = H.value[frozen]
 
@@ -604,8 +623,8 @@ def act_update(H: DiffValue, W: DiffValue | None, terms, inner: str | None, oute
     argument. The rule reads outer's derivative from the output and
     recomputes H @ W for inner's. Its first run keeps nothing, so a one-shot
     sweep holds nothing extra; the second run, on a tape swept again, keeps
-    outer's derivative and inner's, when there is an inner, which depend
-    only on the forward, and later runs reuse them.
+    outer's derivative and inner's negated, when there is an inner, which
+    depend only on the forward, and later runs reuse them.
     """
     terms = tuple(terms)
     if W is None and (terms or inner is not None or agg is None):
@@ -635,14 +654,19 @@ def act_update(H: DiffValue, W: DiffValue | None, terms, inner: str | None, oute
     y = _act_forward(x, outer)
     arg = x if outer == "softplus" else None
     del x
-    kept = []       # outer' and inner', from the second run on
+    kept = []       # outer' and -inner', from the second run on
     ran = False
 
     def d_outer():
         return _act_derivative(arg, outer) if arg is not None else _output_derivative(y, outer)
 
     def d_inner():
-        return None if inner is None else _act_derivative(H.value @ W.value, inner)
+        # negated, as the self term is -inner(H @ W): g * -d is -(g * d)
+        # bit for bit, since rounding is symmetric in sign
+        if inner is None:
+            return None
+        d = _act_derivative(H.value @ W.value, inner)
+        return np.negative(d, out=d)
 
     def rule(G):
         nonlocal ran
@@ -655,7 +679,7 @@ def act_update(H: DiffValue, W: DiffValue | None, terms, inner: str | None, oute
             if t.requires_grad:
                 t.grad += g if t.shape == g.shape else g.sum(axis=0, keepdims=True)
         if W is not None:
-            gv = g if inner is None else -(g * (kept[1] if kept else d_inner()))
+            gv = g if inner is None else g * (kept[1] if kept else d_inner())
             if H.requires_grad:
                 H.grad += gv @ W.value.T
             if W.requires_grad:

@@ -212,7 +212,7 @@ def _tau_column(tau, n: int, default: float) -> DiffValue:
     t = float(tau)
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"tau outside [0, 1]: {t}")
-    return ad.constant(np.full((n, 1), t))
+    return ad.step_column(t, n)
 
 
 def sas_step(H: DiffValue, a, p: CellParams, weights, tau=None,

@@ -223,6 +223,9 @@ def _diag_graph(diag: dict, cfg: RunConfig):
 
 
 def _fresh_model(cfg: RunConfig, g):
+    if cfg.edge_mode != "zero" and g.E_feat is None:     # as training refuses it
+        raise ConfigError([f"edge_mode {cfg.edge_mode!r} needs edge features; "
+                           f"the dataset has none"])
     return model_for(cfg, g, np.random.Generator(np.random.PCG64(cfg.seed)))
 
 

@@ -28,8 +28,8 @@ from .autodiff import _act_derivative, _act_forward
 from .cells import CellParams, build_operators, cell_weights, decode, encode, \
     make_cell_params, propagate
 from .eig import eigvals
-from .graphs import Graph, arc_rows, degrees, disjoint_union, gen_sbm, \
-    norm_arc_weights, pair_index, write_output
+from .graphs import Graph, arc_rows, degrees, gen_sbm, norm_arc_weights, \
+    pair_index, write_output
 from .training import ConfigError, Model, RunConfig, classes_from_logits, \
     evaluate, forward_node, metric_eval, operators_for, train_run
 
@@ -216,19 +216,21 @@ def sensitivity(model: Model, g: Graph, layer: int) -> float:
 
     S_l = sum over directed arcs (v,u) of ||d h_v^L / d h_u^l||_1, computed by
     seeding final-state coordinates in reverse sweeps. The forward is taped
-    once on a disjoint union of _SWEEP_COPIES = 16 copies of g, and each
-    sweep seeds one coordinate per copy. The copies share no arc, so each
-    copy's gradient is exactly that of a single-seed sweep on g, and the
-    result does not depend on the copy count. Cost is ceil(n * width / 16)
-    sweeps over the 16-copy union, whatever the layer; instances are capped at
-    n * width <= 2000. The tape holds the cell's arrays as constants and the
-    encoder's output as its only leaf, so each sweep runs only the state
-    path from the last layer down to layer 0, the sas step keeps its
-    activation derivatives from the second sweep on, and the model's
-    gradient buffers are left as they were. The diagnose command reads
-    every layer from one set of sweeps through _sensitivities. Only
-    fixed-depth model kinds are supported; adaptive-exit stacks have no
-    single layer-l state to differentiate against.
+    once on _SWEEP_COPIES = 16 interleaved copies of g (copy k of node v is
+    row v * 16 + k), whose every sparse product runs on g's own operator
+    with rows 16 times wider (ArcMatrix.copies), and each sweep seeds one
+    coordinate per copy. The copies share no arc, so each copy's gradient is
+    exactly that of a single-seed sweep on g, and the result does not depend
+    on the copy count. Cost is ceil(n * width / 16) sweeps, whatever the
+    layer; instances are capped at n * width <= 2000. The tape holds the
+    cell's arrays as constants and the encoder's output as its only leaf,
+    so each sweep runs only the state path from the last layer down to
+    layer 0, the sas step keeps its activation derivatives from the second
+    sweep on, and the model's gradient buffers are left as they were. The
+    diagnose command reads every layer from one set of sweeps through
+    _sensitivities. Only fixed-depth model kinds are supported;
+    adaptive-exit stacks have no single layer-l state to differentiate
+    against.
     """
     return _sensitivities(model, g, [layer])[0]
 
@@ -258,26 +260,35 @@ def _sensitivities(model: Model, g: Graph, layers) -> list[float]:
     n, width = g.n, cfg.hidden
     if n * width > 2000:
         raise ConfigError([f"instance too large: n * width = {n * width} > 2000"])
-    union = disjoint_union([g] * _SWEEP_COPIES)
+    copies = _SWEEP_COPIES
     params = _constant_view(model.params)
-    h0 = ad.leaf(encode(ad.constant(union.X), params).value)
+    ops = build_operators(g, params)
+    ops.a.copies = copies       # copy k of node v is row v * copies + k
+    be = None if ops.be is None else ad.constant(np.repeat(ops.be.value, copies, axis=0))
+    ops = replace(ops, X=np.repeat(ops.X, copies, axis=0), be=be)
+    h0 = ad.leaf(encode(ad.constant(ops.X), params).value)
     states: list = []
-    root = propagate(h0, build_operators(union, params), params, cfg.model,
-                     cfg.depth, capture=states)
+    root = propagate(h0, ops, params, cfg.model, cfg.depth, capture=states)
     probes = [states[layer] for layer in layers]
-    nbrs = [g.col_indices[g.row_offsets[v]:g.row_offsets[v + 1]] for v in range(n)]
+    # the rows of copy 0 of each node's neighbours; copy k's are k rows on
+    nbrs = [g.col_indices[g.row_offsets[v]:g.row_offsets[v + 1]] * copies
+            for v in range(n)]
     seeds = [(v, c) for v in range(n) for c in range(width)]
     totals = [0.0] * len(probes)
-    for start in range(0, len(seeds), _SWEEP_COPIES):
-        chunk = seeds[start:start + _SWEEP_COPIES]
+    for start in range(0, len(seeds), copies):
+        chunk = seeds[start:start + copies]
         seed = np.zeros(root.shape)
         for k, (v, c) in enumerate(chunk):
-            seed[k * n + v, c] = 1.0
+            seed[v * copies + k, c] = 1.0
+        # each seed's neighbour rows in its own copy, one seed after another
+        rows = np.concatenate([nbrs[v] + k for k, (v, _) in enumerate(chunk)])
+        bounds = np.cumsum([0] + [nbrs[v].size for v, _ in chunk]).tolist()
         ad.zero_grads([h0])      # a leaf's gradient adds up over sweeps
         ad.backward(root, seed=seed)
         for i, probe in enumerate(probes):
-            for k, (v, _) in enumerate(chunk):
-                totals[i] += float(np.abs(probe.grad[k * n + nbrs[v]]).sum())
+            terms = np.abs(probe.grad.take(rows, axis=0))
+            for lo, hi in zip(bounds, bounds[1:]):
+                totals[i] += float(terms[lo:hi].sum())
     return totals
 
 

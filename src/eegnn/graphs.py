@@ -159,6 +159,11 @@ class ArcMatrix:
     computed once for readers; spmm never reads it. segments is the graph's
     arc_segments and sweep_cols its col_indices in their diagonal order,
     which both directions of spmm sweep.
+
+    copies > 1 makes it the operator of that many copies of the graph, side
+    by side with no arc between them and interleaved: copy k of node v is
+    row v * copies + k. spmm then takes n * copies rows and runs once on
+    the graph's own arcs, each of its rows holding every copy of one node.
     """
 
     n: int
@@ -167,6 +172,7 @@ class ArcMatrix:
     row_scale: np.ndarray | None
     col_scale: np.ndarray | None
     segments: Segments = field(repr=False, compare=False)
+    copies: int = 1
     values: np.ndarray = field(init=False)
     sweep_cols: np.ndarray = field(init=False, repr=False)
 
@@ -357,17 +363,27 @@ def spmm(a, H: np.ndarray, transpose: bool = False) -> np.ndarray:
     it, with no multiply, so no temporary outgrows n x width; a row of
     degree d, such as a hub of a heterophilic graph, costs d such
     vectorised adds.
+
+    With a.copies = k, H has n * k rows, copy j of node v at row v * k + j,
+    and the product runs once on its (n, k * width) view: each output row
+    sums the same terms in the same order as on the disjoint union of k
+    copies, so it is that union's product bit for bit, with k times fewer,
+    k times wider gathers.
     """
     H = np.asarray(H, dtype=np.float64)
-    if H.shape[0] != a.n:
-        raise ValueError(f"H has {H.shape[0]} rows, expected {a.n}")
+    rows = a.n * a.copies
+    if H.shape[0] != rows:
+        raise ValueError(f"H has {H.shape[0]} rows, expected n * copies = "
+                         f"{a.n} * {a.copies} = {rows}")
+    width = H.shape[1]
+    H = H.reshape(a.n, a.copies * width)
     r, c = (a.col_scale, a.row_scale) if transpose else (a.row_scale, a.col_scale)
     if c is not None:
         H = H * c[:, None]
     out = a.segments.sum(lambda lo, hi: H.take(a.sweep_cols[lo:hi], axis=0), H.shape[1])
     if r is not None:
         out *= r[:, None]
-    return out
+    return out.reshape(rows, width)
 
 
 def incidence_aggregate(g: Graph, E_feat: np.ndarray) -> np.ndarray:

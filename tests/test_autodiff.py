@@ -216,6 +216,7 @@ def test_every_public_op_returns_a_diff_value():
     calls = {
         "leaf": lambda: ad.leaf(np.ones((2, 2))),
         "constant": lambda: ad.constant(np.ones((2, 2))),
+        "step_column": lambda: ad.step_column(0.5, 3),
         "matmul_add": lambda: ad.matmul_add(A, W, b),
         "two_matmul_add": lambda: ad.two_matmul_add(B, W, A, W, b),
         "activation_apply": lambda: ad.activation_apply(A, "tanh"),
@@ -825,3 +826,25 @@ def test_where_rows_writes_no_gradient_into_a_constant_parent(leaf_first):
     assert c._grad is None
     picked = np.array(mask) if leaf_first else ~np.array(mask)
     assert np.array_equal(x.grad, np.repeat(picked[:, None], 3, axis=1).astype(float))
+
+
+@pytest.mark.parametrize("step", [0.0, 0.3, 1.0])
+def test_add_scaled_rows_at_a_step_column_equals_the_constant_column(step):
+    # the step column multiplies as a float, the constant column as an n x 1
+    # operand: values and gradients agree bit for bit, and a zero step
+    # copies every row, signed zeros included
+    rng = np.random.default_rng(14)
+    h, s, seed = (rng.normal(size=(9, 4)) for _ in range(3))
+    h[0, 0], s[1, 1], seed[2, 2] = -0.0, -0.0, -0.0
+    col = ad.step_column(step, 9)
+    assert col.shape == (9, 1) and not col.requires_grad
+    assert np.array_equal(col.value, np.full((9, 1), step))
+    got = []
+    for t in (col, ad.constant(np.full((9, 1), step))):
+        H, S = ad.leaf(h), ad.leaf(s)
+        out = ad.add_scaled_rows(H, S, t)
+        ad.backward(out, seed=seed)
+        got.append([out.value, H.grad, S.grad])
+    assert _bits_equal(got[0], got[1])
+    if step == 0.0:
+        assert _bits_equal([got[0][0]], [h])

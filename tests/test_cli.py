@@ -844,6 +844,11 @@ DIAG_DIGESTS = {
         "report.json": "bfec9a23d5907073983fcc306d09baf4c2f82053757d6a883262ab922fdca5d7"}),
     "spectrum-300": ("spectrum", {"cases": 300}, {
         "report.json": "e7085ef15094994e2712bfd6956f3a0eb25df1b1ae587af069798ee7d44950ad"}),
+    # the default config, the benchmark's model, and a gcn stack
+    "sensitivity-sas": ("sensitivity", {}, {
+        "report.json": "fbcdd3d38f6e2c3cb777cf8f7faeeca5c1e02484c96b72b18436a081a3a29168"}),
+    "sensitivity-gcn": ("sensitivity", {"model": "gcn", "depth": 3, "hidden": 6}, {
+        "report.json": "ed770b86ab3eea24af66500ae7de43583e81e2226da2536d10733d4cab2370e4"}),
 }
 
 
@@ -1014,6 +1019,24 @@ def test_diagnose_sizes_model_for_edge_features(tmp_path, name):
     cfg = write_cfg(tmp_path, {"depth": 2, "hidden": 4, "edge_mode": "linear"})
     assert run(["diagnose", name, "--config", cfg, "--data", str(data),
                 "--out", str(tmp_path / "d")]) == 0
+
+
+@pytest.mark.parametrize("with_data", [False, True], ids=["builtin", "data"])
+@pytest.mark.parametrize("mode", ["linear", "neg_relu"])
+@pytest.mark.parametrize("name", ["dirichlet", "sensitivity"])
+def test_diagnose_edge_mode_without_edge_features_is_validation_error(
+        tmp_path, capsys, name, mode, with_data):
+    # the built-in graph and gen_sbm_data's have no edge features; the run
+    # is refused as train refuses it, before a model is built
+    argv = ["diagnose", name, "--config",
+            write_cfg(tmp_path, {"depth": 2, "hidden": 4, "edge_mode": mode}),
+            "--out", str(tmp_path / "d")]
+    if with_data:
+        argv += ["--data", str(gen_sbm_data(tmp_path))]
+    assert run(argv) == 1
+    assert (f"edge_mode {mode!r} needs edge features; the dataset has none"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "d").exists()
 
 
 # ---------------------------------------------------------------- param-count

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import oracles
-from eegnn import autodiff as ad, diagnostics
+from eegnn import autodiff as ad, cells, diagnostics, graphs, training
 from eegnn.cells import cell_weights, make_cell_params, sas_step, encode
 from eegnn.diagnostics import (SpectrumReport, Trace, depth_retention,
                                descent_suite, descent_trace, dirichlet_energy,
@@ -405,8 +405,11 @@ def _sens_model(g, kind, hidden, depth=3, **kw):
     ("gcn", "hub", 4, {}),
     ("graff", "grid", 5, {}),        # 60 seeds: the last chunk holds 4
     ("adgn", "hub", 3, {}),
-    ("sas", "edges", 3, {"edge_mode": "linear"})],
-    ids=["sas-grid", "gcn-hub", "graff-grid", "adgn-hub", "sas-edges"])
+    ("sas", "edges", 3, {"edge_mode": "linear"}),
+    ("sas", "hub", 16, {}),          # 320 seeds: 20 full chunks
+    ("sas", "hub", 24, {})],         # 480 seeds, 16 * 24 columns a product
+    ids=["sas-grid", "gcn-hub", "graff-grid", "adgn-hub", "sas-edges", "sas-hub-16",
+         "sas-hub-24"])
 def test_sensitivity_equals_single_seed_oracle_at_every_layer(kind, graph, hidden, kw):
     g = _sens_graph(graph)
     model = _sens_model(g, kind, hidden, **kw)
@@ -419,16 +422,26 @@ def test_sensitivity_equals_single_seed_oracle_at_every_layer(kind, graph, hidde
 def test_sensitivity_work_does_not_depend_on_layer(monkeypatch):
     g = _sens_graph("grid")
     model = _sens_model(g, "sas", 3)
+    copies = diagnostics._SWEEP_COPIES
     counts = {}
+    products = []
 
     def spy(name):
         inner = getattr(ad, name)
 
         def counted(*a, **kw):
             counts[name] = counts.get(name, 0) + 1
+            if name == "_spmm_value":
+                products.append((a[0], a[1].shape))
             return inner(*a, **kw)
         monkeypatch.setattr(ad, name, counted)
 
+    def no_union(graphs_):
+        raise AssertionError("sensitivity built a disjoint union")
+
+    for mod in (graphs, cells, diagnostics, training):
+        if hasattr(mod, "disjoint_union"):
+            monkeypatch.setattr(mod, "disjoint_union", no_union)
     for name in ("backward", "_spmm_value", "_node"):
         spy(name)
     per_layer = []
@@ -437,8 +450,12 @@ def test_sensitivity_work_does_not_depend_on_layer(monkeypatch):
         sensitivity(model, g, layer)
         per_layer.append(dict(counts))
     assert per_layer[0] == per_layer[1]
-    copies = diagnostics._SWEEP_COPIES
     assert per_layer[0]["backward"] == -(-g.n * model.cfg.hidden // copies)
+    # every product runs on g's own arcs, over all copies of its nodes at once
+    assert len(products) == 2 * per_layer[0]["_spmm_value"]
+    for a, shape in products:
+        assert a.col_indices is g.col_indices and a.row_offsets is g.row_offsets
+        assert (a.n, a.copies, shape) == (g.n, copies, (copies * g.n, model.cfg.hidden))
 
 
 def test_sensitivity_update_derivatives_do_not_grow_with_the_sweeps(monkeypatch):

@@ -8,7 +8,7 @@ import pytest
 import oracles
 from eegnn import autodiff as ad
 from eegnn.graphs import (ArcMatrix, Graph, Segments, arc_list, arc_rows,
-                          canonicalize, degrees, edge_homophily,
+                          canonicalize, degrees, disjoint_union, edge_homophily,
                           gen_minesweeper_grid, gen_sbm, incidence_aggregate,
                           make_graph, mean_adj, norm_adj, pair_index,
                           save_graph, spmm, validate_graph, write_output)
@@ -220,6 +220,47 @@ def test_segment_mean_and_incidence_bits_match_the_rule():
         E = hard_input(rng, g.n_arcs, width)
         assert_bits_equal(incidence_aggregate(g, E),
                           oracles.segment_sum_loop(E, g.row_offsets), width)
+
+
+def interleaved(blocks):
+    """k copies' rows, a (k, n, w) stack, laid out as ArcMatrix.copies reads
+    them: copy j of node v at row v * k + j."""
+    return blocks.transpose(1, 0, 2).reshape(-1, blocks.shape[2])
+
+
+@pytest.mark.parametrize("graph", ["grid", "dense_sbm", "hubs"])
+def test_spmm_on_copies_equals_the_disjoint_union_bit_for_bit(graph):
+    g = {"grid": lambda: gen_minesweeper_grid(6, 6, 0.2, seed=0),   # degrees 3 to 8
+         "dense_sbm": lambda: gen_sbm((15, 15), 0.75, 0.25, seed=12),
+         "hubs": lambda: canonicalize(hub_edges(), 84)}[graph]()
+    rng = np.random.default_rng(10)
+    for build in (norm_adj, mean_adj):
+        for k in (1, 2, 16):
+            a, union = build(g), build(disjoint_union([g] * k))
+            a.copies = k
+            before = [id(x) for x in arrays_held(a)]
+            for width in (1, 5, 32):
+                # every other column of a wider array: not contiguous
+                for step in (1, 2):
+                    wide = hard_input(rng, k * g.n, step * width)
+                    blocks = wide[:, ::step].reshape(k, g.n, width)
+                    H = interleaved(wide.reshape(k, g.n, -1))[:, ::step]
+                    assert step == 1 or not H.flags.c_contiguous
+                    for transpose in (False, True):
+                        want = spmm(union, blocks.reshape(-1, width), transpose=transpose)
+                        assert_bits_equal(spmm(a, H, transpose=transpose),
+                                          interleaved(want.reshape(k, g.n, width)),
+                                          build.__name__, k, width, step, transpose)
+            assert [id(x) for x in arrays_held(a)] == before
+
+
+def test_spmm_on_copies_refuses_a_wrong_row_count():
+    a = norm_adj(path_graph(5))
+    a.copies = 3
+    for rows in (5, 14, 16):
+        with pytest.raises(ValueError, match=r"expected n \* copies = 5 \* 3 = 15"):
+            spmm(a, np.ones((rows, 2)))
+    assert spmm(a, np.ones((15, 2))).shape == (15, 2)
 
 
 def test_mean_adj_transpose_uses_transposed_values():

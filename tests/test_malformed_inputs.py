@@ -261,6 +261,32 @@ def run_target(target: str, base: dict, root: Path):
     return results
 
 
+def run_edge_cases(base: dict, root: Path):
+    """(path, label, exit code, stderr, out created) for each diagnostic that
+    builds a fresh model from its graph, under each edge mode that reads
+    edge features, on the built-in graph and on a graph file without them."""
+    graph = dict(base["graph"])
+    graph.pop("edge_attr")
+    bare = write(root / "bare_graph.json", graph)
+    results = []
+    for name in ("dirichlet", "sensitivity"):
+        for mode in ("linear", "neg_relu"):
+            for data in (None, bare):
+                doc = {**base["diagnose"], "edge_mode": mode, "data": data}
+                file = write(root / "edges.json", {k: v for k, v in doc.items()
+                                                   if v is not None})
+                out = root / "edges-out"
+                err = io.StringIO()
+                with contextlib.redirect_stderr(err), \
+                        contextlib.redirect_stdout(io.StringIO()):
+                    code = main(["diagnose", name, "--config", file, "--out", str(out)])
+                label = f"{name}_{mode}_{'builtin' if data is None else 'data'}"
+                results.append((("edge_mode",), label, code,
+                                err.getvalue().replace(str(root), "<tmp>"), out.exists()))
+                shutil.rmtree(out, ignore_errors=True)
+    return results
+
+
 def _names(path: tuple) -> list[str]:
     keys = [k for k in path if isinstance(k, str)]
     return keys + [a for k in keys for a in ALIASES.get(k, ())]
@@ -300,6 +326,15 @@ def test_every_mutation_exits_0_or_1_and_names_what_it_refused(base, tmp_path, t
     assert not broken, f"{len(broken)} of {len(results)} cases:\n" + "\n".join(broken)
 
 
+def test_edge_mode_without_edge_features_exits_1_and_names_it(base, tmp_path):
+    results = run_edge_cases(base, tmp_path)
+    assert len(results) == 8
+    for path, label, code, err, created in results:
+        assert code == 1, (label, err)
+        assert problems(path, label, code, err, created) == [], (label, err)
+        assert "needs edge features; the dataset has none" in err, label
+
+
 def test_the_mutations_reach_every_field_and_the_unbroken_inputs_run(base, tmp_path):
     """Every field of a graph file and every kind of mutation is reached,
     and each target's unbroken input exits 0."""
@@ -319,7 +354,9 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         inputs = base_inputs(root)
-        for target in sys.argv[1:] or TARGETS:
-            for path, label, code, err, _ in run_target(target, inputs, root):
+        for target in sys.argv[1:] or TARGETS + ["diagnose_edges"]:
+            rows = (run_edge_cases(inputs, root) if target == "diagnose_edges"
+                    else run_target(target, inputs, root))
+            for path, label, code, err, _ in rows:
                 line = (err.strip().splitlines() or [""])[0]
                 print(f"{target}\t{'.'.join(map(str, path))}\t{label}\t{code}\t{line}")
