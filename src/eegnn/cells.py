@@ -25,7 +25,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import ACTIVATION_KINDS, DiffValue
+from .autodiff import DiffValue
+from .config import EDGE_KINDS, KEYS, check_values
 from .graphs import ArcMatrix, Graph, Segments, incidence_aggregate, mean_adj, norm_adj
 
 __all__ = [
@@ -42,16 +43,7 @@ __all__ = [
     "encode",
     "decode",
     "make_cell_params",
-    "MODEL_KINDS",
-    "EDGE_MODES",
-    "EDGE_KINDS",
-    "TASKS",
 ]
-
-MODEL_KINDS = ("sas", "eegnn", "gcn", "graff", "adgn")
-EDGE_MODES = ("zero", "linear", "neg_relu")
-EDGE_KINDS = ("sas", "eegnn")   # the kinds of the sas step, which has an edge term
-TASKS = ("node_class", "graph_class", "graph_reg")
 
 
 @dataclass
@@ -69,22 +61,17 @@ class CellParams:
     enc_w: DiffValue
     enc_b: DiffValue
     dec: list[tuple[DiffValue, DiffValue]]
-    tau: float = 1.0
-    sigma1: str = "relu_tanh"
-    sigma2: str = "relu"
-    edge_mode: str = "zero"
+    tau: float = KEYS["tau"].default
+    sigma1: str = KEYS["sigma1"].default
+    sigma2: str = KEYS["sigma2"].default
+    edge_mode: str = KEYS["edge_mode"].default
     w_e: DiffValue | None = None
     adgn_b: DiffValue | None = None
     gcn_ws: list[DiffValue] = field(default_factory=list)
 
     def __post_init__(self):
-        if not 0.0 < self.tau <= 1.0:
-            raise ValueError(f"tau must lie in (0, 1], got {self.tau}")
-        for kind in (self.sigma1, self.sigma2):
-            if kind not in ACTIVATION_KINDS:
-                raise ValueError(f"unknown activation kind {kind!r}")
-        if self.edge_mode not in EDGE_MODES:
-            raise ValueError(f"unknown edge_mode {self.edge_mode!r}")
+        check_values(tau=self.tau, sigma1=self.sigma1, sigma2=self.sigma2,
+                     edge_mode=self.edge_mode)
         if self.edge_mode != "zero" and self.w_e is None:
             raise ValueError(f"edge_mode {self.edge_mode!r} requires w_e")
         for m in (self.omega_raw, self.w_raw):
@@ -334,17 +321,20 @@ def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
 
 
 def make_cell_params(rng: np.random.Generator, kind: str, feat_dim: int,
-                     hidden: int, out_dim: int, *, depth: int = 1,
-                     tau: float = 1.0, sigma1: str = "relu_tanh",
-                     sigma2: str = "relu", edge_mode: str = "zero",
-                     edge_dim: int = 0, dec_hidden: tuple[int, ...] = ()) -> CellParams:
-    """Glorot-initialized parameters for one model kind.
+                     hidden: int, out_dim: int, *, depth: int = KEYS["depth"].default,
+                     tau: float = KEYS["tau"].default, sigma1: str = KEYS["sigma1"].default,
+                     sigma2: str = KEYS["sigma2"].default,
+                     edge_mode: str = KEYS["edge_mode"].default,
+                     edge_dim: int = KEYS["edge_dim"].default,
+                     dec_hidden: tuple[int, ...] = KEYS["dec_hidden"].default) -> CellParams:
+    """Glorot-initialized parameters for one model kind (the model key).
 
     gcn allocates depth independent layer matrices and no shared cell pair;
-    every other kind allocates the shared pair once regardless of depth.
+    every other kind allocates the shared pair once regardless of depth. A
+    value outside its key's range in config.KEYS, or an edge_mode that kind
+    or edge_dim cannot take, raises ValueError with the config's message.
     """
-    if kind not in MODEL_KINDS:
-        raise ValueError(f"unknown model kind {kind!r}")
+    check_values(model=kind, edge_mode=edge_mode, edge_dim=edge_dim)
     shared = kind != "gcn"
     omega = ad.leaf(_glorot(rng, hidden, hidden), "omega_raw") if shared else None
     w = ad.leaf(_glorot(rng, hidden, hidden), "w_raw") if shared else None
@@ -354,11 +344,6 @@ def make_cell_params(rng: np.random.Generator, kind: str, feat_dim: int,
                   for i in range(depth)]
     w_e = None
     if edge_mode != "zero":
-        if kind not in EDGE_KINDS:
-            raise ValueError(f"a non-zero edge_mode needs a kind in {EDGE_KINDS}; "
-                             f"{kind} has no edge term")
-        if edge_dim <= 0:
-            raise ValueError(f"edge_mode {edge_mode!r} requires edge_dim > 0")
         w_e = ad.leaf(_glorot(rng, edge_dim, hidden), "w_e")
     dec = []
     dims = (hidden, *dec_hidden, out_dim)

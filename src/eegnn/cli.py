@@ -8,9 +8,10 @@ outside its tolerance.
 Every command resolves its settings in one place, `_config`: defaults, then
 command-line flags, then the --config file; the file is the run's
 authoritative record, so its values win over flags. Every key has one row
-in `training.KEYS`: its default, whose type `training.coerce_keys` reads it
+in `config.KEYS`: its default, whose type `config.coerce_keys` reads it
 as (the rule `RunConfig` uses), its range, and the model kinds, datasets or
-diagnostics that read it. An unknown, mistyped or out-of-range key exits 1
+diagnostics that read it; `config.cross_key_errors` holds the rules between
+keys. An unknown, mistyped or out-of-range key exits 1
 from any command, and so does a key the run's kind does not read; the
 run's resolved_config.json records only the keys it reads. Every output is
 byte-reproducible for a fixed config and seed: JSON is written with sorted
@@ -32,19 +33,16 @@ from . import autodiff as ad, diagnostics
 from .diagnostics import ToleranceError
 from .graphs import degrees, edge_homophily, gen_minesweeper_grid, gen_sbm, \
     json_text, read_object, save_graph, write_output
-from .training import DATASETS, KEYS, MODEL_KINDS, RUN_KEYS, ConfigError, \
-    GraphSet, RunConfig, build_model, coerce_keys, evaluate, exit_csv, \
-    forward_node, history_csv, load_checkpoint, load_dataset, metric_eval, \
-    model_for, node_record, operators_for, reads, refused_by, save_checkpoint, \
-    train_run
+from .config import DATASETS, DIAGNOSTICS, KEYS, MODEL_KINDS, RUN_KEYS, \
+    ConfigError, RunConfig, coerce_keys, cross_key_errors, reads, refused_by
+from .training import GraphSet, build_model, evaluate, exit_csv, forward_node, \
+    history_csv, load_checkpoint, load_dataset, metric_eval, model_for, \
+    node_record, operators_for, save_checkpoint, train_run
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_RUNTIME = 2
 EXIT_TOLERANCE = 3
-
-DIAG_NAMES = ("dirichlet", "energy_descent", "spectrum", "sensitivity",
-              "depth_retention", "oracle_exit")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -95,23 +93,20 @@ def _config(args, run: bool = False,
     given = {k: getattr(args, k) for k in keys if getattr(args, k, None) is not None}
     given.update(_read_config(args.config))
     training = {k: v for k, v in given.items() if run and k in RUN_KEYS}
-    values, errors = coerce_keys({k: KEYS[k].default for k in own},
-                                 {k: v for k, v in given.items() if k not in training})
+    values, errors = coerce_keys(own, {k: v for k, v in given.items() if k not in training})
     cfg = None
     if run:
         try:
             cfg = RunConfig.from_dict(training)
         except ConfigError as exc:
             errors += exc.messages
-    # the defaults of the keys not given; a refused key has no value
-    values.update({k: KEYS[k].default for k in own if k not in given})
     # the values each selector takes; a refused one, or one the command
     # lacks, takes all; depth_retention trains each of kinds as the model
     model = training.get("model", KEYS["model"].default)
     kinds = values.get("kinds", MODEL_KINDS) if diagnostic == "depth_retention" else None
     chosen = {"model": kinds or ([model] if model in MODEL_KINDS else MODEL_KINDS),
               "dataset": [values["dataset"]] if "dataset" in values else DATASETS,
-              "diagnostic": [diagnostic] if diagnostic else DIAG_NAMES}
+              "diagnostic": [diagnostic] if diagnostic else DIAGNOSTICS}
     for k in keys:
         by = refused_by(k, chosen) if k in given else None
         if by:
@@ -230,9 +225,9 @@ def _fresh_model(cfg: RunConfig, g):
 
 
 def cmd_diagnose(args) -> None:
-    if args.name is None or args.name not in DIAG_NAMES:
+    if args.name is None or args.name not in DIAGNOSTICS:
         raise ConfigError([f"unknown diagnostic {args.name!r}; valid names: "
-                           + ", ".join(DIAG_NAMES)])
+                           + ", ".join(DIAGNOSTICS)])
     diag, cfg = _config(args, run=True, diagnostic=args.name)
     # as in train, nothing is written until the run is done
     report = {"diagnostic": args.name, "seed": cfg.seed}
@@ -296,9 +291,9 @@ def cmd_diagnose(args) -> None:
 
 def cmd_param_count(args) -> None:
     dims, cfg = _config(args, run=True)
-    if cfg.edge_mode != "zero" and dims["edge_dim"] < 1:  # make_cell_params's rule
-        raise ConfigError([f"edge_dim must be >= 1 under edge_mode "
-                           f"{cfg.edge_mode!r}, got {dims['edge_dim']}"])
+    errors = cross_key_errors({**cfg.to_dict(), **dims})
+    if errors:
+        raise ConfigError(errors)
     model = build_model(cfg, dims["feat_dim"], dims["out_dim"],
                         np.random.Generator(np.random.PCG64(cfg.seed)),
                         edge_dim=dims["edge_dim"])
@@ -335,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="forward mode (sampled vs argmax exits)")
         if name == "diagnose":
             p.add_argument("name", nargs="?",
-                           help="one of: " + ", ".join(DIAG_NAMES))
+                           help="one of: " + ", ".join(DIAGNOSTICS))
         p.set_defaults(func=fn)
     return ap
 

@@ -27,11 +27,12 @@ from . import autodiff as ad
 from .autodiff import _act_derivative, _act_forward
 from .cells import CellParams, build_operators, cell_weights, decode, encode, \
     make_cell_params, propagate
+from .config import ConfigError, RunConfig
 from .eig import eigvals
 from .graphs import Graph, arc_rows, degrees, gen_sbm, norm_arc_weights, \
     pair_index, write_output
-from .training import ConfigError, Model, RunConfig, classes_from_logits, \
-    evaluate, forward_node, metric_eval, operators_for, train_run
+from .training import Model, classes_from_logits, evaluate, forward_node, \
+    metric_eval, operators_for, train_run
 
 __all__ = [
     "ToleranceError",

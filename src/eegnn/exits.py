@@ -34,6 +34,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import DiffValue
 from .cells import CellParams, Operators, _check_leaf_names, _glorot, encode, propagate
+from .config import KEYS, check_values
 
 __all__ = [
     "ExitState",
@@ -92,17 +93,14 @@ class ExitHeads:
     fc_out: tuple[DiffValue, DiffValue]
     fnu_layers: list[tuple]
     fnu_out: tuple[DiffValue, DiffValue]
-    nu0: float = 0.05
+    nu0: float = KEYS["nu0"].default
 
     def __post_init__(self):
         if self.kind not in HEAD_KINDS:
             raise ValueError(f"unknown head kind {self.kind!r}")
-        if not 1 <= len(self.fc_layers) <= 3:
-            raise ValueError(f"head depth must be 1..3, got {len(self.fc_layers)}")
+        check_values(exit_depth=len(self.fc_layers), nu0=self.nu0)
         if len(self.fnu_layers) != len(self.fc_layers):
             raise ValueError("f_c and f_nu must share depth")
-        if self.nu0 < 0:
-            raise ValueError(f"nu0 must be >= 0, got {self.nu0}")
         _check_leaf_names(self.parameters())
 
     def parameters(self) -> list[tuple[str, DiffValue]]:
@@ -120,8 +118,8 @@ def sample_gumbel(shape, rng: np.random.Generator) -> np.ndarray:
     return -np.log(-np.log(u))
 
 
-def make_exit_heads(rng: np.random.Generator, kind: str, in_dim: int,
-                    hidden: int, depth: int, nu0: float = 0.05) -> ExitHeads:
+def make_exit_heads(rng: np.random.Generator, kind: str, in_dim: int, hidden: int,
+                    depth: int, nu0: float = KEYS["nu0"].default) -> ExitHeads:
     """Glorot-initialized heads: depth hidden layers, each the tuple
     (w_agg, w, b), and a (w, b) readout. w_agg, drawn before w, is None for
     kind mlp; without it w is named {tag}{i}_w, with it {tag}{i}_w_self."""

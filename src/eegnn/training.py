@@ -1,4 +1,7 @@
-"""Training plumbing: config, losses, Adam, metrics, and the fit/eval loops.
+"""Training plumbing: models, losses, Adam, metrics, and the fit/eval loops.
+
+A run is configured by a RunConfig, whose keys, with every other command's,
+are stated in config's one table, KEYS.
 
 Everything is deterministic in the seed: one PCG64 generator drives
 initialization and per-epoch exit sampling, evaluation passes are noise-free,
@@ -10,20 +13,16 @@ outputs.
 from __future__ import annotations
 
 import json
-import math
-import numbers
-import sys
 from contextlib import contextmanager
-from collections import namedtuple
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import ACTIVATION_KINDS, DiffValue
-from .cells import (CellParams, EDGE_KINDS, EDGE_MODES, MODEL_KINDS, TASKS,
-                    Operators, build_operators, decode, encode, make_cell_params,
-                    propagate)
+from .autodiff import DiffValue
+from .cells import (CellParams, Operators, build_operators, decode, encode,
+                    make_cell_params, propagate)
+from .config import ConfigError, RunConfig, check_values
 from .exits import (ExitHeads, ExitState, eegnn_forward_node, exit_distribution,
                     make_exit_heads)
 from .graphs import SPLITS, Graph, Segments, _shown, degrees, disjoint_union, \
@@ -31,19 +30,10 @@ from .graphs import SPLITS, Graph, Segments, _shown, degrees, disjoint_union, \
     read_object, write_output
 
 __all__ = [
-    "ConfigError",
     "TrainDivergenceError",
-    "RunConfig",
-    "coerce_keys",
-    "KEYS",
-    "DATASETS",
-    "RUN_KEYS",
-    "reads",
     "GraphSet",
     "Model",
     "OptimState",
-    "LOSS_KINDS",
-    "METRIC_KINDS",
     "loss_eval",
     "adam_step",
     "metric_eval",
@@ -63,19 +53,6 @@ __all__ = [
     "load_dataset",
 ]
 
-LOSS_KINDS = ("ce", "bce_logits", "mse", "l1")
-DATASETS = ("minesweeper", "sbm")
-METRIC_KINDS = ("accuracy", "auroc", "ap", "macro_f1", "mae")
-
-
-class ConfigError(ValueError):
-    """Invalid run configuration or malformed input file; carries every
-    problem found, not just the first."""
-
-    def __init__(self, messages):
-        self.messages = list(messages)
-        super().__init__("; ".join(self.messages))
-
 
 class TrainDivergenceError(RuntimeError):
     """Non-finite loss encountered; carries the epoch index."""
@@ -83,214 +60,6 @@ class TrainDivergenceError(RuntimeError):
     def __init__(self, epoch, value):
         self.epoch = epoch
         super().__init__(f"non-finite loss {value} at epoch {epoch}")
-
-
-def _coerce(v, default):
-    """v as a value of default's type under coerce_keys' rules, or None."""
-    kind = str if default is None else type(default)
-    if kind in (list, tuple):
-        # a list takes a non-empty list, a tuple (of ints) any list or tuple
-        if not isinstance(v, (list, tuple)) or not (v or kind is tuple):
-            return None
-        items = [_coerce(x, default[0] if default else 0) for x in v]
-        return None if None in items else kind(items)
-    if kind in (bool, str):
-        return v if isinstance(v, kind) else None
-    if isinstance(v, bool) or not isinstance(v, numbers.Real):
-        return None
-    if kind is int and not (isinstance(v, numbers.Integral)
-                            or (math.isfinite(v) and float(v).is_integer())):
-        return None
-    # false for NaN, an infinity and an integer beyond the float range alike,
-    # so an int key refuses such an integer as a float key does
-    return kind(v) if abs(v) <= sys.float_info.max else None
-
-
-def _type_name(default) -> str:
-    if isinstance(default, list):
-        return f"non-empty list of {type(default[0]).__name__}"
-    names = {type(None): "path string", tuple: "list of int"}
-    return names.get(type(default), type(default).__name__)
-
-
-def coerce_keys(defaults: dict, d: dict) -> tuple[dict, list[str]]:
-    """d's values, each coerced to the type of its key's default, and one
-    message per key that is unknown, cannot be coerced, or breaks its range
-    rule in KEYS.
-
-    A bool takes only a bool, a str only a str, an int an int or an integral
-    float, a float any number, each within the float range; a bool is never
-    taken as a number. A tuple
-    default takes a list of ints by that rule, empty included, a list
-    default a non-empty list of its first item's type, and a None default a
-    path string.
-    """
-    errors = [f"unknown config key {k!r}" for k in sorted(set(d) - set(defaults))]
-    values = {}
-    for key, default in defaults.items():
-        if key not in d:
-            continue
-        v = _coerce(d[key], default)
-        rule = KEYS[key].rule if key in KEYS else None
-        if v is None:
-            errors.append(f"config key {key!r}: cannot coerce {_shown(d[key])} "
-                          f"to {_type_name(default)}")
-        elif rule is not None and not rule[0](v):
-            errors.append(f"{key} {rule[1]}, got {_shown(v)}")
-        else:
-            values[key] = v
-    return values, errors
-
-
-# One config key: its default, whose type is the type coerce_keys reads it
-# as; its range rule, a (test, words) pair on the coerced value; the runs
-# that read it, (selector, values) pairs that a run must each meet, none
-# when every run of a command that takes the key reads it; and the commands
-# that take it, besides the training commands for a RunConfig field.
-Key = namedtuple("Key", "default rule readers commands", defaults=(None, (), ()))
-
-# the diagnostics that build a model from the training keys; spectrum and
-# energy_descent draw their own configs and read only seed of them
-MODEL_DIAGS = ("dirichlet", "sensitivity", "depth_retention", "oracle_exit")
-
-
-def _at_least(lo):
-    return (lambda v: v >= lo), f"must be >= {lo}"
-
-
-def _one_of(choices):
-    return (lambda v: v in choices), f"must be one of {choices}"
-
-
-def _key(default, rule=None, model=None, commands=(), diagnostics=MODEL_DIAGS):
-    """A RunConfig field carrying its row of KEYS: read by the kinds of the
-    ("model", kinds) pair model, by every kind when None, and of the
-    diagnostics by those in diagnostics alone."""
-    readers = (model, ("diagnostic", diagnostics) if diagnostics else None)
-    return field(default=default, metadata={"key": Key(
-        default, rule, tuple(r for r in readers if r), commands)})
-
-
-def _rows(rule, readers, commands, **defaults):
-    """Rows of KEYS that differ only in their keys and defaults."""
-    return {k: Key(v, rule, readers, commands) for k, v in defaults.items()}
-
-
-_STEP = (lambda v: 0.0 < v <= 1.0), "must lie in (0, 1]"
-_EXITS = ("model", ("eegnn",))
-
-
-@dataclass
-class RunConfig:
-    """One training run's knobs, each with its row of KEYS; validated all at
-    once by from_dict, which takes every key whatever the model kind."""
-
-    task: str = _key("node_class", _one_of(TASKS))
-    model: str = _key("sas", _one_of(MODEL_KINDS))
-    depth: int = _key(10, _at_least(1))
-    hidden: int = _key(16, _at_least(1))
-    # eegnn's exit heads set its step, and gcn takes none
-    tau: float = _key(1.0, _STEP, ("model", ("sas", "graff", "adgn")))
-    # adgn's step applies tanh, whatever sigma1 says
-    sigma1: str = _key("relu_tanh", _one_of(ACTIVATION_KINDS),
-                       ("model", ("sas", "eegnn", "gcn", "graff")))
-    sigma2: str = _key("relu", _one_of(ACTIVATION_KINDS), ("model", EDGE_KINDS))
-    edge_mode: str = _key("zero", _one_of(EDGE_MODES))
-    exit_hidden: int = _key(16, _at_least(1), _EXITS)
-    exit_depth: int = _key(1, _one_of((1, 2, 3)), _EXITS)
-    nu0: float = _key(0.05, _at_least(0), _EXITS)
-    dec_hidden: tuple = _key((), ((lambda v: all(h >= 1 for h in v)),
-                                  "must be a tuple of widths >= 1"))
-    epochs: int = _key(300, _at_least(0))
-    seed: int = _key(0, _at_least(0), None, ("generate",), diagnostics=None)
-    metric: str = _key("auroc", _one_of(METRIC_KINDS))
-    loss: str = _key("ce", _one_of(LOSS_KINDS))
-    lr: float = _key(3e-3, _at_least(0))
-    weight_decay: float = _key(0.0, _at_least(0))
-    # how a non-zero weight_decay applies; inert while weight_decay is 0
-    decoupled_wd: bool = _key(False)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RunConfig":
-        """Validated config from a JSON-style dict, each key coerced by
-        coerce_keys; every problem lands in one ConfigError."""
-        values, errors = coerce_keys(asdict(cls()), d)
-        cfg = cls(**values)
-        # the rules between keys; each key's own range is in KEYS
-        errors += [msg for ok, msg in [
-            (cfg.edge_mode == "zero" or cfg.model in EDGE_KINDS,
-             f"edge_mode {cfg.edge_mode!r} needs a model in {EDGE_KINDS}; "
-             f"{cfg.model!r} has no edge term"),
-            (not (cfg.loss == "ce" and cfg.metric == "mae"),
-             "metric 'mae' scores values, but loss 'ce' gives class logits"),
-        ] if not ok]
-        if errors:
-            raise ConfigError(errors)
-        return cfg
-
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["dec_hidden"] = list(self.dec_hidden)
-        return d
-
-    def read_dict(self, kinds=None, diagnostic=None) -> dict:
-        """to_dict's keys that the model kind reads, or any of kinds when
-        given, and the diagnostic when given: the config a CLI run takes
-        and records."""
-        chosen = {"model": kinds or [self.model]}
-        if diagnostic is not None:
-            chosen["diagnostic"] = [diagnostic]
-        return {k: v for k, v in self.to_dict().items() if reads(k, chosen)}
-
-
-RUN_KEYS = tuple(f.name for f in fields(RunConfig))
-_GEN = ("generate",)
-_DIAG = ("diagnose",)
-
-# Every config key of every command: RunConfig's fields, then the keys of
-# single commands. The selector of a training key is the model kind, of a
-# generate key the dataset, and of diagnose's own keys the diagnostic; cli
-# refuses a key given to a run that does not read it.
-KEYS = {
-    **{f.name: f.metadata["key"] for f in fields(RunConfig)},
-    "dataset": Key("minesweeper", _one_of(DATASETS), (), _GEN),
-    **_rows(None, (("dataset", ("minesweeper",)),), _GEN, rows=30, cols=30,
-            mine_prob=0.2, unknown_frac=0.5),
-    **_rows(None, (("dataset", ("sbm",)),), _GEN, sizes=[50, 50], p_in=0.7,
-            p_out=0.1, feature_dim=8, feature_shift=1.0),
-    # the dataset path; train and evaluate always read it, and a diagnostic
-    # without it runs on a built-in block-model graph
-    "data": Key(None, None, (("diagnostic", MODEL_DIAGS),),
-                ("train", "evaluate", "diagnose")),
-    "steps": Key(50, _at_least(1), (("diagnostic", ("energy_descent",)),), _DIAG),
-    "cases": Key(25, _at_least(1), (("diagnostic", ("energy_descent", "spectrum")),),
-                 _DIAG),
-    "step_tau": Key(0.05, _STEP, (("diagnostic", ("energy_descent",)),), _DIAG),
-    "depths": Key([2, 6], None, (("diagnostic", ("depth_retention",)),), _DIAG),
-    # depth_retention trains each of these kinds in place of the model
-    "kinds": Key(["sas"], ((lambda v: set(v) <= set(MODEL_KINDS)),
-                           f"must be model kinds, from {MODEL_KINDS}"),
-                 (("diagnostic", ("depth_retention",)),), _DIAG),
-    "checkpoint": Key(None, None, (), ("evaluate",)),
-    **_rows(_at_least(1), (), ("param-count",), feat_dim=10, out_dim=2),
-    # >= 1 under a non-zero edge_mode, a rule cli.cmd_param_count keeps
-    "edge_dim": Key(0, _at_least(0), (), ("param-count",)),
-}
-
-
-def refused_by(key: str, chosen: dict) -> str | None:
-    """The first selector (model, dataset or diagnostic) whose values listed
-    in chosen all fail to read key, or None when the run reads it; a
-    selector chosen lacks limits nothing."""
-    for selector, values in KEYS[key].readers:
-        if selector in chosen and not any(v in values for v in chosen[selector]):
-            return selector
-    return None
-
-
-def reads(key: str, chosen: dict) -> bool:
-    """Whether a run whose selectors take the values listed in chosen reads key."""
-    return refused_by(key, chosen) is None
 
 
 def _widths(g: Graph) -> str:
@@ -366,8 +135,7 @@ class Model:
 
 def loss_eval(pred: DiffValue, targets, kind: str, mask=None) -> DiffValue:
     """Mean-reduced scalar loss over the (optionally masked) rows."""
-    if kind not in LOSS_KINDS:
-        raise ValueError(f"unknown loss kind {kind!r}")
+    check_values(loss=kind)
     n, k = pred.shape
     sel = np.ones(n, dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
     if sel.shape != (n,):
@@ -526,8 +294,7 @@ def metric_eval(predictions, targets, kind: str) -> float:
     or already-discrete class vectors; mae takes one value row per target
     row, a 1-D vector counting as one column.
     """
-    if kind not in METRIC_KINDS:
-        raise ValueError(f"unknown metric kind {kind!r}")
+    check_values(metric=kind)
     p = np.asarray(predictions, dtype=np.float64)
     t = np.asarray(targets)
     if kind == "mae":
@@ -639,10 +406,6 @@ def forward_node(model: Model, ops: Operators, mode: str = "eval_argmax",
 
 
 # ------------------------------------------------------------------- loops
-
-_HIGHER_BETTER = {"accuracy": True, "auroc": True, "ap": True,
-                  "macro_f1": True, "mae": False}
-
 
 def _exit_rows(data, split: str):
     """The agents an exit summary reads: all nodes, or a graph set's split graphs."""
@@ -782,7 +545,7 @@ def train_run(cfg: RunConfig, data):
     opt = OptimState(lr=cfg.lr, weight_decay=cfg.weight_decay,
                      decoupled=cfg.decoupled_wd)
     ops = operators_for(model, data)
-    higher = _HIGHER_BETTER[cfg.metric]
+    higher = cfg.metric != "mae"     # the one metric of an error, not a score
     best_val = None
     best_snapshot = None
     history = []

@@ -16,12 +16,13 @@ import oracles
 from eegnn import autodiff as ad
 from eegnn.cells import cell_weights, make_cell_params, sas_step
 from eegnn.cli import main as cli_main
+from eegnn.config import RunConfig
 from eegnn.diagnostics import (descent_suite, dirichlet_traces,
                                oracle_exit_eval, spectrum_suite)
 from eegnn.exits import gumbel_softmax_st
 from eegnn.graphs import degrees, gen_minesweeper_grid, gen_sbm, norm_adj
-from eegnn.training import (RunConfig, build_model, evaluate, forward_node,
-                            loss_eval, metric_eval, operators_for, train_run)
+from eegnn.training import (build_model, evaluate, forward_node, loss_eval,
+                            metric_eval, operators_for, train_run)
 from test_autodiff import _one_op_cases
 from test_training import ABLATION_CASES, ablation_case
 

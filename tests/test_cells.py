@@ -8,9 +8,10 @@ from eegnn import autodiff as ad
 from eegnn.cells import (CellParams, antisymmetrize, baseline_step, build_operators,
                          cell_weights, decode, encode, make_cell_params, propagate,
                          sas_step, symmetrize)
+from eegnn.config import RunConfig
 from eegnn.exits import make_exit_heads
 from eegnn.graphs import Segments, arc_rows, canonicalize, gen_sbm, mean_adj, norm_adj, spmm
-from eegnn.training import RunConfig, build_model
+from eegnn.training import build_model
 
 
 def small_graph(n=10, seed=0):
@@ -29,18 +30,25 @@ def basic_params(rng, m, tau=1.0, **kw):
 
 def test_cell_params_rejects_bad_tau():
     rng = np.random.default_rng(0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^tau must lie in \(0, 1\], got 0\.0$"):
         basic_params(rng, 3, tau=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^tau must lie in \(0, 1\], got 1\.2$"):
         basic_params(rng, 3, tau=1.2)
 
 
 def test_cell_params_rejects_bad_activation_and_edge_mode():
     rng = np.random.default_rng(0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^sigma1 must be one of .*, got 'swish'$"):
         make_cell_params(rng, "sas", 3, 3, 2, sigma1="swish")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^edge_mode must be one of .*, got 'bilinear'$"):
         make_cell_params(rng, "sas", 3, 3, 2, edge_mode="bilinear")
+    with pytest.raises(ValueError, match="^model must be one of .*, got 'mlp'$"):
+        make_cell_params(rng, "mlp", 3, 3, 2)
+    # the rules between keys, in the messages a config gets
+    with pytest.raises(ValueError, match="^edge_mode 'linear' needs a model in"):
+        make_cell_params(rng, "gcn", 3, 3, 2, edge_mode="linear", edge_dim=2)
+    with pytest.raises(ValueError, match="^edge_dim must be >= 1 under edge_mode 'linear'"):
+        make_cell_params(rng, "sas", 3, 3, 2, edge_mode="linear")
 
 
 def hand_built_leaves(names=("omega_raw", "w_raw", "enc_w", "enc_b", "dec0_w",

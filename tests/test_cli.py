@@ -12,10 +12,11 @@ import numpy as np
 import pytest
 
 import eegnn
-from eegnn.cli import DIAG_NAMES, build_parser, main
+from eegnn.cli import build_parser, main
+from eegnn.config import DIAGNOSTICS, RunConfig
 from eegnn.diagnostics import sensitivity
 from eegnn.graphs import arc_rows, gen_sbm, save_graph
-from eegnn.training import RunConfig, model_for
+from eegnn.training import model_for
 
 
 def write_cfg(tmp_path, doc, name="cfg.json"):
@@ -890,7 +891,7 @@ VERDICT_CASES = {
 }
 
 
-@pytest.mark.parametrize("name", DIAG_NAMES)
+@pytest.mark.parametrize("name", DIAGNOSTICS)
 def test_diagnose_verdict_only_where_the_check_can_fail(tmp_path, capsys, name):
     doc, judged = VERDICT_CASES[name]
     out = tmp_path / "d"
@@ -1100,11 +1101,17 @@ def test_param_count_out_of_range_dims_are_validation_errors(tmp_path, capsys,
     (["train"], {"lr": 10**400}, ["'lr'", "cannot coerce"]),
     (["generate"], {"dataset": "sbm", "feature_shift": 10**400},
      ["'feature_shift'", "cannot coerce"]),
-    (["param-count"], {"feat_dim": 10**400}, ["'feat_dim'", "cannot coerce"])],
+    (["param-count"], {"feat_dim": 10**400}, ["'feat_dim'", "cannot coerce"]),
+    # an empty block: no graph at all, or a class without a node
+    (["generate"], {"dataset": "sbm", "sizes": [0, 0]},
+     ["sizes must be block sizes >= 1, got [0, 0]"]),
+    (["generate"], {"dataset": "sbm", "sizes": [3, 0], "p_in": 1.0},
+     ["sizes must be block sizes >= 1, got [3, 0]"])],
     ids=["descent-counts", "generate-rows", "generate-sizes", "descent-step-tau",
          "dirichlet-data", "param-count-dims", "evaluate-checkpoint",
          "train-lr-beyond-float", "generate-shift-beyond-float",
-         "param-count-dim-beyond-float"])
+         "param-count-dim-beyond-float", "generate-sbm-no-nodes",
+         "generate-sbm-empty-block"])
 def test_mistyped_command_keys_are_validation_errors(tmp_path, capsys, argv,
                                                      doc, shown):
     cfg = write_cfg(tmp_path, doc)

@@ -9,6 +9,7 @@ import pytest
 import oracles
 from eegnn import autodiff as ad, cells, diagnostics, graphs, training
 from eegnn.cells import cell_weights, make_cell_params, sas_step, encode
+from eegnn.config import ConfigError, RunConfig
 from eegnn.diagnostics import (SpectrumReport, Trace, depth_retention,
                                descent_suite, descent_trace, dirichlet_energy,
                                dirichlet_traces, emit_trace, energy_functional,
@@ -16,7 +17,7 @@ from eegnn.diagnostics import (SpectrumReport, Trace, depth_retention,
                                sensitivity, spectrum_suite)
 from eegnn.graphs import arc_list, degrees, gen_minesweeper_grid, gen_sbm, make_graph, \
     norm_adj
-from eegnn.training import ConfigError, RunConfig, build_model, train_run
+from eegnn.training import build_model, train_run
 
 
 def path2(h):

@@ -69,11 +69,11 @@ def test_sample_gumbel_clamps_extreme_uniforms():
 
 def test_exit_heads_validation():
     rng = np.random.default_rng(7)
-    with pytest.raises(ValueError):
-        make_exit_heads(rng, "mean_gnn", 4, 8, 4)     # depth > 3
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^exit_depth must be one of \(1, 2, 3\), got 4$"):
+        make_exit_heads(rng, "mean_gnn", 4, 8, 4)
+    with pytest.raises(ValueError, match="^unknown head kind 'transformer'$"):
         make_exit_heads(rng, "transformer", 4, 8, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^nu0 must be >= 0, got -0\.1$"):
         make_exit_heads(rng, "mlp", 4, 8, 1, nu0=-0.1)
 
 

@@ -18,10 +18,11 @@ import oracles
 from eegnn import autodiff as ad
 from eegnn import graphs
 from eegnn import cells, cli
+from eegnn.config import RunConfig
 from eegnn.exits import eegnn_forward_node, sample_gumbel
 from eegnn.graphs import degrees, gen_minesweeper_grid, gen_sbm, make_graph
-from eegnn.training import GraphSet, RunConfig, build_model, evaluate, \
-    forward_node, loss_eval, operators_for, train_run
+from eegnn.training import GraphSet, build_model, evaluate, forward_node, \
+    loss_eval, operators_for, train_run
 
 
 def _connected(g) -> bool:

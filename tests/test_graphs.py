@@ -7,12 +7,13 @@ import pytest
 
 import oracles
 from eegnn import autodiff as ad
+from eegnn.config import ConfigError
 from eegnn.graphs import (ArcMatrix, Graph, Segments, arc_list, arc_rows,
                           canonicalize, degrees, disjoint_union, edge_homophily,
                           gen_minesweeper_grid, gen_sbm, incidence_aggregate,
                           make_graph, mean_adj, norm_adj, pair_index,
                           save_graph, spmm, validate_graph, write_output)
-from eegnn.training import ConfigError, load_dataset
+from eegnn.training import load_dataset
 
 
 def path_graph(n):

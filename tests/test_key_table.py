@@ -1,17 +1,21 @@
-"""The key table, training.KEYS, against what the code does: a key a kind
-reads changes its run, and a key it does not read exits 1 from the CLI."""
+"""The key table, config.KEYS, against what the code does: a key a kind
+reads changes its run, a key it does not read exits 1 from the CLI, and the
+builders take their defaults from the table."""
 
+import inspect
 import json
-from dataclasses import asdict
+from dataclasses import MISSING, asdict, fields
 from functools import cache
 from pathlib import Path
 
 import pytest
 
-from eegnn.cells import MODEL_KINDS
+from eegnn.cells import CellParams, make_cell_params
 from eegnn.cli import main
+from eegnn.config import KEYS, MODEL_KINDS, RunConfig, reads
+from eegnn.exits import ExitHeads, make_exit_heads
 from eegnn.graphs import gen_sbm, save_graph
-from eegnn.training import KEYS, RunConfig, reads, train_run
+from eegnn.training import train_run
 
 BASE = {"depth": 3, "hidden": 4, "epochs": 3, "metric": "accuracy", "lr": 0.01}
 # a value other than the default for each key that shapes the model
@@ -141,3 +145,51 @@ def test_depth_retention_reads_the_keys_of_its_kinds(tmp_path, capsys, doc, code
 def test_readme_names_every_key_of_the_table():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     assert [k for k in KEYS if f"`{k}`" not in readme] == []
+
+
+def test_builder_defaults_are_the_tables():
+    """The cell and exit builders state no default of their own: each
+    parameter or field named like a key takes that key's default."""
+    defaults = {
+        "make_cell_params": {n: p.default for n, p in
+                             inspect.signature(make_cell_params).parameters.items()},
+        "CellParams": {f.name: f.default for f in fields(CellParams)},
+        "make_exit_heads": {n: p.default for n, p in
+                            inspect.signature(make_exit_heads).parameters.items()},
+        "ExitHeads": {f.name: f.default for f in fields(ExitHeads)},
+    }
+    unset = (inspect.Parameter.empty, MISSING)
+    keyed = {builder: {k: v for k, v in d.items() if k in KEYS and v not in unset}
+             for builder, d in defaults.items()}
+    assert {b: sorted(d) for b, d in keyed.items()} == {
+        "make_cell_params": ["dec_hidden", "depth", "edge_dim", "edge_mode",
+                             "sigma1", "sigma2", "tau"],
+        "CellParams": ["edge_mode", "sigma1", "sigma2", "tau"],
+        "make_exit_heads": ["nu0"],
+        "ExitHeads": ["nu0"]}
+    for builder, d in keyed.items():
+        assert d == {k: KEYS[k].default for k in d}, builder
+
+
+def test_a_key_inert_at_another_keys_value_is_taken_and_changes_nothing(tmp_path,
+                                                                         capsys):
+    """decoupled_wd while weight_decay is 0, and param-count's edge_dim under
+    edge_mode "zero", are taken and leave the run's bytes as they were."""
+    runs = [train_run(RunConfig.from_dict({**BASE, "decoupled_wd": flag}), graph())
+            for flag in (False, True)]
+    (plain, plain_history), (decoupled, decoupled_history) = runs
+    assert decoupled_history == plain_history
+    assert ([(n, p.value.tobytes()) for n, p in decoupled.parameters()]
+            == [(n, p.value.tobytes()) for n, p in plain.parameters()])
+    counts = []
+    for edge_dim in (0, 5):
+        run_dir = tmp_path / f"edge_dim{edge_dim}"
+        run_dir.mkdir()
+        code, err, _ = run_cli(["param-count"], run_dir,
+                               {"model": "sas", "edge_dim": edge_dim}, capsys)
+        assert code == 0, err
+        doc = json.loads((run_dir / "out" / "counts.json").read_text())
+        # counts.json echoes the dimensions it was given; every count is the same
+        assert doc.pop("edge_dim") == edge_dim
+        counts.append(doc)
+    assert counts[0] == counts[1]

@@ -7,7 +7,7 @@ key of it, to depth 3, and runs the command in-process through cli.main:
 the key dropped; set to null, a string, -1, NaN, [], {}, true or an integer
 beyond the float range; and an array also shortened, made ragged, or with
 one element poisoned by each of those values. A config file holds only the
-keys its run reads (training.KEYS), and one more case adds each key that
+keys its run reads (config.KEYS), and one more case adds each key that
 its model kind, dataset or diagnostic does not read: that case must exit 1.
 Every case must exit 0 or 1;
 exit 1 must create no --out directory, must name what it refused (its key,
@@ -42,8 +42,8 @@ import numpy as np
 import pytest
 
 from eegnn.cli import main
+from eegnn.config import KEYS, RunConfig, reads
 from eegnn.graphs import make_graph, save_graph
-from eegnn.training import KEYS, RunConfig, reads
 
 HUGE = 10 ** 400
 VALUES = [("null", None), ("string", "1.5"), ("minus_one", -1),

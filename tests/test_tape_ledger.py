@@ -4,8 +4,9 @@ counted by node kind, so a change to what a node keeps shows as a count."""
 import pytest
 
 from eegnn import autodiff as ad
+from eegnn.config import RunConfig
 from eegnn.graphs import gen_minesweeper_grid
-from eegnn.training import RunConfig, train_run
+from eegnn.training import train_run
 
 
 def tape_ledger(root) -> dict:

@@ -9,12 +9,12 @@ import pytest
 
 import oracles
 from eegnn import autodiff as ad
-from eegnn.cells import EDGE_MODES, MODEL_KINDS
+from eegnn.config import (EDGE_MODES, MODEL_KINDS, ConfigError, RunConfig,
+                          coerce_keys)
 from eegnn.exits import ExitState, eegnn_forward_node
 from eegnn.graphs import arc_rows, gen_minesweeper_grid, gen_sbm, save_graph
-from eegnn.training import (ConfigError, GraphSet, OptimState,
-                            RunConfig, TrainDivergenceError, adam_step,
-                            build_model, coerce_keys, evaluate, exit_csv,
+from eegnn.training import (GraphSet, OptimState, TrainDivergenceError,
+                            adam_step, build_model, evaluate, exit_csv,
                             forward_node, history_csv, load_checkpoint,
                             load_dataset, loss_eval, metric_eval, model_for,
                             operators_for, save_checkpoint, scores_from_logits,
@@ -97,19 +97,22 @@ def test_config_round_trips_through_dict():
 
 
 def test_coerce_keys_list_and_path_defaults():
-    defaults = {"sizes": [50, 50], "kinds": ["sas"], "data": None, "rate": 0.5}
-    values, errors = coerce_keys(defaults, {"sizes": [4.0, 5], "kinds": ["gcn"],
-                                            "data": "g.json", "rate": 1})
+    keys = ("sizes", "kinds", "data", "p_in")
+    values, errors = coerce_keys(keys, {"sizes": [4.0, 5], "kinds": ["gcn"],
+                                        "data": "g.json", "p_in": 1})
     assert errors == []
     assert values == {"sizes": [4, 5], "kinds": ["gcn"], "data": "g.json",
-                      "rate": 1.0}
-    assert type(values["sizes"][0]) is int and type(values["rate"]) is float
-    values, errors = coerce_keys(defaults, {"sizes": [], "kinds": "sas",
-                                            "data": 5, "rate": "1", "colour": 1})
+                      "p_in": 1.0}
+    assert type(values["sizes"][0]) is int and type(values["p_in"]) is float
+    # a key the dict lacks takes its default in the table
+    assert coerce_keys(keys, {}) == ({"sizes": [50, 50], "kinds": ["sas"],
+                                      "data": None, "p_in": 0.7}, [])
+    values, errors = coerce_keys(keys, {"sizes": [], "kinds": "sas",
+                                        "data": 5, "p_in": "1", "colour": 1})
     assert values == {}
     assert errors[0] == "unknown config key 'colour'"
     assert [m.split(":")[0] for m in errors[1:]] == [
-        f"config key {k!r}" for k in ("sizes", "kinds", "data", "rate")]
+        f"config key {k!r}" for k in ("sizes", "kinds", "data", "p_in")]
     assert "non-empty list of int" in errors[1] and "path string" in errors[3]
 
 
