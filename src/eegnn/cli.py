@@ -214,7 +214,8 @@ def _diag_graph(diag: dict, cfg: RunConfig):
         if isinstance(data, GraphSet):
             raise ConfigError(["diagnostics need a single-graph dataset"])
         return data
-    return gen_sbm((20, 20), 0.7, 0.1, cfg.seed, feature_dim=8)
+    return gen_sbm((20, 20), KEYS["p_in"].default, KEYS["p_out"].default, cfg.seed,
+                   feature_dim=KEYS["feature_dim"].default)
 
 
 def _fresh_model(cfg: RunConfig, g):

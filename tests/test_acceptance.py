@@ -81,11 +81,9 @@ def test_criterion_02_spectrum_suite():
     t0 = time.time()
     rep = spectrum_suite(n_configs=100, width_lo=2, width_hi=16, seed=0)
     assert rep["configs"] == 100
-    assert rep["max_skew_residual"] <= 1e-12
     assert rep["max_re_lambda"] <= 1e-8
     assert rep["pass"]
     verdict(2, "jacobian spectra", time.time() - t0, 60,
-            f"max skew {rep['max_skew_residual']:.1e}, "
             f"max |Re lambda| {rep['max_re_lambda']:.2e}")
 
 

@@ -762,7 +762,6 @@ def test_diagnose_spectrum_passes(tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert report["pass"] is True
     assert report["max_re_lambda"] <= 1e-8
-    assert report["max_skew_residual"] <= 1e-12
 
 
 def test_diagnose_energy_descent_passes(tmp_path):
@@ -842,9 +841,9 @@ DIAG_DIGESTS = {
     "energy_descent": ("energy_descent", {"cases": 4, "steps": 20}, {
         "report.json": "42996201e950237431e0734cb69326eab4bc6b04e2cd7d11f8df3c7d7bbe1ea8"}),
     "spectrum": ("spectrum", {}, {
-        "report.json": "bfec9a23d5907073983fcc306d09baf4c2f82053757d6a883262ab922fdca5d7"}),
+        "report.json": "2b35d0488fd193526b1641d71a7a13f60521d891c7d51fd2753ebc82980c5a69"}),
     "spectrum-300": ("spectrum", {"cases": 300}, {
-        "report.json": "e7085ef15094994e2712bfd6956f3a0eb25df1b1ae587af069798ee7d44950ad"}),
+        "report.json": "a874980595bd719bc46a94f09a2d4511be0263c2e459a1f5c2ad50ecc455b828"}),
     # the default config, the benchmark's model, and a gcn stack
     "sensitivity-sas": ("sensitivity", {}, {
         "report.json": "fbcdd3d38f6e2c3cb777cf8f7faeeca5c1e02484c96b72b18436a081a3a29168"}),

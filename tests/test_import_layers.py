@@ -4,6 +4,9 @@ So the key table in config stays importable by the builders that read it,
 and no import cycle comes back."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -26,6 +29,24 @@ def relative_imports(path: Path) -> set[str]:
 
 def test_every_module_has_a_rank():
     assert {p.stem for p in SRC.glob("*.py")} - {"__init__"} == set(RANKS)
+
+
+# a fresh interpreter, so that no module an earlier test imported counts
+LOADED = """
+import sys
+import eegnn
+print(sorted(m for m in ("eegnn.cli", "argparse") if m in sys.modules))
+"""
+
+
+def test_importing_the_package_leaves_the_cli_unloaded():
+    # the benchmark's setup time is a cold `import eegnn`, which compiles
+    # every module it loads; cli and argparse serve the command alone
+    path = [str(SRC.parent), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    done = subprocess.run([sys.executable, "-c", LOADED], env=env, check=True,
+                          capture_output=True, text=True, timeout=120)
+    assert done.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("module", sorted(RANKS))
